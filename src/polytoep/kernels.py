@@ -3,49 +3,18 @@
 Certificate grids are the hot path: tens of millions of points per attempt,
 each needing Σ_i |f_i(z)|².  The tuple is packed once into flat arrays
 (coefficients split into re/im, exponent rows, per-polynomial offsets) and a
-single kernel sweeps a block of points.
-
-Two backends, agreeing to roundoff (each is individually deterministic, so
-fixed-seed runs on a fixed backend reproduce byte-identical reports):
-
-* numba ``@njit`` (``cache=True``, ``parallel=False`` so runs are
-  reproducible) — used when numba imports cleanly;
-* pure numpy with per-variable power tables — selected automatically when
-  numba is unavailable, or forced with ``POLYTOEP_DISABLE_NUMBA=1``.
-
-``benchmarks/bench_kernels.py`` times both on an identical workload.
+single numpy evaluator sweeps a block of points with per-variable power
+tables.  It is deterministic, so fixed-seed runs reproduce byte-identical
+reports.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .poly import SymbolTuple
-
-_DISABLE_ENV = "POLYTOEP_DISABLE_NUMBA"
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    if os.environ.get(_DISABLE_ENV, "") == "1":
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
 
 
 @dataclass(frozen=True)
@@ -90,149 +59,38 @@ def pack_tuple(st: SymbolTuple) -> PackedTuple:
     )
 
 
-# ---- numba kernels ----------------------------------------------------------
-
-@njit(cache=True)
-def _sumsq_nb(cre, cim, exps, offs, zre, zim, maxd, out):  # pragma: no cover
-    npts, nv = zre.shape
-    npolys = offs.shape[0] - 1
-    pwre = np.empty((nv, maxd + 1))
-    pwim = np.empty((nv, maxd + 1))
-    for p in range(npts):
-        for v in range(nv):
-            pwre[v, 0] = 1.0
-            pwim[v, 0] = 0.0
-            for k in range(1, maxd + 1):
-                a = pwre[v, k - 1]
-                b = pwim[v, k - 1]
-                pwre[v, k] = a * zre[p, v] - b * zim[p, v]
-                pwim[v, k] = a * zim[p, v] + b * zre[p, v]
-        acc = 0.0
-        for i in range(npolys):
-            sre = 0.0
-            sim = 0.0
-            for t in range(offs[i], offs[i + 1]):
-                tre = cre[t]
-                tim = cim[t]
-                for v in range(nv):
-                    e = exps[t, v]
-                    if e:
-                        a = pwre[v, e]
-                        b = pwim[v, e]
-                        nre = tre * a - tim * b
-                        tim = tre * b + tim * a
-                        tre = nre
-                sre += tre
-                sim += tim
-            acc += sre * sre + sim * sim
-        out[p] = acc
-    return out
-
-
-@njit(cache=True)
-def _values_nb(cre, cim, exps, offs, zre, zim, maxd, outre, outim):  # pragma: no cover
-    npts, nv = zre.shape
-    npolys = offs.shape[0] - 1
-    pwre = np.empty((nv, maxd + 1))
-    pwim = np.empty((nv, maxd + 1))
-    for p in range(npts):
-        for v in range(nv):
-            pwre[v, 0] = 1.0
-            pwim[v, 0] = 0.0
-            for k in range(1, maxd + 1):
-                a = pwre[v, k - 1]
-                b = pwim[v, k - 1]
-                pwre[v, k] = a * zre[p, v] - b * zim[p, v]
-                pwim[v, k] = a * zim[p, v] + b * zre[p, v]
-        for i in range(npolys):
-            sre = 0.0
-            sim = 0.0
-            for t in range(offs[i], offs[i + 1]):
-                tre = cre[t]
-                tim = cim[t]
-                for v in range(nv):
-                    e = exps[t, v]
-                    if e:
-                        a = pwre[v, e]
-                        b = pwim[v, e]
-                        nre = tre * a - tim * b
-                        tim = tre * b + tim * a
-                        tre = nre
-                sre += tre
-                sim += tim
-            outre[p, i] = sre
-            outim[p, i] = sim
-    return outre
-
-
-# ---- numpy kernels ----------------------------------------------------------
-
-def _power_tables_np(z: np.ndarray, maxd: int) -> np.ndarray:
+def _poly_values(pk: PackedTuple, points: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the values of f_1, f_2, … in turn at a block of points, shape
+    (npts, nvars) complex."""
+    z = np.ascontiguousarray(points, dtype=np.complex128)
     npts, nv = z.shape
-    pw = np.empty((nv, maxd + 1, npts), dtype=np.complex128)
+    pw = np.empty((nv, pk.maxdeg + 1, npts), dtype=np.complex128)
     pw[:, 0, :] = 1.0
-    for k in range(1, maxd + 1):
+    for k in range(1, pk.maxdeg + 1):
         pw[:, k, :] = pw[:, k - 1, :] * z.T
-    return pw
-
-
-def _sumsq_np(cre, cim, exps, offs, zre, zim, maxd, out):
-    z = zre + 1j * zim
-    pw = _power_tables_np(z, maxd)
-    npts = zre.shape[0]
-    npolys = offs.shape[0] - 1
-    out[:] = 0.0
-    for i in range(npolys):
+    for i in range(pk.npolys):
         acc = np.zeros(npts, dtype=np.complex128)
-        for t in range(offs[i], offs[i + 1]):
-            term = np.full(npts, cre[t] + 1j * cim[t])
-            for v in range(exps.shape[1]):
-                e = exps[t, v]
+        for t in range(pk.offs[i], pk.offs[i + 1]):
+            term = np.full(npts, pk.cre[t] + 1j * pk.cim[t])
+            for v in range(pk.nvars):
+                e = pk.exps[t, v]
                 if e:
                     term *= pw[v, e]
             acc += term
+        yield acc
+
+
+def sumsq_block(pk: PackedTuple, points: np.ndarray) -> np.ndarray:
+    """Σ_i |f_i(z)|² for a block of points, shape (npts, nvars) complex."""
+    out = np.zeros(len(points), dtype=np.float64)
+    for acc in _poly_values(pk, points):
         out += acc.real ** 2 + acc.imag ** 2
     return out
 
 
-def _values_np(cre, cim, exps, offs, zre, zim, maxd, outre, outim):
-    z = zre + 1j * zim
-    pw = _power_tables_np(z, maxd)
-    npts = zre.shape[0]
-    npolys = offs.shape[0] - 1
-    for i in range(npolys):
-        acc = np.zeros(npts, dtype=np.complex128)
-        for t in range(offs[i], offs[i + 1]):
-            term = np.full(npts, cre[t] + 1j * cim[t])
-            for v in range(exps.shape[1]):
-                e = exps[t, v]
-                if e:
-                    term *= pw[v, e]
-            acc += term
-        outre[:, i] = acc.real
-        outim[:, i] = acc.imag
-    return outre
-
-
-# ---- dispatchers -------------------------------------------------------------
-
-def sumsq_block(pk: PackedTuple, points: np.ndarray, backend: str = None) -> np.ndarray:
-    """Σ_i |f_i(z)|² for a block of points, shape (npts, nvars) complex."""
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    zre = np.ascontiguousarray(points.real)
-    zim = np.ascontiguousarray(points.imag)
-    out = np.empty(points.shape[0], dtype=np.float64)
-    fn = _sumsq_nb if (backend or active_backend()) == "numba" and _HAVE_NUMBA else _sumsq_np
-    return fn(pk.cre, pk.cim, pk.exps, pk.offs, zre, zim, pk.maxdeg, out)
-
-
-def values_block(pk: PackedTuple, points: np.ndarray, backend: str = None) -> np.ndarray:
+def values_block(pk: PackedTuple, points: np.ndarray) -> np.ndarray:
     """Tuple values at a block of points: (npts, npolys) complex."""
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    zre = np.ascontiguousarray(points.real)
-    zim = np.ascontiguousarray(points.imag)
-    outre = np.empty((points.shape[0], pk.npolys), dtype=np.float64)
-    outim = np.empty_like(outre)
-    fn = _values_nb if (backend or active_backend()) == "numba" and _HAVE_NUMBA else _values_np
-    fn(pk.cre, pk.cim, pk.exps, pk.offs, zre, zim, pk.maxdeg, outre, outim)
-    return outre + 1j * outim
+    out = np.empty((len(points), pk.npolys), dtype=np.complex128)
+    for i, acc in enumerate(_poly_values(pk, points)):
+        out[:, i] = acc
+    return out

@@ -6,8 +6,8 @@ monomial window (all exponents below a per-variable cap) therefore carries an
 exact finite section of the Koszul complex: the codomain cap of every boundary
 map is the domain cap enlarged by the tuple degree, so multiplication never
 truncates and consecutive boundary matrices compose to the exact zero matrix.
-No tolerance is involved in the chain property; only rank decisions are
-numerical.
+The chain property is checked against the rounding bound of the float matrix
+product (``chain_check``); rank decisions carry the only tunable tolerance.
 
 Homology dimensions:
 
@@ -213,6 +213,21 @@ def chain_products(kt: KoszulTruncation) -> List[np.ndarray]:
     """d_{k+1} @ d_k for every consecutive pair; each must be exactly zero."""
     d = kt.boundary_matrices
     return [d[i + 1] @ d[i] for i in range(len(d) - 1)]
+
+
+def chain_check(kt: KoszulTruncation) -> bool:
+    """Consecutive boundary maps compose to zero up to the rounding of the
+    float product: entrywise |d_{k+1} d_k| ≤ γ·(|d_{k+1}| |d_k|) with
+    γ = 4(n+4)·2⁻⁵³ for inner dimension n (a Higham-style bound that covers
+    complex arithmetic and fused multiply-adds).  Exact products are zero by
+    construction, so any wrong entry in an assembled map leaves a residual
+    of the size of the products it enters and fails the check."""
+    d = kt.boundary_matrices
+    for a, b, prod in zip(d[1:], d[:-1], chain_products(kt)):
+        gamma = 4 * (b.shape[0] + 4) * 2.0 ** -53
+        if np.any(np.abs(prod) > gamma * (np.abs(a) @ np.abs(b))):
+            return False
+    return True
 
 
 def exact_chain_check(st: SymbolTuple, N: int) -> bool:
@@ -501,7 +516,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
         except MatrixBudgetError:
             break
         dims = homology_kernel_dims(kt)
-        chain_ok = chain_ok and all(np.all(prod == 0) for prod in chain_products(kt))
+        chain_ok = chain_ok and chain_check(kt)
         sigma_min = stage1_sigma_min(kt)
         per_n.append({"N": n, "kernel_dims": list(dims)})
         history.append(tuple(dims))

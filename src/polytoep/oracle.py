@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -188,41 +189,49 @@ def perturbed_count(st: SymbolTuple, cfg: OracleConfig | None = None) -> int:
     return perturbed_count_details(st, cfg)["count"]
 
 
+def fourier_winding(coeffs: Mapping[int, complex], npts: int) -> int | None:
+    """Winding of f(θ) = Σ c_k e^{ikθ} around 0, by trapezoidal quadrature of
+    f′/f on npts nodes (doubled once if needed); None when f may vanish on
+    the circle or the quadrature does not settle.  The contour is certified
+    nonvanishing by sampling plus a Lipschitz bound before the quadrature is
+    trusted."""
+    ks = np.array(sorted(coeffs))
+    cs = np.array([coeffs[int(k)] for k in ks], dtype=complex)
+    lip = float(np.sum(np.abs(ks) * np.abs(cs)))   # sup |f′| on the circle
+    for _ in range(2):
+        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
+        modes = np.exp(1j * np.outer(theta, ks))
+        vals = modes @ cs
+        if np.min(np.abs(vals)) <= lip * np.pi / npts:
+            npts *= 2
+            continue
+        w = np.mean((modes @ (1j * ks * cs)) / vals) / 1j
+        k = round(w.real)
+        if abs(w - k) <= 0.25:
+            return int(k)
+        npts *= 2
+    return None
+
+
 def winding_number(p: MultiPoly, radius: float, cfg: OracleConfig | None = None) -> int:
-    """Winding of p around the circle |z| = radius, by trapezoidal quadrature
-    of z·p′(z)/p(z).  The contour is certified nonvanishing by sampling plus
-    a Lipschitz bound before the quadrature is trusted."""
+    """Winding of p around the circle |z| = radius: ``fourier_winding`` of
+    the coefficients scaled by radiusᵏ."""
     cfg = cfg or OracleConfig()
     if p.nvars != 1:
         raise ValueError("winding numbers apply to one-variable symbols")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    coeffs = np.array([c.to_complex() if p.mode == "exact" else c
-                       for c in univariate_coeffs(p)])
-    if len(coeffs) == 1:
-        if coeffs[0] == 0:
-            raise ValueError("zero symbol has no winding number")
-        return 0
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    # sup |p'| on the circle bounds the change of p between samples
-    lip = float(np.sum(np.abs(dcoeffs) * radius ** np.arange(len(dcoeffs))))
-    npts = cfg.quadrature_points
-    for _ in range(2):
-        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
-        z = radius * np.exp(1j * theta)
-        vals = np.polyval(coeffs[::-1], z)
-        gap = radius * np.pi / npts           # half the arc between samples
-        if np.min(np.abs(vals)) <= lip * gap:
-            npts *= 2
-            continue
-        w = np.mean(z * np.polyval(dcoeffs[::-1], z) / vals)
-        k = round(w.real)
-        if abs(w - k) <= 0.25:
-            return int(k)
-        npts *= 2
-    raise RuntimeError(f"winding of {p!r} on |z|={radius} did not resolve: "
-                       "symbol vanishes near the contour or quadrature "
-                       "failed to settle within 0.25 of an integer")
+    coeffs = [c.to_complex() if p.mode == "exact" else c
+              for c in univariate_coeffs(p)]
+    if not any(coeffs):
+        raise ValueError("zero symbol has no winding number")
+    w = fourier_winding({k: c * radius ** k for k, c in enumerate(coeffs)},
+                        cfg.quadrature_points)
+    if w is None:
+        raise RuntimeError(f"winding of {p!r} on |z|={radius} did not resolve: "
+                           "symbol vanishes near the contour or quadrature "
+                           "failed to settle within 0.25 of an integer")
+    return w
 
 
 def univariate_index(p: MultiPoly, cfg: OracleConfig | None = None) -> int:

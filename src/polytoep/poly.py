@@ -203,12 +203,6 @@ class MultiPoly:
             return self
         return MultiPoly(self.nvars, {e: c.to_complex() for e, c in self.terms.items()}, "float")
 
-    def conj_coeffs(self) -> "MultiPoly":
-        """Polynomial with conjugated coefficients (same exponents)."""
-        if self.mode == "exact":
-            return MultiPoly(self.nvars, {e: c.conjugate() for e, c in self.terms.items()}, "exact")
-        return MultiPoly(self.nvars, {e: c.conjugate() for e, c in self.terms.items()}, "float")
-
 
 def _horner(items, point, var):
     """Horner evaluation of exponent/coefficient pairs, recursing by variable."""

@@ -24,7 +24,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from . import __version__
 from .certify import (
@@ -44,7 +44,7 @@ from .poly import (
     tuple_from_json,
     tuple_to_json,
 )
-from .tensor import disc_tuple_index, tensor_tuple_index, trig_from_poly
+from .tensor import tensor_tuple_index, trig_from_poly
 from .zeros import common_zeros, gcd_reduce
 
 SCHEMA_VERSION = "1"
@@ -167,9 +167,16 @@ def _cache_store(path: Path, report: dict) -> None:
 
 
 # ---- route runners -------------------------------------------------------------
+#
+# Every runner takes (working tuple, config, chosen certificate) and returns
+# the route's evidence; a route emits when that carries an integer "index".
+# Runners look the library functions up as module globals at call time, so
+# wrappers installed on this module see every call.
 
 
-def _run_koszul(st: SymbolTuple, cfg: JobConfig, rho: Optional[float]) -> dict:
+def _run_koszul(st: SymbolTuple, cfg: JobConfig,
+                cert: BoundaryCertificate) -> dict:
+    rho = (1 + cert.r) / 2
     route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
     return {
         "per_n": list(route.per_n),
@@ -183,7 +190,8 @@ def _run_koszul(st: SymbolTuple, cfg: JobConfig, rho: Optional[float]) -> dict:
     }
 
 
-def _run_algebraic(st: SymbolTuple, cfg: JobConfig) -> dict:
+def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
+                   cert: BoundaryCertificate) -> dict:
     zs = common_zeros(st, seed=cfg.seed)
     zeros = [{"point": [_fmt_complex(z.point[0]), _fmt_complex(z.point[1])],
               "multiplicity": z.multiplicity, "location": z.location}
@@ -209,8 +217,9 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
     return eps
 
 
-def _run_oracle(st: SymbolTuple, cfg: JobConfig, cert_c: float) -> dict:
-    eps = _oracle_epsilon(st, cert_c, cfg.oracle.epsilon)
+def _run_oracle(st: SymbolTuple, cfg: JobConfig,
+                cert: BoundaryCertificate) -> dict:
+    eps = _oracle_epsilon(st, cert.c, cfg.oracle.epsilon)
     ocfg = OracleConfig(epsilon=eps, trials=cfg.oracle.trials,
                         seed=cfg.oracle.seed,
                         quadrature_points=cfg.oracle.quadrature_points)
@@ -235,7 +244,9 @@ def _tensor_variables(st: SymbolTuple) -> Optional[list]:
     return used
 
 
-def _run_tensor(st: SymbolTuple, variables: Sequence[int]) -> dict:
+def _run_tensor(st: SymbolTuple, cfg: JobConfig,
+                cert: BoundaryCertificate) -> dict:
+    variables = _tensor_variables(st)
     factors = [trig_from_poly(s, var=v) for s, v in zip(st.symbols, variables)]
     rep = tensor_tuple_index(factors, variables)
     return {
@@ -246,6 +257,33 @@ def _run_tensor(st: SymbolTuple, variables: Sequence[int]) -> dict:
         "note": rep.note,
         "index": rep.tuple_index,
     }
+
+
+def _run_winding(st: SymbolTuple, cfg: JobConfig,
+                 cert: BoundaryCertificate) -> dict:
+    return {"index": univariate_index(st.symbols[0], cfg.oracle)}
+
+
+def _run_disc(st: SymbolTuple, cfg: JobConfig,
+              cert: BoundaryCertificate) -> dict:
+    # In one variable the boundary region is the annulus r ≤ |z| ≤ 1, which
+    # the certificate has just certified: the tuple is Fredholm of index 0.
+    return {"index": 0, "certificate_r": cert.r}
+
+
+def _exact_pair(st: SymbolTuple) -> bool:
+    return len(st) == 2 and st.nvars == 2 and st.mode == "exact"
+
+
+# (name, applies(working tuple), runner), in the order the routes run
+ROUTES = (
+    ("koszul", lambda st: True, _run_koszul),
+    ("algebraic", _exact_pair, _run_algebraic),
+    ("oracle", _exact_pair, _run_oracle),
+    ("tensor", lambda st: _tensor_variables(st) is not None, _run_tensor),
+    ("winding", lambda st: st.nvars == 1 and len(st) == 1, _run_winding),
+    ("disc", lambda st: st.nvars == 1 and len(st) > 1, _run_disc),
+)
 
 
 # ---- the index pipeline --------------------------------------------------------
@@ -289,7 +327,7 @@ def run_index(cfg: JobConfig) -> dict:
     # gcd reduction for exact bivariate pairs
     working = st
     t0 = time.perf_counter()
-    if len(st) == 2 and st.nvars == 2 and st.mode == "exact":
+    if _exact_pair(st):
         red = gcd_reduce(st)
         if red.common_factor is not None:
             body["reduction"] = {
@@ -330,66 +368,19 @@ def run_index(cfg: JobConfig) -> dict:
         return _finish(body, timings, t_start, key, cache_path)
 
     body["certificate"] = _cert_json(chosen)
-    rho = (1 + chosen.r) / 2
-
     routes = body["routes"]
     emitted = {}
-
-    t0 = time.perf_counter()
-    try:
-        routes["koszul"] = _run_koszul(working, cfg, rho)
-        if isinstance(routes["koszul"]["index"], int):
-            emitted["koszul"] = routes["koszul"]["index"]
-    except Exception as exc:                      # noqa: BLE001 - recorded
-        routes["koszul"] = {"error": str(exc)}
-    timings["koszul"] = time.perf_counter() - t0
-
-    if len(working) == 2 and working.nvars == 2 and working.mode == "exact":
+    for name, applies, run in ROUTES:
+        if not applies(working):
+            continue
         t0 = time.perf_counter()
         try:
-            routes["algebraic"] = _run_algebraic(working, cfg)
-            if "index" in routes["algebraic"]:
-                emitted["algebraic"] = routes["algebraic"]["index"]
-        except Exception as exc:                  # noqa: BLE001
-            routes["algebraic"] = {"error": str(exc)}
-        timings["algebraic"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        try:
-            routes["oracle"] = _run_oracle(working, cfg, chosen.c)
-            emitted["oracle"] = routes["oracle"]["index"]
-        except Exception as exc:                  # noqa: BLE001
-            routes["oracle"] = {"error": str(exc)}
-        timings["oracle"] = time.perf_counter() - t0
-
-    variables = _tensor_variables(working)
-    if variables is not None:
-        t0 = time.perf_counter()
-        try:
-            routes["tensor"] = _run_tensor(working, variables)
-            if isinstance(routes["tensor"]["index"], int):
-                emitted["tensor"] = routes["tensor"]["index"]
-        except Exception as exc:                  # noqa: BLE001
-            routes["tensor"] = {"error": str(exc)}
-        timings["tensor"] = time.perf_counter() - t0
-
-    if working.nvars == 1:
-        t0 = time.perf_counter()
-        if len(working) == 1:
-            try:
-                idx = univariate_index(working.symbols[0], cfg.oracle)
-                routes["winding"] = {"index": idx}
-                emitted["winding"] = idx
-            except Exception as exc:              # noqa: BLE001
-                routes["winding"] = {"error": str(exc)}
-        else:
-            try:
-                idx = disc_tuple_index(working, s=chosen.r, cross_check=False)
-                routes["disc"] = {"index": idx, "certificate_r": chosen.r}
-                emitted["disc"] = idx
-            except Exception as exc:              # noqa: BLE001
-                routes["disc"] = {"error": str(exc)}
-        timings["disc"] = time.perf_counter() - t0
+            routes[name] = run(working, cfg, chosen)
+            if isinstance(routes[name].get("index"), int):
+                emitted[name] = routes[name]["index"]
+        except Exception as exc:                  # noqa: BLE001 - recorded
+            routes[name] = {"error": str(exc)}
+        timings[name] = time.perf_counter() - t0
 
     values = set(emitted.values())
     all_ok = all("error" not in r for r in routes.values()) and \

@@ -7,12 +7,12 @@ trigonometric polynomials on the circle (negative Fourier indices allowed,
 so z̄ is in scope); Fredholmness of a factor is decided by a certified
 winding number.
 
-Invertibility of a factor is detected numerically — smallest singular value
-of two truncated Toeplitz matrices staying above 0.1 — and is flagged as a
-heuristic.  An invertible factor puts the tuple outside the product
-formula's hypothesis; the reported tuple index is then 0 (the Koszul complex
-of a tuple with an invertible member is exact), carried with an explicit
-note.
+A factor is invertible exactly when its winding number is 0: by Coburn's
+lemma a Fredholm Toeplitz operator with continuous symbol and index 0 is
+invertible (Böttcher–Silbermann, *Analysis of Toeplitz Operators*).  An
+invertible factor puts the tuple outside the product formula's hypothesis;
+the reported tuple index is then 0 (the Koszul complex of a tuple with an
+invertible member is exact), carried with an explicit note.
 
 For tuples of analytic polynomials in one *shared* variable the index is 0
 whenever the tuple is Fredholm at all; disc_tuple_index certifies the joint
@@ -25,15 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .certify import as_condition_check
 from .koszul import koszul_route
-from .oracle import OracleConfig
+from .oracle import OracleConfig, fourier_winding
 from .poly import MultiPoly, SymbolTuple
-
-_TRUNCATION_SIZES = (24, 48)
-_SIGMA_MIN_CUT = 0.1
 
 
 class TrigPoly:
@@ -108,7 +104,7 @@ def trig_from_json(obj: dict) -> TrigPoly:
 class FactorIndex:
     fredholm: bool
     index: Optional[int]          # None when not Fredholm
-    invertible_flag: bool         # heuristic, see module docstring
+    invertible_flag: bool         # winding 0 (Coburn), see module docstring
 
 
 @dataclass(frozen=True)
@@ -119,43 +115,14 @@ class TensorIndexReport:
     note: str = ""
 
 
-def _trig_winding(f: TrigPoly, cfg: OracleConfig) -> Optional[int]:
-    """Certified winding on the unit circle; None if f may vanish there."""
-    lip = sum(abs(k) * abs(c) for k, c in f.coeffs.items())
-    npts = cfg.quadrature_points
-    for _ in range(2):
-        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
-        vals = f.values(theta)
-        if np.min(np.abs(vals)) <= lip * np.pi / npts:
-            npts *= 2
-            continue
-        w = np.mean(f.derivative_values(theta) / vals) / 1j
-        k = round(w.real)
-        if abs(w - k) <= 0.25:
-            return int(k)
-        npts *= 2
-    return None
-
-
-def _truncated_sigma_min(f: TrigPoly, size: int) -> float:
-    col = np.array([f.coeffs.get(k, 0j) for k in range(size)])
-    row = np.array([f.coeffs.get(-k, 0j) for k in range(size)])
-    t = scipy.linalg.toeplitz(col, row)
-    return float(np.min(np.linalg.svd(t, compute_uv=False)))
-
-
 def trig_toeplitz_index(f: TrigPoly, cfg: Optional[OracleConfig] = None) -> FactorIndex:
     """Fredholm data of one Toeplitz factor: winding-certified Fredholmness,
-    index = −winding, and the heuristic invertibility flag."""
+    index = −winding, and invertibility (winding 0, by Coburn's lemma)."""
     cfg = cfg or OracleConfig()
-    w = _trig_winding(f, cfg)
+    w = fourier_winding(f.coeffs, cfg.quadrature_points)
     if w is None:
         return FactorIndex(fredholm=False, index=None, invertible_flag=False)
-    invertible = False
-    if w == 0:
-        invertible = all(_truncated_sigma_min(f, n) > _SIGMA_MIN_CUT
-                         for n in _TRUNCATION_SIZES)
-    return FactorIndex(fredholm=True, index=-w, invertible_flag=invertible)
+    return FactorIndex(fredholm=True, index=-w, invertible_flag=w == 0)
 
 
 def tensor_tuple_index(factors: Sequence[TrigPoly],
@@ -184,8 +151,7 @@ def tensor_tuple_index(factors: Sequence[TrigPoly],
     return TensorIndexReport(per, True, sign * prod)
 
 
-def disc_tuple_index(st: SymbolTuple, s: float = 0.5,
-                     cross_check: bool = True) -> int:
+def disc_tuple_index(st: SymbolTuple, s: float = 0.5) -> int:
     """Index of a tuple of analytic polynomials in one shared variable.
 
     Once the joint annulus condition Σ|fᵢ|² > 0 on s ≤ |z| ≤ 1 is certified
@@ -204,7 +170,7 @@ def disc_tuple_index(st: SymbolTuple, s: float = 0.5,
             f"(value {cert.witness_value:.3g})")
     if cert.verdict != "certified":
         raise RuntimeError(f"annulus condition not certifiable at s={s}")
-    if cross_check and len(st) == 2:
+    if len(st) == 2:
         route = koszul_route(st)
         if route.index != 0:
             raise AssertionError(

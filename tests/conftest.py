@@ -39,6 +39,13 @@ def quarter_pair(z2):
 
 
 @pytest.fixture
+def non_dyadic_pair():
+    # (z1 - 3/5, z2 - 9/20), index -1: float products of its Koszul maps
+    # leave rounding residues instead of exact zeros
+    return symbols(2, p2({(1, 0): 1, (0, 0): "-3/5"}), p2({(0, 1): 1, (0, 0): "-9/20"}))
+
+
+@pytest.fixture
 def repeated_pair(z1):
     # (z1, z1) is never Fredholm: the symbols vanish together on {z1=0}
     return symbols(2, z1, z1)

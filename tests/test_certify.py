@@ -12,7 +12,7 @@ from polytoep.certify import (
     polydisc_lower_bound,
     shifted_tuple,
 )
-from polytoep.kernels import _HAVE_NUMBA, pack_tuple, sumsq_block, values_block
+from polytoep.kernels import pack_tuple, sumsq_block, values_block
 from polytoep.poly import exact_poly, symbols
 
 from conftest import p1, p2
@@ -27,19 +27,16 @@ def region_samples(nv, r, count, rng):
     return rho * np.exp(1j * theta)
 
 
-# -- kernel backends -----------------------------------------------------------
+# -- kernels ---------------------------------------------------------------------
 
 
 def test_backends_agree(quarter_pair):
     pk = pack_tuple(quarter_pair)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (512, 2)) + 1j * rng.uniform(-1, 1, (512, 2))
-    a = sumsq_block(pk, pts, backend="numpy")
-    v = values_block(pk, pts, backend="numpy")
+    a = sumsq_block(pk, pts)
+    v = values_block(pk, pts)
     assert np.allclose(np.sum(np.abs(v) ** 2, axis=1), a, rtol=1e-12, atol=0)
-    if _HAVE_NUMBA:
-        b = sumsq_block(pk, pts, backend="numba")
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
 def test_pack_matches_eval(shift_pair):

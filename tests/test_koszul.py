@@ -1,4 +1,5 @@
 """Truncated Koszul complex: chain structure, ranks, homology, route."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from polytoep.koszul import (
     MonomialWindow,
     build_koszul,
+    chain_check,
     chain_products,
     dump_matrices,
     euler_index,
@@ -48,6 +50,19 @@ def test_chain_property_and_exactness(shift_pair, monomial_pair):
         for prod in chain_products(kt):
             assert np.max(np.abs(prod)) == 0.0
         assert exact_chain_check(st, 4)
+
+
+def test_chain_check_catches_a_flipped_sign(non_dyadic_pair):
+    shifts3 = symbols(3, exact_poly(3, {(1, 0, 0): 1}), exact_poly(3, {(0, 1, 0): 1}),
+                      exact_poly(3, {(0, 0, 1): 1}))
+    for st in (non_dyadic_pair, shifts3):
+        kt = build_koszul(st, 3)
+        assert chain_check(kt)
+        for k in range(len(kt.boundary_matrices) - 1):
+            d = [m.copy() for m in kt.boundary_matrices]
+            i, j = np.argwhere(d[k] != 0)[0]
+            d[k][i, j] = -d[k][i, j]
+            assert not chain_check(dataclasses.replace(kt, boundary_matrices=tuple(d)))
 
 
 def test_sigma_min_of_shift_stage_one(shift_pair):
@@ -100,12 +115,14 @@ def test_route_fixture_indices(shift_pair, monomial_pair, quarter_pair):
     assert koszul_route(far).index == 0
 
 
-def test_route_reports_chain_and_codim(shift_pair):
-    route = koszul_route(shift_pair)
-    assert route.chain_exact
-    assert route.codim == 1
-    assert route.homology.stabilized
-    assert [rec["N"] for rec in route.per_n] == list(range(2, 2 + len(route.per_n)))
+def test_route_reports_chain_and_codim(shift_pair, non_dyadic_pair):
+    for st in (shift_pair, non_dyadic_pair):
+        route = koszul_route(st)
+        assert route.chain_exact
+        assert route.codim == 1
+        assert route.index == -1
+        assert route.homology.stabilized
+        assert [rec["N"] for rec in route.per_n] == list(range(2, 2 + len(route.per_n)))
 
 
 def test_route_scaling_invariance(quarter_pair):

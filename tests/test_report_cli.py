@@ -84,7 +84,7 @@ def test_cache_roundtrip_and_corruption(shift_pair, tmp_path, capsys):
     assert run_index(cfg)["cache"]["hit"]
 
 
-def test_cache_key_canonicalization(shift_pair, z1, z2):
+def test_cache_key_canonicalization(shift_pair, z1, z2, monkeypatch):
     reordered = symbols(2, p2({(0, 0): 0}) + z1, z2)
     assert cache_key(JobConfig(input=shift_pair), shift_pair) == \
         cache_key(JobConfig(input=reordered), reordered)
@@ -92,6 +92,10 @@ def test_cache_key_canonicalization(shift_pair, z1, z2):
         cache_key(JobConfig(input=shift_pair, seed=1), shift_pair)
     assert cache_key(JobConfig(input=shift_pair), shift_pair) != \
         cache_key(JobConfig(input=shift_pair, command="spectrum"), shift_pair)
+    # reports from older code are never served: the key carries the version
+    key = cache_key(JobConfig(input=shift_pair), shift_pair)
+    monkeypatch.setattr("polytoep.report.__version__", "0.0.0")
+    assert cache_key(JobConfig(input=shift_pair), shift_pair) != key
 
 
 def test_spectrum_membership_and_cloud(shift_pair):

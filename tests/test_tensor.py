@@ -49,8 +49,11 @@ def test_factor_indices():
     assert fwd.fredholm and fwd.index == -1 and not fwd.invertible_flag
     bwd = trig_toeplitz_index(TrigPoly({-1: 1.0}))
     assert bwd.index == 1
-    inv = trig_toeplitz_index(TrigPoly({0: 2.0, 1: 1.0}))
-    assert inv.fredholm and inv.index == 0 and inv.invertible_flag
+    for f in (TrigPoly({0: 2.0, 1: 1.0}), TrigPoly({0: 1, 1: -0.95})):
+        # winding 0 means invertible (Coburn), however small the truncated
+        # sections' singular values: T_{1-0.95z} has inverse T_{1/(1-0.95z)}
+        inv = trig_toeplitz_index(f)
+        assert inv.fredholm and inv.index == 0 and inv.invertible_flag
     broken = trig_toeplitz_index(TrigPoly({1: 1.0, 0: -1.0}))   # vanishes at θ=0
     assert not broken.fredholm and broken.index is None
 
