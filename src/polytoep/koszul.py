@@ -17,7 +17,9 @@ Homology dimensions:
   stage.  The naive rank subtraction overcounts h_k by window-boundary
   syzygies whose cofactors exceed the stage cap; the enlarged-domain
   intersection removes exactly those, while genuine non-Fredholm growth (e.g.
-  the repeated-symbol tuple) still shows up as growth in N.
+  the repeated-symbol tuple) still shows up as growth in N.  The stage sits
+  in the enlarged codomain as a set V of coordinate rows, so
+  dim(im A ∩ V) = rank(A) − rank(A with the rows of V deleted).
 * the top dimension h_p is NOT read off the window cokernel (corner monomials
   of the window are never reachable and would inflate it); it comes from
   ``ideal_codim_window`` below.
@@ -43,7 +45,7 @@ from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import qr, svdvals
 
 from .exact import EXACT_ZERO, ExactComplex
 from .poly import MultiPoly, SymbolTuple
@@ -111,13 +113,6 @@ def toeplitz_matrix(p: MultiPoly, N: int) -> np.ndarray:
     win_in = MonomialWindow(p.nvars, N)
     win_out = MonomialWindow(p.nvars, N + max(d, 0))
     return mult_matrix(p, win_in, win_out)
-
-
-def inclusion_matrix(win_in: MonomialWindow, win_out: MonomialWindow) -> np.ndarray:
-    mat = np.zeros((win_out.dim, win_in.dim))
-    for j, e in enumerate(win_in.basis):
-        mat[win_out.index[e], j] = 1.0
-    return mat
 
 
 # ---- boundary map block structure --------------------------------------------
@@ -234,7 +229,7 @@ def exact_chain_check(st: SymbolTuple, N: int) -> bool:
     """Entrywise-exact verification that consecutive boundary maps compose to
     zero, in rational arithmetic when the tuple is exact."""
     if st.mode != "exact":
-        return all(np.all(prod == 0) for prod in chain_products(build_koszul(st, N)))
+        return chain_check(build_koszul(st, N))
     p = len(st)
     deg = st.degree_vec()
     wins = [MonomialWindow(st.nvars, tuple(N + k * d for d in deg)) for k in range(p + 1)]
@@ -326,23 +321,22 @@ def homology_kernel_dims(kt: KoszulTruncation) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
     Middle stages subtract dim(im(d_k with domain enlarged to the stage-k cap)
-    ∩ stage k) from the nullity of d_{k+1}; the intersection dimension comes
-    from rank(A) + dim V − rank([A | E_V]).
+    ∩ stage k) from the nullity of d_{k+1}.  The stage-k window is a set V of
+    coordinate rows of the enlarged codomain, so the intersection dimension
+    is rank(A) − rank(A with the rows of V deleted).
     """
     st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
     d = kt.boundary_matrices
-    dims = []
-    h0 = d[0].shape[1] - numerical_rank(d[0], tol)
-    dims.append(h0)
+    dims = [d[0].shape[1] - numerical_rank(d[0], tol)]
     for k in range(1, p):
         null_next = d[k].shape[1] - numerical_rank(d[k], tol)
-        enlarged = _boundary_matrix(st, k, kt.windows[k], kt.windows[k + 1])
-        incl = inclusion_matrix(kt.windows[k], kt.windows[k + 1])
-        nblocks = len(_subsets(p, k))
-        emb = np.kron(np.eye(nblocks), incl)
-        rank_a = numerical_rank(enlarged, tol)
-        rank_both = numerical_rank(np.hstack([enlarged, emb.astype(np.complex128)]), tol)
-        dim_intersect = rank_a + emb.shape[1] - rank_both
+        out = kt.windows[k + 1]
+        enlarged = _boundary_matrix(st, k, kt.windows[k], out)
+        outside = np.ones(out.dim, dtype=bool)
+        outside[[out.index[e] for e in kt.windows[k].basis]] = False
+        outside = np.tile(outside, len(_subsets(p, k)))
+        dim_intersect = (numerical_rank(enlarged, tol)
+                         - numerical_rank(enlarged[outside], tol))
         dims.append(max(null_next - dim_intersect, 0))
     return dims
 
@@ -396,12 +390,13 @@ def _membership_sigmas(st: SymbolTuple, K: int, M: int, rho: float) -> np.ndarra
     norms = np.linalg.norm(S, axis=0)
     norms[norms == 0] = 1.0
     S = S / norms
-    # Orthonormal basis of the weighted shift span, then project the quotient
-    # candidates.  (Least-squares via the general drivers mis-solves these
-    # wide systems; the explicit SVD projection does not.)
-    u, sv, _ = np.linalg.svd(S, full_matrices=False)
-    keep = sv > SVD_PROJECT_CUT * sv[0] if sv.size else np.zeros(0, bool)
-    q = u[:, keep]
+    # Orthonormal basis of the weighted shift span from column-pivoted QR
+    # (Businger–Golub; |R_ii| falls, so the columns past the relative cut
+    # span only rounding), then project the quotient candidates.  (Least-
+    # squares via the general drivers mis-solves these wide systems.)
+    q, r, _ = qr(S, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    q = q[:, diag > SVD_PROJECT_CUT * diag[0]]
     E = np.zeros((big.dim, quot.dim))
     for j, e in enumerate(quot.basis):
         E[big.index[e], j] = 1.0
@@ -460,12 +455,15 @@ def ideal_codim_window(st: SymbolTuple, K: int, M: Optional[int] = None,
     for _ in range(max_escalations + 1):
         vals = []
         try:
+            # K+1 and K+2 start one past the M their predecessor settled on
+            m_start = M
             for i in range(3):
-                got = _codim_resolve_band(st, K + i, M + i, rho, rank_tolerance,
+                got = _codim_resolve_band(st, K + i, m_start, rho, rank_tolerance,
                                           step, max_escalations)
                 if got is None:
                     return "unstable"
                 vals.append(got[0])
+                m_start = got[1] + 1
         except MatrixBudgetError:
             return "unstable"
         if vals[0] == vals[1] == vals[2]:
@@ -495,10 +493,11 @@ class KoszulRouteResult:
 def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
                  rank_tolerance: float = DEFAULT_RANK_TOL,
                  rho: Optional[float] = None) -> KoszulRouteResult:
-    """Sweep truncation levels, demand three consecutive agreeing kernel-side
-    homology vectors, attach the stabilized ideal codimension as the top
-    dimension, and form the Euler index.  Emits "unstable" rather than any
-    integer when stabilization fails."""
+    """Sweep the levels of ``n_range`` and stop at the first three consecutive
+    ones with the same kernel-side homology vector (``per_n`` ends there, and
+    ``sigma_min_first`` is read on its last level), attach the stabilized ideal
+    codimension as the top dimension, and form the Euler index.  Emits
+    "unstable" rather than any integer when stabilization fails."""
     p = len(st)
     if n_range is None:
         n_range = range(2, 9) if st.nvars <= 2 else range(1, 4)
@@ -508,7 +507,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     per_n = []
     history = []
     stabilized_at = None
-    sigma_min = 0.0
+    kt = None
     chain_ok = True
     for n in n_values:
         try:
@@ -517,11 +516,12 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
             break
         dims = homology_kernel_dims(kt)
         chain_ok = chain_ok and chain_check(kt)
-        sigma_min = stage1_sigma_min(kt)
         per_n.append({"N": n, "kernel_dims": list(dims)})
         history.append(tuple(dims))
-        if stabilized_at is None and len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             stabilized_at = tuple(dims)
+            break
+    sigma_min = stage1_sigma_min(kt) if kt is not None else 0.0
     kdim = max(2, max(st.degree_vec(), default=0) + 1)
     codim = ideal_codim_window(st, kdim, rank_tolerance=rank_tolerance, rho=rho)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from polytoep import koszul
 from polytoep.koszul import (
+    SVD_PROJECT_CUT,
     MonomialWindow,
+    _boundary_matrix,
+    _membership_sigmas,
+    _subsets,
     build_koszul,
     chain_check,
     chain_products,
@@ -24,6 +29,60 @@ from polytoep.koszul import (
 from polytoep.poly import exact_poly, symbols
 
 from conftest import p1, p2
+
+
+def shifts3():
+    return symbols(3, exact_poly(3, {(1, 0, 0): 1}), exact_poly(3, {(0, 1, 0): 1}),
+                   exact_poly(3, {(0, 0, 1): 1}))
+
+
+def far_pair():
+    # (z1 - 2, z2): 1 is an ideal member only through an H² cofactor of z1 - 2
+    return symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
+
+
+def hstack_kernel_dims(kt):
+    """Reference for ``homology_kernel_dims``: the intersection dimension from
+    rank(A) + dim V − rank([A | E_V]) with the embedding E_V built explicitly."""
+    st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
+    d = kt.boundary_matrices
+    dims = [d[0].shape[1] - numerical_rank(d[0], tol)]
+    for k in range(1, p):
+        null_next = d[k].shape[1] - numerical_rank(d[k], tol)
+        stage, out = kt.windows[k], kt.windows[k + 1]
+        enlarged = _boundary_matrix(st, k, stage, out)
+        incl = np.zeros((out.dim, stage.dim))
+        for j, e in enumerate(stage.basis):
+            incl[out.index[e], j] = 1.0
+        emb = np.kron(np.eye(len(_subsets(p, k))), incl)
+        rank_both = numerical_rank(np.hstack([enlarged, emb]), tol)
+        dims.append(max(null_next - (numerical_rank(enlarged, tol) + emb.shape[1]
+                                     - rank_both), 0))
+    return dims
+
+
+def svd_membership_sigmas(st, K, M, rho):
+    """Reference for ``_membership_sigmas``: the span basis from a full SVD."""
+    deg = st.degree_vec()
+    big = MonomialWindow(st.nvars, tuple(M + d for d in deg))
+    shifts = MonomialWindow(st.nvars, M)
+    quot = MonomialWindow(st.nvars, K)
+    w = np.array([rho ** sum(e) for e in big.basis])
+    cols = []
+    for s in st.to_float().symbols:
+        for a in shifts.basis:
+            col = np.zeros(big.dim, dtype=np.complex128)
+            for e, c in s.terms.items():
+                col[big.index[tuple(x + y for x, y in zip(a, e))]] = c
+            cols.append(col)
+    S = np.asarray(cols).T * w[:, None]
+    S = S / np.linalg.norm(S, axis=0)
+    u, sv, _ = np.linalg.svd(S, full_matrices=False)
+    q = u[:, sv > SVD_PROJECT_CUT * sv[0]]
+    E = np.zeros((big.dim, quot.dim))
+    for j, e in enumerate(quot.basis):
+        E[big.index[e], j] = 1.0
+    return np.linalg.svd(E - q @ (q.conj().T @ E), compute_uv=False)
 
 
 def test_window_basis_and_dim():
@@ -52,10 +111,15 @@ def test_chain_property_and_exactness(shift_pair, monomial_pair):
         assert exact_chain_check(st, 4)
 
 
+def test_exact_chain_check_on_float_tuples(non_dyadic_pair):
+    # float products of the non-dyadic maps leave rounding residues, which the
+    # float branch must accept as the rounding-aware ``chain_check`` does
+    for n in (2, 3, 4):
+        assert exact_chain_check(non_dyadic_pair.to_float(), n)
+
+
 def test_chain_check_catches_a_flipped_sign(non_dyadic_pair):
-    shifts3 = symbols(3, exact_poly(3, {(1, 0, 0): 1}), exact_poly(3, {(0, 1, 0): 1}),
-                      exact_poly(3, {(0, 0, 1): 1}))
-    for st in (non_dyadic_pair, shifts3):
+    for st in (non_dyadic_pair, shifts3()):
         kt = build_koszul(st, 3)
         assert chain_check(kt)
         for k in range(len(kt.boundary_matrices) - 1):
@@ -78,6 +142,27 @@ def test_rank_nullity_accounting(quarter_pair):
         kernel = d.shape[1] - r
         assert r + kernel == d.shape[1]
         assert r <= min(d.shape)
+
+
+def test_kernel_dims_match_hstack_reference(shift_pair, monomial_pair, quarter_pair,
+                                            non_dyadic_pair, repeated_pair,
+                                            shared_line_pair):
+    for st in (shift_pair, monomial_pair, quarter_pair, non_dyadic_pair,
+               repeated_pair, shared_line_pair):
+        for n in (2, 3, 4):
+            kt = build_koszul(st, n)
+            assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
+    for n in (1, 2, 3):
+        kt = build_koszul(shifts3(), n)
+        assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
+
+
+def test_membership_sigmas_match_svd_reference(non_dyadic_pair):
+    for st, K, M in ((far_pair(), 2, 13), (non_dyadic_pair, 2, 9)):
+        got = _membership_sigmas(st, K, M, 0.75)
+        ref = svd_membership_sigmas(st, K, M, 0.75)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
 
 
 def test_range_sum_identity_random_tuples():
@@ -125,6 +210,28 @@ def test_route_reports_chain_and_codim(shift_pair, non_dyadic_pair):
         assert [rec["N"] for rec in route.per_n] == list(range(2, 2 + len(route.per_n)))
 
 
+def test_sweep_stops_at_stabilization(shift_pair, repeated_pair):
+    assert [rec["N"] for rec in koszul_route(shift_pair).per_n] == [2, 3, 4]
+    # a tuple that never stabilizes still sweeps the whole range
+    route = koszul_route(repeated_pair)
+    assert [rec["N"] for rec in route.per_n] == list(range(2, 9))
+    assert route.index == "unstable"
+
+
+def test_membership_windows_warm_start(monkeypatch):
+    # K + 1 and K + 2 start one past the cofactor window their predecessor
+    # settled on instead of climbing from M again
+    solved = []
+
+    def counted(st, K, M, rho):
+        solved.append((K, M))
+        return _membership_sigmas(st, K, M, rho)
+
+    monkeypatch.setattr(koszul, "_membership_sigmas", counted)
+    assert ideal_codim_window(far_pair(), 2, rho=0.75) == 0
+    assert solved == [(2, 5), (2, 9), (2, 13), (2, 17), (2, 21), (3, 22), (4, 23)]
+
+
 def test_route_scaling_invariance(quarter_pair):
     from polytoep.exact import ExactComplex
     scaled = symbols(2, *(s.scale(ExactComplex(3)) for s in quarter_pair.symbols))
@@ -139,9 +246,7 @@ def test_route_univariate_pairs():
 
 
 def test_three_variable_shifts():
-    st = symbols(3, exact_poly(3, {(1, 0, 0): 1}), exact_poly(3, {(0, 1, 0): 1}),
-                 exact_poly(3, {(0, 0, 1): 1}))
-    route = koszul_route(st)
+    route = koszul_route(shifts3())
     assert route.index == -1
     assert route.chain_exact
 
