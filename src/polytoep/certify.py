@@ -8,17 +8,38 @@ full closed polydisc (zero-freeness checks for factored-out divisors).
 
 Certification is by adaptive subdivision.  Each cell is a product of polar
 rectangles with per-variable covering radii δ_v (hypot of the radial and
-tangential half-widths).  Pruning uses the directional bound
-|fᵢ| ≥ |fᵢ(center)| − Σ_v G_iv·δ_v on each cell, with G_iv the coefficient
-bound for sup|∂fᵢ/∂z_v|; summing the squares of the clipped drops bounds
-Σ|fᵢ|² from below.  Cells that cannot be pruned are split along their widest
-parameter until they shrink past four halvings of the starting mesh.  The
-directional form matters: a symbol pays nothing for variables it does not
-involve, so the three-variable frontiers stay small where a global Lipschitz
-constant would force more cells than any reasonable budget.
+tangential half-widths) around its center c.  On a cell each |fᵢ| stays
+above |fᵢ(c)| − dropᵢ, and the squares of the clipped values bound Σ|fᵢ|²
+from below.  dropᵢ is the smaller of two bounds on |fᵢ(z) − fᵢ(c)|:
 
-Certified ``c`` is the minimum of v − L_cell·δ over pruned cells; the
-reported ``mesh`` is the effective uniform step, defined by
+* the directional bound Σ_v G_iv·δ_v, with G_iv the coefficient bound for
+  sup|∂fᵢ/∂z_v| on the polydisc, and
+* the centered form P̂ᵢ(|c|+δ) − P̂ᵢ(|c|), where P̂ᵢ is fᵢ with every
+  coefficient replaced by its modulus (Neumaier, *Interval Methods for
+  Systems of Equations*, 1990).  Near a coordinate axis it is far below the
+  global derivative bound: for z₁⁴ at |c₁| = 0.1 it is about 0.004·δ, not 4·δ.
+
+Both cost a symbol nothing for variables it does not involve.
+
+A cell is pruned once its bound exceeds half the smallest center value seen
+so far (the Moore–Skelboe best-first target of Hansen–Walster, *Global
+Optimization Using Interval Analysis*, 2004), or is merely positive once the
+cell nears the depth floor.  The running minimum only falls, so the bound
+of every target-pruned cell stays above 0.5·min_sample.  Other cells are
+halved along the parameter with the largest extent·Σᵢ G_iv, so a variable no
+symbol uses is never cut, and the depth floor target_mesh / 2**MAX_HALVINGS
+measures only the used variables.  The start grid is four times coarser than
+target_mesh (an unused variable gets one cell); the floor is unchanged.
+
+The bound stays a proof under floating-point rounding.  Every computed
+|fᵢ(c)| loses 2γₖ·P̂ᵢ(|c|) (Higham's γₖ = ku/(1 − ku), u = 2⁻⁵³, with k
+covering the complex products and sums of the kernel and the rounding of the
+packed coefficients); P̂ᵢ(|c|+δ) is inflated and P̂ᵢ(|c|) deflated by
+(1 ± γₖ); δ, |c|, G and the coefficient bounds are rounded upward; and the
+summed bound is rounded down.
+
+Certified ``c`` is the minimum bound over pruned cells; the reported
+``mesh`` is the effective uniform step, defined by
 min_sample − lipschitz·mesh = c with the global constant, so the classical
 sampled-grid reading of the certificate remains exactly valid.
 
@@ -29,7 +50,7 @@ seen (closure membership enforced by radial projection).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +64,8 @@ WITNESS_THRESHOLD = 1e-3
 DISTANCE_TOLERANCE = 1e-3
 DEFAULT_R_SCHEDULE = (0.5, 0.75, 0.9)
 CELL_BUDGET = 6_000_000          # centers evaluated per certification attempt
-MAX_HALVINGS = 4
+MAX_HALVINGS = 4                 # depth floor: target_mesh / 2**MAX_HALVINGS
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 _DEFAULT_MESH = {1: 0.05, 2: 0.15, 3: 0.5}
 
@@ -62,7 +84,9 @@ class BoundaryCertificate:
     min_point: tuple              # where it was seen
     witness: Optional[tuple] = None
     witness_value: Optional[float] = None
-    cells_evaluated: int = 0
+    cells_evaluated: int = 0          # centers evaluated
+    budget_hit: bool = False          # stopped by the cell budget
+    split_depth: int = 0              # most split rounds any face needed
 
 
 @dataclass(frozen=True)
@@ -108,19 +132,16 @@ class _CellSet:
         return np.hypot(0.5 * (self.rhi - self.rlo),
                         self.rhi * 0.5 * (self.thi - self.tlo))
 
-    def radius(self) -> np.ndarray:
-        d = self.deltas()
-        return np.sqrt(np.sum(d * d, axis=1))
-
     def select(self, mask) -> "_CellSet":
         return _CellSet(self.rlo[mask], self.rhi[mask], self.tlo[mask], self.thi[mask])
 
-    def split_widest(self) -> "_CellSet":
-        """Split every cell in two along its largest parameter extent."""
+    def split_widest(self, weight: np.ndarray) -> "_CellSet":
+        """Split every cell in two along the parameter whose extent times its
+        variable's weight is largest; a variable of weight 0 is never cut."""
         n, nv = self.rlo.shape
         d_r = 0.5 * (self.rhi - self.rlo)
         d_t = self.rhi * 0.5 * (self.thi - self.tlo)
-        flat = np.concatenate([d_r, d_t], axis=1)
+        flat = np.concatenate([d_r * weight, d_t * weight], axis=1)
         pick = np.argmax(flat, axis=1)
         a = _CellSet(self.rlo.copy(), self.rhi.copy(), self.tlo.copy(), self.thi.copy())
         b = _CellSet(self.rlo.copy(), self.rhi.copy(), self.tlo.copy(), self.thi.copy())
@@ -138,14 +159,16 @@ class _CellSet:
                         np.vstack([a.tlo, b.tlo]), np.vstack([a.thi, b.thi]))
 
 
-def _initial_cells(bounds: Sequence[Tuple[float, float]], target_mesh: float) -> _CellSet:
-    """Product subdivision of one face, aiming cells at the target mesh."""
+def _initial_cells(bounds: Sequence[Tuple[float, float]], step_mesh: float,
+                   used: np.ndarray) -> _CellSet:
+    """Product subdivision of one face, aiming cells at step_mesh; a variable
+    no symbol uses stays one cell."""
     nv = len(bounds)
-    step = target_mesh * math.sqrt(2.0 / nv)
+    step = step_mesh * math.sqrt(2.0 / nv)
     axes = []
-    for lo, hi in bounds:
-        nr = max(1, math.ceil((hi - lo) / step))
-        nt = max(4, math.ceil(2 * math.pi * hi / step)) if hi > 0 else 1
+    for v, (lo, hi) in enumerate(bounds):
+        nr = max(1, math.ceil((hi - lo) / step)) if used[v] else 1
+        nt = max(4, math.ceil(2 * math.pi * hi / step)) if hi > 0 and used[v] else 1
         r_edges = np.linspace(lo, hi, nr + 1)
         t_edges = np.linspace(0.0, 2 * math.pi, nt + 1)
         axes.append([(r_edges[i], r_edges[i + 1], t_edges[j], t_edges[j + 1])
@@ -160,6 +183,30 @@ def _initial_cells(bounds: Sequence[Tuple[float, float]], target_mesh: float) ->
         sel = ax[idx[v]]
         rlo[:, v], rhi[:, v], tlo[:, v], thi[:, v] = sel.T
     return _CellSet(rlo, rhi, tlo, thi)
+
+
+def _gamma(k: int) -> float:
+    """Higham's γₖ = ku / (1 − ku)."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _cell_bounds(pk_abs: PackedTuple, gmat: np.ndarray, gamma: float,
+                 centers: np.ndarray, absv: np.ndarray,
+                 deltas: np.ndarray) -> np.ndarray:
+    """Lower bound of Σ|fᵢ|² on each cell from the computed |fᵢ(center)|,
+    rounded so that it holds for the exact symbols (module docstring)."""
+    u = _UNIT_ROUNDOFF
+    # the computed center is a few ulps off the cell's own, and the start
+    # grid's 2·math.pi falls short of 2π: the absolute term covers both
+    d = deltas * (1 + 8 * u) + 32 * u
+    a = np.abs(centers) * (1 + 4 * u)
+    n = len(a)
+    hat = values_block(pk_abs, np.concatenate([a, (a + d) * (1 + 4 * u)])).real
+    hat_c, hat_up = hat[:n], hat[n:]
+    centered = hat_up * (1 + gamma) - hat_c * (1 - gamma)
+    directional = (d @ gmat.T) * (1 + gamma)
+    low = np.maximum(absv - 2 * gamma * hat_c - np.minimum(centered, directional), 0.0)
+    return np.sum(low * low, axis=1) * (1 - _gamma(low.shape[1] + 2))
 
 
 def _project_region(x: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -> np.ndarray:
@@ -212,11 +259,17 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
                     threshold: float = WITNESS_THRESHOLD,
                     cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
     pk = pack_tuple(st)
+    pk_abs = replace(pk, cre=np.hypot(pk.cre, pk.cim), cim=np.zeros_like(pk.cim))
+    terms = int(np.max(np.diff(pk.offs)))
+    gamma = _gamma(3 * (pk.nvars * pk.maxdeg + terms + 4))
     lip = lipschitz_sumsq(st)
     gmat = np.array([directional_gradient_bounds(s) for s in st.symbols])
-    cells = [_initial_cells(face, target_mesh) for face in faces]
+    weight = gmat.sum(axis=0)
+    used = weight > 0
+    cells = [_initial_cells(face, 4 * target_mesh, used) for face in faces]
     delta_floor = target_mesh / (2 ** MAX_HALVINGS)
     evaluated = 0
+    split_depth = 0
     c_min = math.inf
     mesh_finest = math.inf
     min_val = math.inf
@@ -231,20 +284,20 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
                 lipschitz=lip, verdict="failed", region=region,
                 min_sample=float(min(min_val, val)),
                 min_point=tuple(w.tolist()), witness=tuple(w.tolist()),
-                witness_value=val, cells_evaluated=evaluated)
+                witness_value=val, cells_evaluated=evaluated,
+                budget_hit=budget_hit, split_depth=split_depth)
         return None
 
     budget_hit = False
-    active = cells
-    while active and not budget_hit:
-        batch = active.pop()
+    while cells and not budget_hit:
+        batch = cells.pop()
+        rounds = 0
         while batch.count:
             if evaluated + batch.count > cell_budget:
                 budget_hit = True
                 break
             centers = batch.centers()
-            vb = values_block(pk, centers)
-            absv = np.abs(vb)
+            absv = np.abs(values_block(pk, centers))
             vals = np.sum(absv * absv, axis=1)
             evaluated += batch.count
             i = int(np.argmin(vals))
@@ -256,41 +309,33 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
                 if got is not None:
                     return got
             d = batch.deltas()
-            rad = np.sqrt(np.sum(d * d, axis=1))
-            # per-cell directional bound: inside the cell each |f_i| stays
-            # above |f_i(center)| - Σ_v G_iv·δ_v, so the squares of the
-            # clipped drops bound Σ|f_i|² from below.  Variables a symbol
-            # does not depend on cost nothing, which keeps three-variable
-            # frontiers from blowing up.
-            low = np.maximum(absv - d @ gmat.T, 0.0)
-            bound = np.sum(low * low, axis=1)
-            # aim for slack under half the value so c tracks the infimum, but
-            # settle for bare positivity when a cell nears the depth floor
-            pruned = (bound > 0.5 * vals) | ((bound > 0) & (rad <= 4 * delta_floor))
+            rad = np.sqrt(np.sum(d[:, used] ** 2, axis=1))
+            bound = _cell_bounds(pk_abs, gmat, gamma, centers, absv, d)
+            # aim for slack under half the smallest value seen, so c tracks
+            # the infimum, but settle for bare positivity near the depth floor
+            pruned = (bound > 0.5 * min_val) | ((bound > 0) & (rad <= 4 * delta_floor))
             if np.any(pruned):
                 c_min = min(c_min, float(np.min(bound[pruned])))
                 mesh_finest = min(mesh_finest, float(np.min(rad[pruned])))
-            rest = batch.select(~pruned)
-            if rest.count == 0:
-                batch = rest
-                continue
-            splittable = rest.radius() > delta_floor
-            exhausted = rest.select(~splittable)
-            if exhausted.count:
-                vals_e = sumsq_block(pk, exhausted.centers())
-                j = int(np.argmin(vals_e))
-                if stuck_best is None or vals_e[j] < stuck_best[0]:
-                    stuck_best = (float(vals_e[j]), exhausted.centers()[j].copy())
-            batch = rest.select(splittable).split_widest() if np.any(splittable) \
-                else rest.select(splittable)
+            stuck = ~pruned & (rad <= delta_floor)
+            if np.any(stuck):
+                j = int(np.argmin(np.where(stuck, vals, np.inf)))
+                if stuck_best is None or vals[j] < stuck_best[0]:
+                    stuck_best = (float(vals[j]), centers[j].copy())
+            batch = batch.select(~pruned & ~stuck)
+            if batch.count:
+                batch = batch.split_widest(weight)
+                rounds += 1
+                split_depth = max(split_depth, rounds)
 
-    if stuck_best is None and not active and not budget_hit and c_min < math.inf:
+    if stuck_best is None and not cells and not budget_hit and c_min < math.inf:
         # effective uniform step: min_sample - lipschitz * mesh == c exactly
         mesh_eff = (min_val - c_min) / lip if lip > 0 else float(mesh_finest)
         return BoundaryCertificate(
             r=r_label, c=float(c_min), mesh=float(mesh_eff), lipschitz=lip,
             verdict="certified", region=region, min_sample=float(min_val),
-            min_point=_pt(min_pt), cells_evaluated=evaluated)
+            min_point=_pt(min_pt), cells_evaluated=evaluated,
+            split_depth=split_depth)
     # could not prune everything: hunt for a witness from the best center
     if min_pt is not None:
         got = witness_result(min_pt)
@@ -303,7 +348,8 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
     return BoundaryCertificate(
         r=r_label, c=0.0, mesh=float(min(mesh_finest, delta_floor)), lipschitz=lip,
         verdict="inconclusive", region=region, min_sample=float(min_val),
-        min_point=_pt(min_pt), cells_evaluated=evaluated)
+        min_point=_pt(min_pt), cells_evaluated=evaluated,
+        budget_hit=budget_hit, split_depth=split_depth)
 
 
 def _pt(z) -> tuple:

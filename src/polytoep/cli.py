@@ -53,7 +53,8 @@ def _add_common(sub):
     sub.add_argument("--input", required=True, help="input JSON file")
     sub.add_argument("--config", help="JSON config file (flags override it)")
     sub.add_argument("--n-range", type=_parse_n_range, metavar="A..B",
-                     help="inclusive truncation sweep")
+                     help="levels the Koszul sweep may try (inclusive); it stops at "
+                          "the first three that agree")
     sub.add_argument("--rank-tol", type=float, help="numerical rank tolerance")
     sub.add_argument("--r", type=float, help="inner radius")
     sub.add_argument("--mesh", type=float, help="target covering mesh")

@@ -259,32 +259,44 @@ def monomial(nvars: int, exp: Exponent, mode: str = "exact") -> MultiPoly:
 
 # ---- coefficient bounds ----------------------------------------------------
 
+def _abs_coeff(c) -> float:
+    return sqrt(float(c.abs2())) if isinstance(c, ExactComplex) else abs(c)
+
+
+def _rounded_up(total: float, nterms: int) -> float:
+    """A float sum of nterms nonnegative terms, each a few roundings off the
+    exact |c|·e, enlarged past its accumulated rounding error."""
+    return total * (1.0 + 2 * (nterms + 4) * 2.0 ** -53)
+
+
 def coefficient_bounds(p: MultiPoly) -> tuple:
     """(sup_bound, gradient_bound) on the closed unit polydisc.
 
     sup_bound = Σ|c| bounds |p|; gradient_bound = Σ_v Σ_terms e_v·|c| bounds
-    the sum over variables of sup|∂p/∂z_v|.  Returned as floats (upper bounds
-    survive the rounding slack at these magnitudes).
+    the sum over variables of sup|∂p/∂z_v|.  Both are rounded upward, so they
+    stay bounds of the exact sums.
     """
     sup = 0.0
     grad = 0.0
     for e, c in p.terms.items():
-        a = sqrt(float(c.abs2())) if isinstance(c, ExactComplex) else abs(c)
+        a = _abs_coeff(c)
         sup += a
         grad += a * sum(e)
-    return sup, grad
+    n = len(p.terms)
+    return _rounded_up(sup, n), _rounded_up(grad, n)
 
 
 def directional_gradient_bounds(p: MultiPoly) -> tuple:
     """Per-variable bounds sup|∂p/∂z_v| ≤ Σ_terms e_v·|c| on the closed unit
-    polydisc; sums to the gradient_bound of coefficient_bounds."""
+    polydisc, rounded upward; they sum to the gradient_bound of
+    coefficient_bounds up to rounding."""
     out = [0.0] * p.nvars
     for e, c in p.terms.items():
-        a = sqrt(float(c.abs2())) if isinstance(c, ExactComplex) else abs(c)
+        a = _abs_coeff(c)
         for v, ev in enumerate(e):
             if ev:
                 out[v] += a * ev
-    return tuple(out)
+    return tuple(_rounded_up(g, len(p.terms)) for g in out)
 
 
 # ---- univariate helpers ----------------------------------------------------

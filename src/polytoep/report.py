@@ -113,6 +113,7 @@ def _cert_json(cert: BoundaryCertificate) -> dict:
         "region": cert.region, "min_sample": cert.min_sample,
         "min_point": [_fmt_complex(z) for z in cert.min_point],
         "cells_evaluated": cert.cells_evaluated,
+        "budget_hit": cert.budget_hit, "split_depth": cert.split_depth,
     }
     if cert.witness is not None:
         out["witness"] = [_fmt_complex(z) for z in cert.witness]

@@ -66,11 +66,6 @@ class TrigPoly:
         cs = np.array([self.coeffs[int(k)] for k in ks])
         return np.exp(1j * np.outer(theta, ks)) @ cs
 
-    def derivative_values(self, theta: np.ndarray) -> np.ndarray:
-        ks = np.array(sorted(self.coeffs))
-        cs = np.array([1j * k * self.coeffs[int(k)] for k in ks])
-        return np.exp(1j * np.outer(theta, ks)) @ cs
-
 
 def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
     """Analytic polynomial in one variable, viewed on the circle."""

@@ -95,6 +95,83 @@ def test_three_variable_certificate():
     assert float(np.min(vals)) >= cert.c
 
 
+def monomials(*degrees):
+    """(z1^d1, z2^d2, ...) in len(degrees) variables."""
+    n = len(degrees)
+    return symbols(n, *(exact_poly(n, {tuple(d if w == v else 0 for w in range(n)): 1})
+                        for v, d in enumerate(degrees)))
+
+
+@pytest.mark.parametrize("degrees, infimum", [
+    ((1, 1), 0.5 ** 2), ((1, 1, 1), 0.5 ** 2), ((2, 3), 0.5 ** 6),
+    ((4, 4), 0.5 ** 8), ((2, 2, 2), 0.5 ** 4)])
+def test_monomial_tuples_certify_at_half(degrees, infimum):
+    # inf of Σ|z_v|^(2 d_v) over max|z_v| ≥ r is r^(2 max d); the parent
+    # engine ran out of cells on (z1^4, z2^4) and (z1^2, z2^2, z3^2) here
+    cert = boundary_lower_bound(monomials(*degrees), 0.5)
+    assert cert.verdict == "certified"
+    assert 0 < cert.c <= infimum
+    assert not cert.budget_hit and cert.split_depth > 0
+    if degrees == (2, 3):
+        assert cert.cells_evaluated < 100_000
+
+
+def test_budget_hit_is_reported(monomial_pair):
+    cert = boundary_lower_bound(monomial_pair, 0.5, cell_budget=1_000)
+    assert cert.verdict == "inconclusive" and cert.budget_hit
+    assert cert.cells_evaluated <= 1_000
+
+
+def seeded_products():
+    """The six seeded products of the certify-heavy benchmark workload at
+    seed 1, rebuilt from their rational roots: p = Π(z1 − a), q = Π(z2 − b),
+    and for the mixed three q + g·p, which keeps the ideal."""
+    z1, z2 = p2({(1, 0): 1}), p2({(0, 1): 1})
+    out = []
+    for a_roots, b_roots, g in [
+            (["-11/20"], ["-11/20"], None),
+            (["11/20", "-1/4"], ["3/5"], None),
+            (["11/20"], ["2/5", "-11/20"], None),
+            (["1/4"], ["-3/5"], "2/3"),
+            (["9/20", "-7/20"], ["7/20"], "2/3"),
+            (["1/4"], ["1/2", "-2/5"], "-1/2")]:
+        p = q = p2({(0, 0): 1})
+        for a in a_roots:
+            p = p * (z1 - p2({(0, 0): a}))
+        for b in b_roots:
+            q = q * (z2 - p2({(0, 0): b}))
+        if g is not None:
+            q = q + p2({(0, 0): g}) * p
+        out.append(symbols(2, p, q))
+    return out
+
+
+def test_seeded_products_audit():
+    rng = np.random.default_rng(1)
+    audited = 0
+    for k, st in enumerate(seeded_products()):
+        pk = pack_tuple(st)
+        for r in (0.5, 0.75, 0.9):
+            cert = boundary_lower_bound(st, r)
+            if cert.verdict != "certified":
+                continue
+            vals = sumsq_block(pk, region_samples(2, r, 10_000, rng))
+            assert int(np.sum(vals < cert.c)) == 0, f"product {k} r={r}"
+            audited += 1
+    assert audited >= 6
+
+
+@pytest.mark.parametrize("root, gap", [("2", 1), ("17/16", 1 / 16), ("65/64", 1 / 64)])
+def test_unused_variable_is_never_refined(root, gap):
+    # z2 is in no symbol: it is never cut, and the depth floor measures z1
+    # alone; measured on all of z = (z1, z2), z1 is refined past the floor
+    # until a center near z1 = 1 falls under the witness threshold
+    st = symbols(2, exact_poly(2, {(1, 0): 1, (0, 0): "-" + root}))
+    cert = polydisc_lower_bound(st)
+    assert cert.verdict == "certified"
+    assert 0 < cert.c <= gap ** 2
+
+
 def test_certified_bound_monotone_in_r(shift_pair, monomial_pair):
     # shrinking the region (larger r) cannot lose certification, and the
     # bound may only improve beyond the mesh-term slack
