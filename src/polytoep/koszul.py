@@ -31,7 +31,14 @@ genuine H² functions (not polynomials — e.g. 1 = (z₁−2)·(−Σ z₁^k/2^
 appears as a residual decaying geometrically in M, which plain polynomial
 window algebra would miss.  Singular values of the projected residual falling
 in the unresolved band [rank_tol, band_top] trigger window escalation before
-any integer is reported.
+any integer is reported.  One call keeps one orthonormal basis of the
+weighted shift span and grows it with M: a unit-normalized shift column does
+not depend on M, so each larger window only projects its new shifts off the
+old basis (classical Gram–Schmidt, twice) and takes a column-pivoted QR of
+that remainder.
+
+The sweep passes the ranks it has computed from level to level: when every
+variable has degree D, the enlarged d_k of level N is the d_k of level N + D.
 
 Index convention: Ind = Σ_k (−1)^{p+1−k} h_k, i.e. the alternating sum
 anchored with coefficient −1 at the top (quotient) stage.  For a pair this is
@@ -102,17 +109,6 @@ def mult_matrix(p: MultiPoly, win_in: MonomialWindow, win_out: MonomialWindow) -
             t = tuple(x + y for x, y in zip(a, e))
             mat[win_out.index[t], j] = c
     return mat
-
-
-def toeplitz_matrix(p: MultiPoly, N: int) -> np.ndarray:
-    """Multiplication matrix from the cube window cap N into cap N + deg(p),
-    columns indexed by source monomials (graded-lex)."""
-    if N < 0:
-        raise ValueError("window cap must be non-negative")
-    d = max(p.degree_vec(), default=0) if p.terms else 0
-    win_in = MonomialWindow(p.nvars, N)
-    win_out = MonomialWindow(p.nvars, N + max(d, 0))
-    return mult_matrix(p, win_in, win_out)
 
 
 # ---- boundary map block structure --------------------------------------------
@@ -317,25 +313,39 @@ def range_sum_check(matrices: Sequence[np.ndarray],
 
 # ---- homology dimensions --------------------------------------------------------
 
-def homology_kernel_dims(kt: KoszulTruncation) -> List[int]:
+def homology_kernel_dims(kt: KoszulTruncation,
+                         ranks: Optional[dict] = None) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
     Middle stages subtract dim(im(d_k with domain enlarged to the stage-k cap)
     ∩ stage k) from the nullity of d_{k+1}.  The stage-k window is a set V of
     coordinate rows of the enlarged codomain, so the intersection dimension
     is rank(A) − rank(A with the rows of V deleted).
+
+    ``ranks`` maps (k, domain cap, codomain cap) to the rank of that d_k and
+    is read and filled here; a sweep passes one dict through its levels.
+    When every variable has degree D, the enlarged d_k of level N is, entry
+    for entry, the d_k of level N + D, so its rank is not computed twice.
     """
     st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
-    d = kt.boundary_matrices
-    dims = [d[0].shape[1] - numerical_rank(d[0], tol)]
+    d, wins = kt.boundary_matrices, kt.windows
+    ranks = {} if ranks is None else ranks
+
+    def rank(k, mat, win_in, win_out):
+        key = (k, win_in.cap, win_out.cap)
+        if key not in ranks:
+            ranks[key] = numerical_rank(mat, tol)
+        return ranks[key]
+
+    dims = [d[0].shape[1] - rank(1, d[0], wins[0], wins[1])]
     for k in range(1, p):
-        null_next = d[k].shape[1] - numerical_rank(d[k], tol)
-        out = kt.windows[k + 1]
-        enlarged = _boundary_matrix(st, k, kt.windows[k], out)
+        null_next = d[k].shape[1] - rank(k + 1, d[k], wins[k], wins[k + 1])
+        out = wins[k + 1]
+        enlarged = _boundary_matrix(st, k, wins[k], out)
         outside = np.ones(out.dim, dtype=bool)
-        outside[[out.index[e] for e in kt.windows[k].basis]] = False
+        outside[[out.index[e] for e in wins[k].basis]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
-        dim_intersect = (numerical_rank(enlarged, tol)
+        dim_intersect = (rank(k, enlarged, wins[k], out)
                          - numerical_rank(enlarged[outside], tol))
         dims.append(max(null_next - dim_intersect, 0))
     return dims
@@ -358,53 +368,106 @@ def euler_index(dims: Sequence[int]) -> int:
 
 # ---- windowed ideal codimension ---------------------------------------------------
 
-# Column budgets for the membership system; SVD cost grows fast with the
-# window volume, and at nvars = 3 an escalation past these sizes costs minutes
-# without changing any desk-scale answer.
+# Column budgets for the membership system, checked against the full column
+# count p·(M+1)ⁿ of the shift span.  They cap the window the basis may grow
+# to, and with it the rows × rank basis array, the projections of each new
+# block of shifts against it and the pivoted QR of what remains.
 MEMBERSHIP_COL_BUDGET = {1: 4000, 2: 2600, 3: 1600}
+
+
+class _ShiftSpan:
+    """Orthonormal basis of the weighted shift span Σ p_i·W_M, grown with M.
+
+    Rows are weighted by ρ^{total degree} and columns normalized to unit
+    length, so the column of shift a is the ρ-dilated symbol, normalized,
+    moved by a: it does not depend on M.  The span at M is therefore the span
+    at any M′ < M padded with zero rows, provided the rows are ordered by the
+    first cofactor window that holds them (t(e) = max_v(e_v − d_v), then
+    lexicographically): window M is then a prefix of window M + 1.  (An
+    explicit basis, because least squares via the general drivers mis-solves
+    these wide systems.)
+    """
+
+    def __init__(self, st: SymbolTuple, rho: float):
+        self.nvars = st.nvars
+        self.nsymbols = len(st)
+        self.deg = np.array(st.degree_vec(), dtype=np.int64)
+        self.symbols = []
+        for s in st.to_float().symbols:
+            exps = np.array(list(s.terms), dtype=np.int64).reshape(-1, st.nvars)
+            vals = np.array([complex(c) for c in s.terms.values()]) * rho ** exps.sum(axis=1)
+            self.symbols.append((exps, vals / np.linalg.norm(vals)))
+        self.M = -1
+        self.q = np.zeros((0, 0), dtype=np.complex128)
+        self.row = None
+
+    def _grow(self, M: int) -> None:
+        nv, old = self.nvars, self.q
+        caps = M + self.deg
+        exps = np.indices(caps + 1).reshape(nv, -1).T          # lexicographic
+        row = np.empty(len(exps), dtype=np.int64)
+        row[np.argsort((exps - self.deg).max(axis=1), kind="stable")] = np.arange(len(exps))
+        self.row = row.reshape(caps + 1)
+        shifts = np.indices((M + 1,) * nv).reshape(nv, -1).T
+        shifts = shifts[shifts.max(axis=1) > self.M]
+        cols = np.zeros((len(exps), len(self.symbols) * len(shifts)), dtype=np.complex128)
+        j = np.arange(len(shifts))[:, None]
+        for i, (e, v) in enumerate(self.symbols):
+            cols[self.row[tuple((shifts[:, None, :] + e).transpose(2, 0, 1))],
+                 i * len(shifts) + j] = v
+        # Append the new columns to the factorization (QR updating, Daniel–
+        # Gragg–Kaufman–Stewart 1976): classical Gram–Schmidt against the old
+        # basis, twice ("twice is enough", Giraud–Langou–Rozložník 2005).
+        # The old basis is zero on the new rows, so only the old rows of the
+        # new columns that reach them take part.
+        n_old = old.shape[0]
+        touched = np.flatnonzero(cols[:n_old].any(axis=0))
+        if old.shape[1] and touched.size:
+            block = cols[:n_old, touched]
+            for _ in range(2):
+                block -= old @ (old.conj().T @ block)
+            cols[:n_old, touched] = block
+        # Column-pivoted QR of the remainder (Businger–Golub).  |R_ii| falls,
+        # and every column had unit norm, so columns past SVD_PROJECT_CUT
+        # span only rounding: the relative cut of a from-scratch pivoted QR
+        # at |R_00| = 1.  A column already below the cut never passes it.
+        cols = cols[:, np.linalg.norm(cols, axis=0) > SVD_PROJECT_CUT]
+        add = np.zeros((len(exps), 0), dtype=np.complex128)
+        if cols.shape[1]:
+            qn, r, _ = qr(cols, mode="economic", pivoting=True)
+            add = qn[:, np.abs(np.diag(r)) > SVD_PROJECT_CUT]
+        self.q = np.zeros((len(exps), old.shape[1] + add.shape[1]), dtype=np.complex128)
+        self.q[:n_old, :old.shape[1]] = old
+        self.q[:, old.shape[1]:] = add
+        self.M = M
+
+    def sigmas(self, K: int, M: int) -> np.ndarray:
+        """Residual singular values of the quotient candidates W_K against
+        the span at cofactor window M.  A request below the M already held
+        (a retry with a smaller window) starts the basis afresh."""
+        ncols = self.nsymbols * (M + 1) ** self.nvars
+        if ncols > MEMBERSHIP_COL_BUDGET[self.nvars]:
+            raise MatrixBudgetError(
+                f"window overflow: membership system needs {ncols} columns "
+                f"(budget {MEMBERSHIP_COL_BUDGET[self.nvars]} at nvars={self.nvars})")
+        if M < self.M:
+            self.M, self.q = -1, np.zeros((0, 0), dtype=np.complex128)
+        if M > self.M:
+            self._grow(M)
+        idx = self.row[tuple(np.indices((K + 1,) * self.nvars).reshape(self.nvars, -1))]
+        # (I − QQᴴ)E for the coordinate embedding E of W_K
+        R = -(self.q @ self.q[idx].conj().T)
+        R[idx, np.arange(idx.size)] += 1.0
+        return svdvals(R)
 
 
 def _membership_sigmas(st: SymbolTuple, K: int, M: int, rho: float) -> np.ndarray:
     """Residual singular values of the quotient candidates against the
-    weighted span of shifted symbols (windows K and M)."""
-    nv = st.nvars
-    deg = st.degree_vec()
-    big = MonomialWindow(nv, tuple(M + d for d in deg))
-    shifts = MonomialWindow(nv, M)
-    quot = MonomialWindow(nv, K)
-    ncols = len(st) * shifts.dim
-    if ncols > MEMBERSHIP_COL_BUDGET[nv]:
-        raise MatrixBudgetError(
-            f"window overflow: membership system needs {ncols} columns "
-            f"(budget {MEMBERSHIP_COL_BUDGET[nv]} at nvars={nv})")
-    w = np.array([rho ** sum(e) for e in big.basis])
-    cols = []
-    for s in st.to_float().symbols:
-        for a in shifts.basis:
-            col = np.zeros(big.dim, dtype=np.complex128)
-            for e, c in s.terms.items():
-                t = tuple(x + y for x, y in zip(a, e))
-                col[big.index[t]] = c
-            cols.append(col)
-    S = np.asarray(cols).T * w[:, None]
-    norms = np.linalg.norm(S, axis=0)
-    norms[norms == 0] = 1.0
-    S = S / norms
-    # Orthonormal basis of the weighted shift span from column-pivoted QR
-    # (Businger–Golub; |R_ii| falls, so the columns past the relative cut
-    # span only rounding), then project the quotient candidates.  (Least-
-    # squares via the general drivers mis-solves these wide systems.)
-    q, r, _ = qr(S, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    q = q[:, diag > SVD_PROJECT_CUT * diag[0]]
-    E = np.zeros((big.dim, quot.dim))
-    for j, e in enumerate(quot.basis):
-        E[big.index[e], j] = 1.0
-    R = E - q @ (q.conj().T @ E)
-    return svdvals(R) if R.size else np.zeros(0)
+    weighted span of shifted symbols (windows K and M), from a fresh basis."""
+    return _ShiftSpan(st, rho).sigmas(K, M)
 
 
-def _codim_resolve_band(st: SymbolTuple, K: int, M: int, rho: float,
+def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
                         rank_tol: float, step: int,
                         max_escalations: int) -> Optional[Tuple[int, int]]:
     """(codim, M used) once the residual band is clear, else None.
@@ -416,7 +479,7 @@ def _codim_resolve_band(st: SymbolTuple, K: int, M: int, rho: float,
     """
     prev_band_max = None
     for _ in range(max_escalations + 1):
-        sig = _membership_sigmas(st, K, M, rho)
+        sig = span.sigmas(K, M)
         above = sig[sig > rank_tol]
         banded = above[above < MEMBERSHIP_BAND_TOP]
         if banded.size == 0:
@@ -452,13 +515,14 @@ def ideal_codim_window(st: SymbolTuple, K: int, M: Optional[int] = None,
     if not 0 < rho < 1:
         raise ValueError("weighting radius rho must lie in (0, 1)")
     step = 4 if st.nvars <= 2 else 2
+    span = _ShiftSpan(st, rho)       # one basis, grown as M grows
     for _ in range(max_escalations + 1):
         vals = []
         try:
             # K+1 and K+2 start one past the M their predecessor settled on
             m_start = M
             for i in range(3):
-                got = _codim_resolve_band(st, K + i, m_start, rho, rank_tolerance,
+                got = _codim_resolve_band(span, K + i, m_start, rank_tolerance,
                                           step, max_escalations)
                 if got is None:
                     return "unstable"
@@ -506,6 +570,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
         raise ValueError("empty truncation range")
     per_n = []
     history = []
+    ranks: dict = {}
     stabilized_at = None
     kt = None
     chain_ok = True
@@ -514,7 +579,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
             kt = build_koszul(st, n, rank_tolerance)
         except MatrixBudgetError:
             break
-        dims = homology_kernel_dims(kt)
+        dims = homology_kernel_dims(kt, ranks)
         chain_ok = chain_ok and chain_check(kt)
         per_n.append({"N": n, "kernel_dims": list(dims)})
         history.append(tuple(dims))

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -46,6 +46,8 @@ from .poly import (
 )
 from .tensor import tensor_tuple_index, trig_from_poly
 from .zeros import common_zeros, gcd_reduce
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
 
@@ -149,8 +151,7 @@ def _cache_load(path: Path) -> Optional[dict]:
             raise ValueError("missing body")
         return stored
     except (OSError, ValueError) as exc:
-        print(f"warning: ignoring corrupt cache entry {path}: {exc}",
-              file=sys.stderr)
+        log.warning("ignoring corrupt cache entry %s: %s", path, exc)
         return None
 
 

@@ -21,10 +21,10 @@ from polytoep.koszul import (
     homology_kernel_dims,
     ideal_codim_window,
     koszul_route,
+    mult_matrix,
     numerical_rank,
     range_sum_check,
     stage1_sigma_min,
-    toeplitz_matrix,
 )
 from polytoep.poly import exact_poly, symbols
 
@@ -39,6 +39,13 @@ def shifts3():
 def far_pair():
     # (z1 - 2, z2): 1 is an ideal member only through an H² cofactor of z1 - 2
     return symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
+
+
+def toeplitz_matrix(p, N):
+    """Multiplication matrix from the cube window cap N into cap N + deg(p),
+    columns indexed by source monomials (graded-lex)."""
+    d = max(p.degree_vec(), default=0)
+    return mult_matrix(p, MonomialWindow(p.nvars, N), MonomialWindow(p.nvars, N + d))
 
 
 def hstack_kernel_dims(kt):
@@ -165,6 +172,44 @@ def test_membership_sigmas_match_svd_reference(non_dyadic_pair):
         assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
 
 
+def test_grown_span_matches_svd_reference(non_dyadic_pair):
+    # one basis per schedule, extended with each new cofactor window
+    schedules = ((far_pair(), [(2, 5), (2, 9), (2, 13), (2, 17), (3, 18), (4, 19)]),
+                 (non_dyadic_pair, [(2, 5), (2, 9), (3, 10)]),
+                 (shifts3(), [(2, 5), (3, 6), (4, 7)]))
+    for st, schedule in schedules:
+        span = koszul._ShiftSpan(st, 0.75)
+        for K, M in schedule:
+            got = span.sigmas(K, M)
+            ref = svd_membership_sigmas(st, K, M, 0.75)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
+            gram = span.q.conj().T @ span.q
+            assert np.linalg.norm(gram - np.eye(gram.shape[0]), 2) <= 1e-12
+        # a retry asks for a smaller cofactor window than the basis holds
+        K, M = schedule[0]
+        assert np.array_equal(span.sigmas(K, M), _membership_sigmas(st, K, M, 0.75))
+
+
+def test_route_rank_reuse_keeps_per_n(monkeypatch):
+    calls = []
+
+    def counted(mat, tol):
+        calls.append(mat.shape)
+        return numerical_rank(mat, tol)
+
+    monkeypatch.setattr(koszul, "numerical_rank", counted)
+    route = koszul_route(shifts3())
+    monkeypatch.undo()
+    assert [rec["N"] for rec in route.per_n] == [1, 2, 3]
+    fresh = [{"N": n, "kernel_dims": homology_kernel_dims(build_koszul(shifts3(), n))}
+             for n in (1, 2, 3)]
+    assert list(route.per_n) == fresh
+    # seven ranks per level, less d₁ and d₂ at N = 2 and 3: those are the
+    # enlarged maps of the level before
+    assert len(calls) == 7 + 5 + 5
+
+
 def test_range_sum_identity_random_tuples():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -222,12 +267,13 @@ def test_membership_windows_warm_start(monkeypatch):
     # K + 1 and K + 2 start one past the cofactor window their predecessor
     # settled on instead of climbing from M again
     solved = []
+    sigmas = koszul._ShiftSpan.sigmas
 
-    def counted(st, K, M, rho):
+    def counted(span, K, M):
         solved.append((K, M))
-        return _membership_sigmas(st, K, M, rho)
+        return sigmas(span, K, M)
 
-    monkeypatch.setattr(koszul, "_membership_sigmas", counted)
+    monkeypatch.setattr(koszul._ShiftSpan, "sigmas", counted)
     assert ideal_codim_window(far_pair(), 2, rho=0.75) == 0
     assert solved == [(2, 5), (2, 9), (2, 13), (2, 17), (2, 21), (3, 22), (4, 23)]
 

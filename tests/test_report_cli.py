@@ -1,5 +1,6 @@
 """Report pipeline, cache behavior, and exit codes through the CLI."""
 import json
+import logging
 import subprocess
 import sys
 
@@ -66,19 +67,19 @@ def test_repeat_runs_byte_identical(quarter_pair):
     assert body_bytes(a) == body_bytes(b)
 
 
-def test_cache_roundtrip_and_corruption(shift_pair, tmp_path, capsys):
+def test_cache_roundtrip_and_corruption(shift_pair, tmp_path, caplog):
     cfg = JobConfig(input=shift_pair, cache_dir=str(tmp_path))
     first = run_index(cfg)
     assert not first["cache"]["hit"]
     second = run_index(cfg)
     assert second["cache"]["hit"]
     assert body_bytes(first) == body_bytes(second)
-    # corrupt entry: warn on stderr, recompute, rewrite
+    # corrupt entry: log a warning, recompute, rewrite
     entry = tmp_path / f"{first['cache']['key']}.json"
     entry.write_text("{oops")
-    third = run_index(cfg)
-    err = capsys.readouterr().err
-    assert "corrupt cache entry" in err
+    with caplog.at_level(logging.WARNING, logger="polytoep.report"):
+        third = run_index(cfg)
+    assert "corrupt cache entry" in caplog.text
     assert not third["cache"]["hit"]
     assert body_bytes(third) == body_bytes(first)
     assert run_index(cfg)["cache"]["hit"]
