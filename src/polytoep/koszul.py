@@ -37,8 +37,25 @@ not depend on M, so each larger window only projects its new shifts off the
 old basis (classical Gram–Schmidt, twice) and takes a column-pivoted QR of
 that remainder.
 
-The sweep passes the ranks it has computed from level to level: when every
-variable has degree D, the enlarged d_k of level N is the d_k of level N + D.
+The sweep passes the singular values it has computed from level to level:
+when every variable has degree D, the enlarged d_k of level N is the d_k of
+level N + D, and σ_min of the last level's d₁ is read from the same record.
+
+Arithmetic is real when it can be.  Every boundary matrix and span basis is
+``float64`` when each coefficient of the tuple has imaginary part exactly 0
+(exact for exact tuples: a zero ``ExactComplex.im`` converts to 0.0), and
+``complex128`` otherwise; the choice is made once per tuple and the code path
+is the same.  A real LAPACK factorization costs a fraction of the complex
+one, and the real matrices are the complex ones with their imaginary parts
+dropped, so ranks and residual singular values agree up to rounding.
+
+``koszul_route`` runs on one OpenBLAS thread and restores the earlier count
+on exit.  Its factorizations are small (a few hundred columns) and level-2
+heavy, and a thread pool wakes a worker for each call: on 2 vCPUs one
+121×118 pivoted QR took 7 ms alone and 726 ms inside the codim solve.
+OpenBLAS thread counts are process-global, so the cap holds for any thread
+of the process while the route runs; polytoep calls the route from one
+thread.
 
 Index convention: Ind = Σ_k (−1)^{p+1−k} h_k, i.e. the alternating sum
 anchored with coefficient −1 at the top (quotient) stage.  For a pair this is
@@ -47,6 +64,9 @@ arity the coprime case gives Ind = −codim.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
@@ -93,19 +113,29 @@ class MonomialWindow:
         return f"MonomialWindow(nvars={self.nvars}, cap={self.cap}, dim={self.dim})"
 
 
-def mult_matrix(p: MultiPoly, win_in: MonomialWindow, win_out: MonomialWindow) -> np.ndarray:
+def matrix_dtype(st: SymbolTuple) -> type:
+    """``float64`` when every coefficient of the tuple is real, else
+    ``complex128``: the dtype of its boundary matrices and span basis."""
+    real = all(c.imag == 0 for s in st.to_float().symbols for c in s.terms.values())
+    return np.float64 if real else np.complex128
+
+
+def mult_matrix(p: MultiPoly, win_in: MonomialWindow, win_out: MonomialWindow,
+                dtype: type = np.complex128) -> np.ndarray:
     """Matrix of multiplication by ``p`` between two windows.
 
     The out-window must absorb every product (domain cap + symbol degree);
-    otherwise the section would not be an exact subcomplex.
+    otherwise the section would not be an exact subcomplex.  ``float64``
+    keeps the real parts of the coefficients, so it is for real symbols only.
     """
     need = tuple(a + b for a, b in zip(win_in.cap, p.degree_vec()))
     if any(n > c for n, c in zip(need, win_out.cap)):
         raise ValueError(f"out-window cap {win_out.cap} cannot hold products up to {need}")
-    pf = p.to_float()
-    mat = np.zeros((win_out.dim, win_in.dim), dtype=np.complex128)
+    mat = np.zeros((win_out.dim, win_in.dim), dtype=dtype)
+    real = mat.dtype.kind == "f"
+    terms = [(e, c.real if real else c) for e, c in p.to_float().terms.items()]
     for j, a in enumerate(win_in.basis):
-        for e, c in pf.terms.items():
+        for e, c in terms:
             t = tuple(x + y for x, y in zip(a, e))
             mat[win_out.index[t], j] = c
     return mat
@@ -142,16 +172,16 @@ def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _boundary_matrix(st: SymbolTuple, k: int,
-                     win_in: MonomialWindow, win_out: MonomialWindow) -> np.ndarray:
+def _boundary_matrix(st: SymbolTuple, k: int, win_in: MonomialWindow,
+                     win_out: MonomialWindow, dtype: type) -> np.ndarray:
     p = len(st)
     nrow_blocks = len(_subsets(p, k))
     ncol_blocks = len(_subsets(p, k - 1))
     mats = {}
     for _, _, sym, _ in _stage_blocks(p, k):
         if sym not in mats:
-            mats[sym] = mult_matrix(st.symbols[sym], win_in, win_out)
-    out = np.zeros((nrow_blocks * win_out.dim, ncol_blocks * win_in.dim), dtype=np.complex128)
+            mats[sym] = mult_matrix(st.symbols[sym], win_in, win_out, dtype)
+    out = np.zeros((nrow_blocks * win_out.dim, ncol_blocks * win_in.dim), dtype=dtype)
     for ri, ci, sym, sign in _stage_blocks(p, k):
         out[ri * win_out.dim:(ri + 1) * win_out.dim,
             ci * win_in.dim:(ci + 1) * win_in.dim] = sign * mats[sym]
@@ -196,7 +226,8 @@ def build_koszul(st: SymbolTuple, N: int,
     if widest > MATRIX_BUDGET:
         raise MatrixBudgetError(
             f"window overflow: stage would need {widest} columns (budget {MATRIX_BUDGET})")
-    mats = tuple(_boundary_matrix(st, k, wins[k - 1], wins[k]) for k in range(1, p + 1))
+    dtype = matrix_dtype(st)
+    mats = tuple(_boundary_matrix(st, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
     return KoszulTruncation(st, N, deg, tuple(wins), mats, rank_tolerance)
 
 
@@ -278,13 +309,15 @@ def exact_chain_check(st: SymbolTuple, N: int) -> bool:
 
 # ---- numerical rank ------------------------------------------------------------
 
-def numerical_rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    sv = svdvals(mat)
+def _rank_of(sv: np.ndarray, tol: float) -> int:
+    """Number of singular values above ``tol`` relative to the largest."""
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
+
+
+def numerical_rank(mat: np.ndarray, tol: float) -> int:
+    return _rank_of(svdvals(mat), tol) if mat.size else 0
 
 
 def stage1_sigma_min(kt: KoszulTruncation) -> float:
@@ -314,7 +347,7 @@ def range_sum_check(matrices: Sequence[np.ndarray],
 # ---- homology dimensions --------------------------------------------------------
 
 def homology_kernel_dims(kt: KoszulTruncation,
-                         ranks: Optional[dict] = None) -> List[int]:
+                         sigmas: Optional[dict] = None) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
     Middle stages subtract dim(im(d_k with domain enlarged to the stage-k cap)
@@ -322,26 +355,26 @@ def homology_kernel_dims(kt: KoszulTruncation,
     coordinate rows of the enlarged codomain, so the intersection dimension
     is rank(A) − rank(A with the rows of V deleted).
 
-    ``ranks`` maps (k, domain cap, codomain cap) to the rank of that d_k and
-    is read and filled here; a sweep passes one dict through its levels.
-    When every variable has degree D, the enlarged d_k of level N is, entry
-    for entry, the d_k of level N + D, so its rank is not computed twice.
+    ``sigmas`` maps (k, domain cap, codomain cap) to the singular values of
+    that d_k and is read and filled here; a sweep passes one dict through its
+    levels.  When every variable has degree D, the enlarged d_k of level N
+    is, entry for entry, the d_k of level N + D, so it is not factored twice.
     """
     st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
     d, wins = kt.boundary_matrices, kt.windows
-    ranks = {} if ranks is None else ranks
+    sigmas = {} if sigmas is None else sigmas
 
     def rank(k, mat, win_in, win_out):
         key = (k, win_in.cap, win_out.cap)
-        if key not in ranks:
-            ranks[key] = numerical_rank(mat, tol)
-        return ranks[key]
+        if key not in sigmas:
+            sigmas[key] = svdvals(mat)
+        return _rank_of(sigmas[key], tol)
 
     dims = [d[0].shape[1] - rank(1, d[0], wins[0], wins[1])]
     for k in range(1, p):
         null_next = d[k].shape[1] - rank(k + 1, d[k], wins[k], wins[k + 1])
         out = wins[k + 1]
-        enlarged = _boundary_matrix(st, k, wins[k], out)
+        enlarged = _boundary_matrix(st, k, wins[k], out, d[0].dtype)
         outside = np.ones(out.dim, dtype=bool)
         outside[[out.index[e] for e in wins[k].basis]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
@@ -371,8 +404,11 @@ def euler_index(dims: Sequence[int]) -> int:
 # Column budgets for the membership system, checked against the full column
 # count p·(M+1)ⁿ of the shift span.  They cap the window the basis may grow
 # to, and with it the rows × rank basis array, the projections of each new
-# block of shifts against it and the pivoted QR of what remains.
-MEMBERSHIP_COL_BUDGET = {1: 4000, 2: 2600, 3: 1600}
+# block of shifts against it and the pivoted QR of what remains.  In three
+# variables the cap is 4000: (z₁², z₂², z₃²) needs the windows K = 3, 4, 5 at
+# M = 7, 8, 9 (3·10³ = 3000 columns), and that whole codim solve takes
+# 0.7 s on the grown basis (2 vCPUs, one BLAS thread).
+MEMBERSHIP_COL_BUDGET = {1: 4000, 2: 2600, 3: 4000}
 
 
 class _ShiftSpan:
@@ -392,13 +428,17 @@ class _ShiftSpan:
         self.nvars = st.nvars
         self.nsymbols = len(st)
         self.deg = np.array(st.degree_vec(), dtype=np.int64)
+        self.dtype = matrix_dtype(st)
         self.symbols = []
         for s in st.to_float().symbols:
             exps = np.array(list(s.terms), dtype=np.int64).reshape(-1, st.nvars)
-            vals = np.array([complex(c) for c in s.terms.values()]) * rho ** exps.sum(axis=1)
+            vals = np.array([complex(c) for c in s.terms.values()])
+            if self.dtype is np.float64:
+                vals = vals.real
+            vals = vals * rho ** exps.sum(axis=1)
             self.symbols.append((exps, vals / np.linalg.norm(vals)))
         self.M = -1
-        self.q = np.zeros((0, 0), dtype=np.complex128)
+        self.q = np.zeros((0, 0), dtype=self.dtype)
         self.row = None
 
     def _grow(self, M: int) -> None:
@@ -410,7 +450,7 @@ class _ShiftSpan:
         self.row = row.reshape(caps + 1)
         shifts = np.indices((M + 1,) * nv).reshape(nv, -1).T
         shifts = shifts[shifts.max(axis=1) > self.M]
-        cols = np.zeros((len(exps), len(self.symbols) * len(shifts)), dtype=np.complex128)
+        cols = np.zeros((len(exps), len(self.symbols) * len(shifts)), dtype=self.dtype)
         j = np.arange(len(shifts))[:, None]
         for i, (e, v) in enumerate(self.symbols):
             cols[self.row[tuple((shifts[:, None, :] + e).transpose(2, 0, 1))],
@@ -432,11 +472,11 @@ class _ShiftSpan:
         # span only rounding: the relative cut of a from-scratch pivoted QR
         # at |R_00| = 1.  A column already below the cut never passes it.
         cols = cols[:, np.linalg.norm(cols, axis=0) > SVD_PROJECT_CUT]
-        add = np.zeros((len(exps), 0), dtype=np.complex128)
+        add = np.zeros((len(exps), 0), dtype=self.dtype)
         if cols.shape[1]:
             qn, r, _ = qr(cols, mode="economic", pivoting=True)
             add = qn[:, np.abs(np.diag(r)) > SVD_PROJECT_CUT]
-        self.q = np.zeros((len(exps), old.shape[1] + add.shape[1]), dtype=np.complex128)
+        self.q = np.zeros((len(exps), old.shape[1] + add.shape[1]), dtype=self.dtype)
         self.q[:n_old, :old.shape[1]] = old
         self.q[:, old.shape[1]:] = add
         self.M = M
@@ -451,7 +491,7 @@ class _ShiftSpan:
                 f"window overflow: membership system needs {ncols} columns "
                 f"(budget {MEMBERSHIP_COL_BUDGET[self.nvars]} at nvars={self.nvars})")
         if M < self.M:
-            self.M, self.q = -1, np.zeros((0, 0), dtype=np.complex128)
+            self.M, self.q = -1, np.zeros((0, 0), dtype=self.dtype)
         if M > self.M:
             self._grow(M)
         idx = self.row[tuple(np.indices((K + 1,) * self.nvars).reshape(self.nvars, -1))]
@@ -459,12 +499,6 @@ class _ShiftSpan:
         R = -(self.q @ self.q[idx].conj().T)
         R[idx, np.arange(idx.size)] += 1.0
         return svdvals(R)
-
-
-def _membership_sigmas(st: SymbolTuple, K: int, M: int, rho: float) -> np.ndarray:
-    """Residual singular values of the quotient candidates against the
-    weighted span of shifted symbols (windows K and M), from a fresh basis."""
-    return _ShiftSpan(st, rho).sigmas(K, M)
 
 
 def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
@@ -541,6 +575,50 @@ def ideal_codim_window(st: SymbolTuple, K: int, M: Optional[int] = None,
 
 # ---- full route ---------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found once.  numpy and scipy each load their own build, named
+    ``openblas_*``, ``scipy_openblas_*`` or ``scipy_openblas_*64_``.  Empty
+    when no OpenBLAS is loaded or the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in product(("", "scipy_"), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread; restore the earlier counts on
+    exit, exceptions included.  A no-op when no OpenBLAS is loaded."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, before):
+            put(n)
+
+
 @dataclass(frozen=True)
 class KoszulRouteResult:
     per_n: tuple                 # ({"N": n, "kernel_dims": [...]}, ...)
@@ -561,7 +639,8 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     ones with the same kernel-side homology vector (``per_n`` ends there, and
     ``sigma_min_first`` is read on its last level), attach the stabilized ideal
     codimension as the top dimension, and form the Euler index.  Emits
-    "unstable" rather than any integer when stabilization fails."""
+    "unstable" rather than any integer when stabilization fails.  Runs on one
+    OpenBLAS thread (module docstring)."""
     p = len(st)
     if n_range is None:
         n_range = range(2, 9) if st.nvars <= 2 else range(1, 4)
@@ -570,25 +649,26 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
         raise ValueError("empty truncation range")
     per_n = []
     history = []
-    ranks: dict = {}
+    sigmas: dict = {}
     stabilized_at = None
-    kt = None
+    sigma_min = 0.0
     chain_ok = True
-    for n in n_values:
-        try:
-            kt = build_koszul(st, n, rank_tolerance)
-        except MatrixBudgetError:
-            break
-        dims = homology_kernel_dims(kt, ranks)
-        chain_ok = chain_ok and chain_check(kt)
-        per_n.append({"N": n, "kernel_dims": list(dims)})
-        history.append(tuple(dims))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            stabilized_at = tuple(dims)
-            break
-    sigma_min = stage1_sigma_min(kt) if kt is not None else 0.0
-    kdim = max(2, max(st.degree_vec(), default=0) + 1)
-    codim = ideal_codim_window(st, kdim, rank_tolerance=rank_tolerance, rho=rho)
+    with _one_blas_thread():
+        for n in n_values:
+            try:
+                kt = build_koszul(st, n, rank_tolerance)
+            except MatrixBudgetError:
+                break
+            dims = homology_kernel_dims(kt, sigmas)
+            chain_ok = chain_ok and chain_check(kt)
+            sigma_min = float(sigmas[(1, kt.windows[0].cap, kt.windows[1].cap)][-1])
+            per_n.append({"N": n, "kernel_dims": list(dims)})
+            history.append(tuple(dims))
+            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+                stabilized_at = tuple(dims)
+                break
+        kdim = max(2, max(st.degree_vec(), default=0) + 1)
+        codim = ideal_codim_window(st, kdim, rank_tolerance=rank_tolerance, rho=rho)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)
         hom = HomologyDims(full, True, euler_index(full))
@@ -599,9 +679,14 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
 
 
 def dump_matrices(kt: KoszulTruncation) -> str:
-    """Dense text dump (row-major, re/im pairs) of every boundary matrix."""
+    """Dense text dump (row-major, re/im pairs) of every boundary matrix.
+
+    The matrices are written as complex ones whatever dtype the route used:
+    a real matrix carries no sign on its zero imaginary parts, and the text
+    keeps the one the complex arithmetic gives."""
     out = []
-    for k, m in enumerate(kt.boundary_matrices, start=1):
+    for k in range(1, kt.arity + 1):
+        m = _boundary_matrix(kt.tuple, k, kt.windows[k - 1], kt.windows[k], np.complex128)
         out.append(f"# d{k} shape {m.shape[0]} {m.shape[1]}")
         for row in m:
             out.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))

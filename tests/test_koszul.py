@@ -1,6 +1,7 @@
 """Truncated Koszul complex: chain structure, ranks, homology, route."""
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from polytoep import koszul
 from polytoep.koszul import (
     SVD_PROJECT_CUT,
     MonomialWindow,
+    MatrixBudgetError,
     _boundary_matrix,
-    _membership_sigmas,
     _subsets,
     build_koszul,
     chain_check,
@@ -21,11 +22,13 @@ from polytoep.koszul import (
     homology_kernel_dims,
     ideal_codim_window,
     koszul_route,
+    matrix_dtype,
     mult_matrix,
     numerical_rank,
     range_sum_check,
     stage1_sigma_min,
 )
+from polytoep.exact import ExactComplex
 from polytoep.poly import exact_poly, symbols
 
 from conftest import p1, p2
@@ -39,6 +42,25 @@ def shifts3():
 def far_pair():
     # (z1 - 2, z2): 1 is an ideal member only through an H² cofactor of z1 - 2
     return symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
+
+
+def rotated(st, i=0):
+    """``st`` with symbol i multiplied by the unimodular (3 + 4i)/5: the same
+    ideal, complex coefficients."""
+    unit = ExactComplex(Fraction(3, 5), Fraction(4, 5))
+    syms = list(st.symbols)
+    syms[i] = syms[i].scale(unit)
+    return symbols(st.nvars, *syms)
+
+
+def _membership_sigmas(st, K, M, rho):
+    """Residual singular values of the quotient candidates against the
+    weighted span of shifted symbols (windows K and M), from a fresh basis."""
+    return koszul._ShiftSpan(st, rho).sigmas(K, M)
+
+
+def blas_threads():
+    return [get() for get, _ in koszul._openblas_thread_controls()]
 
 
 def toeplitz_matrix(p, N):
@@ -57,7 +79,7 @@ def hstack_kernel_dims(kt):
     for k in range(1, p):
         null_next = d[k].shape[1] - numerical_rank(d[k], tol)
         stage, out = kt.windows[k], kt.windows[k + 1]
-        enlarged = _boundary_matrix(st, k, stage, out)
+        enlarged = _boundary_matrix(st, k, stage, out, d[0].dtype)
         incl = np.zeros((out.dim, stage.dim))
         for j, e in enumerate(stage.basis):
             incl[out.index[e], j] = 1.0
@@ -193,21 +215,86 @@ def test_grown_span_matches_svd_reference(non_dyadic_pair):
 
 def test_route_rank_reuse_keeps_per_n(monkeypatch):
     calls = []
+    svdvals = koszul.svdvals
 
-    def counted(mat, tol):
+    def counted(mat):
         calls.append(mat.shape)
-        return numerical_rank(mat, tol)
+        return svdvals(mat)
 
-    monkeypatch.setattr(koszul, "numerical_rank", counted)
+    monkeypatch.setattr(koszul, "svdvals", counted)
+    monkeypatch.setattr(koszul, "ideal_codim_window", lambda *a, **k: 1)
     route = koszul_route(shifts3())
     monkeypatch.undo()
     assert [rec["N"] for rec in route.per_n] == [1, 2, 3]
     fresh = [{"N": n, "kernel_dims": homology_kernel_dims(build_koszul(shifts3(), n))}
              for n in (1, 2, 3)]
     assert list(route.per_n) == fresh
-    # seven ranks per level, less d₁ and d₂ at N = 2 and 3: those are the
-    # enlarged maps of the level before
+    # seven factorizations per level, less d₁ and d₂ at N = 2 and 3: those
+    # are the enlarged maps of the level before.  σ_min of the last d₁ comes
+    # from the same record, not from an eighth factorization.
     assert len(calls) == 7 + 5 + 5
+    assert route.sigma_min_first == stage1_sigma_min(build_koszul(shifts3(), 3))
+
+
+def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):
+    for st in (far_pair(), non_dyadic_pair, shifts3()):
+        for tup, dtype in ((st, np.float64), (rotated(st), np.complex128)):
+            assert matrix_dtype(tup) is dtype
+            kt = build_koszul(tup, 2)
+            assert all(d.dtype == dtype for d in kt.boundary_matrices)
+            span = koszul._ShiftSpan(tup, 0.75)
+            span.sigmas(2, 5)
+            assert span.q.dtype == dtype and span.q.shape[1] > 0
+
+
+def test_rotating_a_symbol_keeps_the_route(non_dyadic_pair):
+    # (3 + 4i)/5 is a unit: the ideal, the homology and the index stay, while
+    # the matrices turn complex
+    for st in (far_pair(), non_dyadic_pair, shifts3()):
+        real, cplx = koszul_route(st), koszul_route(rotated(st, len(st) - 1))
+        assert cplx.per_n == real.per_n
+        assert cplx.codim == real.codim
+        assert cplx.index == real.index
+        assert cplx.sigma_min_first == pytest.approx(real.sigma_min_first, rel=1e-12)
+
+
+def test_route_runs_on_one_blas_thread(monkeypatch, shift_pair):
+    if not koszul._openblas_thread_controls():
+        pytest.skip("no OpenBLAS loaded")
+    before = blas_threads()
+    for _, put in koszul._openblas_thread_controls():
+        put(2)
+    try:
+        seen = []
+        codim = koszul.ideal_codim_window
+
+        def spy(*args, **kwargs):
+            seen.append(blas_threads())
+            return codim(*args, **kwargs)
+
+        monkeypatch.setattr(koszul, "ideal_codim_window", spy)
+        assert koszul_route(shift_pair).index == -1
+        assert seen == [[1] * len(before)]
+        assert blas_threads() == [2] * len(before)
+
+        def overflow(*args, **kwargs):
+            seen.append(blas_threads())
+            raise MatrixBudgetError("window overflow")
+
+        monkeypatch.setattr(koszul, "ideal_codim_window", overflow)
+        with pytest.raises(MatrixBudgetError):
+            koszul_route(shift_pair)
+        assert seen[-1] == [1] * len(before)
+        assert blas_threads() == [2] * len(before)
+    finally:
+        for (_, put), n in zip(koszul._openblas_thread_controls(), before):
+            put(n)
+
+
+def test_route_runs_without_openblas(monkeypatch, shift_pair):
+    monkeypatch.setattr(koszul, "_openblas_thread_controls", lambda: ())
+    route = koszul_route(shift_pair)
+    assert route.index == -1 and route.homology.stabilized
 
 
 def test_range_sum_identity_random_tuples():

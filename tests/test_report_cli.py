@@ -46,6 +46,16 @@ def test_gcd_reduction_is_reported():
     assert rep["body"]["verdict"]["index"] == -1
 
 
+def test_three_squares_agree():
+    # (z1², z2², z3²): index −8; its codim solve needs the windows K = 3, 4, 5
+    # at M = 7, 8, 9, which the three-variable membership budget must admit
+    sq = [exact_poly(3, {e: 1}) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    body = run_index(JobConfig(input=symbols(3, *sq)))["body"]
+    assert body["verdict"] == {"kind": "agree", "index": -8, "routes": ["koszul", "tensor"]}
+    koszul = body["routes"]["koszul"]
+    assert koszul["codim"] == 8 and koszul["dims"] == [0, 0, 0, 8]
+
+
 def test_input_forms_agree(shift_pair, tmp_path):
     as_dict = tuple_to_json(shift_pair)
     path = tmp_path / "t.json"
