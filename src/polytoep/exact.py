@@ -17,8 +17,8 @@ class ExactComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         other = _coerce(other)

@@ -7,10 +7,16 @@ the eigenvalues of the multiplication operators z₁·, z₂· are the zero
 coordinates.
 
 Everything structural is exact.  The quotient basis is read off a Macaulay
-window matrix (rows = monomial shifts z^γ·fᵢ, columns = a monomial window)
-reduced to row echelon form over exact complex rationals; the window is
-enlarged until the staircase stabilizes, the basis is closed under the
-variable actions, and the two multiplication matrices commute exactly.  Only
+window matrix (rows = monomial shifts z^γ·fᵢ, columns = monomials keyed by
+graded-lex rank) reduced to row echelon form; the window is enlarged until
+the staircase stabilizes, the basis is closed under the variable actions,
+and the two multiplication matrices commute exactly.  The scalars are
+rationals (``Fraction``) when every coefficient is real and exact complex
+rationals otherwise.  One reduced echelon form is grown per call: each
+larger cofactor window only adds its new shift rows, and since the reduced
+echelon form of a row space is unique for a fixed column order, the result
+equals a fresh elimination entry for entry.  The commuting check multiplies
+sparse columns, touching stored entries only.  Only
 the final eigensolve is floating point: one complex Schur decomposition of a
 random unit-modulus combination M₁ + τM₂ triangularizes both matrices at
 once, and the paired diagonals are the zero coordinates.
@@ -24,14 +30,14 @@ before raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import schur
 
 from .certify import BoundaryCertificate, polydisc_lower_bound
 from .exact import EXACT_ZERO, ExactComplex
-from .koszul import MonomialWindow
 from .poly import (
     ModeMismatchError,
     MultiPoly,
@@ -47,6 +53,8 @@ CLUSTER_RADIUS = 1e-7
 BOUNDARY_MARGIN = 1e-6
 _MAX_ROUNDS = 6
 _WINDOW_COL_BUDGET = 3200
+
+Scalar = Union[Fraction, ExactComplex]   # Fraction for real pairs
 
 
 class ClusterAmbiguityError(RuntimeError):
@@ -114,9 +122,30 @@ def zero_dimensionality(st: SymbolTuple) -> ZeroDimensionality:
 # ---- exact quotient algebra ---------------------------------------------------
 
 
-def _echelon(rows: List[Dict[int, ExactComplex]]) -> Dict[int, Dict[int, ExactComplex]]:
-    """Sparse Gaussian elimination; returns pivot column -> normalized tail."""
-    pivots: Dict[int, Dict[int, ExactComplex]] = {}
+def _key(e: Tuple[int, int]) -> int:
+    """Column key of monomial ``e``: minus its graded-lex rank, so the
+    smallest key is the largest monomial whatever the window."""
+    s = e[0] + e[1]
+    return -(s * (s + 1) // 2 + e[0])
+
+
+def _axpy(row: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]) -> None:
+    """row -= c · tail, in place, dropping entries that cancel."""
+    for k, v in tail.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -c * v
+        else:
+            nv = old - c * v
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+
+
+def _echelon(rows: Iterable[Dict[int, Scalar]], pivots: Dict[int, Dict[int, Scalar]]) -> None:
+    """Grow a reduced row echelon form (pivot column -> normalized tail, no
+    tail entry in a pivot column) by ``rows``, in place."""
     for row in rows:
         row = dict(row)
         while row:
@@ -126,30 +155,34 @@ def _echelon(rows: List[Dict[int, ExactComplex]]) -> Dict[int, Dict[int, ExactCo
             if tail is None:
                 pivots[lead] = {k: v / c for k, v in row.items()}
                 break
-            for k, v in tail.items():
-                nv = row.get(k, EXACT_ZERO) - c * v
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
+            _axpy(row, c, tail)
     # back-substitute, smallest monomial first, so tails avoid pivot columns
     for lead in sorted(pivots, reverse=True):
         tail = pivots[lead]
         for k in [k for k in tail if k in pivots]:
-            c = tail.pop(k)
-            for k2, v2 in pivots[k].items():
-                nv = tail.get(k2, EXACT_ZERO) - c * v2
-                if nv:
-                    tail[k2] = nv
-                elif k2 in tail:
-                    del tail[k2]
-    return pivots
+            _axpy(tail, tail.pop(k), pivots[k])
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), EXACT_ZERO)
-             for j in range(n)] for i in range(n)]
+def _shift_rows(terms, lo: int, hi: int):
+    """Rows z^γ·f for the shifts γ in the box [0, hi]² but not in [0, lo]²."""
+    for f in terms:
+        for g0 in range(hi + 1):
+            for g1 in range(hi + 1):
+                if g0 > lo or g1 > lo:
+                    yield {_key((g0 + e0, g1 + e1)): c for (e0, e1), c in f.items()}
+
+
+def _commute(c1, c2) -> bool:
+    """Exact test of M₁M₂ = M₂M₁ for matrices stored as sparse columns."""
+    return all(_apply(c1, b) == _apply(c2, a) for a, b in zip(c1, c2))
+
+
+def _apply(cols, x: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """The sparse column M·x, for M stored as sparse columns."""
+    out: Dict[int, Scalar] = {}
+    for k, xk in x.items():
+        _axpy(out, -xk, cols[k])          # out += xk · column k
+    return out
 
 
 def quotient_basis(st: SymbolTuple):
@@ -161,67 +194,75 @@ def quotient_basis(st: SymbolTuple):
     reduction of z_v · basis[j].
     """
     p, q = _require_pair(st)
-    dmax = max(p.degree(), q.degree())
+    real = all(c.im == 0 for f in (p, q) for c in f.terms.values())
+    terms = [{e: c.re if real else c for e, c in f.terms.items()} for f in (p, q)]
+    d0, d1 = st.degree_vec()
     K = max(2, p.degree() * q.degree())
     M = K + 2
     prev_ns = None
+    # The echelon only grows: M never falls below the window it holds.  The
+    # normal set shrinks as rows are added, so K rises only in the first
+    # round for that K, where M = K + 2 exceeds the window built before.
+    pivots: Dict[int, Dict[int, Scalar]] = {}
+    built = -1                    # cofactor window the pivots hold
     for _ in range(_MAX_ROUNDS):
-        cap = tuple(M + d for d in st.degree_vec())
-        win = MonomialWindow(2, cap)
-        if win.dim > _WINDOW_COL_BUDGET:
+        cols = (M + d0 + 1) * (M + d1 + 1)
+        if cols > _WINDOW_COL_BUDGET:
             raise ValueError(
-                f"quotient window needs {win.dim} columns "
+                f"quotient window needs {cols} columns "
                 f"(budget {_WINDOW_COL_BUDGET}); degrees too large")
-        order = list(reversed(win.basis))           # descending graded-lex
-        col_of = {e: i for i, e in enumerate(order)}
-        shifts = MonomialWindow(2, M)
-        rows = []
-        for f in st.symbols:
-            for g in shifts.basis:
-                rows.append({col_of[(g[0] + e[0], g[1] + e[1])]: c
-                             for e, c in f.terms.items()})
-        pivots = _echelon(rows)
-        ns = [e for i, e in enumerate(order)
-              if i not in pivots and sum(e) <= K]
-        if any(sum(e) == K for e in ns):
+        _echelon(_shift_rows(terms, built, M), pivots)
+        built = M
+        ns = [(e0, s - e0) for s in range(K + 1) for e0 in range(s, -1, -1)
+              if _key((e0, s - e0)) not in pivots]
+        if ns and sum(ns[-1]) == K:         # ns runs by degree
             K += 2
             M = K + 2
             prev_ns = None
             continue
-        ns.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-        mats = _mult_matrices(ns, pivots, order, col_of)
-        if mats is not None and ns == prev_ns:
-            m1, m2 = mats
-            if _mat_mul(m1, m2) == _mat_mul(m2, m1):
-                return ns, m1, m2
+        mats = _mult_matrices(ns, pivots)
+        if mats is not None and ns == prev_ns and _commute(*mats):
+            return ns, _dense(mats[0]), _dense(mats[1])
         prev_ns = ns
         M += 2
     raise RuntimeError(f"quotient basis did not stabilize for {st}")
 
 
-def _mult_matrices(ns, pivots, order, col_of):
-    index = {e: i for i, e in enumerate(ns)}
-    dim = len(ns)
+def _mult_matrices(ns, pivots):
+    """Sparse columns of the two multiplication matrices on the candidate
+    basis ``ns``, or None when a reduction is missing or escapes it."""
+    index = {_key(e): i for i, e in enumerate(ns)}
     out = []
     for var in (0, 1):
-        mat = [[EXACT_ZERO] * dim for _ in range(dim)]
-        for j, b in enumerate(ns):
-            e = (b[0] + 1, b[1]) if var == 0 else (b[0], b[1] + 1)
-            i = index.get(e)
+        cols = []
+        for b in ns:
+            k = _key((b[0] + 1, b[1]) if var == 0 else (b[0], b[1] + 1))
+            i = index.get(k)
             if i is not None:
-                mat[i][j] = ExactComplex(1)
+                cols.append({i: 1})
                 continue
-            tail = pivots.get(col_of[e])
+            tail = pivots.get(k)
             if tail is None:
                 return None       # window misses this border monomial
-            for k, c in tail.items():
-                m = order[k]
-                i = index.get(m)
+            col = {}
+            for k2, c in tail.items():
+                i = index.get(k2)
                 if i is None:
                     return None   # reduction escapes the candidate basis
-                mat[i][j] = -c
-        out.append(mat)
-    return out[0], out[1]
+                col[i] = -c
+            cols.append(col)
+        out.append(cols)
+    return out
+
+
+def _dense(cols) -> List[List[ExactComplex]]:
+    """Nested lists of exact complex entries from sparse columns."""
+    dim = len(cols)
+    mat = [[EXACT_ZERO] * dim for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            mat[i][j] = v if isinstance(v, ExactComplex) else ExactComplex(v)
+    return mat
 
 
 # ---- floating eigensolve ------------------------------------------------------

@@ -1,8 +1,14 @@
 """Algebraic route: quotient bases, clustered zeros, gcd reduction."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
-from polytoep.exact import EXACT_ONE
+from polytoep import zeros
+from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
+from polytoep.koszul import MonomialWindow
 from polytoep.poly import exact_poly, symbols
 from polytoep.zeros import (
     algebraic_index,
@@ -13,6 +19,132 @@ from polytoep.zeros import (
 )
 
 from conftest import p2
+
+ROT = ExactComplex(Fraction(3, 5), Fraction(4, 5))      # a unit with i in it
+
+
+def reference_quotient_basis(st):
+    """Reference for ``quotient_basis``: a fresh elimination over exact
+    complex rationals for every window, with columns keyed by position in
+    that window, and a dense commuting check."""
+    p, q = st.symbols
+    K = max(2, p.degree() * q.degree())
+    M = K + 2
+    prev_ns = None
+    for _ in range(zeros._MAX_ROUNDS):
+        win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
+        if win.dim > zeros._WINDOW_COL_BUDGET:
+            raise ValueError("window over budget")
+        order = list(reversed(win.basis))           # descending graded-lex
+        col_of = {e: i for i, e in enumerate(order)}
+        rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in f.terms.items()}
+                for f in st.symbols for g in MonomialWindow(2, M).basis]
+        pivots = _reference_echelon(rows)
+        ns = [e for i, e in enumerate(order) if i not in pivots and sum(e) <= K]
+        if any(sum(e) == K for e in ns):
+            K += 2
+            M = K + 2
+            prev_ns = None
+            continue
+        ns.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+        mats = _reference_mult_matrices(ns, pivots, order, col_of)
+        if mats is not None and ns == prev_ns:
+            m1, m2 = mats
+            if _dense_mul(m1, m2) == _dense_mul(m2, m1):
+                return ns, m1, m2
+        prev_ns = ns
+        M += 2
+    raise RuntimeError("did not stabilize")
+
+
+def _reference_echelon(rows):
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            tail = pivots.get(lead)
+            c = row.pop(lead)
+            if tail is None:
+                pivots[lead] = {k: v / c for k, v in row.items()}
+                break
+            for k, v in tail.items():
+                nv = row.get(k, EXACT_ZERO) - c * v
+                if nv:
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+    for lead in sorted(pivots, reverse=True):
+        tail = pivots[lead]
+        for k in [k for k in tail if k in pivots]:
+            c = tail.pop(k)
+            for k2, v2 in pivots[k].items():
+                nv = tail.get(k2, EXACT_ZERO) - c * v2
+                if nv:
+                    tail[k2] = nv
+                elif k2 in tail:
+                    del tail[k2]
+    return pivots
+
+
+def _reference_mult_matrices(ns, pivots, order, col_of):
+    index = {e: i for i, e in enumerate(ns)}
+    out = []
+    for var in (0, 1):
+        mat = [[EXACT_ZERO] * len(ns) for _ in ns]
+        for j, b in enumerate(ns):
+            e = (b[0] + 1, b[1]) if var == 0 else (b[0], b[1] + 1)
+            if e in index:
+                mat[index[e]][j] = EXACT_ONE
+                continue
+            tail = pivots.get(col_of[e])
+            if tail is None:
+                return None
+            for k, c in tail.items():
+                if order[k] not in index:
+                    return None
+                mat[index[order[k]]][j] = -c
+        out.append(mat)
+    return out
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), EXACT_ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+def rotated(st):
+    return symbols(2, *(f.scale(ROT) for f in st.symbols))
+
+
+def mixed_pair():
+    # non-dyadic coefficients and a mixed second symbol
+    return symbols(2, p2({(2, 0): 1, (1, 0): "-11/20", (0, 0): "3/40"}),
+                   p2({(0, 1): 1, (1, 0): "11/60", (2, 0): "-1/3", (0, 0): "3/8"}))
+
+
+def reference_pairs(quarter_pair):
+    return [quarter_pair,
+            symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1})),
+            symbols(2, p2({(2, 0): 1}), p2({(0, 3): 1})),
+            symbols(2, p2({(4, 0): 1}), p2({(0, 4): 1})),
+            mixed_pair()]
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """Rows handed to each call of the elimination helper."""
+    calls = []
+    echelon = zeros._echelon
+
+    def spy(rows, pivots):
+        rows = list(rows)
+        calls.append(rows)
+        return echelon(rows, pivots)
+
+    monkeypatch.setattr(zeros, "_echelon", spy)
+    return calls
 
 
 def test_zero_dimensionality_classification(shift_pair, repeated_pair, shared_line_pair, z1):
@@ -39,6 +171,70 @@ def test_quotient_basis_shape_and_commutation(quarter_pair):
     prod21 = [[sum((m2[i][k] * m1[k][j] for k in range(n)),
                    start=EXACT_ONE * 0) for j in range(n)] for i in range(n)]
     assert prod12 == prod21
+
+
+def test_quotient_basis_matches_reference(quarter_pair):
+    for st in reference_pairs(quarter_pair):
+        for pair in (st, rotated(st)):
+            assert quotient_basis(pair) == reference_quotient_basis(pair)
+    # no common zero, but the unit's cofactors outgrow every window, so K
+    # rises each round and both give up alike
+    gives_up = symbols(2, p2({(2, 0): "-3/4"}),
+                       p2({(0, 0): "1/2", (1, 2): "3/4", (2, 0): "-7/4"}))
+    for solve in (quotient_basis, reference_quotient_basis):
+        with pytest.raises(RuntimeError):
+            solve(gives_up)
+
+
+def test_real_pairs_eliminate_over_fractions(quarter_pair, echelon_calls):
+    quotient_basis(quarter_pair)
+    values = [v for rows in echelon_calls for row in rows for v in row.values()]
+    assert values and all(type(v) is Fraction for v in values)
+    echelon_calls.clear()
+    quotient_basis(rotated(quarter_pair))
+    values = [v for rows in echelon_calls for row in rows for v in row.values()]
+    assert values and all(type(v) is ExactComplex for v in values)
+
+
+@pytest.mark.parametrize("degrees, final_m", [((2, 1), 6), ((4, 4), 20)])
+def test_one_echelon_grows_across_rounds(degrees, final_m, echelon_calls):
+    # each shift row is eliminated once: the rows of all rounds together
+    # are the rows of the final cofactor window [0, M]², once per symbol
+    st = symbols(2, p2({(degrees[0], 0): 1, (0, 0): "-1/4"}), p2({(0, degrees[1]): 1}))
+    quotient_basis(st)
+    assert len(echelon_calls) >= 2
+    assert sum(len(rows) for rows in echelon_calls) == 2 * (final_m + 1) ** 2
+
+
+def test_sparse_commuting_check():
+    # sparse columns (row -> entry) of E₂₁ and E₁₁, which do not commute
+    e21 = [{1: Fraction(1)}, {}]
+    e11 = [{0: Fraction(1)}, {}]
+    assert not zeros._commute(e21, e11)
+    assert zeros._commute(e21, e21) and zeros._commute(e11, [{0: 3}, {1: 3}])
+
+
+# a coefficient k/20, times (3+4i)/5 one time in four
+coefficient = hst.tuples(hst.integers(min_value=-20, max_value=20),
+                         hst.integers(min_value=0, max_value=3)).map(
+    lambda kr: ExactComplex(Fraction(kr[0], 20)) * (ROT if kr[1] == 0 else EXACT_ONE))
+degree2 = hst.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+exact_pairs = hst.builds(
+    lambda f, g: symbols(2, exact_poly(2, f), exact_poly(2, g)),
+    *[hst.dictionaries(degree2, coefficient, min_size=1, max_size=4)] * 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_pairs)
+def test_quotient_basis_matches_reference_on_random_pairs(st):
+    assume(zero_dimensionality(st).kind == "zero_dimensional")
+    try:
+        ref = reference_quotient_basis(st)
+    except (RuntimeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            quotient_basis(st)
+        return
+    assert quotient_basis(st) == ref
 
 
 def test_common_zeros_quarter_pair(quarter_pair):
