@@ -57,7 +57,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import PackedTuple, pack_tuple, sumsq_block, values_block
-from .poly import (MultiPoly, SymbolTuple, coefficient_bounds, constant,
+from .poly import (SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
 
 WITNESS_THRESHOLD = 1e-3
@@ -256,7 +256,6 @@ def _polish_witness(pk: PackedTuple, start: np.ndarray,
 
 def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
                     r_label: float, region: str, target_mesh: float,
-                    threshold: float = WITNESS_THRESHOLD,
                     cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
     pk = pack_tuple(st)
     pk_abs = replace(pk, cre=np.hypot(pk.cre, pk.cim), cim=np.zeros_like(pk.cim))
@@ -278,7 +277,7 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
 
     def witness_result(pt0: np.ndarray) -> Optional[BoundaryCertificate]:
         w, val = _polish_witness(pk, pt0, faces)
-        if val < threshold:
+        if val < WITNESS_THRESHOLD:
             return BoundaryCertificate(
                 r=r_label, c=0.0, mesh=float(min(mesh_finest, target_mesh)),
                 lipschitz=lip, verdict="failed", region=region,
@@ -304,7 +303,7 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
             if vals[i] < min_val:
                 min_val = float(vals[i])
                 min_pt = centers[i].copy()
-            if vals[i] < threshold:
+            if vals[i] < WITNESS_THRESHOLD:
                 got = witness_result(centers[i])
                 if got is not None:
                     return got

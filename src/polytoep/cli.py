@@ -16,10 +16,12 @@ from pathlib import Path
 from .certify import as_condition_check, boundary_lower_bound
 from .koszul import build_koszul, dump_matrices, koszul_route
 from .oracle import OracleConfig
-from .report import JobConfig, _cert_json, load_tuple, run_index, run_spectrum
+from .report import (JobConfig, _cert_json, _koszul_json, _resolved_n_range,
+                     load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
 
 _EXIT = {"agree": 0, "not_fredholm": 2, "not_certifiable": 3, "disagree": 4}
+DUMP_LEVEL = 4      # Koszul level --dump-matrices writes when no n_range is set
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +58,8 @@ def _add_common(sub):
                      help="levels the Koszul sweep may try (inclusive); it stops at "
                           "the first three that agree")
     sub.add_argument("--rank-tol", type=float, help="numerical rank tolerance")
-    sub.add_argument("--r", type=float, help="inner radius")
+    sub.add_argument("--r", type=float,
+                     help="inner radius (certify defaults to the first scheduled one)")
     sub.add_argument("--mesh", type=float, help="target covering mesh")
     sub.add_argument("--seed", type=int, help="seed echoed into all randomness")
     sub.add_argument("--cache", metavar="DIR", help="report cache directory")
@@ -84,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _job_config(args, command: str) -> JobConfig:
+    """A flag wins over the --config file; what neither gives keeps the
+    default of JobConfig.  The CLI adds two rules of its own: the oracle seed
+    follows --seed, and the cache sits beside the input file."""
     file_cfg = {}
     if args.config:
         try:
@@ -91,42 +97,38 @@ def _job_config(args, command: str) -> JobConfig:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: parse error at line "
                              f"{exc.lineno}, column {exc.colno}: {exc.msg}")
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    seed = pick(args.seed, "seed", 0)
-    ocfg = dict(file_cfg.get("oracle", {}))
-    ocfg.setdefault("seed", seed)
-    schedule = file_cfg.get("r_schedule")
-    if schedule is None:
-        schedule = (0.5, 0.75, 0.9)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: the top level must be a JSON object")
     kwargs = {}
-    if command == "spectrum":
-        lam_args = getattr(args, "lam", None)
-        kwargs["lam"] = _parse_lambda(lam_args) if lam_args else (
-            tuple(complex(x[0], x[1]) for x in file_cfg["lambda"])
-            if "lambda" in file_cfg else None)
-        kwargs["resolution"] = pick(getattr(args, "resolution", None),
-                                    "resolution", 24)
-        kwargs["r"] = pick(args.r, "r", 0.9)
-    # cache defaults to a directory beside the input file
-    default_cache = str(Path(args.input).resolve().parent / ".polytoep_cache")
-    return JobConfig(
-        input=args.input,
-        command=command,
-        n_range=pick(args.n_range, "n_range", None) and
-        tuple(pick(args.n_range, "n_range", None)),
-        rank_tolerance=pick(args.rank_tol, "rank_tolerance", 1e-8),
-        oracle=OracleConfig(**ocfg),
-        r_schedule=tuple(schedule),
-        target_mesh=pick(args.mesh, "target_mesh", None),
-        cache_dir=pick(args.cache, "cache_dir", default_cache),
-        seed=seed,
-        **kwargs,
-    )
+
+    def pick(key, flag=None, convert=lambda v: v):
+        value = flag if flag is not None else file_cfg.get(key)
+        if value is not None:
+            kwargs[key] = convert(value)
+
+    try:                    # a TypeError here comes from a config-file value
+        pick("n_range", args.n_range, tuple)
+        pick("rank_tolerance", args.rank_tol)
+        pick("r_schedule", convert=tuple)
+        pick("target_mesh", args.mesh)
+        pick("seed", args.seed)
+        ocfg = file_cfg.get("oracle", {})
+        if "seed" in kwargs:
+            ocfg = {"seed": kwargs["seed"], **ocfg}
+        kwargs["oracle"] = OracleConfig(**ocfg)
+        if command == "spectrum":
+            if args.lam:
+                kwargs["lam"] = _parse_lambda(args.lam)
+            elif "lambda" in file_cfg:
+                kwargs["lam"] = tuple(complex(x[0], x[1]) for x in file_cfg["lambda"])
+            pick("resolution", args.resolution)
+            pick("r", args.r)
+        default_cache = str(Path(args.input).resolve().parent / ".polytoep_cache")
+        kwargs["cache_dir"] = args.cache if args.cache is not None else \
+            file_cfg.get("cache_dir", default_cache)
+        return JobConfig(input=args.input, command=command, **kwargs)
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"{args.config}: bad config value: {exc}") from exc
 
 
 def _emit(obj) -> None:
@@ -137,10 +139,10 @@ def _emit(obj) -> None:
         sys.stdout.write("\n")
 
 
-def _maybe_dump(args, st) -> None:
-    if not getattr(args, "dump_matrices", False):
+def _maybe_dump(args, cfg: JobConfig, st) -> None:
+    if not args.dump_matrices:
         return
-    n = args.n_range[1] if args.n_range else 4
+    n = cfg.n_range[1] if cfg.n_range else DUMP_LEVEL
     text = dump_matrices(build_koszul(st, n))
     out = Path(args.input).with_suffix(".matrices.txt")
     out.write_text(text)
@@ -155,7 +157,7 @@ def main(argv=None) -> int:
             cfg = _job_config(args, command)
             report = run_index(cfg)
             _emit(report)
-            _maybe_dump(args, load_tuple(cfg.input))
+            _maybe_dump(args, cfg, load_tuple(cfg.input))
             return _EXIT[report["body"]["verdict"]["kind"]]
 
         if command == "spectrum":
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
         if command == "certify":
             cfg = _job_config(args, command)
             st = load_tuple(cfg.input)
-            r = args.r if args.r is not None else 0.5
+            r = args.r if args.r is not None else cfg.r_schedule[0]
             if st.nvars == 1:
                 cert = as_condition_check(st, r, cfg.target_mesh)
             else:
@@ -193,19 +195,16 @@ def main(argv=None) -> int:
         if command == "koszul-dims":
             cfg = _job_config(args, command)
             st = load_tuple(cfg.input)
-            route = koszul_route(st, cfg.n_range and
-                                 range(cfg.n_range[0], cfg.n_range[1] + 1),
-                                 cfg.rank_tolerance)
-            _emit({"per_n": list(route.per_n), "codim": route.codim,
-                   "dims": list(route.homology.dims),
-                   "stabilized": route.homology.stabilized,
-                   "index": route.index,
-                   "chain_exact": route.chain_exact})
-            _maybe_dump(args, st)
+            route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance)
+            _emit(_koszul_json(route))
+            _maybe_dump(args, cfg, st)
             return 0 if route.homology.stabilized else 3
 
         if command == "tensor":
             obj = json.loads(Path(args.input).read_text())
+            if not isinstance(obj, dict) or not isinstance(obj.get("factors"), list):
+                raise ValueError(f"{args.input}: expected an object with a "
+                                 "\"factors\" list")
             factors = [trig_from_json(f) for f in obj["factors"]]
             variables = obj.get("variables")
             rep = tensor_tuple_index(factors, variables)

@@ -34,19 +34,23 @@ class PackedTuple:
 
 
 def pack_tuple(st: SymbolTuple) -> PackedTuple:
-    """Pack a symbol tuple (converted to float mode) for kernel evaluation.
+    """Pack a symbol tuple for kernel evaluation.
 
-    Terms are emitted in graded-lex order so packing is deterministic.
+    Exact coefficients are converted one by one and none is dropped, so the
+    packed polynomial is the one the tuple holds (``SymbolTuple.to_float``
+    would prune tiny ones).  Terms are emitted in graded-lex order so packing
+    is deterministic.
     """
-    stf = st.to_float()
     cre, cim, rows, offs = [], [], [], [0]
-    for s in stf.symbols:
+    for s in st.symbols:
         for e, c in s.sorted_terms():
+            if s.mode == "exact":
+                c = c.to_complex()
             cre.append(c.real)
             cim.append(c.imag)
             rows.append(e)
         offs.append(len(cre))
-    nvars = stf.nvars
+    nvars = st.nvars
     exps = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
     maxdeg = int(exps.max()) if len(rows) else 0
     return PackedTuple(

@@ -80,6 +80,7 @@ from .poly import MultiPoly, SymbolTuple
 DEFAULT_RANK_TOL = 1e-8
 MATRIX_BUDGET = 20_000          # hard cap on columns of any assembled matrix
 MEMBERSHIP_BAND_TOP = 0.1       # residual band treated as "possibly decaying"
+MAX_ESCALATIONS = 6             # cofactor-window growths per codimension step
 SVD_PROJECT_CUT = 1e-13         # relative cut for the basis of the shift span
 
 
@@ -320,15 +321,6 @@ def numerical_rank(mat: np.ndarray, tol: float) -> int:
     return _rank_of(svdvals(mat), tol) if mat.size else 0
 
 
-def stage1_sigma_min(kt: KoszulTruncation) -> float:
-    """Smallest singular value of the first boundary matrix."""
-    d1 = kt.boundary_matrices[0]
-    if d1.size == 0:
-        return 0.0
-    sv = svdvals(d1)
-    return float(sv[-1]) if sv.size else 0.0
-
-
 def range_sum_check(matrices: Sequence[np.ndarray],
                     rank_tolerance: float = DEFAULT_RANK_TOL) -> bool:
     """Finite-dimensional closed-range identity: col-space(Σ TᵢTᵢ*) equals
@@ -502,8 +494,7 @@ class _ShiftSpan:
 
 
 def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
-                        rank_tol: float, step: int,
-                        max_escalations: int) -> Optional[Tuple[int, int]]:
+                        rank_tol: float, step: int) -> Optional[Tuple[int, int]]:
     """(codim, M used) once the residual band is clear, else None.
 
     A singular value inside [rank_tol, band_top] is ambiguous: either the
@@ -512,7 +503,7 @@ def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
     while the band maximum shrinks; accept it as rank once it stops moving.
     """
     prev_band_max = None
-    for _ in range(max_escalations + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         sig = span.sigmas(K, M)
         above = sig[sig > rank_tol]
         banded = above[above < MEMBERSHIP_BAND_TOP]
@@ -526,12 +517,11 @@ def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
     return None
 
 
-def ideal_codim_window(st: SymbolTuple, K: int, M: Optional[int] = None,
+def ideal_codim_window(st: SymbolTuple, K: int,
                        rank_tolerance: float = DEFAULT_RANK_TOL,
-                       rho: Optional[float] = None,
-                       max_escalations: int = 6) -> Union[int, str]:
+                       rho: Optional[float] = None) -> Union[int, str]:
     """Codimension of the symbol ideal seen from quotient window K, cofactor
-    window M, or "unstable".
+    window M = K + max degree + 2, or "unstable".
 
     Stability requires the same integer at (K, M), (K+1, M+1), (K+2, M+2),
     each member individually clear of the decaying-residual band.  ``rho`` is
@@ -539,25 +529,20 @@ def ideal_codim_window(st: SymbolTuple, K: int, M: Optional[int] = None,
     the sound choice (every interior zero then lies inside the ρ-polydisc and
     every excluded zero outside the closed polydisc stays excluded).
     """
-    dmax = max(st.degree_vec(), default=0)
-    if M is None:
-        M = K + dmax + 2
-    if M < K + dmax:
-        raise ValueError(f"cofactor window M={M} must be at least K + max degree = {K + dmax}")
+    M = K + max(st.degree_vec(), default=0) + 2
     if rho is None:
         rho = 0.8
     if not 0 < rho < 1:
         raise ValueError("weighting radius rho must lie in (0, 1)")
     step = 4 if st.nvars <= 2 else 2
     span = _ShiftSpan(st, rho)       # one basis, grown as M grows
-    for _ in range(max_escalations + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         vals = []
         try:
             # K+1 and K+2 start one past the M their predecessor settled on
             m_start = M
             for i in range(3):
-                got = _codim_resolve_band(span, K + i, m_start, rank_tolerance,
-                                          step, max_escalations)
+                got = _codim_resolve_band(span, K + i, m_start, rank_tolerance, step)
                 if got is None:
                     return "unstable"
                 vals.append(got[0])

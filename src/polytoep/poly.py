@@ -172,14 +172,13 @@ class MultiPoly:
     # ---- evaluation ------------------------------------------------------
 
     def eval(self, point: Sequence[complex]) -> complex:
-        """Value at a float point by nested Horner recursion on the first
-        variable.  Deterministic: term grouping follows sorted exponents."""
+        """Value at a float point, through the batch kernel
+        ``kernels.values_block`` (one point, one polynomial)."""
+        from .kernels import pack_tuple, values_block   # kernels imports this module
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        pt = [complex(z) for z in point]
-        items = [(e, complex(c.to_complex() if isinstance(c, ExactComplex) else c))
-                 for e, c in self.sorted_terms()]
-        return _horner(items, pt, 0)
+        pk = pack_tuple(SymbolTuple((self,), self.nvars))
+        return complex(values_block(pk, [point])[0, 0])
 
     def eval_exact(self, point: Sequence[ExactComplex]) -> ExactComplex:
         if self.mode != "exact":
@@ -202,28 +201,6 @@ class MultiPoly:
         if self.mode == "float":
             return self
         return MultiPoly(self.nvars, {e: c.to_complex() for e, c in self.terms.items()}, "float")
-
-
-def _horner(items, point, var):
-    """Horner evaluation of exponent/coefficient pairs, recursing by variable."""
-    if not items:
-        return 0j
-    if var == len(point) - 1:
-        acc = 0j
-        deg = max(e[var] for e, _ in items)
-        coeff = [0j] * (deg + 1)
-        for e, c in items:
-            coeff[e[var]] += c
-        for k in range(deg, -1, -1):
-            acc = acc * point[var] + coeff[k]
-        return acc
-    groups: dict[int, list] = {}
-    for e, c in items:
-        groups.setdefault(e[var], []).append((e, c))
-    acc = 0j
-    for k in range(max(groups), -1, -1):
-        acc = acc * point[var] + (_horner(groups[k], point, var + 1) if k in groups else 0j)
-    return acc
 
 
 # ---- constructors ---------------------------------------------------------
@@ -250,11 +227,6 @@ def float_poly(nvars: int, terms: Mapping[Exponent, complex]) -> MultiPoly:
 def constant(nvars: int, c: Coefficient, mode: str) -> MultiPoly:
     e = (0,) * nvars
     return MultiPoly(nvars, {e: c}, mode)
-
-
-def monomial(nvars: int, exp: Exponent, mode: str = "exact") -> MultiPoly:
-    c = EXACT_ONE if mode == "exact" else 1 + 0j
-    return MultiPoly(nvars, {tuple(exp): c}, mode)
 
 
 # ---- coefficient bounds ----------------------------------------------------

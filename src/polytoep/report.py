@@ -22,7 +22,7 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -34,7 +34,7 @@ from .certify import (
     essential_spectrum_cloud,
     essential_spectrum_membership,
 )
-from .koszul import koszul_route
+from .koszul import KoszulRouteResult, koszul_route
 from .oracle import OracleConfig, perturbed_count_details, univariate_index
 from .poly import (
     SymbolTuple,
@@ -123,18 +123,24 @@ def _cert_json(cert: BoundaryCertificate) -> dict:
     return out
 
 
+def _config_json(cfg: JobConfig) -> dict:
+    """The index parameters of a job: echoed as ``body["config"]`` and hashed
+    into the cache key."""
+    return {
+        "n_range": list(cfg.n_range) if cfg.n_range else None,
+        "rank_tolerance": cfg.rank_tolerance,
+        "seed": cfg.seed,
+        "oracle": asdict(cfg.oracle),
+        "r_schedule": list(cfg.r_schedule),
+        "target_mesh": cfg.target_mesh,
+    }
+
+
 def cache_key(cfg: JobConfig, st: SymbolTuple) -> str:
     payload = {
         "input": json.loads(canonical_tuple_json(st)),
         "command": cfg.command,
-        "n_range": list(cfg.n_range) if cfg.n_range else None,
-        "rank_tolerance": cfg.rank_tolerance,
-        "oracle": {"epsilon": cfg.oracle.epsilon, "trials": cfg.oracle.trials,
-                   "seed": cfg.oracle.seed,
-                   "quadrature_points": cfg.oracle.quadrature_points},
-        "r_schedule": list(cfg.r_schedule),
-        "target_mesh": cfg.target_mesh,
-        "seed": cfg.seed,
+        **_config_json(cfg),
         "lam": [[z.real, z.imag] for z in cfg.lam] if cfg.lam else None,
         "r": cfg.r,
         "resolution": cfg.resolution,
@@ -147,8 +153,9 @@ def cache_key(cfg: JobConfig, st: SymbolTuple) -> str:
 def _cache_load(path: Path) -> Optional[dict]:
     try:
         stored = json.loads(path.read_text())
-        if "body" not in stored:
-            raise ValueError("missing body")
+        if not (isinstance(stored, dict) and isinstance(stored.get("body"), dict)
+                and isinstance(stored.get("cache", {}), dict)):
+            raise ValueError("not a report object")
         return stored
     except (OSError, ValueError) as exc:
         log.warning("ignoring corrupt cache entry %s: %s", path, exc)
@@ -176,10 +183,8 @@ def _cache_store(path: Path, report: dict) -> None:
 # wrappers installed on this module see every call.
 
 
-def _run_koszul(st: SymbolTuple, cfg: JobConfig,
-                cert: BoundaryCertificate) -> dict:
-    rho = (1 + cert.r) / 2
-    route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
+def _koszul_json(route: KoszulRouteResult) -> dict:
+    """The Koszul route's evidence, as the report and ``koszul-dims`` print it."""
     return {
         "per_n": list(route.per_n),
         "codim": route.codim,
@@ -187,9 +192,15 @@ def _run_koszul(st: SymbolTuple, cfg: JobConfig,
         "stabilized": route.homology.stabilized,
         "sigma_min_first": route.sigma_min_first,
         "chain_exact": route.chain_exact,
-        "rho": rho,
         "index": route.index,
     }
+
+
+def _run_koszul(st: SymbolTuple, cfg: JobConfig,
+                cert: BoundaryCertificate) -> dict:
+    rho = (1 + cert.r) / 2
+    route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
+    return {**_koszul_json(route), "rho": rho}
 
 
 def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
@@ -222,10 +233,7 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
 def _run_oracle(st: SymbolTuple, cfg: JobConfig,
                 cert: BoundaryCertificate) -> dict:
     eps = _oracle_epsilon(st, cert.c, cfg.oracle.epsilon)
-    ocfg = OracleConfig(epsilon=eps, trials=cfg.oracle.trials,
-                        seed=cfg.oracle.seed,
-                        quadrature_points=cfg.oracle.quadrature_points)
-    detail = perturbed_count_details(st, ocfg)
+    detail = perturbed_count_details(st, replace(cfg.oracle, epsilon=eps))
     detail["index"] = -detail["count"]
     return detail
 
@@ -310,16 +318,7 @@ def run_index(cfg: JobConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": "index",
         "input": tuple_to_json(st),
-        "config": {
-            "n_range": list(cfg.n_range) if cfg.n_range else None,
-            "rank_tolerance": cfg.rank_tolerance,
-            "seed": cfg.seed,
-            "oracle": {"epsilon": cfg.oracle.epsilon, "trials": cfg.oracle.trials,
-                       "seed": cfg.oracle.seed,
-                       "quadrature_points": cfg.oracle.quadrature_points},
-            "r_schedule": list(cfg.r_schedule),
-            "target_mesh": cfg.target_mesh,
-        },
+        "config": _config_json(cfg),
         "reduction": None,
         "certificates": [],
         "certificate": None,

@@ -15,19 +15,16 @@ the reported tuple index is then 0 (the Koszul complex of a tuple with an
 invertible member is exact), carried with an explicit note.
 
 For tuples of analytic polynomials in one *shared* variable the index is 0
-whenever the tuple is Fredholm at all; disc_tuple_index certifies the joint
-nonvanishing condition on an annulus and cross-checks the zero against the
-operator-theoretic route for pairs.
+whenever the tuple is Fredholm at all.  disc_tuple_index is a call into
+``report.run_index`` with the one-radius schedule (s,): the pipeline
+certifies the joint nonvanishing condition on the annulus s ≤ |z| ≤ 1, then
+its koszul and disc routes must agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .certify import as_condition_check
-from .koszul import koszul_route
 from .oracle import OracleConfig, fourier_winding
 from .poly import MultiPoly, SymbolTuple
 
@@ -61,11 +58,6 @@ class TrigPoly:
     def reversed_indices(self) -> "TrigPoly":
         return TrigPoly({-k: c for k, c in self.coeffs.items()})
 
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        ks = np.array(sorted(self.coeffs))
-        cs = np.array([self.coeffs[int(k)] for k in ks])
-        return np.exp(1j * np.outer(theta, ks)) @ cs
-
 
 def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
     """Analytic polynomial in one variable, viewed on the circle."""
@@ -85,13 +77,15 @@ def trig_to_json(f: TrigPoly) -> dict:
 
 
 def trig_from_json(obj: dict) -> TrigPoly:
-    terms = obj["fourier"]
     coeffs: Dict[int, complex] = {}
-    for t in terms:
-        k = int(t["k"])
-        if k in coeffs:
-            raise ValueError(f"duplicate Fourier index {k}")
-        coeffs[k] = complex(float(t["re"]), float(t.get("im", 0.0)))
+    try:
+        for t in obj["fourier"]:
+            k = int(t["k"])
+            if k in coeffs:
+                raise ValueError(f"duplicate Fourier index {k}")
+            coeffs[k] = complex(float(t["re"]), float(t.get("im", 0.0)))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed Fourier factor: {exc!r}") from exc
     return TrigPoly(coeffs)
 
 
@@ -149,26 +143,22 @@ def tensor_tuple_index(factors: Sequence[TrigPoly],
 def disc_tuple_index(st: SymbolTuple, s: float = 0.5) -> int:
     """Index of a tuple of analytic polynomials in one shared variable.
 
-    Once the joint annulus condition Σ|fᵢ|² > 0 on s ≤ |z| ≤ 1 is certified
-    the tuple is Fredholm and its index is 0 regardless of interior common
-    zeros.  For pairs the operator-theoretic route is run as a cross-check
-    and must also total 0.
+    Runs ``run_index`` with the schedule (s,): once Σ|fᵢ|² > 0 is certified
+    on s ≤ |z| ≤ 1 the tuple is Fredholm and its index is 0 regardless of
+    interior common zeros, and the koszul and disc routes must say so.
+    Raises RuntimeError, carrying the verdict, on anything but ``agree``.
     """
     if st.nvars != 1:
         raise ValueError("disc route applies to one shared variable")
     if len(st) < 2:
         raise ValueError("disc route needs a tuple of at least 2 symbols")
-    cert = as_condition_check(st, s)
-    if cert.verdict == "failed":
+    from .report import JobConfig, run_index     # report imports this module
+    verdict = run_index(JobConfig(input=st, r_schedule=(s,)))["body"]["verdict"]
+    if verdict["kind"] == "agree":
+        return verdict["index"]
+    if verdict["kind"] == "not_fredholm":
+        near = tuple(complex(float(z["re"]), float(z["im"])) for z in verdict["witness"])
         raise RuntimeError(
-            f"not Fredholm: joint zero of the symbols near {cert.witness} "
-            f"(value {cert.witness_value:.3g})")
-    if cert.verdict != "certified":
-        raise RuntimeError(f"annulus condition not certifiable at s={s}")
-    if len(st) == 2:
-        route = koszul_route(st)
-        if route.index != 0:
-            raise AssertionError(
-                f"operator route disagrees with the zero-index result: "
-                f"{route.index}")
-    return 0
+            f"not Fredholm: joint zero of the symbols near {near} "
+            f"(value {verdict['witness_value']:.3g})")
+    raise RuntimeError(f"annulus condition at s={s} gave no index: {verdict}")

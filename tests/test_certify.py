@@ -46,6 +46,14 @@ def test_pack_matches_eval(shift_pair):
     assert sumsq_block(pk, z)[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_pack_keeps_tiny_exact_coefficients():
+    # (z1 + 10⁻¹⁵, z2): the float conversion prunes the constant, the pack must not
+    st = symbols(2, p2({(1, 0): 1, (0, 0): "1/1000000000000000"}), p2({(0, 1): 1}))
+    pk = pack_tuple(st)
+    assert len(pk.cre) == 3
+    assert values_block(pk, np.zeros((1, 2)))[0, 0] == 1e-15
+
+
 # -- boundary certificates -------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from polytoep import koszul
 from polytoep.koszul import (
@@ -26,7 +27,6 @@ from polytoep.koszul import (
     mult_matrix,
     numerical_rank,
     range_sum_check,
-    stage1_sigma_min,
 )
 from polytoep.exact import ExactComplex
 from polytoep.poly import exact_poly, symbols
@@ -51,6 +51,15 @@ def rotated(st, i=0):
     syms = list(st.symbols)
     syms[i] = syms[i].scale(unit)
     return symbols(st.nvars, *syms)
+
+
+def stage1_sigma_min(kt):
+    """Smallest singular value of the first boundary matrix."""
+    d1 = kt.boundary_matrices[0]
+    if d1.size == 0:
+        return 0.0
+    sv = svdvals(d1)
+    return float(sv[-1]) if sv.size else 0.0
 
 
 def _membership_sigmas(st, K, M, rho):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from polytoep.koszul import build_koszul, dump_matrices
 from polytoep.poly import exact_poly, symbols, tuple_to_json
 from polytoep.report import JobConfig, cache_key, load_tuple, run_index, run_spectrum
 
@@ -93,6 +94,16 @@ def test_cache_roundtrip_and_corruption(shift_pair, tmp_path, caplog):
     assert not third["cache"]["hit"]
     assert body_bytes(third) == body_bytes(first)
     assert run_index(cfg)["cache"]["hit"]
+    # valid JSON that is not a report object: the same treatment
+    for content in ("null", "42", '"somebody"', '{"body": 1}', '{"body": {}, "cache": 1}'):
+        entry.write_text(content)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="polytoep.report"):
+            again = run_index(cfg)
+        assert "corrupt cache entry" in caplog.text, content
+        assert not again["cache"]["hit"], content
+        assert body_bytes(again) == body_bytes(first)
+        assert json.loads(entry.read_text())["body"] == first["body"]
 
 
 def test_cache_key_canonicalization(shift_pair, z1, z2, monkeypatch):
@@ -191,11 +202,62 @@ def test_cli_koszul_dims_and_dump(inputs):
     assert code == 0
     payload = json.loads(out)
     assert payload["index"] == -1 and payload["stabilized"]
+    assert payload["sigma_min_first"] > 0
     dumped = inputs["dir"] / "shifts.matrices.txt"
     assert dumped.exists() and dumped.read_text().startswith("# d1 shape")
     # too few levels to stabilize
     code, out, _ = cli("koszul-dims", "--input", inputs["shifts"], "--n-range", "2..3")
     assert code == 3
+
+
+def test_cli_dump_follows_config_n_range(inputs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_range": [2, 3]}))
+    code, out, _ = cli("koszul-dims", "--input", inputs["shifts"],
+                       "--config", str(cfg), "--dump-matrices")
+    assert code == 3 and json.loads(out)["per_n"][-1]["N"] == 3
+    dumped = (inputs["dir"] / "shifts.matrices.txt").read_text()
+    assert dumped == dump_matrices(build_koszul(load_tuple(inputs["shifts"]), 3))
+
+
+def assert_clean_error(code, err):
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_cli_malformed_tensor_input(tmp_path):
+    path = tmp_path / "tensor.json"
+    for obj in ({"variables": [0, 1]},
+                {"factors": [{"fourier": [{"re": 1.0}]}]},
+                {"factors": [{"fourier": [{"k": 1}]}]}):
+        path.write_text(json.dumps(obj))
+        code, _, err = cli("tensor", "--input", str(path))
+        assert_clean_error(code, err)
+
+
+def test_cli_config_top_level_must_be_an_object(inputs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[0.5, 0.75]")
+    code, _, err = cli("index", "--input", inputs["shifts"], "--config", str(cfg))
+    assert_clean_error(code, err)
+
+
+def test_cli_unknown_oracle_option(inputs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {"trails": 7}}))
+    code, _, err = cli("index", "--input", inputs["shifts"], "--config", str(cfg))
+    assert_clean_error(code, err)
+    assert "trails" in err
+
+
+def test_cli_config_values_of_the_wrong_type(inputs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for command, content in (("index", {"rank_tolerance": "tight"}),
+                             ("index", {"r_schedule": 0.5}),
+                             ("index", {"oracle": [5]}),
+                             ("spectrum", {"lambda": [0, 0]})):
+        cfg.write_text(json.dumps(content))
+        code, _, err = cli(command, "--input", inputs["shifts"], "--config", str(cfg))
+        assert_clean_error(code, err)
 
 
 def test_cli_tensor(inputs, tmp_path):
