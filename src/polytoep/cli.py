@@ -3,15 +3,20 @@
 Subcommands: index (multi-route agreement report), spectrum (membership
 query or CSV point cloud), certify (one boundary certificate), koszul-dims
 (per-truncation homology dimensions), tensor (product formula for factor
-lists).  Exit codes: 0 success/agree, 1 usage or parse error, 2 not
-Fredholm, 3 not certifiable or inconclusive, 4 route disagreement.
+lists).  ``COMMANDS`` lists the flags and config-file keys each one reads: a
+flag wins over the file, what neither gives keeps the library's default, and
+any other flag or key is a usage error.  Exit codes: 0 success/agree, 1 usage
+or parse error, 2 not Fredholm, 3 not certifiable or inconclusive, 4 route
+disagreement.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .certify import as_condition_check, boundary_lower_bound
 from .koszul import build_koszul, dump_matrices, koszul_route
@@ -39,32 +44,59 @@ def _parse_n_range(text: str):
             f"expected A..B (e.g. 2..8), got {text!r}")
 
 
-def _parse_lambda(parts):
+def _parse_lambda(value):
+    """λ from the flag's re,im words or from the file's [re, im] pairs."""
+    if all(isinstance(x, str) for x in value):
+        value = [word.split(",") for word in " ".join(value).split()]
     try:
-        out = []
-        for part in " ".join(parts).split():
-            re, im = part.split(",")
-            out.append(complex(float(re), float(im)))
-        return tuple(out)
-    except ValueError:
+        return tuple(complex(float(re), float(im)) for re, im in value)
+    except (TypeError, ValueError):
         raise ValueError(
-            f"expected re,im pairs (e.g. --lambda 0,0 1,0), got {parts!r}")
+            f"expected re,im pairs (e.g. --lambda 0,0 1,0), got {value!r}")
 
 
-def _add_common(sub):
-    sub.add_argument("--input", required=True, help="input JSON file")
-    sub.add_argument("--config", help="JSON config file (flags override it)")
-    sub.add_argument("--n-range", type=_parse_n_range, metavar="A..B",
-                     help="levels the Koszul sweep may try (inclusive); it stops at "
-                          "the first three that agree")
-    sub.add_argument("--rank-tol", type=float, help="numerical rank tolerance")
-    sub.add_argument("--r", type=float,
-                     help="inner radius (certify defaults to the first scheduled one)")
-    sub.add_argument("--mesh", type=float, help="target covering mesh")
-    sub.add_argument("--seed", type=int, help="seed echoed into all randomness")
-    sub.add_argument("--cache", metavar="DIR", help="report cache directory")
-    sub.add_argument("--dump-matrices", action="store_true",
-                     help="write boundary matrices next to the input")
+class Param(NamedTuple):
+    flag: Optional[str]                 # None: set in the config file only
+    key: Optional[str]                  # config-file key; None: a flag only
+    convert: Optional[Callable]         # given value -> the value a job reads
+    opts: dict                          # argparse options of the flag
+
+
+def _p(flag, key=None, convert=None, **opts) -> Param:
+    return Param(flag, key, convert, {"dest": key, **opts} if key else opts)
+
+
+_INPUT = _p("--input", required=True, help="input JSON file")
+_CONFIG = _p("--config", help="JSON config file (flags override it)")
+_N_RANGE = _p("--n-range", "n_range", tuple, type=_parse_n_range, metavar="A..B",
+              help="Koszul levels to try (inclusive); the sweep stops at three that agree")
+_RANK_TOL = _p("--rank-tol", "rank_tolerance", type=float, help="numerical rank tolerance")
+_MESH = _p("--mesh", "target_mesh", type=float, help="target covering mesh")
+_DUMP = _p("--dump-matrices", action="store_true",
+           help="write boundary matrices next to the input")
+_R_SCHEDULE = _p(None, "r_schedule", tuple)
+
+# The parameters each subcommand reads; every other flag or key is an error.
+COMMANDS = {
+    "index": (_INPUT, _CONFIG, _N_RANGE, _RANK_TOL, _MESH, _DUMP, _R_SCHEDULE,
+              _p("--seed", "seed", type=int, help="seed of the algebraic route and oracle"),
+              _p("--cache", "cache_dir", metavar="DIR", help="report cache directory "
+                 "(default: .polytoep_cache beside the input)"),
+              _p(None, "oracle", lambda v: OracleConfig(**v))),
+    "spectrum": (_INPUT, _CONFIG, _R_SCHEDULE,
+                 _p("--lambda", "lambda", _parse_lambda, nargs="+", metavar="re,im",
+                    help="membership query point (omit for a cloud)"),
+                 _p("--resolution", "resolution", type=int,
+                    help="per-axis sampling resolution"),
+                 _p("--r", "r", type=float, help="inner radius of the cloud"),
+                 _p("--emit", choices=("json", "csv"),
+                    help="output format (default csv for a cloud, json for a query)")),
+    "certify": (_INPUT, _CONFIG, _MESH, _R_SCHEDULE,
+                _p("--r", type=float, help="inner radius (default: the first scheduled one)")),
+    "koszul-dims": (_INPUT, _CONFIG, _N_RANGE, _RANK_TOL, _DUMP),
+    "tensor": (_INPUT,),
+}
+_JOB_FIELDS = {f.name for f in fields(JobConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,25 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Fredholmness and index of Toeplitz tuples with "
                             "polynomial symbols on polydisc Hardy spaces")
     subs = p.add_subparsers(dest="command", required=True)
-    for name in ("index", "spectrum", "certify", "koszul-dims", "tensor"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "spectrum":
-            sub.add_argument("--lambda", dest="lam", nargs="+",
-                             metavar="re,im",
-                             help="membership query point (omit for a cloud)")
-            sub.add_argument("--resolution", type=int,
-                             help="per-axis sampling resolution")
-            sub.add_argument("--emit", choices=("json", "csv"), default=None,
-                             help="cloud format (default csv, membership json)")
+    for name, params in COMMANDS.items():
+        sub = subs.add_parser(name, allow_abbrev=False)   # --r is no --rank-tol
+        for param in params:
+            if param.flag is not None:
+                sub.add_argument(param.flag, **param.opts)
     return p
 
 
-def _job_config(args, command: str) -> JobConfig:
-    """A flag wins over the --config file; what neither gives keeps the
-    default of JobConfig.  The CLI adds two rules of its own: the oracle seed
-    follows --seed, and the cache sits beside the input file."""
-    file_cfg = {}
+def _settings(args):
+    """The values the subcommand reads, by parameter (a flag wins over the
+    --config file), and the JobConfig made of those that are its fields.
+    The cache of ``index`` defaults to a directory beside the input."""
+    params, file_cfg = COMMANDS[args.command], {}
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
@@ -99,35 +125,23 @@ def _job_config(args, command: str) -> JobConfig:
                              f"{exc.lineno}, column {exc.colno}: {exc.msg}")
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: the top level must be a JSON object")
-    kwargs = {}
-
-    def pick(key, flag=None, convert=lambda v: v):
-        value = flag if flag is not None else file_cfg.get(key)
-        if value is not None:
-            kwargs[key] = convert(value)
-
+    keys = [p.key for p in params if p.key]
+    if set(file_cfg) - set(keys):
+        raise ValueError(f"{args.config}: {args.command} reads no config key "
+                         f"{', '.join(sorted(set(file_cfg) - set(keys)))} "
+                         f"(it reads {', '.join(keys)})")
+    values = {k: v for k, v in vars(args).items() if v is not None}
     try:                    # a TypeError here comes from a config-file value
-        pick("n_range", args.n_range, tuple)
-        pick("rank_tolerance", args.rank_tol)
-        pick("r_schedule", convert=tuple)
-        pick("target_mesh", args.mesh)
-        pick("seed", args.seed)
-        ocfg = file_cfg.get("oracle", {})
-        if "seed" in kwargs:
-            ocfg = {"seed": kwargs["seed"], **ocfg}
-        kwargs["oracle"] = OracleConfig(**ocfg)
-        if command == "spectrum":
-            if args.lam:
-                kwargs["lam"] = _parse_lambda(args.lam)
-            elif "lambda" in file_cfg:
-                kwargs["lam"] = tuple(complex(x[0], x[1]) for x in file_cfg["lambda"])
-            pick("resolution", args.resolution)
-            pick("r", args.r)
-        default_cache = str(Path(args.input).resolve().parent / ".polytoep_cache")
-        kwargs["cache_dir"] = args.cache if args.cache is not None else \
-            file_cfg.get("cache_dir", default_cache)
-        return JobConfig(input=args.input, command=command, **kwargs)
-    except (TypeError, IndexError) as exc:
+        for p in params:
+            value = values.get(p.key, file_cfg.get(p.key))
+            if value is not None:
+                values[p.key] = p.convert(value) if p.convert else value
+        job = {k: v for k, v in values.items() if k in _JOB_FIELDS}
+        if args.command == "index":
+            job.setdefault("cache_dir", str(Path(args.input).resolve().parent
+                                            / ".polytoep_cache"))
+        return values, JobConfig(**job)
+    except TypeError as exc:
         raise ValueError(f"{args.config}: bad config value: {exc}") from exc
 
 
@@ -153,16 +167,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
+        if command != "tensor":
+            values, cfg = _settings(args)
         if command == "index":
-            cfg = _job_config(args, command)
             report = run_index(cfg)
             _emit(report)
             _maybe_dump(args, cfg, load_tuple(cfg.input))
             return _EXIT[report["body"]["verdict"]["kind"]]
 
         if command == "spectrum":
-            cfg = _job_config(args, command)
-            out = run_spectrum(cfg)
+            out = run_spectrum(cfg, values.get("lambda"), **{
+                k: values[k] for k in ("r", "resolution") if k in values})
             if isinstance(out, dict):
                 if args.emit == "csv":
                     b = out["body"]
@@ -182,9 +197,8 @@ def main(argv=None) -> int:
             return 0
 
         if command == "certify":
-            cfg = _job_config(args, command)
             st = load_tuple(cfg.input)
-            r = args.r if args.r is not None else cfg.r_schedule[0]
+            r = values.get("r", cfg.r_schedule[0])
             if st.nvars == 1:
                 cert = as_condition_check(st, r, cfg.target_mesh)
             else:
@@ -193,7 +207,6 @@ def main(argv=None) -> int:
             return {"certified": 0, "failed": 2}.get(cert.verdict, 3)
 
         if command == "koszul-dims":
-            cfg = _job_config(args, command)
             st = load_tuple(cfg.input)
             route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance)
             _emit(_koszul_json(route))

@@ -45,7 +45,6 @@ _DUPLICATE_TOL = 1e-9
 class OracleConfig:
     epsilon: float = 1e-3
     trials: int = 5
-    seed: int = 0
     quadrature_points: int = 256
 
     def __post_init__(self):
@@ -147,7 +146,8 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
     return pts
 
 
-def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None) -> dict:
+def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None,
+                            *, seed: int = 0) -> dict:
     """perturbed_count plus its evidence: the per-trial counts, the number of
     attempts spent, and how many trials were discarded for margin hits."""
     cfg = cfg or OracleConfig()
@@ -158,7 +158,7 @@ def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None) ->
     attempt = 0
     max_attempts = 3 * cfg.trials
     while len(counts) < cfg.trials and attempt < max_attempts:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         attempt += 1
         pts = _solve_pair(*_perturbed(st, rng, cfg.epsilon).symbols)
         if pts is None:
@@ -183,10 +183,11 @@ def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None) ->
             "margin_hits": margin_hits, "epsilon": cfg.epsilon}
 
 
-def perturbed_count(st: SymbolTuple, cfg: OracleConfig | None = None) -> int:
+def perturbed_count(st: SymbolTuple, cfg: OracleConfig | None = None,
+                    *, seed: int = 0) -> int:
     """Zeros of an ε-perturbed copy strictly inside the bidisc, majority-voted
-    across independent perturbation trials."""
-    return perturbed_count_details(st, cfg)["count"]
+    across independent perturbation trials drawn from ``seed``."""
+    return perturbed_count_details(st, cfg, seed=seed)["count"]
 
 
 def fourier_winding(coeffs: Mapping[int, complex], npts: int) -> int | None:

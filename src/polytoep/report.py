@@ -12,7 +12,7 @@ zeros, per-trial counts, every certificate attempt).
 Reports are deterministic: the ``body`` sub-object is byte-identical across
 runs with the same configuration; wall-clock timings live outside it.  The
 cache stores whole reports keyed by a content hash of the canonicalized
-input, all numeric parameters, and the package version, written atomically.
+input, ``body["config"]`` and the package version, written atomically.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .certify import (
@@ -54,23 +54,19 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class JobConfig:
+    """The parameters of an index job; ``run_index`` reads every field."""
     input: Union[str, Path, dict, SymbolTuple]
-    command: str = "index"
     n_range: Optional[Tuple[int, int]] = None      # inclusive endpoints
     rank_tolerance: float = 1e-8
     oracle: OracleConfig = field(default_factory=OracleConfig)
     r_schedule: Tuple[float, ...] = DEFAULT_R_SCHEDULE
     target_mesh: Optional[float] = None
     cache_dir: Optional[Union[str, Path]] = None
-    seed: int = 0
-    lam: Optional[Tuple[complex, ...]] = None      # spectrum queries
-    r: float = 0.9                                 # spectrum clouds
-    resolution: int = 24
+    seed: int = 0                                  # algebraic route and oracle
 
     def __post_init__(self):
-        if self.command not in ("index", "spectrum", "certify", "koszul-dims",
-                                "tensor"):
-            raise ValueError(f"unknown command {self.command!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.rank_tolerance <= 0:
             raise ValueError("rank tolerance must be positive")
         if self.n_range is not None:
@@ -137,15 +133,8 @@ def _config_json(cfg: JobConfig) -> dict:
 
 
 def cache_key(cfg: JobConfig, st: SymbolTuple) -> str:
-    payload = {
-        "input": json.loads(canonical_tuple_json(st)),
-        "command": cfg.command,
-        **_config_json(cfg),
-        "lam": [[z.real, z.imag] for z in cfg.lam] if cfg.lam else None,
-        "r": cfg.r,
-        "resolution": cfg.resolution,
-        "version": __version__,
-    }
+    payload = {"input": json.loads(canonical_tuple_json(st)),
+               "config": _config_json(cfg), "version": __version__}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -233,7 +222,8 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
 def _run_oracle(st: SymbolTuple, cfg: JobConfig,
                 cert: BoundaryCertificate) -> dict:
     eps = _oracle_epsilon(st, cert.c, cfg.oracle.epsilon)
-    detail = perturbed_count_details(st, replace(cfg.oracle, epsilon=eps))
+    detail = perturbed_count_details(st, replace(cfg.oracle, epsilon=eps),
+                                     seed=cfg.seed)
     detail["index"] = -detail["count"]
     return detail
 
@@ -418,17 +408,19 @@ def _finish(body: dict, timings: dict, t_start: float, key: str,
 # ---- spectrum ------------------------------------------------------------------
 
 
-def run_spectrum(cfg: JobConfig) -> Union[dict, str]:
-    """Membership query (when λ given) as a report dict, or a deterministic
-    CSV cloud of symbol values over the outer region."""
+def run_spectrum(cfg: JobConfig, lam: Optional[Sequence[complex]] = None, *,
+                 r: float = 0.9, resolution: int = 24) -> Union[dict, str]:
+    """Membership of ``lam`` (one number per symbol) in the essential spectrum
+    of ``cfg.input`` as a report (``body`` and ``timings``), tried at the
+    radii of ``cfg.r_schedule``; without ``lam``, a deterministic CSV cloud of
+    symbol values outside radius ``r``.  It reads no other field of ``cfg``
+    and caches nothing."""
     st = load_tuple(cfg.input)
-    key = cache_key(cfg, st)
-    if cfg.lam is not None:
-        if len(cfg.lam) != len(st):
+    if lam is not None:
+        if len(lam) != len(st):
             raise ValueError(f"lambda needs {len(st)} components")
         t0 = time.perf_counter()
-        q = essential_spectrum_membership(st, cfg.lam, cfg.r_schedule,
-                                          cfg.resolution)
+        q = essential_spectrum_membership(st, lam, cfg.r_schedule, resolution)
         body = {
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
@@ -438,11 +430,10 @@ def run_spectrum(cfg: JobConfig) -> Union[dict, str]:
             "resolution": q.resolution,
             "verdict": q.verdict,
             "distance_estimate": f"{q.distance_estimate:.17g}",
-            "config": {"r_schedule": list(cfg.r_schedule), "seed": cfg.seed},
+            "config": {"r_schedule": list(cfg.r_schedule)},
         }
-        return {"body": body, "timings": {"total": time.perf_counter() - t0},
-                "cache": {"key": key, "hit": False}}
-    vals = essential_spectrum_cloud(st, cfg.r, cfg.resolution)
+        return {"body": body, "timings": {"total": time.perf_counter() - t0}}
+    vals = essential_spectrum_cloud(st, r, resolution)
     k = vals.shape[1]
     header = ",".join(f"re{i+1},im{i+1}" for i in range(k))
     lines = [header]

@@ -41,11 +41,9 @@ from .exact import EXACT_ZERO, ExactComplex
 from .poly import (
     ModeMismatchError,
     MultiPoly,
-    NotEliminableError,
     SymbolTuple,
     divexact,
     gcd_bivariate,
-    resultant,
     symbols,
 )
 
@@ -101,21 +99,15 @@ def _require_pair(st: SymbolTuple) -> Tuple[MultiPoly, MultiPoly]:
 
 def zero_dimensionality(st: SymbolTuple) -> ZeroDimensionality:
     """Classify the common zero set: finite, a curve (common factor), or
-    degenerate (a zero symbol).  Uses both elimination resultants; either
-    vanishing identically forces a common factor of positive degree."""
+    degenerate (a zero symbol).  Two coprime polynomials in C[z₁, z₂] have
+    finitely many common zeros (Bézout), so the set is infinite exactly when
+    the gcd is nonconstant."""
     p, q = _require_pair(st)
     if p.is_zero() or q.is_zero():
         return ZeroDimensionality("degenerate")
-    for var in (0, 1):
-        try:
-            r = resultant(p, q, eliminate=var)
-        except NotEliminableError:
-            continue
-        if r.is_zero():
-            g = gcd_bivariate(p, q)
-            if g.degree() == 0:
-                raise AssertionError("vanishing resultant with trivial gcd")
-            return ZeroDimensionality("common_factor", g)
+    g = gcd_bivariate(p, q)
+    if g.degree() > 0:
+        return ZeroDimensionality("common_factor", g)
     return ZeroDimensionality("zero_dimensional")
 
 
@@ -213,6 +205,8 @@ def quotient_basis(st: SymbolTuple):
                 f"(budget {_WINDOW_COL_BUDGET}); degrees too large")
         _echelon(_shift_rows(terms, built, M), pivots)
         built = M
+        if _key((0, 0)) in pivots:          # 1 lies in the ideal: no zeros
+            return [], [], []
         ns = [(e0, s - e0) for s in range(K + 1) for e0 in range(s, -1, -1)
               if _key((e0, s - e0)) not in pivots]
         if ns and sum(ns[-1]) == K:         # ns runs by degree
@@ -225,7 +219,8 @@ def quotient_basis(st: SymbolTuple):
             return ns, _dense(mats[0]), _dense(mats[1])
         prev_ns = ns
         M += 2
-    raise RuntimeError(f"quotient basis did not stabilize for {st}")
+    raise RuntimeError(f"quotient basis used up its budget of {_MAX_ROUNDS} "
+                       f"rounds (last cofactor window M = {built}) for {st}")
 
 
 def _mult_matrices(ns, pivots):

@@ -1,12 +1,17 @@
 """Report pipeline, cache behavior, and exit codes through the CLI."""
 import json
 import logging
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polytoep
+from polytoep.cli import main
 from polytoep.koszul import build_koszul, dump_matrices
+from polytoep.oracle import OracleConfig
 from polytoep.poly import exact_poly, symbols, tuple_to_json
 from polytoep.report import JobConfig, cache_key, load_tuple, run_index, run_spectrum
 
@@ -113,26 +118,35 @@ def test_cache_key_canonicalization(shift_pair, z1, z2, monkeypatch):
     assert cache_key(JobConfig(input=shift_pair), shift_pair) != \
         cache_key(JobConfig(input=shift_pair, seed=1), shift_pair)
     assert cache_key(JobConfig(input=shift_pair), shift_pair) != \
-        cache_key(JobConfig(input=shift_pair, command="spectrum"), shift_pair)
+        cache_key(JobConfig(input=shift_pair, oracle=OracleConfig(trials=7)), shift_pair)
     # reports from older code are never served: the key carries the version
     key = cache_key(JobConfig(input=shift_pair), shift_pair)
     monkeypatch.setattr("polytoep.report.__version__", "0.0.0")
     assert cache_key(JobConfig(input=shift_pair), shift_pair) != key
 
 
+def test_version_matches_pyproject():
+    # cache keys carry __version__, so it must move with the package version
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == polytoep.__version__
+
+
 def test_spectrum_membership_and_cloud(shift_pair):
-    rep = run_spectrum(JobConfig(input=shift_pair, command="spectrum", lam=(0, 0)))
+    rep = run_spectrum(JobConfig(input=shift_pair), (0, 0))
     assert rep["body"]["verdict"] == "outside"
     assert float(rep["body"]["distance_estimate"]) > 0.1
-    csv1 = run_spectrum(JobConfig(input=shift_pair, command="spectrum", resolution=6))
-    csv2 = run_spectrum(JobConfig(input=shift_pair, command="spectrum", resolution=6))
+    assert set(rep) == {"body", "timings"}
+    assert rep["body"]["config"] == {"r_schedule": [0.5, 0.75, 0.9]}
+    csv1 = run_spectrum(JobConfig(input=shift_pair), resolution=6)
+    csv2 = run_spectrum(JobConfig(input=shift_pair), resolution=6)
     assert csv1 == csv2
     assert csv1.splitlines()[0] == "re1,im1,re2,im2"
 
 
 def test_job_config_validation(shift_pair):
-    with pytest.raises(ValueError):
-        JobConfig(input=shift_pair, command="bogus")
+    for seed in ("abc", 2.5, -1, True):
+        with pytest.raises(ValueError, match="seed"):
+            JobConfig(input=shift_pair, seed=seed)
     with pytest.raises(ValueError):
         JobConfig(input=shift_pair, r_schedule=(0.5, 1.5))
     with pytest.raises(ValueError):
@@ -254,6 +268,7 @@ def test_cli_config_values_of_the_wrong_type(inputs, tmp_path):
     for command, content in (("index", {"rank_tolerance": "tight"}),
                              ("index", {"r_schedule": 0.5}),
                              ("index", {"oracle": [5]}),
+                             ("index", {"seed": "abc"}),
                              ("spectrum", {"lambda": [0, 0]})):
         cfg.write_text(json.dumps(content))
         code, _, err = cli(command, "--input", inputs["shifts"], "--config", str(cfg))
@@ -282,3 +297,37 @@ def test_cli_config_file_merge(inputs, tmp_path):
     code, out, _ = cli("index", "--input", inputs["shifts"],
                        "--config", str(cfg), "--seed", "4")
     assert json.loads(out)["body"]["config"]["seed"] == 4
+
+
+# flags that a subcommand does not read (the parameter table leaves them out)
+IGNORED_FLAGS = [
+    "index --r 0.7",
+    *[f"spectrum {f}" for f in ("--n-range 2..6", "--rank-tol 1e-8", "--mesh 0.05",
+                                "--seed 1", "--cache c", "--dump-matrices")],
+    *[f"certify {f}" for f in ("--n-range 2..6", "--rank-tol 1e-8", "--seed 1",
+                               "--cache c", "--dump-matrices")],
+    *[f"koszul-dims {f}" for f in ("--r 0.7", "--mesh 0.05", "--seed 1", "--cache c")],
+    *[f"tensor {f}" for f in ("--config c.json", "--n-range 2..6", "--rank-tol 1e-8",
+                              "--r 0.7", "--mesh 0.05", "--seed 1", "--cache c",
+                              "--dump-matrices")],
+]
+
+
+@pytest.mark.parametrize("args", IGNORED_FLAGS)
+def test_cli_rejects_flags_a_subcommand_does_not_read(args, capsys):
+    command, *flag = args.split()
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--input", "t.json", *flag])
+    assert exit_.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content", [("certify", {"n_range": [2, 3]}),
+                                              ("index", {"bogus": 1})])
+def test_cli_rejects_config_keys_a_subcommand_does_not_read(command, content,
+                                                            inputs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code, _, err = cli(command, "--input", inputs["shifts"], "--config", str(cfg))
+    assert_clean_error(code, err)
+    assert next(iter(content)) in err

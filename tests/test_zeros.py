@@ -10,6 +10,7 @@ from polytoep import zeros
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.koszul import MonomialWindow
 from polytoep.poly import exact_poly, symbols
+from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
     algebraic_index,
     common_zeros,
@@ -55,6 +56,25 @@ def reference_quotient_basis(st):
         prev_ns = ns
         M += 2
     raise RuntimeError("did not stabilize")
+
+
+def reference_unit_in_ideal(st):
+    """Whether 1 is a combination of the shift rows z^γ·fᵢ of some cofactor
+    window [0, M]² within the column budget, by the reference elimination:
+    the constant monomial, last in descending graded-lex order, is then a
+    pivot column."""
+    for M in range(2, 64):
+        win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
+        if win.dim > zeros._WINDOW_COL_BUDGET:
+            return False
+        order = list(reversed(win.basis))
+        assert order[-1] == (0, 0)
+        col_of = {e: i for i, e in enumerate(order)}
+        rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in f.terms.items()}
+                for f in st.symbols for g in MonomialWindow(2, M).basis]
+        if len(order) - 1 in _reference_echelon(rows):
+            return True
+    return False
 
 
 def _reference_echelon(rows):
@@ -124,6 +144,12 @@ def mixed_pair():
                    p2({(0, 1): 1, (1, 0): "11/60", (2, 0): "-1/3", (0, 0): "3/8"}))
 
 
+def unit_pair():
+    # 1 lies in the ideal of this pair, so it has no common zero at all
+    return symbols(2, p2({(2, 0): "-3/4"}),
+                   p2({(0, 0): "1/2", (1, 2): "3/4", (2, 0): "-7/4"}))
+
+
 def reference_pairs(quarter_pair):
     return [quarter_pair,
             symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1})),
@@ -178,12 +204,25 @@ def test_quotient_basis_matches_reference(quarter_pair):
         for pair in (st, rotated(st)):
             assert quotient_basis(pair) == reference_quotient_basis(pair)
     # no common zero, but the unit's cofactors outgrow every window, so K
-    # rises each round and both give up alike
-    gives_up = symbols(2, p2({(2, 0): "-3/4"}),
-                       p2({(0, 0): "1/2", (1, 2): "3/4", (2, 0): "-7/4"}))
-    for solve in (quotient_basis, reference_quotient_basis):
-        with pytest.raises(RuntimeError):
-            solve(gives_up)
+    # rises each round: the reference gives up, while the unit pivot ends
+    # quotient_basis with dimension 0
+    with pytest.raises(RuntimeError):
+        reference_quotient_basis(unit_pair())
+    assert reference_unit_in_ideal(unit_pair())
+    assert quotient_basis(unit_pair()) == ([], [], [])
+
+
+def test_unit_in_the_ideal_agrees_on_index_zero():
+    body = run_index(JobConfig(input=unit_pair()))["body"]
+    assert body["verdict"] == {"kind": "agree", "index": 0,
+                               "routes": ["algebraic", "koszul", "oracle"]}
+    assert body["routes"]["algebraic"]["quotient_dim"] == 0
+
+
+def test_round_budget_is_named(monkeypatch):
+    monkeypatch.setattr(zeros, "_MAX_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="budget of 1 rounds"):
+        quotient_basis(symbols(2, p2({(2, 0): 1, (0, 0): "-1/4"}), p2({(0, 1): 1})))
 
 
 def test_real_pairs_eliminate_over_fractions(quarter_pair, echelon_calls):
@@ -231,8 +270,12 @@ def test_quotient_basis_matches_reference_on_random_pairs(st):
     try:
         ref = reference_quotient_basis(st)
     except (RuntimeError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            quotient_basis(st)
+        try:
+            got = quotient_basis(st)
+        except type(exc):
+            return
+        # the unit pivot settles pairs the reference gives up on
+        assert got == ([], [], []) and reference_unit_in_ideal(st)
         return
     assert quotient_basis(st) == ref
 
