@@ -44,8 +44,10 @@ min_sample − lipschitz·mesh = c with the global constant, so the classical
 sampled-grid reading of the certificate remains exactly valid.
 
 Failed certificates carry an explicit witness: a region point whose value is
-below the failure threshold, polished by Nelder–Mead from the best center
-seen (closure membership enforced by radial projection).
+below the failure threshold, found by a damped Gauss–Newton search on the
+symbols from the best center seen (each step is the minimum-norm solution of
+J·s = −f for the complex Jacobian, halved until Σ|fᵢ|² decreases at the
+radially projected point; see ``_witness_search``).
 """
 from __future__ import annotations
 
@@ -54,13 +56,15 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .kernels import PackedTuple, pack_tuple, sumsq_block, values_block
+from .kernels import (PackedTuple, pack_partials, pack_tuple, sumsq_block,
+                      values_block)
 from .poly import (SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
 
 WITNESS_THRESHOLD = 1e-3
+WITNESS_STEPS = 50               # Gauss–Newton steps per witness search
+WITNESS_HALVINGS = 60            # step lengths tried per Gauss–Newton step
 DISTANCE_TOLERANCE = 1e-3
 DEFAULT_R_SCHEDULE = (0.5, 0.75, 0.9)
 CELL_BUDGET = 6_000_000          # centers evaluated per certification attempt
@@ -209,10 +213,15 @@ def _cell_bounds(pk_abs: PackedTuple, gmat: np.ndarray, gamma: float,
     return np.sum(low * low, axis=1) * (1 - _gamma(low.shape[1] + 2))
 
 
-def _project_region(x: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -> np.ndarray:
-    """Radially project a point (stacked re/im pairs) into the closest face."""
-    nv = len(faces[0])
-    z = x[0::2] + 1j * x[1::2]
+def _boundary_faces(nvars: int, r: float) -> List[List[Tuple[float, float]]]:
+    """The n faces covering closure(𝔻ⁿ ∖ 𝔻ᵣⁿ): face j has |z_j| in [r, 1]
+    and every other coordinate in the closed disc."""
+    return [[(r, 1.0) if v == j else (0.0, 1.0) for v in range(nvars)]
+            for j in range(nvars)]
+
+
+def _project_region(z: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -> np.ndarray:
+    """Radially project a point into the closest face."""
     best = None
     best_move = None
     for face in faces:
@@ -230,28 +239,46 @@ def _project_region(x: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -
                 move += abs(tgt - rad)
         if best is None or move < best_move:
             best, best_move = w, move
-    out = np.empty_like(x)
-    out[0::2] = best.real
-    out[1::2] = best.imag
-    return out
+    return best
 
 
-def _polish_witness(pk: PackedTuple, start: np.ndarray,
+def _witness_search(st: SymbolTuple, pk: PackedTuple, start: np.ndarray,
                     faces: List[Sequence[Tuple[float, float]]]) -> Tuple[np.ndarray, float]:
-    """Deterministic Nelder–Mead descent of Σ|fᵢ|² inside the region closure."""
+    """Damped Gauss–Newton descent of Σ|fᵢ|² inside the region closure.
 
-    def objective(x):
-        y = _project_region(x, faces)
-        return float(sumsq_block(pk, y.view(np.complex128).reshape(1, -1))[0])
-
-    x0 = np.empty(2 * pk.nvars)
-    x0[0::2] = start.real
-    x0[1::2] = start.imag
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 2000})
-    y = _project_region(res.x, faces)
-    val = float(sumsq_block(pk, y.view(np.complex128).reshape(1, -1))[0])
-    return y.view(np.complex128).copy(), val
+    The step is the minimum-norm solution of J·s = −f, with J the complex
+    p × n Jacobian ∂fᵢ/∂z_v.  The fᵢ are holomorphic, so this is the
+    Gauss–Newton step for Σ|fᵢ|² in the real coordinates; the minimum norm
+    covers p ≠ n and a rank-deficient J (on a shared-factor curve).  The step
+    is halved until the value at the radially projected point decreases.  The
+    search stops at value 0, after WITNESS_STEPS steps, or when no step
+    length lowers the value: the halved step no longer moves the point,
+    before or after projection, or WITNESS_HALVINGS lengths were tried (the
+    projection is not bitwise idempotent, so on a face it can move a point
+    by an ulp without lowering the value).  Same start, same witness.
+    """
+    partials = pack_partials(st)
+    z = _project_region(start, faces)
+    f = values_block(pk, z[None, :])[0]
+    val = float(np.sum(f.real ** 2 + f.imag ** 2))
+    for _ in range(WITNESS_STEPS):
+        if val == 0.0:
+            break
+        jac = values_block(partials, z[None, :])[0].reshape(pk.npolys, pk.nvars)
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        for k in range(WITNESS_HALVINGS):
+            moved = z + 0.5 ** k * step
+            trial = _project_region(moved, faces)
+            if np.array_equal(moved, z) or np.array_equal(trial, z):
+                return z, val
+            ft = values_block(pk, trial[None, :])[0]
+            vt = float(np.sum(ft.real ** 2 + ft.imag ** 2))
+            if vt < val:
+                z, f, val = trial, ft, vt
+                break
+        else:
+            return z, val
+    return z, val
 
 
 def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
@@ -276,7 +303,7 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
     stuck_best: Optional[Tuple[float, np.ndarray]] = None
 
     def witness_result(pt0: np.ndarray) -> Optional[BoundaryCertificate]:
-        w, val = _polish_witness(pk, pt0, faces)
+        w, val = _witness_search(st, pk, pt0, faces)
         if val < WITNESS_THRESHOLD:
             return BoundaryCertificate(
                 r=r_label, c=0.0, mesh=float(min(mesh_finest, target_mesh)),
@@ -367,12 +394,9 @@ def boundary_lower_bound(st: SymbolTuple, r: float,
     """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ)."""
     if not 0 < r < 1:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    nv = st.nvars
-    mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[nv]
-    faces = []
-    for j in range(nv):
-        faces.append([(r, 1.0) if v == j else (0.0, 1.0) for v in range(nv)])
-    return _certify_region(st, faces, r, "boundary", mesh, cell_budget=cell_budget)
+    mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[st.nvars]
+    return _certify_region(st, _boundary_faces(st.nvars, r), r, "boundary", mesh,
+                           cell_budget=cell_budget)
 
 
 def as_condition_check(st: SymbolTuple, s: float,
@@ -448,9 +472,7 @@ def essential_spectrum_membership(st: SymbolTuple, lam: Sequence[complex],
         pts = _region_grid(st.nvars, r, resolution)
         vals = sumsq_block(pk, pts)
         i = int(np.argmin(vals))
-        faces = [[(r, 1.0) if v == j else (0.0, 1.0) for v in range(st.nvars)]
-                 for j in range(st.nvars)]
-        _, val = _polish_witness(pk, pts[i], faces)
+        _, val = _witness_search(shifted, pk, pts[i], _boundary_faces(st.nvars, r))
         best = math.sqrt(min(float(vals[i]), val))
         worst = max(worst, best)
         if best >= DISTANCE_TOLERANCE:

@@ -63,6 +63,13 @@ def pack_tuple(st: SymbolTuple) -> PackedTuple:
     )
 
 
+def pack_partials(st: SymbolTuple) -> PackedTuple:
+    """Pack the partials ∂fᵢ/∂z_v in the order (f₁/z₁, f₁/z₂, …, f₂/z₁, …),
+    so one ``values_block`` row reshapes to the p × n Jacobian."""
+    n = st.nvars
+    return pack_tuple(SymbolTuple(tuple(s.diff(v) for s in st.symbols for v in range(n)), n))
+
+
 def _poly_values(pk: PackedTuple, points: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the values of f_1, f_2, … in turn at a block of points, shape
     (npts, nvars) complex."""

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .exact import ExactComplex
-from .kernels import pack_tuple, values_block
+from .kernels import pack_partials, values_block
 from .poly import (
     MultiPoly,
     NotEliminableError,
@@ -138,8 +138,7 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
         for j in range(i + 1, len(pts)):
             if np.max(np.abs(pts[i] - pts[j])) < _DUPLICATE_TOL:
                 return None   # perturbation failed to split a zero
-    partials = symbols(2, *(f.diff(v) for f in (p, q) for v in (0, 1)))
-    jac = values_block(pack_tuple(partials), pts)   # ∂₁p, ∂₂p, ∂₁q, ∂₂q
+    jac = values_block(pack_partials(symbols(2, p, q)), pts)   # ∂₁p, ∂₂p, ∂₁q, ∂₂q
     det = jac[:, 0] * jac[:, 3] - jac[:, 1] * jac[:, 2]
     if np.any(np.abs(det) < 1e-10):
         return None   # a zero failed to split into simple ones

@@ -1,7 +1,13 @@
 """Certified region bounds, witnesses, and essential-spectrum queries."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import polytoep
+from polytoep import certify
 from polytoep.certify import (
     WITNESS_THRESHOLD,
     as_condition_check,
@@ -83,6 +89,82 @@ def test_repeated_symbol_fails_with_witness(repeated_pair):
     assert cert.witness_value < WITNESS_THRESHOLD
     w = np.array(cert.witness)
     assert np.max(np.abs(w)) <= 1.0 + 1e-9 and np.max(np.abs(w)) >= 0.5 - 1e-9
+
+
+def lin(a, b, c):
+    """a·z1 + b·z2 + c."""
+    return p2({(1, 0): a, (0, 1): b, (0, 0): c})
+
+
+WITNESS_CASES = {
+    # the zero (-7/20, 11/20); a search without derivatives stalls at 5.1e-5
+    "stalled product": (symbols(2, lin(1, 0, "7/20"),
+                                p2({(0, 2): 1, (0, 1): "-9/10", (0, 0): "91/1200",
+                                    (1, 0): "-1/3"})), 0.5),
+    # (z1 - u) - 3/2 (z2 - v) and (z1 - u)(z2 + 2) + 1/2 (z2 - v): one common
+    # zero in the closed bidisc, on the torus at u = (3+4i)/5, v = (5-12i)/13
+    "torus pair": (symbols(
+        2, lin(1, "-3/2", ("-3/5", "-4/5")) + p2({(0, 0): ("15/26", "-18/13")}),
+        lin(1, 0, ("-3/5", "-4/5")) * lin(0, 1, 2)
+        + lin(0, "1/2", ("-5/26", "6/13"))), 0.5),
+    # J has rank 1 on the curve z1 = 3/5
+    "shared factor": (symbols(2, lin(1, 0, "-3/5") * lin(0, 1, 2),
+                              lin(1, 0, "-3/5") * lin(0, 1, -3)), 0.5),
+    "p > n": (symbols(2, lin(1, 0, "-3/5"), lin(0, 1, "-4/5"),
+                      lin(1, 0, "-3/5") * lin(0, 1, 1)), 0.75),
+    "p < n": (symbols(2, lin(1, -1, 0)), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESS_CASES))
+def test_witness_lands_on_a_zero(case):
+    # a common zero in the closure of the region: value at most 1e-24,
+    # r <= max|w_v| and |w_v| <= 1; the same witness on a second call
+    st, r = WITNESS_CASES[case]
+    cert = boundary_lower_bound(st, r)
+    assert cert.verdict == "failed"
+    w = np.array(cert.witness)
+    assert cert.witness_value <= 1e-24
+    assert sumsq_block(pack_tuple(st), w[None, :])[0] <= 1e-24
+    assert np.max(np.abs(w)) >= r and np.all(np.abs(w) <= 1.0)
+    again = boundary_lower_bound(st, r)
+    assert np.array_equal(np.array(again.witness), w)
+    assert again.witness_value == cert.witness_value
+
+
+def test_witness_search_ends_on_a_face(monkeypatch):
+    # zero at 65/64·((3+4i)/5, (5+12i)/13), just outside the closed bidisc:
+    # the search ends on the torus at the region's minimum 2·(1/64)², where a
+    # projected step moves the point by an ulp without lowering the value
+    u, v = (3 + 4j) / 5, (5 + 12j) / 13
+    st = symbols(2, lin(1, 0, ("-39/64", "-13/16")), lin(0, 1, ("-325/832", "-195/208")))
+    limit = 1 + certify.WITNESS_STEPS * (1 + certify.WITNESS_HALVINGS)
+    calls = []
+
+    def counted(pk, pts):
+        calls.append(1)
+        if len(calls) > limit:
+            raise RuntimeError("witness search did not stop")
+        return values_block(pk, pts)
+
+    monkeypatch.setattr(certify, "values_block", counted)
+    start = np.array([-0.8 - 0.6j, -1.0])        # on the |z1| = 1 face
+    w, val = certify._witness_search(st, pack_tuple(st), start,
+                                     certify._boundary_faces(2, 0.5))
+    assert abs(val - 2 / 64 ** 2) <= 1e-15
+    assert np.max(np.abs(w - [u, v])) <= 1e-9
+    assert np.all(np.abs(w) <= 1.0 + 1e-15)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the witness search needs no optimizer; importing one costs set-up time
+    code = "import sys, polytoep.report; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(polytoep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_quarter_pair_radius_sensitivity(quarter_pair):
