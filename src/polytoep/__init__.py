@@ -3,18 +3,16 @@ Hardy spaces: certified boundary criteria, three independent index routes
 (operator-theoretic, algebraic zero counting, perturbation/degree oracle),
 product-formula shortcuts, and essential-spectrum sampling."""
 
-__version__ = "0.5.2"
+__version__ = "0.5.3"
 
 from .certify import (
     BoundaryCertificate,
-    as_condition_check,
     boundary_lower_bound,
     essential_spectrum_cloud,
     essential_spectrum_membership,
-    polydisc_lower_bound,
 )
 from .koszul import koszul_route, range_sum_check
-from .oracle import OracleConfig, perturbed_count, univariate_index, winding_number
+from .oracle import OracleConfig, perturbed_count
 from .poly import (
     MultiPoly,
     NotEliminableError,
@@ -38,7 +36,6 @@ __all__ = [
     "SymbolTuple",
     "TrigPoly",
     "algebraic_index",
-    "as_condition_check",
     "boundary_lower_bound",
     "common_zeros",
     "disc_tuple_index",
@@ -49,7 +46,6 @@ __all__ = [
     "gcd_reduce",
     "koszul_route",
     "perturbed_count",
-    "polydisc_lower_bound",
     "range_sum_check",
     "run_index",
     "run_spectrum",
@@ -57,7 +53,5 @@ __all__ = [
     "tensor_tuple_index",
     "tuple_from_json",
     "tuple_to_json",
-    "univariate_index",
-    "winding_number",
     "__version__",
 ]

@@ -2,9 +2,10 @@
 
 The region for the Fredholm criterion is the closure of 𝕌ᵣⁿ = 𝔻ⁿ ∖ 𝔻ᵣⁿ,
 covered by the n faces on which one coordinate has modulus in [r, 1] and the
-others range over the whole closed disc.  Two variants share the machinery:
-the closed annulus s ≤ |z| ≤ 1 for tuples of one-variable symbols, and the
-full closed polydisc (zero-freeness checks for factored-out divisors).
+others range over the whole closed disc.  Its degenerate cases need no code
+of their own: in one variable the region is the annulus r ≤ |z| ≤ 1, and at
+r = 0 the faces coincide in the closed polydisc (the zero-freeness check for
+a factored-out divisor), which is then covered once.
 
 Certification is by adaptive subdivision.  Each cell is a product of polar
 rectangles with per-variable covering radii δ_v (hypot of the radial and
@@ -76,14 +77,13 @@ _DEFAULT_MESH = {1: 0.05, 2: 0.15, 3: 0.5}
 
 @dataclass(frozen=True)
 class BoundaryCertificate:
-    """Outcome of one certified lower-bound attempt on one region."""
+    """Outcome of one certified lower-bound attempt on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ)."""
 
-    r: float
+    r: float                      # inner radius; 0 is the closed polydisc
     c: float                      # certified lower bound (0.0 unless certified)
     mesh: float                   # finest covering radius used
     lipschitz: float
     verdict: str                  # certified | failed | inconclusive
-    region: str                   # boundary | annulus | polydisc
     min_sample: float             # smallest center value seen
     min_point: tuple              # where it was seen
     witness: Optional[tuple] = None
@@ -215,7 +215,10 @@ def _cell_bounds(pk_abs: PackedTuple, gmat: np.ndarray, gamma: float,
 
 def _boundary_faces(nvars: int, r: float) -> List[List[Tuple[float, float]]]:
     """The n faces covering closure(𝔻ⁿ ∖ 𝔻ᵣⁿ): face j has |z_j| in [r, 1]
-    and every other coordinate in the closed disc."""
+    and every other coordinate in the closed disc.  At r = 0 they are all
+    the closed polydisc, returned once."""
+    if r == 0:
+        return [[(0.0, 1.0)] * nvars]
     return [[(r, 1.0) if v == j else (0.0, 1.0) for v in range(nvars)]
             for j in range(nvars)]
 
@@ -281,9 +284,9 @@ def _witness_search(st: SymbolTuple, pk: PackedTuple, start: np.ndarray,
     return z, val
 
 
-def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
-                    r_label: float, region: str, target_mesh: float,
-                    cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
+def _certify_region(st: SymbolTuple, r: float, target_mesh: float,
+                    cell_budget: int) -> BoundaryCertificate:
+    faces = _boundary_faces(st.nvars, r)
     pk = pack_tuple(st)
     pk_abs = replace(pk, cre=np.hypot(pk.cre, pk.cim), cim=np.zeros_like(pk.cim))
     terms = int(np.max(np.diff(pk.offs)))
@@ -306,8 +309,8 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
         w, val = _witness_search(st, pk, pt0, faces)
         if val < WITNESS_THRESHOLD:
             return BoundaryCertificate(
-                r=r_label, c=0.0, mesh=float(min(mesh_finest, target_mesh)),
-                lipschitz=lip, verdict="failed", region=region,
+                r=r, c=0.0, mesh=float(min(mesh_finest, target_mesh)),
+                lipschitz=lip, verdict="failed",
                 min_sample=float(min(min_val, val)),
                 min_point=tuple(w.tolist()), witness=tuple(w.tolist()),
                 witness_value=val, cells_evaluated=evaluated,
@@ -358,8 +361,8 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
         # effective uniform step: min_sample - lipschitz * mesh == c exactly
         mesh_eff = (min_val - c_min) / lip if lip > 0 else float(mesh_finest)
         return BoundaryCertificate(
-            r=r_label, c=float(c_min), mesh=float(mesh_eff), lipschitz=lip,
-            verdict="certified", region=region, min_sample=float(min_val),
+            r=r, c=float(c_min), mesh=float(mesh_eff), lipschitz=lip,
+            verdict="certified", min_sample=float(min_val),
             min_point=_pt(min_pt), cells_evaluated=evaluated,
             split_depth=split_depth)
     # could not prune everything: hunt for a witness from the best center
@@ -372,8 +375,8 @@ def _certify_region(st: SymbolTuple, faces: List[Sequence[Tuple[float, float]]],
         if got is not None:
             return got
     return BoundaryCertificate(
-        r=r_label, c=0.0, mesh=float(min(mesh_finest, delta_floor)), lipschitz=lip,
-        verdict="inconclusive", region=region, min_sample=float(min_val),
+        r=r, c=0.0, mesh=float(min(mesh_finest, delta_floor)), lipschitz=lip,
+        verdict="inconclusive", min_sample=float(min_val),
         min_point=_pt(min_pt), cells_evaluated=evaluated,
         budget_hit=budget_hit, split_depth=split_depth)
 
@@ -391,34 +394,13 @@ def _pt(z) -> tuple:
 def boundary_lower_bound(st: SymbolTuple, r: float,
                          target_mesh: Optional[float] = None,
                          cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
-    """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ)."""
-    if not 0 < r < 1:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ),
+    0 ≤ r < 1: the closed polydisc at r = 0, the annulus r ≤ |z| ≤ 1 in one
+    variable."""
+    if not 0 <= r < 1:
+        raise ValueError(f"r must lie in [0, 1), got {r}")
     mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[st.nvars]
-    return _certify_region(st, _boundary_faces(st.nvars, r), r, "boundary", mesh,
-                           cell_budget=cell_budget)
-
-
-def as_condition_check(st: SymbolTuple, s: float,
-                       target_mesh: Optional[float] = None) -> BoundaryCertificate:
-    """Annulus condition for tuples of one-variable symbols: a certified
-    positive lower bound of Σ|fᵢ|² on s ≤ |z| ≤ 1."""
-    if st.nvars != 1:
-        raise ValueError("annulus condition applies to one-variable symbol tuples")
-    if not 0 <= s < 1:
-        raise ValueError(f"s must lie in [0, 1), got {s}")
-    mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[1]
-    return _certify_region(st, [[(s, 1.0)]], s, "annulus", mesh)
-
-
-def polydisc_lower_bound(st: SymbolTuple,
-                         target_mesh: Optional[float] = None) -> BoundaryCertificate:
-    """Certified positive lower bound of Σ|fᵢ|² on the whole closed polydisc
-    (used to verify factored-out divisors are zero-free)."""
-    nv = st.nvars
-    mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[nv]
-    faces = [[(0.0, 1.0) for _ in range(nv)]]
-    return _certify_region(st, faces, 0.0, "polydisc", mesh)
+    return _certify_region(st, r, mesh, cell_budget)
 
 
 # ---- essential spectrum ----------------------------------------------------------
@@ -431,7 +413,7 @@ def shifted_tuple(st: SymbolTuple, lam: Sequence[complex]) -> SymbolTuple:
     stf = st.to_float()
     shifted = tuple(s - constant(st.nvars, complex(l), "float")
                     for s, l in zip(stf.symbols, lam))
-    return SymbolTuple(shifted, st.nvars, st.assignment)
+    return SymbolTuple(shifted, st.nvars)
 
 
 def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .certify import as_condition_check, boundary_lower_bound
+from .certify import boundary_lower_bound
 from .koszul import build_koszul, dump_matrices, koszul_route
 from .oracle import OracleConfig
 from .report import (JobConfig, _cert_json, _koszul_json, _resolved_n_range,
@@ -92,7 +92,8 @@ COMMANDS = {
                  _p("--emit", choices=("json", "csv"),
                     help="output format (default csv for a cloud, json for a query)")),
     "certify": (_INPUT, _CONFIG, _MESH, _R_SCHEDULE,
-                _p("--r", type=float, help="inner radius (default: the first scheduled one)")),
+                _p("--r", type=float, help="inner radius in [0, 1); 0 is the closed "
+                   "polydisc (default: the first scheduled one)")),
     "koszul-dims": (_INPUT, _CONFIG, _N_RANGE, _RANK_TOL, _DUMP),
     "tensor": (_INPUT,),
 }
@@ -197,12 +198,9 @@ def main(argv=None) -> int:
             return 0
 
         if command == "certify":
-            st = load_tuple(cfg.input)
-            r = values.get("r", cfg.r_schedule[0])
-            if st.nvars == 1:
-                cert = as_condition_check(st, r, cfg.target_mesh)
-            else:
-                cert = boundary_lower_bound(st, r, cfg.target_mesh)
+            cert = boundary_lower_bound(load_tuple(cfg.input),
+                                        values.get("r", cfg.r_schedule[0]),
+                                        cfg.target_mesh)
             _emit({"certificate": _cert_json(cert)})
             return {"certified": 0, "failed": 2}.get(cert.verdict, 3)
 

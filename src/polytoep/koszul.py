@@ -149,18 +149,11 @@ def _subsets(p: int, k: int) -> List[Tuple[int, ...]]:
 
 
 def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
-    """(row_subset, col_subset, symbol, sign) entries of the k-th boundary map.
-
-    Arity 2 keeps the presentation d₁ξ = (−T₂ξ, T₁ξ), d₂(ξ₁,ξ₂) = T₁ξ₁+T₂ξ₂;
-    other arities use the standard exterior-algebra signs.  The two arity-2
-    presentations differ by a basis relabeling, so every rank and homology
-    dimension is identical either way.
+    """(row_subset, col_subset, symbol, sign) entries of the k-th boundary map,
+    with the exterior-algebra signs: d(ξ·e_S) = Σ_{i∉S} (−1)^j·Tᵢξ·e_{S∪{i}},
+    where j is the position of i in the sorted S ∪ {i}.  For a pair this is
+    d₁ξ = (T₁ξ, T₂ξ) and d₂(ξ₁,ξ₂) = −T₂ξ₁ + T₁ξ₂.
     """
-    if p == 2:
-        if k == 1:
-            return [(0, 0, 1, -1), (1, 0, 0, +1)]
-        if k == 2:
-            return [(0, 0, 0, +1), (0, 1, 1, +1)]
     rows = _subsets(p, k)
     cols = _subsets(p, k - 1)
     out = []
@@ -666,7 +659,8 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
 def dump_matrices(kt: KoszulTruncation) -> str:
     """Dense text dump (row-major, re/im pairs) of every boundary matrix.
 
-    The matrices are written as complex ones whatever dtype the route used:
+    The signs are those of ``_stage_blocks``: for a pair, d1 is the block
+    column [T₁; T₂] and d2 the block row [−T₂, T₁].  The matrices are written as complex ones whatever dtype the route used:
     a real matrix carries no sign on its zero imaginary parts, and the text
     keeps the one the complex arithmetic gives."""
     out = []

@@ -1,13 +1,11 @@
-"""Degree oracle: index values from perturbation counting and winding numbers.
+"""Degree oracle: the index of a bivariate pair by perturbation counting.
 
 Independent of both the operator-theoretic route and the quotient-algebra
 route.  The index of a Fredholm pair is a topological invariant, so adding
 random constants of magnitude ≤ ε to each symbol leaves the count of zeros
 inside the bidisc unchanged while splitting multiple zeros into simple ones;
 the count is then read off a resultant-plus-lifting solve and put to a
-majority vote across trials.  For one variable the index is minus the
-winding number of the symbol around the circle, evaluated by trapezoidal
-quadrature of the logarithmic derivative.
+majority vote across trials.
 
 Perturbations are exact rational constants (every float is one), so the
 resultant assembly stays exact; only companion-matrix root-finding floats.
@@ -17,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -45,15 +42,12 @@ _DUPLICATE_TOL = 1e-9
 class OracleConfig:
     epsilon: float = 1e-3
     trials: int = 5
-    quadrature_points: int = 256
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.trials < 3:
             raise ValueError(f"need at least 3 trials for a majority, got {self.trials}")
-        if self.quadrature_points < 64:
-            raise ValueError(f"need at least 64 quadrature points, got {self.quadrature_points}")
 
 
 class NoMajorityError(RuntimeError):
@@ -187,58 +181,3 @@ def perturbed_count(st: SymbolTuple, cfg: OracleConfig | None = None,
     """Zeros of an ε-perturbed copy strictly inside the bidisc, majority-voted
     across independent perturbation trials drawn from ``seed``."""
     return perturbed_count_details(st, cfg, seed=seed)["count"]
-
-
-def fourier_winding(coeffs: Mapping[int, complex], npts: int) -> int | None:
-    """Winding of f(θ) = Σ c_k e^{ikθ} around 0, by trapezoidal quadrature of
-    f′/f on npts nodes (doubled once if needed); None when f may vanish on
-    the circle or the quadrature does not settle.  The contour is certified
-    nonvanishing by sampling plus a Lipschitz bound before the quadrature is
-    trusted."""
-    ks = np.array(sorted(coeffs))
-    cs = np.array([coeffs[int(k)] for k in ks], dtype=complex)
-    lip = float(np.sum(np.abs(ks) * np.abs(cs)))   # sup |f′| on the circle
-    for _ in range(2):
-        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
-        modes = np.exp(1j * np.outer(theta, ks))
-        vals = modes @ cs
-        if np.min(np.abs(vals)) <= lip * np.pi / npts:
-            npts *= 2
-            continue
-        w = np.mean((modes @ (1j * ks * cs)) / vals) / 1j
-        k = round(w.real)
-        if abs(w - k) <= 0.25:
-            return int(k)
-        npts *= 2
-    return None
-
-
-def winding_number(p: MultiPoly, radius: float, cfg: OracleConfig | None = None) -> int:
-    """Winding of p around the circle |z| = radius: ``fourier_winding`` of
-    the coefficients scaled by radiusᵏ."""
-    cfg = cfg or OracleConfig()
-    if p.nvars != 1:
-        raise ValueError("winding numbers apply to one-variable symbols")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    coeffs = [c.to_complex() if p.mode == "exact" else c
-              for c in univariate_coeffs(p)]
-    if not any(coeffs):
-        raise ValueError("zero symbol has no winding number")
-    w = fourier_winding({k: c * radius ** k for k, c in enumerate(coeffs)},
-                        cfg.quadrature_points)
-    if w is None:
-        raise RuntimeError(f"winding of {p!r} on |z|={radius} did not resolve: "
-                           "symbol vanishes near the contour or quadrature "
-                           "failed to settle within 0.25 of an integer")
-    return w
-
-
-def univariate_index(p: MultiPoly, cfg: OracleConfig | None = None) -> int:
-    """Index of the Toeplitz operator with one-variable polynomial symbol:
-    minus the winding around the unit circle.  Raises when the symbol
-    vanishes near the circle (the operator is then not Fredholm)."""
-    try:
-        return -winding_number(p, 1.0, cfg)
-    except RuntimeError as exc:
-        raise RuntimeError(f"not Fredholm: {exc}") from exc

@@ -605,14 +605,9 @@ def _normalize_lead(p: MultiPoly) -> MultiPoly:
 
 @dataclass(frozen=True)
 class SymbolTuple:
-    """Ordered tuple of polynomial symbols sharing one variable count.
-
-    ``assignment`` is optional and marks tensor-style inputs: entry i names
-    the polydisc coordinate on which the (univariate) i-th symbol acts.
-    """
+    """Ordered tuple of polynomial symbols sharing one variable count."""
     symbols: tuple
     nvars: int
-    assignment: tuple = None
 
     def __post_init__(self):
         if not self.symbols:
@@ -623,11 +618,6 @@ class SymbolTuple:
         modes = {s.mode for s in self.symbols}
         if len(modes) > 1:
             raise ModeMismatchError("symbols mix exact and float modes")
-        if self.assignment is not None:
-            if len(self.assignment) != len(self.symbols):
-                raise ValueError("assignment length must match the tuple")
-            if len(set(self.assignment)) != len(self.assignment):
-                raise ValueError("repeated variable assignment")
 
     @property
     def mode(self) -> str:
@@ -637,7 +627,7 @@ class SymbolTuple:
         return len(self.symbols)
 
     def to_float(self) -> "SymbolTuple":
-        return SymbolTuple(tuple(s.to_float() for s in self.symbols), self.nvars, self.assignment)
+        return SymbolTuple(tuple(s.to_float() for s in self.symbols), self.nvars)
 
     def degree_vec(self) -> tuple:
         d = [0] * self.nvars
@@ -692,10 +682,7 @@ def poly_from_json(obj: Mapping) -> MultiPoly:
 
 
 def tuple_to_json(st: SymbolTuple) -> dict:
-    out = {"nvars": st.nvars, "symbols": [poly_to_json(s) for s in st.symbols]}
-    if st.assignment is not None:
-        out["assignment"] = list(st.assignment)
-    return out
+    return {"nvars": st.nvars, "symbols": [poly_to_json(s) for s in st.symbols]}
 
 
 def tuple_from_json(obj: Mapping) -> SymbolTuple:
@@ -704,8 +691,7 @@ def tuple_from_json(obj: Mapping) -> SymbolTuple:
         polys = tuple(poly_from_json(o) for o in obj["symbols"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed symbol-tuple object: {exc}") from exc
-    assignment = tuple(obj["assignment"]) if "assignment" in obj else None
-    return SymbolTuple(polys, nvars, assignment)
+    return SymbolTuple(polys, nvars)
 
 
 def canonical_tuple_json(st: SymbolTuple) -> str:

@@ -7,7 +7,9 @@ boundary certificate is attempted along an increasing schedule of inner radii
 (operator-theoretic, algebraic, perturbation oracle, product formula, disc
 formula) must emit the same integer for an ``agree`` verdict; the report
 carries all intermediate evidence (per-truncation homology dims, located
-zeros, per-trial counts, every certificate attempt).
+zeros, per-trial counts, every certificate attempt).  A single symbol in one
+variable is the product formula's n = 1 case, so its winding number comes
+from the tensor route.
 
 Reports are deterministic: the ``body`` sub-object is byte-identical across
 runs with the same configuration; wall-clock timings live outside it.  The
@@ -35,7 +37,7 @@ from .certify import (
     essential_spectrum_membership,
 )
 from .koszul import KoszulRouteResult, koszul_route
-from .oracle import OracleConfig, perturbed_count_details, univariate_index
+from .oracle import OracleConfig, perturbed_count_details
 from .poly import (
     SymbolTuple,
     canonical_tuple_json,
@@ -108,7 +110,7 @@ def _cert_json(cert: BoundaryCertificate) -> dict:
     out = {
         "r": cert.r, "c": cert.c, "mesh": cert.mesh,
         "lipschitz": cert.lipschitz, "verdict": cert.verdict,
-        "region": cert.region, "min_sample": cert.min_sample,
+        "min_sample": cert.min_sample,
         "min_point": [_fmt_complex(z) for z in cert.min_point],
         "cells_evaluated": cert.cells_evaluated,
         "budget_hit": cert.budget_hit, "split_depth": cert.split_depth,
@@ -229,9 +231,9 @@ def _run_oracle(st: SymbolTuple, cfg: JobConfig,
 
 
 def _tensor_variables(st: SymbolTuple) -> Optional[list]:
-    """Variable assignment when every symbol is univariate in its own
-    distinct variable (the tensor-product situation)."""
-    if len(st) != st.nvars or len(st) < 2:
+    """The variable of each symbol when every symbol is univariate in its
+    own distinct variable (the tensor-product situation; n = 1 included)."""
+    if len(st) != st.nvars:
         return None
     used = []
     for s in st.symbols:
@@ -259,11 +261,6 @@ def _run_tensor(st: SymbolTuple, cfg: JobConfig,
     }
 
 
-def _run_winding(st: SymbolTuple, cfg: JobConfig,
-                 cert: BoundaryCertificate) -> dict:
-    return {"index": univariate_index(st.symbols[0], cfg.oracle)}
-
-
 def _run_disc(st: SymbolTuple, cfg: JobConfig,
               cert: BoundaryCertificate) -> dict:
     # In one variable the boundary region is the annulus r ≤ |z| ≤ 1, which
@@ -281,7 +278,6 @@ ROUTES = (
     ("algebraic", _exact_pair, _run_algebraic),
     ("oracle", _exact_pair, _run_oracle),
     ("tensor", lambda st: _tensor_variables(st) is not None, _run_tensor),
-    ("winding", lambda st: st.nvars == 1 and len(st) == 1, _run_winding),
     ("disc", lambda st: st.nvars == 1 and len(st) > 1, _run_disc),
 )
 

@@ -5,7 +5,10 @@ Toeplitz operators, and when every factor is Fredholm and none is
 invertible, the tuple index is (−1)^{n+1}·∏ ind(T_{fᵢ}).  Symbols are
 trigonometric polynomials on the circle (negative Fourier indices allowed,
 so z̄ is in scope); Fredholmness of a factor is decided by a certified
-winding number.
+winding number (``fourier_winding``), and ind(T_f) = −winding(f).  At
+n = 1 the formula is the classical criterion for one Toeplitz operator:
+T_f is Fredholm exactly when f has no zero on the circle, of index
+−winding(f).
 
 A factor is invertible exactly when its winding number is 0: by Coburn's
 lemma a Fredholm Toeplitz operator with continuous symbol and index 0 is
@@ -25,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .oracle import OracleConfig, fourier_winding
+import numpy as np
+
 from .poly import MultiPoly, SymbolTuple
+
+QUADRATURE_POINTS = 256          # first node count of ``fourier_winding``
 
 
 class TrigPoly:
@@ -104,27 +110,50 @@ class TensorIndexReport:
     note: str = ""
 
 
-def trig_toeplitz_index(f: TrigPoly, cfg: Optional[OracleConfig] = None) -> FactorIndex:
+def fourier_winding(coeffs: Mapping[int, complex], npts: int) -> Optional[int]:
+    """Winding of f(θ) = Σ c_k e^{ikθ} around 0, by trapezoidal quadrature of
+    f′/f on npts nodes (doubled once if needed); None when f may vanish on
+    the circle or the quadrature does not settle.  The contour is certified
+    nonvanishing by sampling plus a Lipschitz bound before the quadrature is
+    trusted."""
+    ks = np.array(sorted(coeffs))
+    cs = np.array([coeffs[int(k)] for k in ks], dtype=complex)
+    lip = float(np.sum(np.abs(ks) * np.abs(cs)))   # sup |f′| on the circle
+    for _ in range(2):
+        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
+        modes = np.exp(1j * np.outer(theta, ks))
+        vals = modes @ cs
+        if np.min(np.abs(vals)) <= lip * np.pi / npts:
+            npts *= 2
+            continue
+        w = np.mean((modes @ (1j * ks * cs)) / vals) / 1j
+        k = round(w.real)
+        if abs(w - k) <= 0.25:
+            return int(k)
+        npts *= 2
+    return None
+
+
+def trig_toeplitz_index(f: TrigPoly) -> FactorIndex:
     """Fredholm data of one Toeplitz factor: winding-certified Fredholmness,
     index = −winding, and invertibility (winding 0, by Coburn's lemma)."""
-    cfg = cfg or OracleConfig()
-    w = fourier_winding(f.coeffs, cfg.quadrature_points)
+    w = fourier_winding(f.coeffs, QUADRATURE_POINTS)
     if w is None:
         return FactorIndex(fredholm=False, index=None, invertible_flag=False)
     return FactorIndex(fredholm=True, index=-w, invertible_flag=w == 0)
 
 
 def tensor_tuple_index(factors: Sequence[TrigPoly],
-                       variables: Optional[Sequence[int]] = None,
-                       cfg: Optional[OracleConfig] = None) -> TensorIndexReport:
-    """Index of (T_{f₁} ⊗ …, …) with each factor acting in its own variable."""
+                       variables: Optional[Sequence[int]] = None) -> TensorIndexReport:
+    """Index of (T_{f₁} ⊗ …, …) with each factor acting in its own variable;
+    one factor is one Toeplitz operator."""
     n = len(factors)
-    if n < 2:
-        raise ValueError("tensor route needs at least 2 factors")
+    if n == 0:
+        raise ValueError("tensor route needs at least one factor")
     variables = list(variables) if variables is not None else list(range(n))
     if len(variables) != n or len(set(variables)) != n:
         raise ValueError("each factor must be attached to a distinct variable")
-    per = tuple(trig_toeplitz_index(f, cfg) for f in factors)
+    per = tuple(trig_toeplitz_index(f) for f in factors)
     if not all(fi.fredholm for fi in per):
         return TensorIndexReport(per, False, "undefined",
                                  "a factor vanishes on the circle")

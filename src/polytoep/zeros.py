@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg import schur
 
-from .certify import BoundaryCertificate, polydisc_lower_bound
+from .certify import BoundaryCertificate, boundary_lower_bound
 from .exact import EXACT_ZERO, ExactComplex
 from .poly import (
     ModeMismatchError,
@@ -364,5 +364,5 @@ def gcd_reduce(st: SymbolTuple) -> GcdReduction:
     if g.degree() == 0:
         return GcdReduction(None, st, True, None)
     reduced = symbols(2, divexact(p, g), divexact(q, g))
-    cert = polydisc_lower_bound(symbols(2, g))
+    cert = boundary_lower_bound(symbols(2, g), 0.0)
     return GcdReduction(g, reduced, cert.verdict == "certified", cert)

@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from polytoep.certify import as_condition_check, boundary_lower_bound, \
-    essential_spectrum_membership
+from polytoep.certify import boundary_lower_bound, essential_spectrum_membership
 from polytoep.kernels import pack_tuple, sumsq_block
 from polytoep.koszul import koszul_route, range_sum_check
 from polytoep.poly import exact_poly, symbols
@@ -146,7 +145,7 @@ def test_criterion_4_univariate_tuples_vanish():
         ("(z(z - 1/2), z^2)", symbols(1, p1({(2,): 1, (1,): "-1/2"}), p1({(2,): 1}))),
     ]
     for name, st in tuples:
-        assert as_condition_check(st, 0.5).verdict == "certified", name
+        assert boundary_lower_bound(st, 0.5).verdict == "certified", name
         assert disc_tuple_index(st) == 0, name
         assert koszul_route(st).index == 0, name
     print(f"\ncriterion 4 PASS: {len(tuples)} certified univariate tuples "

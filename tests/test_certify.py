@@ -10,12 +10,10 @@ import polytoep
 from polytoep import certify
 from polytoep.certify import (
     WITNESS_THRESHOLD,
-    as_condition_check,
     boundary_lower_bound,
     essential_spectrum_cloud,
     essential_spectrum_membership,
     lipschitz_sumsq,
-    polydisc_lower_bound,
     shifted_tuple,
 )
 from polytoep.kernels import pack_tuple, sumsq_block, values_block
@@ -71,7 +69,7 @@ def test_shift_pair_certifies(shift_pair):
     assert 0.15 < cert.c < 0.25
     assert cert.min_sample - cert.lipschitz * cert.mesh == pytest.approx(cert.c)
     assert cert.cells_evaluated > 0
-    assert cert.region == "boundary" and cert.r == 0.5
+    assert cert.r == 0.5
 
 
 def test_certificate_is_sound_under_sampling(shift_pair, monomial_pair):
@@ -257,7 +255,7 @@ def test_unused_variable_is_never_refined(root, gap):
     # alone; measured on all of z = (z1, z2), z1 is refined past the floor
     # until a center near z1 = 1 falls under the witness threshold
     st = symbols(2, exact_poly(2, {(1, 0): 1, (0, 0): "-" + root}))
-    cert = polydisc_lower_bound(st)
+    cert = boundary_lower_bound(st, 0.0)
     assert cert.verdict == "certified"
     assert 0 < cert.c <= gap ** 2
 
@@ -273,34 +271,34 @@ def test_certified_bound_monotone_in_r(shift_pair, monomial_pair):
 
 
 def test_r_validation(shift_pair):
-    for bad in (0.0, 1.0, -0.2, 1.5):
+    for bad in (1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             boundary_lower_bound(shift_pair, bad)
+    # r = 0 is the closed bidisc, which holds the common zero (0, 0)
+    assert boundary_lower_bound(shift_pair, 0.0).verdict == "failed"
 
 
 def test_annulus_condition():
+    # in one variable the region is the annulus r <= |z| <= 1
     z = p1({(1,): 1})
     half = p1({(0,): "1/2"})
-    cert = as_condition_check(symbols(1, z, z - half), 0.6)
-    assert cert.verdict == "certified" and cert.region == "annulus"
+    cert = boundary_lower_bound(symbols(1, z, z - half), 0.6)
+    assert cert.verdict == "certified" and cert.r == 0.6
     # common boundary zero at z = 1
-    bad = as_condition_check(symbols(1, z - p1({(0,): 1}), p1({(2,): 1, (0,): -1})), 0.5)
+    bad = boundary_lower_bound(symbols(1, z - p1({(0,): 1}), p1({(2,): 1, (0,): -1})), 0.5)
     assert bad.verdict == "failed"
     assert abs(bad.witness[0] - 1.0) < 1e-6
     with pytest.raises(ValueError):
-        as_condition_check(symbols(1, z), 1.0)
-
-
-def test_annulus_rejects_multivariate(shift_pair):
-    with pytest.raises(ValueError):
-        as_condition_check(shift_pair, 0.5)
+        boundary_lower_bound(symbols(1, z), 1.0)
 
 
 def test_polydisc_bound():
+    # at r = 0 the n faces coincide: the closed polydisc is covered once
+    assert certify._boundary_faces(3, 0.0) == [[(0.0, 1.0)] * 3]
     far = exact_poly(2, {(1, 0): 1, (0, 0): -2})
-    cert = polydisc_lower_bound(symbols(2, far))
-    assert cert.verdict == "certified" and cert.c > 0.5
-    vanishing = polydisc_lower_bound(symbols(2, exact_poly(2, {(1, 0): 1})))
+    cert = boundary_lower_bound(symbols(2, far), 0.0)
+    assert cert.verdict == "certified" and cert.c > 0.5 and cert.r == 0.0
+    vanishing = boundary_lower_bound(symbols(2, exact_poly(2, {(1, 0): 1})), 0.0)
     assert vanishing.verdict == "failed"
 
 

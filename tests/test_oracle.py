@@ -1,4 +1,4 @@
-"""Perturbation counting oracle and winding numbers."""
+"""Perturbation counting oracle."""
 import pytest
 
 from polytoep.oracle import (
@@ -6,12 +6,10 @@ from polytoep.oracle import (
     OracleConfig,
     perturbed_count,
     perturbed_count_details,
-    univariate_index,
-    winding_number,
 )
 from polytoep.poly import exact_poly, symbols
 
-from conftest import p1, p2
+from conftest import p2
 
 
 def test_config_validation():
@@ -19,8 +17,6 @@ def test_config_validation():
         OracleConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         OracleConfig(trials=2)
-    with pytest.raises(ValueError):
-        OracleConfig(quadrature_points=32)
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
@@ -53,33 +49,3 @@ def test_epsilon_halving_stability(shift_pair, quarter_pair):
         base = perturbed_count(st, OracleConfig(epsilon=1e-3))
         assert perturbed_count(st, OracleConfig(epsilon=5e-4)) == base
         assert perturbed_count(st, OracleConfig(epsilon=2.5e-4)) == base
-
-
-def test_winding_fixtures():
-    assert winding_number(p1({(3,): 1}), 1.0) == 3
-    assert winding_number(p1({(1,): 1, (0,): -2}), 1.0) == 0
-    assert winding_number(p1({(2,): 1, (0,): "-1/4"}), 1.0) == 2
-    # inside the zero radius the winding drops
-    assert winding_number(p1({(2,): 1, (0,): "-1/4"}), 0.25) == 0
-
-
-def test_winding_rejects_circle_zeros():
-    with pytest.raises(RuntimeError):
-        winding_number(p1({(1,): 1, (0,): -1}), 1.0)
-
-
-def test_univariate_index_values():
-    assert univariate_index(p1({(1,): 1})) == -1
-    assert univariate_index(p1({(2,): 1})) == -2
-    assert univariate_index(p1({(0,): 2, (1,): 1})) == 0
-
-
-def test_univariate_index_additivity():
-    p = p1({(1,): 1, (0,): "-1/2"})
-    q = p1({(2,): 1, (0,): "1/9"})
-    assert univariate_index(p * q) == univariate_index(p) + univariate_index(q)
-
-
-def test_univariate_index_not_fredholm_message():
-    with pytest.raises(RuntimeError, match="not Fredholm"):
-        univariate_index(p1({(1,): 1, (0,): -1}))

@@ -52,6 +52,25 @@ def test_gcd_reduction_is_reported():
     assert rep["body"]["verdict"]["index"] == -1
 
 
+@pytest.mark.parametrize("terms, index", [
+    ({(1,): 1}, -1),                                  # z
+    ({(2,): 1}, -2),                                  # z²
+    ({(0,): 2, (1,): 1}, 0),                          # 2 + z
+    ({(3,): 1, (2,): "-1/2", (1,): "1/9", (0,): "-1/18"}, -3),   # (z − ½)(z² + 1/9)
+])
+def test_single_symbol_agrees_with_its_winding(terms, index):
+    # one symbol in one variable is the product formula at n = 1
+    body = run_index(JobConfig(input=symbols(1, exact_poly(1, terms))))["body"]
+    assert body["verdict"] == {"kind": "agree", "index": index,
+                               "routes": ["koszul", "tensor"]}
+
+
+def test_public_names_resolve():
+    # every exported name is defined, so a deleted one cannot stay listed
+    missing = [name for name in polytoep.__all__ if not hasattr(polytoep, name)]
+    assert missing == []
+
+
 def test_three_squares_agree():
     # (z1², z2², z3²): index −8; its codim solve needs the windows K = 3, 4, 5
     # at M = 7, 8, 9, which the three-variable membership budget must admit
@@ -208,6 +227,19 @@ def test_cli_certify_and_spectrum(inputs):
     assert code == 0 and json.loads(out)["body"]["verdict"] == "outside"
     code, out, _ = cli("spectrum", "--input", inputs["shifts"], "--resolution", "6")
     assert code == 0 and out.startswith("re1,im1")
+
+
+def test_cli_certify_whole_polydisc(inputs, tmp_path):
+    # --r 0 is the closed polydisc: (z1, z2) vanishes at the origin
+    code, out, _ = cli("certify", "--input", inputs["shifts"], "--r", "0")
+    cert = json.loads(out)["certificate"]
+    assert code == 2 and cert["verdict"] == "failed" and cert["r"] == 0.0
+    assert "region" not in cert
+    # one variable, the same entry point: z − 2 has no zero in the closed disc
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(tuple_to_json(symbols(1, exact_poly(1, {(1,): 1, (0,): -2})))))
+    code, out, _ = cli("certify", "--input", str(path), "--r", "0")
+    assert code == 0 and json.loads(out)["certificate"]["verdict"] == "certified"
 
 
 def test_cli_koszul_dims_and_dump(inputs):

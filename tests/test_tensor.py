@@ -103,10 +103,57 @@ def test_tensor_invertible_factor_kills_index():
 def test_tensor_undefined_and_validation():
     rep = tensor_tuple_index([TrigPoly({1: 1.0}), TrigPoly({1: 1.0, 0: -1.0})], [0, 1])
     assert not rep.tuple_fredholm and rep.tuple_index == "undefined"
+    # one factor is one Toeplitz operator: (−1)^(1+1)·ind = −winding
+    assert tensor_tuple_index([TrigPoly({1: 1.0})], [0]).tuple_index == -1
     with pytest.raises(ValueError):
-        tensor_tuple_index([TrigPoly({1: 1.0})], [0])
+        tensor_tuple_index([], [])
     with pytest.raises(ValueError):
         tensor_tuple_index([TrigPoly({1: 1.0})] * 2, [0, 0])
+
+
+# -- one variable: the product formula at n = 1 ----------------------------------
+
+
+def one_factor(f: TrigPoly):
+    return tensor_tuple_index([f], [0])
+
+
+def winding(p) -> int:
+    """Winding of a one-variable polynomial around the unit circle."""
+    return -one_factor(trig_from_poly(p)).tuple_index
+
+
+def test_winding_fixtures():
+    assert winding(p1({(3,): 1})) == 3
+    assert winding(p1({(1,): 1, (0,): -2})) == 0
+    assert winding(p1({(2,): 1, (0,): "-1/4"})) == 2
+    # on |z| = 1/4, inside the zero radius 1/2, the winding drops:
+    # z² − 1/4 there is (1/16)·e^{2iθ} − 1/4
+    assert -one_factor(TrigPoly({2: 1 / 16, 0: -0.25})).tuple_index == 0
+
+
+def test_winding_rejects_circle_zeros():
+    rep = one_factor(trig_from_poly(p1({(1,): 1, (0,): -1})))
+    assert not rep.tuple_fredholm and rep.tuple_index == "undefined"
+    assert rep.per_factor[0].index is None
+
+
+def test_univariate_index_values():
+    assert one_factor(trig_from_poly(p1({(1,): 1}))).tuple_index == -1
+    assert one_factor(trig_from_poly(p1({(2,): 1}))).tuple_index == -2
+    invertible = one_factor(trig_from_poly(p1({(0,): 2, (1,): 1})))
+    assert invertible.tuple_index == 0 and invertible.per_factor[0].invertible_flag
+
+
+def test_univariate_index_additivity():
+    p = p1({(1,): 1, (0,): "-1/2"})
+    q = p1({(2,): 1, (0,): "1/9"})
+    assert winding(p * q) == winding(p) + winding(q) == 3
+
+
+def test_univariate_index_not_fredholm_message():
+    rep = one_factor(trig_from_poly(p1({(1,): 1, (0,): -1})))
+    assert rep.note == "a factor vanishes on the circle"
 
 
 def test_disc_tuple_fixtures():
