@@ -224,7 +224,8 @@ def _boundary_faces(nvars: int, r: float) -> List[List[Tuple[float, float]]]:
 
 
 def _project_region(z: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -> np.ndarray:
-    """Radially project a point into the closest face."""
+    """Radially project a point into the closest face; every |w_v| ≤ hi of
+    that face holds in floating point."""
     best = None
     best_move = None
     for face in faces:
@@ -238,7 +239,12 @@ def _project_region(z: np.ndarray, faces: List[Sequence[Tuple[float, float]]]) -
                     w[v] = tgt
                     move += tgt
             elif tgt != rad:
-                w[v] = w[v] * (tgt / rad)
+                # the rounded rescale can land an ulp past hi: step the
+                # factor down until |w_v| ≤ hi holds in floating point
+                scale = tgt / rad
+                while abs(w[v] * scale) > hi:
+                    scale = np.nextafter(scale, 0.0)
+                w[v] = w[v] * scale
                 move += abs(tgt - rad)
         if best is None or move < best_move:
             best, best_move = w, move

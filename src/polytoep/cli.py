@@ -84,8 +84,10 @@ COMMANDS = {
                  "(default: .polytoep_cache beside the input)"),
               _p(None, "oracle", lambda v: OracleConfig(**v))),
     "spectrum": (_INPUT, _CONFIG, _R_SCHEDULE,
-                 _p("--lambda", "lambda", _parse_lambda, nargs="+", metavar="re,im",
-                    help="membership query point (omit for a cloud)"),
+                 _p("--lambda", "lambda", _parse_lambda, nargs="+", action="extend",
+                    metavar="re,im", help="membership query point, one re,im per "
+                    "symbol (omit for a cloud); repeatable, and a component with "
+                    "a negative real part is written --lambda=-1,0"),
                  _p("--resolution", "resolution", type=int,
                     help="per-axis sampling resolution"),
                  _p("--r", "r", type=float, help="inner radius of the cloud"),

@@ -41,6 +41,20 @@ The sweep passes the singular values it has computed from level to level:
 when every variable has degree D, the enlarged d_k of level N is the d_k of
 level N + D, and σ_min of the last level's d₁ is read from the same record.
 
+Weight-homogeneous tuples factor their boundary maps grade by grade.  If an
+integer weight w takes one value w·cᵢ on the support of every symbol fᵢ, the
+Koszul complex is w-graded (Eisenbud, *Commutative Algebra*, 1995, §17):
+coordinate (S, a) of stage k has grade w·a − Σ_{i∈S} w·cᵢ, and multiplying
+by fᵢ into S ∪ {i} keeps it.  ``TupleGrading`` takes as weights a basis W of
+the rational kernel of the within-symbol exponent differences (so (z₁, z₂,
+z₃) is graded by every exponent, (z₁+z₂, z₂+z₃, z₃−z₁/2) by total degree,
+(z₁−2, z₂) by the z₂ exponent).  Every boundary matrix, and every row subset
+of one, is then block-diagonal by grade up to a permutation, so its singular
+values are the union of its blocks' ones (``graded_svdvals``).  A tuple with
+no weight, such as (z₁ − a, z₂ − b) with a, b ≠ 0 or the products of the
+benchmark workloads, is factored whole as before.  Ranks keep their
+tolerance relative to the largest singular value of the whole map.
+
 Arithmetic is real when it can be.  Every boundary matrix and span basis is
 ``float64`` when each coefficient of the tuple has imaginary part exactly 0
 (exact for exact tuples: a zero ``ExactComplex.im`` converts to 0.0), and
@@ -67,7 +81,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -301,6 +317,127 @@ def exact_chain_check(st: SymbolTuple, N: int) -> bool:
     return True
 
 
+# ---- weight grading -------------------------------------------------------------
+
+def _rational_kernel(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
+    """Primitive integer basis of {w ∈ ℚⁿ : w·v = 0 for every v in ``rows``},
+    by Gauss–Jordan elimination over ``Fraction``."""
+    mat = [[Fraction(x) for x in v] for v in rows]
+    pivots: List[int] = []
+    for col in range(n):
+        at = next((i for i in range(len(pivots), len(mat)) if mat[i][col]), None)
+        if at is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[at] = mat[at], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for i, row in enumerate(mat):
+            if i != top and row[col]:
+                mat[i] = [x - row[col] * y for x, y in zip(row, mat[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        w = [Fraction(0)] * n
+        w[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            w[col] = -mat[i][free]
+        scale = math.lcm(*(x.denominator for x in w))
+        ints = [int(x * scale) for x in w]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+class TupleGrading:
+    """Integer weight grading of a tuple's Koszul complex.
+
+    ``weights`` is an integer basis W of the rational kernel of the
+    within-symbol exponent differences, so W·e takes one value W·cᵢ on the
+    support of symbol i (cᵢ, its anchor, is the least exponent of that
+    support).  Coordinate (S, a) of stage k then has grade W·a − Σ_{i∈S} W·cᵢ,
+    and every boundary map sends each grade into itself.  Grades are stored
+    as integer keys: the key of a grade g is Σⱼ gⱼ·Mⱼ for the mixed radix M
+    of the bounds |gⱼ| ≤ bⱼ that every window within ``MATRIX_BUDGET``
+    satisfies, so distinct grades get distinct keys and no key leaves int64.
+    """
+
+    def __init__(self, st: SymbolTuple):
+        n, p = st.nvars, len(st)
+        supports = [sorted(s.terms) for s in st.to_float().symbols]
+        anchors = [sup[0] if sup else (0,) * n for sup in supports]
+        diffs = [tuple(x - y for x, y in zip(e, c))
+                 for sup, c in zip(supports, anchors) for e in sup[1:]]
+        rows = _rational_kernel(diffs, n)
+        radix = []
+        for w in rows:
+            bound = (sum(map(abs, w)) * (MATRIX_BUDGET - 1)
+                     + sum(abs(sum(x * y for x, y in zip(w, c))) for c in anchors))
+            radix.append(2 * bound + 1)
+        # keep the leading rows whose keys fit in int64: fewer rows grade
+        # more coarsely, never wrongly (a guard; n ≤ 3 within the budget
+        # drops none)
+        while rows and math.prod(radix) >= 2 ** 63:
+            rows, radix = rows[:-1], radix[:-1]
+        mult = [math.prod(radix[:j]) for j in range(len(rows))]
+        omega = [sum(m * w[v] for m, w in zip(mult, rows)) for v in range(n)]
+        self.nsymbols = p
+        self.weights = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        self._omega = np.array(omega, dtype=np.int64)
+        self._anchor_keys = np.array([sum(x * y for x, y in zip(c, omega)) for c in anchors],
+                                     dtype=np.int64)
+        self._keys: dict = {}
+
+    @property
+    def graded(self) -> bool:
+        return self.weights.shape[0] > 0
+
+    def keys(self, k: int, win: MonomialWindow) -> Optional[np.ndarray]:
+        """Grade keys of the coordinates of stage k on ``win`` (subset blocks
+        in ``_subsets`` order, monomials in window order), computed once per
+        window; None for an ungraded tuple."""
+        if not self.graded:
+            return None
+        if (k, win.cap) not in self._keys:
+            mono = np.array(win.basis, dtype=np.int64).reshape(win.dim, -1) @ self._omega
+            self._keys[(k, win.cap)] = np.concatenate(
+                [mono - self._anchor_keys[list(s)].sum() for s in _subsets(self.nsymbols, k)])
+        return self._keys[(k, win.cap)]
+
+
+def graded_svdvals(mat: np.ndarray, row_keys: Optional[np.ndarray] = None,
+                   col_keys: Optional[np.ndarray] = None) -> np.ndarray:
+    """The min(m, n) singular values of ``mat``, descending.
+
+    Without keys this is ``svdvals(mat)``.  With keys, ``mat`` must vanish
+    wherever the row key differs from the column key, so up to a permutation
+    it is block-diagonal by key and its singular values are the union of the
+    blocks' ones, padded with zeros.  Blocks of one shape are factored in one
+    batched ``np.linalg.svd`` call.
+    """
+    if row_keys is None:
+        return svdvals(mat)
+    m, n = mat.shape
+    keys, label = np.unique(np.concatenate([row_keys, col_keys]), return_inverse=True)
+    row_label, col_label = label[:m], label[m:]
+    nrows = np.bincount(row_label, minlength=keys.size)
+    ncols = np.bincount(col_label, minlength=keys.size)
+    row_order = np.argsort(row_label, kind="stable")
+    col_order = np.argsort(col_label, kind="stable")
+    row_start = np.cumsum(nrows) - nrows
+    col_start = np.cumsum(ncols) - ncols
+    live = np.flatnonzero((nrows > 0) & (ncols > 0))
+    shape = nrows[live] * (n + 1) + ncols[live]
+    vals = [np.zeros(min(m, n) - int(np.minimum(nrows, ncols).sum()))]
+    for s in np.unique(shape):
+        g = live[shape == s]
+        a, b = nrows[g[0]], ncols[g[0]]
+        ri = row_order[row_start[g, None] + np.arange(a)]
+        ci = col_order[col_start[g, None] + np.arange(b)]
+        blocks = mat[ri[:, :, None], ci[:, None, :]]
+        vals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+    return np.sort(np.concatenate(vals))[::-1]
+
+
 # ---- numerical rank ------------------------------------------------------------
 
 def _rank_of(sv: np.ndarray, tol: float) -> int:
@@ -331,8 +468,8 @@ def range_sum_check(matrices: Sequence[np.ndarray],
 
 # ---- homology dimensions --------------------------------------------------------
 
-def homology_kernel_dims(kt: KoszulTruncation,
-                         sigmas: Optional[dict] = None) -> List[int]:
+def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
+                         grading: Optional[TupleGrading] = None) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
     Middle stages subtract dim(im(d_k with domain enlarged to the stage-k cap)
@@ -344,15 +481,20 @@ def homology_kernel_dims(kt: KoszulTruncation,
     that d_k and is read and filled here; a sweep passes one dict through its
     levels.  When every variable has degree D, the enlarged d_k of level N
     is, entry for entry, the d_k of level N + D, so it is not factored twice.
+    ``grading`` is the tuple's ``TupleGrading`` (made here when not given; a
+    sweep passes one through its levels); every factorization goes through
+    ``graded_svdvals`` with its grade keys.
     """
     st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
     d, wins = kt.boundary_matrices, kt.windows
     sigmas = {} if sigmas is None else sigmas
+    grading = TupleGrading(st) if grading is None else grading
 
     def rank(k, mat, win_in, win_out):
         key = (k, win_in.cap, win_out.cap)
         if key not in sigmas:
-            sigmas[key] = svdvals(mat)
+            sigmas[key] = graded_svdvals(mat, grading.keys(k, win_out),
+                                         grading.keys(k - 1, win_in))
         return _rank_of(sigmas[key], tol)
 
     dims = [d[0].shape[1] - rank(1, d[0], wins[0], wins[1])]
@@ -363,8 +505,11 @@ def homology_kernel_dims(kt: KoszulTruncation,
         outside = np.ones(out.dim, dtype=bool)
         outside[[out.index[e] for e in wins[k].basis]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
-        dim_intersect = (rank(k, enlarged, wins[k], out)
-                         - numerical_rank(enlarged[outside], tol))
+        row_keys = grading.keys(k, out)
+        rows_kept = graded_svdvals(enlarged[outside],
+                                   None if row_keys is None else row_keys[outside],
+                                   grading.keys(k - 1, wins[k]))
+        dim_intersect = rank(k, enlarged, wins[k], out) - _rank_of(rows_kept, tol)
         dims.append(max(null_next - dim_intersect, 0))
     return dims
 
@@ -628,6 +773,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     per_n = []
     history = []
     sigmas: dict = {}
+    grading = TupleGrading(st)
     stabilized_at = None
     sigma_min = 0.0
     chain_ok = True
@@ -637,7 +783,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
                 kt = build_koszul(st, n, rank_tolerance)
             except MatrixBudgetError:
                 break
-            dims = homology_kernel_dims(kt, sigmas)
+            dims = homology_kernel_dims(kt, sigmas, grading)
             chain_ok = chain_ok and chain_check(kt)
             sigma_min = float(sigmas[(1, kt.windows[0].cap, kt.windows[1].cap)][-1])
             per_n.append({"N": n, "kernel_dims": list(dims)})

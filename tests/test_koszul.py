@@ -1,10 +1,13 @@
 """Truncated Koszul complex: chain structure, ranks, homology, route."""
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import svdvals
 
 from polytoep import koszul
@@ -12,6 +15,7 @@ from polytoep.koszul import (
     SVD_PROJECT_CUT,
     MonomialWindow,
     MatrixBudgetError,
+    TupleGrading,
     _boundary_matrix,
     _subsets,
     build_koszul,
@@ -20,6 +24,7 @@ from polytoep.koszul import (
     dump_matrices,
     euler_index,
     exact_chain_check,
+    graded_svdvals,
     homology_kernel_dims,
     ideal_codim_window,
     koszul_route,
@@ -42,6 +47,53 @@ def shifts3():
 def far_pair():
     # (z1 - 2, z2): 1 is an ideal member only through an H² cofactor of z1 - 2
     return symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
+
+
+def graded_tuples():
+    """Weight-homogeneous tuples: (z1, z2, z3), (z1+z2, z2+z3, z3−z1/2),
+    (z1², z2², z3²), (z1−2, z2), (z1²−¼, z2) and (z1−z2, z1z2)."""
+    p3 = functools.partial(exact_poly, 3)
+    return [shifts3(),
+            symbols(3, p3({(1, 0, 0): 1, (0, 1, 0): 1}), p3({(0, 1, 0): 1, (0, 0, 1): 1}),
+                    p3({(0, 0, 1): 1, (1, 0, 0): "-1/2"})),
+            symbols(3, p3({(2, 0, 0): 1}), p3({(0, 2, 0): 1}), p3({(0, 0, 2): 1})),
+            far_pair(),
+            symbols(2, p2({(2, 0): 1, (0, 0): "-1/4"}), p2({(0, 1): 1})),
+            symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))]
+
+
+def graded_maps(kt, grading):
+    """(matrix, row keys, column keys) of every factorization
+    ``homology_kernel_dims`` makes: each d_k, each enlarged d_k and the
+    enlarged d_k's rows outside the stage window."""
+    st, p, wins = kt.tuple, kt.arity, kt.windows
+    for k in range(1, p + 1):
+        yield (kt.boundary_matrices[k - 1], grading.keys(k, wins[k]),
+               grading.keys(k - 1, wins[k - 1]))
+    for k in range(1, p):
+        out = wins[k + 1]
+        enlarged = _boundary_matrix(st, k, wins[k], out, kt.boundary_matrices[0].dtype)
+        outside = np.ones(out.dim, dtype=bool)
+        outside[[out.index[e] for e in wins[k].basis]] = False
+        outside = np.tile(outside, len(_subsets(p, k)))
+        rows, cols = grading.keys(k, out), grading.keys(k - 1, wins[k])
+        yield enlarged, rows, cols
+        yield enlarged[outside], None if rows is None else rows[outside], cols
+
+
+def assert_grading_sound(st, levels):
+    """Every map is zero off its grade blocks, and the blockwise singular
+    values are the dense ones to 1e-12 of the largest."""
+    grading = TupleGrading(st)
+    assert grading.graded
+    for n in levels:
+        kt = build_koszul(st, n)
+        for mat, rows, cols in graded_maps(kt, grading):
+            assert np.all(mat[rows[:, None] != cols[None, :]] == 0)
+            got, ref = graded_svdvals(mat, rows, cols), svdvals(mat)
+            assert got.shape == ref.shape
+            assert np.all(np.diff(got) <= 0)
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref[:1])
 
 
 def rotated(st, i=0):
@@ -224,13 +276,13 @@ def test_grown_span_matches_svd_reference(non_dyadic_pair):
 
 def test_route_rank_reuse_keeps_per_n(monkeypatch):
     calls = []
-    svdvals = koszul.svdvals
+    graded = koszul.graded_svdvals
 
-    def counted(mat):
-        calls.append(mat.shape)
-        return svdvals(mat)
+    def counted(mat, row_keys=None, col_keys=None):
+        calls.append((mat.shape, row_keys is not None))
+        return graded(mat, row_keys, col_keys)
 
-    monkeypatch.setattr(koszul, "svdvals", counted)
+    monkeypatch.setattr(koszul, "graded_svdvals", counted)
     monkeypatch.setattr(koszul, "ideal_codim_window", lambda *a, **k: 1)
     route = koszul_route(shifts3())
     monkeypatch.undo()
@@ -240,9 +292,79 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
     assert list(route.per_n) == fresh
     # seven factorizations per level, less d₁ and d₂ at N = 2 and 3: those
     # are the enlarged maps of the level before.  σ_min of the last d₁ comes
-    # from the same record, not from an eighth factorization.
+    # from the same record, not from an eighth factorization.  Every one is
+    # factored by grade.
     assert len(calls) == 7 + 5 + 5
-    assert route.sigma_min_first == stage1_sigma_min(build_koszul(shifts3(), 3))
+    assert all(keyed for _, keyed in calls)
+    assert route.sigma_min_first == pytest.approx(
+        stage1_sigma_min(build_koszul(shifts3(), 3)), rel=1e-12)
+
+
+def test_grading_weights():
+    weights = [TupleGrading(st).weights.tolist() for st in graded_tuples()]
+    assert weights == [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1]],
+                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1]], [[0, 1]], [[1, 1]]]
+    # a rotation keeps the supports, hence the grading
+    for st in graded_tuples():
+        assert np.array_equal(TupleGrading(rotated(st)).weights, TupleGrading(st).weights)
+
+
+def test_graded_factorization_is_sound():
+    for st in graded_tuples():
+        levels = (2, 3) if st.nvars == 2 else (1, 2)
+        if st.degree_vec() == (2, 2, 2):
+            levels = (1,)           # dense references at N = 2 take seconds
+        assert_grading_sound(st, levels)
+        assert_grading_sound(rotated(st, len(st) - 1), levels[:1])
+
+
+@hst.composite
+def weight_homogeneous_tuples(draw):
+    """Tuples whose symbols are each homogeneous for one drawn integer weight."""
+    nvars = draw(hst.integers(2, 3))
+    weight = draw(hst.lists(hst.integers(-2, 2), min_size=nvars, max_size=nvars)
+                  .filter(any))
+    top = 2 if nvars == 2 else 1
+    syms = []
+    for _ in range(draw(hst.integers(2, nvars))):
+        exps = draw(hst.lists(hst.tuples(*[hst.integers(0, top)] * nvars),
+                              min_size=1, max_size=4, unique=True))
+        level = np.dot(weight, exps[0])
+        coeffs = draw(hst.lists(hst.integers(-3, 3).filter(bool),
+                                min_size=len(exps), max_size=len(exps)))
+        syms.append(exact_poly(nvars, {e: c for e, c in zip(exps, coeffs)
+                                       if np.dot(weight, e) == level}))
+    st = symbols(nvars, *syms)
+    return rotated(st) if draw(hst.booleans()) else st
+
+
+@settings(max_examples=25, deadline=None)
+@given(weight_homogeneous_tuples())
+def test_graded_factorization_is_sound_on_drawn_tuples(st):
+    assert_grading_sound(st, (1,) if st.nvars == 3 else (2,))
+
+
+def test_ungraded_tuples_factor_the_whole_matrix(non_dyadic_pair, monkeypatch):
+    # (z1 − 3/5, z2 − 9/20) and a product pair carry no weight grading: every
+    # factorization is the plain svdvals of the unchanged matrix, bit for bit
+    product = symbols(2, p2({(2, 0): 1, (1, 0): "-1/12", (0, 0): "-1/12"}),
+                      p2({(0, 1): 1, (0, 0): "1/4"}))
+    for st in (non_dyadic_pair, rotated(non_dyadic_pair), product):
+        grading = TupleGrading(st)
+        assert not grading.graded
+        kt = build_koszul(st, 3)
+        expected = [mat for mat, _, _ in graded_maps(kt, grading)]
+        seen = []
+        monkeypatch.setattr(koszul, "svdvals", lambda m: seen.append(m) or svdvals(m))
+        sigmas = {}
+        homology_kernel_dims(kt, sigmas, grading)
+        monkeypatch.undo()
+        assert len(seen) == len(expected)
+        assert all(any(m.shape == e.shape and np.array_equal(m, e) for e in expected)
+                   for m in seen)
+        for k, d in enumerate(kt.boundary_matrices, start=1):
+            got = sigmas[(k, kt.windows[k - 1].cap, kt.windows[k].cap)]
+            assert np.array_equal(got, svdvals(d))
 
 
 def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):

@@ -229,6 +229,18 @@ def test_cli_certify_and_spectrum(inputs):
     assert code == 0 and out.startswith("re1,im1")
 
 
+def test_cli_spectrum_negative_lambda(inputs):
+    # --lambda repeats, and its = form takes a component whose real part is
+    # negative: (z1, z2) − (0, −1) vanishes at (0, −1) on the bidisc's boundary
+    for words in (["--lambda", "0,0", "--lambda=-1,0"], ["--lambda=0,0", "--lambda=-1,0"]):
+        code, out, _ = cli("spectrum", "--input", inputs["shifts"], *words)
+        body = json.loads(out)["body"]
+        assert code == 0 and body["verdict"] == "inside"
+        assert body["lambda"] == [{"re": "0", "im": "0"}, {"re": "-1", "im": "0"}]
+    # without the = form argparse reads -1,0 as an option
+    assert cli("spectrum", "--input", inputs["shifts"], "--lambda", "0,0", "-1,0")[0] == 1
+
+
 def test_cli_certify_whole_polydisc(inputs, tmp_path):
     # --r 0 is the closed polydisc: (z1, z2) vanishes at the origin
     code, out, _ = cli("certify", "--input", inputs["shifts"], "--r", "0")
