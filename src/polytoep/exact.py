@@ -1,8 +1,9 @@
-"""Exact complex-rational scalars built on fractions.Fraction."""
+"""Exact complex-rational scalars built on fractions.Fraction, and the sparse
+reduced row echelon form that the algebraic route and the Koszul grading use."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Dict, Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -97,6 +98,42 @@ EXACT_ZERO = ExactComplex(0)
 EXACT_ONE = ExactComplex(1)
 
 
-def exact(re: RationalLike = 0, im: RationalLike = 0) -> ExactComplex:
-    """Shorthand constructor accepting ints, Fractions, or 'p/q' strings."""
-    return ExactComplex(re, im)
+# ---- sparse exact elimination -----------------------------------------------
+
+Scalar = Union[Fraction, ExactComplex]   # Fraction for real rows
+
+
+def axpy(row: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]) -> None:
+    """row -= c · tail, in place, dropping entries that cancel."""
+    for k, v in tail.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -c * v
+        else:
+            nv = old - c * v
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+
+
+def echelon(rows: Iterable[Dict[int, Scalar]], pivots: Dict[int, Dict[int, Scalar]]) -> None:
+    """Grow a reduced row echelon form (pivot column -> normalized tail, no
+    tail entry in a pivot column) by ``rows``, in place.  Rows are sparse
+    (column -> nonzero entry), and the pivot of a row is its smallest
+    column."""
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            tail = pivots.get(lead)
+            c = row.pop(lead)
+            if tail is None:
+                pivots[lead] = {k: v / c for k, v in row.items()}
+                break
+            axpy(row, c, tail)
+    # back-substitute, largest column first, so tails avoid pivot columns
+    for lead in sorted(pivots, reverse=True):
+        tail = pivots[lead]
+        for k in [k for k in tail if k in pivots]:
+            axpy(tail, tail.pop(k), pivots[k])

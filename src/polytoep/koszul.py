@@ -52,8 +52,9 @@ z₃) is graded by every exponent, (z₁+z₂, z₂+z₃, z₃−z₁/2) by tota
 of one, is then block-diagonal by grade up to a permutation, so its singular
 values are the union of its blocks' ones (``graded_svdvals``).  A tuple with
 no weight, such as (z₁ − a, z₂ − b) with a, b ≠ 0 or the products of the
-benchmark workloads, is factored whole as before.  Ranks keep their
-tolerance relative to the largest singular value of the whole map.
+benchmark workloads, is the one-grade case: W has no rows, every key is 0
+and each map is a single block.  Ranks keep their tolerance relative to the
+largest singular value of the whole map.
 
 Arithmetic is real when it can be.  Every boundary matrix and span basis is
 ``float64`` when each coefficient of the tuple has imaginary part exactly 0
@@ -90,7 +91,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import qr, svdvals
 
-from .exact import EXACT_ZERO, ExactComplex
+from .exact import echelon
 from .poly import MultiPoly, SymbolTuple
 
 DEFAULT_RANK_TOL = 1e-8
@@ -262,89 +263,21 @@ def chain_check(kt: KoszulTruncation) -> bool:
     return True
 
 
-def exact_chain_check(st: SymbolTuple, N: int) -> bool:
-    """Entrywise-exact verification that consecutive boundary maps compose to
-    zero, in rational arithmetic when the tuple is exact."""
-    if st.mode != "exact":
-        return chain_check(build_koszul(st, N))
-    p = len(st)
-    deg = st.degree_vec()
-    wins = [MonomialWindow(st.nvars, tuple(N + k * d for d in deg)) for k in range(p + 1)]
-
-    def exact_mult(sym: MultiPoly, win_in, win_out):
-        cols = [dict() for _ in range(win_in.dim)]
-        for j, a in enumerate(win_in.basis):
-            for e, c in sym.terms.items():
-                t = tuple(x + y for x, y in zip(a, e))
-                cols[j][win_out.index[t]] = c
-        return cols
-
-    def stage(k):
-        win_in, win_out = wins[k - 1], wins[k]
-        ncb = len(_subsets(p, k - 1))
-        blocks = {}
-        for _, _, sym, _ in _stage_blocks(p, k):
-            if sym not in blocks:
-                blocks[sym] = exact_mult(st.symbols[sym], win_in, win_out)
-        cols = [dict() for _ in range(ncb * win_in.dim)]
-        for ri, ci, sym, sign in _stage_blocks(p, k):
-            for j, col in enumerate(blocks[sym]):
-                tgt = cols[ci * win_in.dim + j]
-                for i, c in col.items():
-                    key = ri * win_out.dim + i
-                    val = tgt.get(key, EXACT_ZERO) + (c if sign > 0 else -c)
-                    if val:
-                        tgt[key] = val
-                    else:
-                        tgt.pop(key, None)
-        return cols
-
-    prev = stage(1)
-    for k in range(2, p + 1):
-        nxt = stage(k)
-        for col in prev:                      # compose: nxt @ prev column by column
-            acc: dict = {}
-            for j, c in col.items():
-                for i, c2 in nxt[j].items():
-                    val = acc.get(i, EXACT_ZERO) + c2 * c
-                    if val:
-                        acc[i] = val
-                    else:
-                        acc.pop(i, None)
-            if acc:
-                return False
-        prev = nxt
-    return True
-
-
 # ---- weight grading -------------------------------------------------------------
 
 def _rational_kernel(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     """Primitive integer basis of {w ∈ ℚⁿ : w·v = 0 for every v in ``rows``},
-    by Gauss–Jordan elimination over ``Fraction``."""
-    mat = [[Fraction(x) for x in v] for v in rows]
-    pivots: List[int] = []
-    for col in range(n):
-        at = next((i for i in range(len(pivots), len(mat)) if mat[i][col]), None)
-        if at is None:
-            continue
-        top = len(pivots)
-        mat[top], mat[at] = mat[at], mat[top]
-        mat[top] = [x / mat[top][col] for x in mat[top]]
-        for i, row in enumerate(mat):
-            if i != top and row[col]:
-                mat[i] = [x - row[col] * y for x, y in zip(row, mat[top])]
-        pivots.append(col)
+    read off the reduced echelon form of ``rows``: one vector per free column,
+    1 there, so clearing its denominators leaves it primitive."""
+    pivots: dict = {}
+    echelon(({j: Fraction(x) for j, x in enumerate(v) if x} for v in rows), pivots)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        w = [Fraction(0)] * n
-        w[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            w[col] = -mat[i][free]
+        w = [Fraction(c == free) for c in range(n)]
+        for lead, tail in pivots.items():
+            w[lead] = -tail.get(free, Fraction(0))
         scale = math.lcm(*(x.denominator for x in w))
-        ints = [int(x * scale) for x in w]
-        g = math.gcd(*ints)
-        basis.append([x // g for x in ints])
+        basis.append([int(x * scale) for x in w])
     return basis
 
 
@@ -359,6 +292,7 @@ class TupleGrading:
     as integer keys: the key of a grade g is Σⱼ gⱼ·Mⱼ for the mixed radix M
     of the bounds |gⱼ| ≤ bⱼ that every window within ``MATRIX_BUDGET``
     satisfies, so distinct grades get distinct keys and no key leaves int64.
+    A tuple with no weight has W of shape (0, n), and every key is 0.
     """
 
     def __init__(self, st: SymbolTuple):
@@ -387,16 +321,10 @@ class TupleGrading:
                                      dtype=np.int64)
         self._keys: dict = {}
 
-    @property
-    def graded(self) -> bool:
-        return self.weights.shape[0] > 0
-
-    def keys(self, k: int, win: MonomialWindow) -> Optional[np.ndarray]:
+    def keys(self, k: int, win: MonomialWindow) -> np.ndarray:
         """Grade keys of the coordinates of stage k on ``win`` (subset blocks
         in ``_subsets`` order, monomials in window order), computed once per
-        window; None for an ungraded tuple."""
-        if not self.graded:
-            return None
+        window."""
         if (k, win.cap) not in self._keys:
             mono = np.array(win.basis, dtype=np.int64).reshape(win.dim, -1) @ self._omega
             self._keys[(k, win.cap)] = np.concatenate(
@@ -404,18 +332,16 @@ class TupleGrading:
         return self._keys[(k, win.cap)]
 
 
-def graded_svdvals(mat: np.ndarray, row_keys: Optional[np.ndarray] = None,
-                   col_keys: Optional[np.ndarray] = None) -> np.ndarray:
+def graded_svdvals(mat: np.ndarray, row_keys: np.ndarray,
+                   col_keys: np.ndarray) -> np.ndarray:
     """The min(m, n) singular values of ``mat``, descending.
 
-    Without keys this is ``svdvals(mat)``.  With keys, ``mat`` must vanish
-    wherever the row key differs from the column key, so up to a permutation
-    it is block-diagonal by key and its singular values are the union of the
-    blocks' ones, padded with zeros.  Blocks of one shape are factored in one
-    batched ``np.linalg.svd`` call.
+    ``mat`` must vanish wherever the row key differs from the column key, so
+    up to a permutation it is block-diagonal by key and its singular values
+    are the union of the blocks' ones, padded with zeros.  Blocks of one
+    shape are factored in one batched ``np.linalg.svd`` call.  When every key
+    is 0 (a tuple with no weight) the one block is the whole matrix.
     """
-    if row_keys is None:
-        return svdvals(mat)
     m, n = mat.shape
     keys, label = np.unique(np.concatenate([row_keys, col_keys]), return_inverse=True)
     row_label, col_label = label[:m], label[m:]
@@ -505,9 +431,7 @@ def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
         outside = np.ones(out.dim, dtype=bool)
         outside[[out.index[e] for e in wins[k].basis]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
-        row_keys = grading.keys(k, out)
-        rows_kept = graded_svdvals(enlarged[outside],
-                                   None if row_keys is None else row_keys[outside],
+        rows_kept = graded_svdvals(enlarged[outside], grading.keys(k, out)[outside],
                                    grading.keys(k - 1, wins[k]))
         dim_intersect = rank(k, enlarged, wins[k], out) - _rank_of(rows_kept, tol)
         dims.append(max(null_next - dim_intersect, 0))
@@ -806,9 +730,10 @@ def dump_matrices(kt: KoszulTruncation) -> str:
     """Dense text dump (row-major, re/im pairs) of every boundary matrix.
 
     The signs are those of ``_stage_blocks``: for a pair, d1 is the block
-    column [T₁; T₂] and d2 the block row [−T₂, T₁].  The matrices are written as complex ones whatever dtype the route used:
-    a real matrix carries no sign on its zero imaginary parts, and the text
-    keeps the one the complex arithmetic gives."""
+    column [T₁; T₂] and d2 the block row [−T₂, T₁].  The matrices are
+    written as complex ones whatever dtype the route used: a real matrix
+    carries no sign on its zero imaginary parts, and the text keeps the one
+    the complex arithmetic gives."""
     out = []
     for k in range(1, kt.arity + 1):
         m = _boundary_matrix(kt.tuple, k, kt.windows[k - 1], kt.windows[k], np.complex128)

@@ -20,6 +20,7 @@ mode and plain numbers in float mode.  Exact round-trips are bit-exact.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,8 @@ class MultiPoly:
                     raise ModeMismatchError(f"exact mode needs ExactComplex, got {type(c).__name__}")
             else:
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c} at exponent {e}")
             if e in clean:
                 clean[e] = clean[e] + c
             else:
@@ -644,15 +647,11 @@ def symbols(nvars: int, *polys: MultiPoly) -> SymbolTuple:
 
 # ---- JSON ------------------------------------------------------------------
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def poly_to_json(p: MultiPoly) -> dict:
     terms = []
     for e, c in p.sorted_terms():
         if p.mode == "exact":
-            terms.append({"exp": list(e), "re": _frac_str(c.re), "im": _frac_str(c.im)})
+            terms.append({"exp": list(e), "re": str(c.re), "im": str(c.im)})
         else:
             terms.append({"exp": list(e), "re": c.real, "im": c.imag})
     return {"nvars": p.nvars, "terms": terms}
@@ -671,10 +670,11 @@ def poly_from_json(obj: Mapping) -> MultiPoly:
     terms: dict[Exponent, Coefficient] = {}
     for t in raw:
         e = tuple(int(x) for x in t["exp"])
-        if exact_mode:
-            c: Coefficient = ExactComplex(Fraction(t["re"]), Fraction(t["im"]))
-        else:
-            c = complex(float(t["re"]), float(t["im"]))
+        try:
+            c: Coefficient = (ExactComplex(Fraction(t["re"]), Fraction(t["im"])) if exact_mode
+                              else complex(float(t["re"]), float(t["im"])))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in the coefficient of {e}") from exc
         if e in terms:
             raise ValueError(f"duplicate exponent {e} in polynomial JSON")
         terms[e] = c

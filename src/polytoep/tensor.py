@@ -25,6 +25,7 @@ its koszul and disc routes must agree.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -42,6 +43,8 @@ class TrigPoly:
 
     def __init__(self, coeffs: Mapping[int, complex]):
         clean = {int(k): complex(c) for k, c in coeffs.items() if c != 0}
+        if not all(map(cmath.isfinite, clean.values())):
+            raise ValueError("non-finite Fourier coefficient")
         if not clean:
             raise ValueError("zero trigonometric polynomial")
         object.__setattr__(self, "coeffs", clean)
@@ -150,9 +153,10 @@ def tensor_tuple_index(factors: Sequence[TrigPoly],
     n = len(factors)
     if n == 0:
         raise ValueError("tensor route needs at least one factor")
-    variables = list(variables) if variables is not None else list(range(n))
-    if len(variables) != n or len(set(variables)) != n:
-        raise ValueError("each factor must be attached to a distinct variable")
+    variables = list(range(n)) if variables is None else variables
+    if not (isinstance(variables, (list, tuple)) and len(variables) == n
+            and all(type(v) is int and v >= 0 for v in variables) and len(set(variables)) == n):
+        raise ValueError("variables must be distinct non-negative integers, one per factor")
     per = tuple(trig_toeplitz_index(f) for f in factors)
     if not all(fi.fredholm for fi in per):
         return TensorIndexReport(per, False, "undefined",

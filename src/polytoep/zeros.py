@@ -30,14 +30,13 @@ before raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import schur
 
 from .certify import BoundaryCertificate, boundary_lower_bound
-from .exact import EXACT_ZERO, ExactComplex
+from .exact import EXACT_ZERO, ExactComplex, Scalar, axpy, echelon
 from .poly import (
     ModeMismatchError,
     MultiPoly,
@@ -51,8 +50,6 @@ CLUSTER_RADIUS = 1e-7
 BOUNDARY_MARGIN = 1e-6
 _MAX_ROUNDS = 6
 _WINDOW_COL_BUDGET = 3200
-
-Scalar = Union[Fraction, ExactComplex]   # Fraction for real pairs
 
 
 class ClusterAmbiguityError(RuntimeError):
@@ -121,40 +118,6 @@ def _key(e: Tuple[int, int]) -> int:
     return -(s * (s + 1) // 2 + e[0])
 
 
-def _axpy(row: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]) -> None:
-    """row -= c · tail, in place, dropping entries that cancel."""
-    for k, v in tail.items():
-        old = row.get(k)
-        if old is None:
-            row[k] = -c * v
-        else:
-            nv = old - c * v
-            if nv:
-                row[k] = nv
-            else:
-                del row[k]
-
-
-def _echelon(rows: Iterable[Dict[int, Scalar]], pivots: Dict[int, Dict[int, Scalar]]) -> None:
-    """Grow a reduced row echelon form (pivot column -> normalized tail, no
-    tail entry in a pivot column) by ``rows``, in place."""
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            tail = pivots.get(lead)
-            c = row.pop(lead)
-            if tail is None:
-                pivots[lead] = {k: v / c for k, v in row.items()}
-                break
-            _axpy(row, c, tail)
-    # back-substitute, smallest monomial first, so tails avoid pivot columns
-    for lead in sorted(pivots, reverse=True):
-        tail = pivots[lead]
-        for k in [k for k in tail if k in pivots]:
-            _axpy(tail, tail.pop(k), pivots[k])
-
-
 def _shift_rows(terms, lo: int, hi: int):
     """Rows z^γ·f for the shifts γ in the box [0, hi]² but not in [0, lo]²."""
     for f in terms:
@@ -173,7 +136,7 @@ def _apply(cols, x: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """The sparse column M·x, for M stored as sparse columns."""
     out: Dict[int, Scalar] = {}
     for k, xk in x.items():
-        _axpy(out, -xk, cols[k])          # out += xk · column k
+        axpy(out, -xk, cols[k])          # out += xk · column k
     return out
 
 
@@ -203,7 +166,7 @@ def quotient_basis(st: SymbolTuple):
             raise ValueError(
                 f"quotient window needs {cols} columns "
                 f"(budget {_WINDOW_COL_BUDGET}); degrees too large")
-        _echelon(_shift_rows(terms, built, M), pivots)
+        echelon(_shift_rows(terms, built, M), pivots)
         built = M
         if _key((0, 0)) in pivots:          # 1 lies in the ideal: no zeros
             return [], [], []

@@ -23,7 +23,6 @@ from polytoep.koszul import (
     chain_products,
     dump_matrices,
     euler_index,
-    exact_chain_check,
     graded_svdvals,
     homology_kernel_dims,
     ideal_codim_window,
@@ -78,14 +77,14 @@ def graded_maps(kt, grading):
         outside = np.tile(outside, len(_subsets(p, k)))
         rows, cols = grading.keys(k, out), grading.keys(k - 1, wins[k])
         yield enlarged, rows, cols
-        yield enlarged[outside], None if rows is None else rows[outside], cols
+        yield enlarged[outside], rows[outside], cols
 
 
 def assert_grading_sound(st, levels):
     """Every map is zero off its grade blocks, and the blockwise singular
     values are the dense ones to 1e-12 of the largest."""
     grading = TupleGrading(st)
-    assert grading.graded
+    assert grading.weights.shape[0] > 0
     for n in levels:
         kt = build_koszul(st, n)
         for mat, rows, cols in graded_maps(kt, grading):
@@ -198,14 +197,6 @@ def test_chain_property_and_exactness(shift_pair, monomial_pair):
         kt = build_koszul(st, 4)
         for prod in chain_products(kt):
             assert np.max(np.abs(prod)) == 0.0
-        assert exact_chain_check(st, 4)
-
-
-def test_exact_chain_check_on_float_tuples(non_dyadic_pair):
-    # float products of the non-dyadic maps leave rounding residues, which the
-    # float branch must accept as the rounding-aware ``chain_check`` does
-    for n in (2, 3, 4):
-        assert exact_chain_check(non_dyadic_pair.to_float(), n)
 
 
 def test_chain_check_catches_a_flipped_sign(non_dyadic_pair):
@@ -278,8 +269,8 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
     calls = []
     graded = koszul.graded_svdvals
 
-    def counted(mat, row_keys=None, col_keys=None):
-        calls.append((mat.shape, row_keys is not None))
+    def counted(mat, row_keys, col_keys):
+        calls.append(mat.shape)
         return graded(mat, row_keys, col_keys)
 
     monkeypatch.setattr(koszul, "graded_svdvals", counted)
@@ -292,10 +283,8 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
     assert list(route.per_n) == fresh
     # seven factorizations per level, less d₁ and d₂ at N = 2 and 3: those
     # are the enlarged maps of the level before.  σ_min of the last d₁ comes
-    # from the same record, not from an eighth factorization.  Every one is
-    # factored by grade.
+    # from the same record, not from an eighth factorization.
     assert len(calls) == 7 + 5 + 5
-    assert all(keyed for _, keyed in calls)
     assert route.sigma_min_first == pytest.approx(
         stage1_sigma_min(build_koszul(shifts3(), 3)), rel=1e-12)
 
@@ -344,27 +333,57 @@ def test_graded_factorization_is_sound_on_drawn_tuples(st):
     assert_grading_sound(st, (1,) if st.nvars == 3 else (2,))
 
 
-def test_ungraded_tuples_factor_the_whole_matrix(non_dyadic_pair, monkeypatch):
+def test_ungraded_tuples_factor_the_whole_matrix(non_dyadic_pair):
     # (z1 − 3/5, z2 − 9/20) and a product pair carry no weight grading: every
-    # factorization is the plain svdvals of the unchanged matrix, bit for bit
+    # key is 0, so each map is one block, factored as ``svdvals`` factors it,
+    # bit for bit
     product = symbols(2, p2({(2, 0): 1, (1, 0): "-1/12", (0, 0): "-1/12"}),
                       p2({(0, 1): 1, (0, 0): "1/4"}))
     for st in (non_dyadic_pair, rotated(non_dyadic_pair), product):
         grading = TupleGrading(st)
-        assert not grading.graded
-        kt = build_koszul(st, 3)
-        expected = [mat for mat, _, _ in graded_maps(kt, grading)]
-        seen = []
-        monkeypatch.setattr(koszul, "svdvals", lambda m: seen.append(m) or svdvals(m))
-        sigmas = {}
-        homology_kernel_dims(kt, sigmas, grading)
-        monkeypatch.undo()
-        assert len(seen) == len(expected)
-        assert all(any(m.shape == e.shape and np.array_equal(m, e) for e in expected)
-                   for m in seen)
-        for k, d in enumerate(kt.boundary_matrices, start=1):
-            got = sigmas[(k, kt.windows[k - 1].cap, kt.windows[k].cap)]
-            assert np.array_equal(got, svdvals(d))
+        assert grading.weights.shape == (0, 2)
+        for n in (2, 3):
+            for mat, rows, cols in graded_maps(build_koszul(st, n), grading):
+                assert not rows.any() and not cols.any()
+                assert np.array_equal(graded_svdvals(mat, rows, cols), svdvals(mat))
+
+
+def gauss_jordan_kernel(rows, n):
+    """Reference for ``_rational_kernel``: a primitive integer basis of the
+    rational kernel of ``rows`` by Gauss–Jordan elimination over Fraction."""
+    mat = [[Fraction(x) for x in v] for v in rows]
+    pivots = []
+    for col in range(n):
+        at = next((i for i in range(len(pivots), len(mat)) if mat[i][col]), None)
+        if at is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[at] = mat[at], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for i, row in enumerate(mat):
+            if i != top and row[col]:
+                mat[i] = [x - row[col] * y for x, y in zip(row, mat[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        w = [Fraction(0)] * n
+        w[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            w[col] = -mat[i][free]
+        scale = math.lcm(*(x.denominator for x in w))
+        ints = [int(x * scale) for x in w]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(1, 3).flatmap(lambda n: hst.tuples(
+    hst.just(n), hst.lists(hst.lists(hst.integers(-4, 4), min_size=n, max_size=n),
+                           max_size=4))))
+def test_rational_kernel_matches_gauss_jordan(case):
+    n, rows = case
+    assert koszul._rational_kernel(rows, n) == gauss_jordan_kernel(rows, n)
 
 
 def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):

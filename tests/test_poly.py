@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, bounds, elimination, serialization."""
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytoep.certify import shifted_tuple
 from polytoep.exact import ExactComplex
 from polytoep.poly import (
     ModeMismatchError,
+    MultiPoly,
     NotEliminableError,
     canonical_tuple_json,
     coefficient_bounds,
@@ -94,6 +97,16 @@ def test_poly_json_preserves_rationals():
     assert q == p
     c = q.terms[(2, 1)]
     assert isinstance(c, ExactComplex) and c.re == Fraction(22, 7)
+
+
+def test_float_coefficients_must_be_finite():
+    for c in (math.nan, math.inf, complex(0, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            MultiPoly(2, {(1, 0): 1.0, (0, 0): c}, "float")
+    # the shift λ of the spectrum query builds its constants the same way
+    st = symbols(2, exact_poly(2, {(1, 0): 1}), exact_poly(2, {(0, 1): 1}))
+    with pytest.raises(ValueError, match="non-finite"):
+        shifted_tuple(st, [math.nan, 0])
 
 
 def test_univariate_coeffs_ascending():

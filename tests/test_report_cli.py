@@ -1,6 +1,7 @@
 """Report pipeline, cache behavior, and exit codes through the CLI."""
 import json
 import logging
+import math
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polytoep
+from polytoep.certify import essential_spectrum_cloud
 from polytoep.cli import main
 from polytoep.koszul import build_koszul, dump_matrices
 from polytoep.oracle import OracleConfig
@@ -224,9 +226,21 @@ def test_cli_certify_and_spectrum(inputs):
     code, out, _ = cli("certify", "--input", inputs["repeated"], "--r", "0.5")
     assert code == 2
     code, out, _ = cli("spectrum", "--input", inputs["shifts"], "--lambda", "0,0", "0,0")
-    assert code == 0 and json.loads(out)["body"]["verdict"] == "outside"
+    body = json.loads(out)["body"]
+    assert code == 0 and body["verdict"] == "outside"
+    code, out, _ = cli("spectrum", "--input", inputs["shifts"], "--lambda", "0,0", "0,0",
+                       "--emit", "csv")
+    assert code == 0 and out.splitlines() == [
+        "lambda,verdict,distance_estimate",
+        f'"0,0 0,0",outside,{body["distance_estimate"]}']
     code, out, _ = cli("spectrum", "--input", inputs["shifts"], "--resolution", "6")
     assert code == 0 and out.startswith("re1,im1")
+    # the JSON cloud is the CSV read back: every point exactly as computed
+    code, out, _ = cli("spectrum", "--input", inputs["shifts"], "--resolution", "6",
+                       "--emit", "json")
+    cloud = essential_spectrum_cloud(load_tuple(inputs["shifts"]), 0.9, 6)
+    assert code == 0 and json.loads(out) == {
+        "points": [[x for v in row for x in (v.real, v.imag)] for row in cloud]}
 
 
 def test_cli_spectrum_negative_lambda(inputs):
@@ -284,12 +298,31 @@ def assert_clean_error(code, err):
 
 def test_cli_malformed_tensor_input(tmp_path):
     path = tmp_path / "tensor.json"
+    z = {"fourier": [{"k": 1, "re": 1.0}]}
     for obj in ({"variables": [0, 1]},
                 {"factors": [{"fourier": [{"re": 1.0}]}]},
-                {"factors": [{"fourier": [{"k": 1}]}]}):
+                {"factors": [{"fourier": [{"k": 1}]}]},
+                {"factors": [{"fourier": [{"k": 1, "re": math.nan}]}]},
+                {"factors": [z, z], "variables": 3},
+                {"factors": [z], "variables": ["a"]},
+                {"factors": [z], "variables": [-1]}):
         path.write_text(json.dumps(obj))
         code, _, err = cli("tensor", "--input", str(path))
         assert_clean_error(code, err)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, "1/0"])
+def test_cli_rejects_bad_tuple_coefficients(c, tmp_path):
+    # (z1 + c, z2): a NaN term would be pruned unseen, an infinite one would
+    # prune its whole symbol, and "1/0" has no value
+    one, zero = ("1", "0") if isinstance(c, str) else (1.0, 0.0)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"nvars": 2, "symbols": [
+        {"nvars": 2, "terms": [{"exp": [1, 0], "re": one, "im": zero},
+                               {"exp": [0, 0], "re": c, "im": zero}]},
+        {"nvars": 2, "terms": [{"exp": [0, 1], "re": one, "im": zero}]}]}))
+    code, _, err = cli("index", "--input", str(path))
+    assert_clean_error(code, err)
 
 
 def test_cli_config_top_level_must_be_an_object(inputs, tmp_path):

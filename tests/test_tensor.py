@@ -109,6 +109,8 @@ def test_tensor_undefined_and_validation():
         tensor_tuple_index([], [])
     with pytest.raises(ValueError):
         tensor_tuple_index([TrigPoly({1: 1.0})] * 2, [0, 0])
+    with pytest.raises(ValueError, match="non-finite"):
+        TrigPoly({0: 1.0, 1: float("nan")})
 
 
 # -- one variable: the product formula at n = 1 ----------------------------------

@@ -162,14 +162,14 @@ def reference_pairs(quarter_pair):
 def echelon_calls(monkeypatch):
     """Rows handed to each call of the elimination helper."""
     calls = []
-    echelon = zeros._echelon
+    echelon = zeros.echelon
 
     def spy(rows, pivots):
         rows = list(rows)
         calls.append(rows)
         return echelon(rows, pivots)
 
-    monkeypatch.setattr(zeros, "_echelon", spy)
+    monkeypatch.setattr(zeros, "echelon", spy)
     return calls
 
 
