@@ -72,9 +72,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im

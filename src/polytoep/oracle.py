@@ -7,8 +7,11 @@ inside the bidisc unchanged while splitting multiple zeros into simple ones;
 the count is then read off a resultant-plus-lifting solve and put to a
 majority vote across trials.
 
+The solve eliminates z₂ when either symbol depends on it and z₁ otherwise;
+a pair in z₁ alone then has a constant resultant and no common zero.
 Perturbations are exact rational constants (every float is one), so the
-resultant assembly stays exact; only companion-matrix root-finding floats.
+resultant (a fraction-free determinant, ``poly.resultant``) and its
+squarefree part stay exact; only companion-matrix root-finding floats.
 """
 from __future__ import annotations
 
@@ -72,17 +75,16 @@ def _perturbed(st: SymbolTuple, rng: np.random.Generator, epsilon: float) -> Sym
     return symbols(st.nvars, *out)
 
 
-def _squarefree_roots(p: MultiPoly, var: int) -> np.ndarray:
-    """Distinct roots of an exact polynomial that is constant in the other
-    variable: the squarefree part p/gcd(p, p′) is computed exactly, so the
-    companion solve only ever sees simple roots."""
-    p1 = exact_poly(1, {(e[var],): c for e, c in p.terms.items()})
-    if p1.degree() == 0:
+def _squarefree_roots(p: MultiPoly) -> np.ndarray:
+    """Distinct roots of a nonzero exact univariate polynomial (a resultant):
+    the squarefree part p/gcd(p, p′) is computed exactly, so the companion
+    solve only ever sees simple roots.  A constant has none."""
+    if p.degree() == 0:
         return np.empty(0, dtype=complex)
-    g = gcd_univariate(p1, p1.diff(0))
+    g = gcd_univariate(p, p.diff(0))
     if g.degree() > 0:
-        p1 = divexact(p1, g)
-    arr = np.array([c.to_complex() for c in univariate_coeffs(p1)])
+        p = divexact(p, g)
+    arr = np.array([c.to_complex() for c in univariate_coeffs(p)])
     return np.roots(arr[::-1])
 
 
@@ -111,7 +113,7 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
             return np.empty((0, 2), dtype=complex)   # two nonzero constants
     if r.is_zero():
         return None
-    base = _squarefree_roots(r, keep)
+    base = _squarefree_roots(r)
     points = []
     for a in base:
         pa = _specialize(p, keep, a)

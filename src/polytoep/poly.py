@@ -12,7 +12,8 @@ coefficient modes coexist and never mix silently:
 
 Construction canonicalizes: zero coefficients are dropped (exactly in exact
 mode; below ``1e-14`` relative to the largest magnitude in float mode), and
-exponent tuples must be non-negative ints of length ``nvars``.
+exponent tuples must be non-negative integers of length ``nvars``: a value
+with a fractional part is a ValueError, never truncated.
 
 JSON form (shared with the CLI): ``{"nvars": n, "terms": [{"exp": [i, j],
 "re": ..., "im": ...}]}`` where re/im are ``"p/q"`` rational strings in exact
@@ -43,6 +44,18 @@ class ModeMismatchError(TypeError):
     """Raised when exact and float polynomials meet in one operation."""
 
 
+def integral(x, what: str) -> int:
+    """x as an int.  A value with a fractional part, or with no numeric
+    value, is a ValueError: it is never truncated."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from exc
+    if k != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return k
+
+
 def _grlex_key(e: Exponent):
     return (sum(e), e)
 
@@ -59,7 +72,7 @@ class MultiPoly:
             raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
         clean: dict[Exponent, Coefficient] = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(integral(x, "exponent") for x in e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} for nvars={nvars}")
             if mode == "exact":
@@ -182,20 +195,6 @@ class MultiPoly:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         pk = pack_tuple(SymbolTuple((self,), self.nvars))
         return complex(values_block(pk, [point])[0, 0])
-
-    def eval_exact(self, point: Sequence[ExactComplex]) -> ExactComplex:
-        if self.mode != "exact":
-            raise ModeMismatchError("eval_exact requires an exact polynomial")
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        acc = EXACT_ZERO
-        for e, c in self.sorted_terms():
-            t = c
-            for v, k in enumerate(e):
-                for _ in range(k):
-                    t = t * point[v]
-            acc = acc + t
-        return acc
 
     # ---- conversions -----------------------------------------------------
 
@@ -385,11 +384,11 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
     the given variable.  Returns a univariate exact polynomial in the kept
     variable.
 
-    The determinant is computed by exact interpolation: the Sylvester matrix
-    (entries univariate in the kept variable) is evaluated at integer nodes,
-    each scalar determinant is taken over ExactComplex, and the results are
-    Lagrange-interpolated.  Degree bound: deg_v(p)·deg_keep(q) +
-    deg_v(q)·deg_keep(p).
+    The determinant of the Sylvester matrix is taken over ℚ(i)[z_keep] by
+    fraction-free Gaussian elimination with row swaps (Bareiss, Math. Comp.
+    22, 1968): every update (a_kk·a_ij − a_ik·a_kj) / (previous pivot) is an
+    exact polynomial division by Sylvester's identity.  A symbol constant in
+    the eliminated variable gives the triangular case, a power of it.
     """
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("resultant is defined for nvars=2")
@@ -399,7 +398,6 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
         raise ValueError("resultant of a zero polynomial")
     if eliminate not in (0, 1):
         raise ValueError("eliminate must be 0 or 1")
-    keep = 1 - eliminate
     m = p.degree_in(eliminate)
     n = q.degree_in(eliminate)
     if m <= 0 and n <= 0:
@@ -411,18 +409,7 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
         return _pow_poly1(pc[0], n)
     if n <= 0:
         return _pow_poly1(qc[0], m)
-    dp = max(c.degree_in(0) for c in pc)
-    dq = max(c.degree_in(0) for c in qc)
-    bound = m * dq + n * dp
-    nodes = _integer_nodes(bound + 1)
-    values = []
-    for t in nodes:
-        pt = [ExactComplex(t)]
-        prow = [c.eval_exact(pt) for c in pc]
-        qrow = [c.eval_exact(pt) for c in qc]
-        values.append(_sylvester_det(prow, qrow))
-    coeffs = _lagrange_interpolate(nodes, values)
-    return _poly1_from_coeffs(coeffs, "exact")
+    return _sylvester_det(pc, qc)
 
 
 def _pow_poly1(base: MultiPoly, k: int) -> MultiPoly:
@@ -432,79 +419,40 @@ def _pow_poly1(base: MultiPoly, k: int) -> MultiPoly:
     return out
 
 
-def _integer_nodes(count: int) -> list:
-    nodes = [0]
-    k = 1
-    while len(nodes) < count:
-        nodes.append(k)
-        if len(nodes) < count:
-            nodes.append(-k)
-        k += 1
-    return nodes[:count]
-
-
-def _sylvester_det(prow: list, qrow: list) -> ExactComplex:
-    """Determinant of the Sylvester matrix built from scalar coefficient rows
-    (ascending); prow has degree m = len-1, qrow degree n = len-1."""
-    m = len(prow) - 1
-    n = len(qrow) - 1
+def _sylvester_det(pc: list, qc: list) -> MultiPoly:
+    """Determinant of the Sylvester matrix of two polynomials given by their
+    ascending univariate coefficients, by Bareiss elimination."""
+    m = len(pc) - 1
+    n = len(qc) - 1
     size = m + n
-    mat = [[EXACT_ZERO] * size for _ in range(size)]
+    zero = MultiPoly(1, {}, "exact")
+    mat = [[zero] * size for _ in range(size)]
     for i in range(n):
-        for j, c in enumerate(reversed(prow)):
+        for j, c in enumerate(reversed(pc)):
             mat[i][i + j] = c
     for i in range(m):
-        for j, c in enumerate(reversed(qrow)):
+        for j, c in enumerate(reversed(qc)):
             mat[n + i][i + j] = c
-    return _det_exact(mat)
-
-
-def _det_exact(mat: list) -> ExactComplex:
-    """Gaussian elimination determinant over ExactComplex."""
-    size = len(mat)
-    det = EXACT_ONE
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if mat[r][col]:
-                piv = r
-                break
+    sign = 1
+    prev = constant(1, EXACT_ONE, "exact")
+    for k in range(size - 1):
+        piv = next((r for r in range(k, size) if not mat[r][k].is_zero()), None)
         if piv is None:
-            return EXACT_ZERO
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = EXACT_ONE / mat[col][col]
-        for r in range(col + 1, size):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                for cidx in range(col, size):
-                    mat[r][cidx] = mat[r][cidx] - f * mat[col][cidx]
-    return det
-
-
-def _lagrange_interpolate(nodes: list, values: list) -> list:
-    """Exact coefficients (ascending) of the interpolating polynomial."""
-    k = len(nodes)
-    coeffs = [EXACT_ZERO] * k
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        basis = [EXACT_ONE]
-        denom = EXACT_ONE
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            new = [EXACT_ZERO] * (len(basis) + 1)
-            xje = ExactComplex(xj)
-            for d, b in enumerate(basis):
-                new[d] = new[d] - b * xje
-                new[d + 1] = new[d + 1] + b
-            basis = new
-            denom = denom * (ExactComplex(xi) - xje)
-        w = yi / denom
-        for d, b in enumerate(basis):
-            coeffs[d] = coeffs[d] + w * b
-    return coeffs
+            return zero
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                v = top[k] * row[j]
+                if not lead.is_zero():
+                    v = v - lead * top[j]
+                row[j] = divexact(v, prev)
+        prev = top[k]
+    det = mat[-1][-1]
+    return det if sign > 0 else -det
 
 
 def gcd_bivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -659,7 +607,7 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 def poly_from_json(obj: Mapping) -> MultiPoly:
     try:
-        nvars = int(obj["nvars"])
+        nvars = integral(obj["nvars"], "nvars")
         raw = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc
@@ -669,7 +617,7 @@ def poly_from_json(obj: Mapping) -> MultiPoly:
         exact_mode = obj["mode"] == "exact"
     terms: dict[Exponent, Coefficient] = {}
     for t in raw:
-        e = tuple(int(x) for x in t["exp"])
+        e = tuple(integral(x, "exponent") for x in t["exp"])
         try:
             c: Coefficient = (ExactComplex(Fraction(t["re"]), Fraction(t["im"])) if exact_mode
                               else complex(float(t["re"]), float(t["im"])))
@@ -687,7 +635,7 @@ def tuple_to_json(st: SymbolTuple) -> dict:
 
 def tuple_from_json(obj: Mapping) -> SymbolTuple:
     try:
-        nvars = int(obj["nvars"])
+        nvars = integral(obj["nvars"], "nvars")
         polys = tuple(poly_from_json(o) for o in obj["symbols"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed symbol-tuple object: {exc}") from exc

@@ -14,8 +14,10 @@ A factor is invertible exactly when its winding number is 0: by Coburn's
 lemma a Fredholm Toeplitz operator with continuous symbol and index 0 is
 invertible (Böttcher–Silbermann, *Analysis of Toeplitz Operators*).  An
 invertible factor puts the tuple outside the product formula's hypothesis;
-the reported tuple index is then 0 (the Koszul complex of a tuple with an
-invertible member is exact), carried with an explicit note.
+the reported tuple index is then 0 whatever the other factors are (the
+Koszul complex of a tuple with an invertible member is exact), carried with
+an explicit note.  A tuple with no invertible factor and a factor that
+vanishes on the circle is not Fredholm: its index is "undefined".
 
 For tuples of analytic polynomials in one *shared* variable the index is 0
 whenever the tuple is Fredholm at all.  disc_tuple_index is a call into
@@ -31,7 +33,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .poly import MultiPoly, SymbolTuple
+from .poly import MultiPoly, SymbolTuple, integral
 
 QUADRATURE_POINTS = 256          # first node count of ``fourier_winding``
 
@@ -42,20 +44,13 @@ class TrigPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, complex]):
-        clean = {int(k): complex(c) for k, c in coeffs.items() if c != 0}
+        clean = {integral(k, "Fourier index"): complex(c)
+                 for k, c in coeffs.items() if c != 0}
         if not all(map(cmath.isfinite, clean.values())):
             raise ValueError("non-finite Fourier coefficient")
         if not clean:
             raise ValueError("zero trigonometric polynomial")
         object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def min_index(self) -> int:
-        return min(self.coeffs)
-
-    @property
-    def max_index(self) -> int:
-        return max(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
@@ -63,9 +58,6 @@ class TrigPoly:
     def __repr__(self) -> str:
         items = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
         return f"TrigPoly({{{items}}})"
-
-    def reversed_indices(self) -> "TrigPoly":
-        return TrigPoly({-k: c for k, c in self.coeffs.items()})
 
 
 def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
@@ -80,16 +72,11 @@ def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
     return TrigPoly(coeffs)
 
 
-def trig_to_json(f: TrigPoly) -> dict:
-    return {"fourier": [{"k": k, "re": c.real, "im": c.imag}
-                        for k, c in sorted(f.coeffs.items())]}
-
-
 def trig_from_json(obj: dict) -> TrigPoly:
     coeffs: Dict[int, complex] = {}
     try:
         for t in obj["fourier"]:
-            k = int(t["k"])
+            k = integral(t["k"], "Fourier index")
             if k in coeffs:
                 raise ValueError(f"duplicate Fourier index {k}")
             coeffs[k] = complex(float(t["re"]), float(t.get("im", 0.0)))
@@ -158,14 +145,14 @@ def tensor_tuple_index(factors: Sequence[TrigPoly],
             and all(type(v) is int and v >= 0 for v in variables) and len(set(variables)) == n):
         raise ValueError("variables must be distinct non-negative integers, one per factor")
     per = tuple(trig_toeplitz_index(f) for f in factors)
-    if not all(fi.fredholm for fi in per):
-        return TensorIndexReport(per, False, "undefined",
-                                 "a factor vanishes on the circle")
     if any(fi.invertible_flag for fi in per):
         return TensorIndexReport(
             per, True, 0,
             "an invertible factor makes the tuple exact; index 0 lies outside "
             "the product formula's non-invertibility hypothesis")
+    if not all(fi.fredholm for fi in per):
+        return TensorIndexReport(per, False, "undefined",
+                                 "a factor vanishes on the circle")
     sign = 1 if n % 2 else -1     # (−1)^(n+1)
     prod = 1
     for fi in per:

@@ -257,18 +257,16 @@ def _cluster(points: np.ndarray, radius: float) -> List[np.ndarray]:
     return [points[idx] for idx in groups.values()]
 
 
-def _classify(point: np.ndarray, margin: float) -> str:
+def _classify(point: np.ndarray) -> str:
     m = float(np.max(np.abs(point)))
-    if m < 1.0 - margin:
+    if m < 1.0 - BOUNDARY_MARGIN:
         return "inside"
-    if m > 1.0 + margin:
+    if m > 1.0 + BOUNDARY_MARGIN:
         return "outside"
     return "boundary_proximate"
 
 
-def common_zeros(st: SymbolTuple, *, seed: int = 0,
-                 cluster_radius: float = CLUSTER_RADIUS,
-                 boundary_margin: float = BOUNDARY_MARGIN) -> ZeroSet:
+def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
     """Locate all common zeros with multiplicities.  Requires a
     zero-dimensional pair; the multiplicity sum always equals the quotient
     dimension."""
@@ -283,19 +281,19 @@ def common_zeros(st: SymbolTuple, *, seed: int = 0,
     a2 = np.array([[c.to_complex() for c in row] for row in m2])
     for trial in range(2):
         pts = _joint_points(a1, a2, seed, trial)
-        clusters = _cluster(pts, cluster_radius)
+        clusters = _cluster(pts, CLUSTER_RADIUS)
         centers = [np.mean(cl, axis=0) for cl in clusters]
         ok = True
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
-                if np.max(np.abs(centers[i] - centers[j])) < 3 * cluster_radius:
+                if np.max(np.abs(centers[i] - centers[j])) < 3 * CLUSTER_RADIUS:
                     ok = False
         if ok:
             zeros = []
             for cl, ctr in zip(clusters, centers):
                 zeros.append(Zero(point=(complex(ctr[0]), complex(ctr[1])),
                                   multiplicity=cl.shape[0],
-                                  location=_classify(ctr, boundary_margin)))
+                                  location=_classify(ctr)))
             zeros.sort(key=lambda z: (abs(z.point[0]), abs(z.point[1]),
                                       z.point[0].real, z.point[1].real))
             inside = sum(z.multiplicity for z in zeros if z.location == "inside")

@@ -27,6 +27,12 @@ def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
     assert perturbed_count(cross) == 2
     far = symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
     assert perturbed_count(far) == 0
+    # both symbols constant in z2: z1 is eliminated, and the perturbed
+    # pair's resultant is a nonzero constant, so there is nothing to count
+    z1 = p2({(1, 0): 1})
+    for p, q in ((z1, p2({(1, 0): 1, (0, 0): "-1/2"})),
+                 (p2({(2, 0): 1, (0, 0): "-1/2"}), z1)):
+        assert perturbed_count(symbols(2, p, q)) == 0
 
 
 def test_details_are_deterministic(monomial_pair):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polytoep.certify import shifted_tuple
-from polytoep.exact import ExactComplex
+from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.poly import (
     ModeMismatchError,
     MultiPoly,
@@ -109,6 +109,12 @@ def test_float_coefficients_must_be_finite():
         shifted_tuple(st, [math.nan, 0])
 
 
+def test_exponents_must_be_integral():
+    with pytest.raises(ValueError, match="must be an integer"):
+        MultiPoly(2, {(1.5, 0): ExactComplex(1)}, "exact")
+    assert MultiPoly(2, {(1.0, 0): ExactComplex(1)}, "exact").terms == {(1, 0): ExactComplex(1)}
+
+
 def test_univariate_coeffs_ascending():
     p = exact_poly(1, {(2,): 3, (0,): "1/2"})
     cs = univariate_coeffs(p)
@@ -170,6 +176,128 @@ def test_resultant_specialization_consistency():
     r = resultant(p, z2, eliminate=1)
     for a in (0.3 + 0.1j, -0.5, 1.2j):
         assert r.eval((a,)) == pytest.approx(p.eval((a, 0)), rel=1e-12, abs=1e-12)
+
+
+# -- resultant against an independent reference --------------------------------
+
+
+def interpolation_resultant(p, q, eliminate):
+    """Reference Sylvester resultant: the Sylvester matrix evaluated at
+    integer nodes of the kept variable, one exact scalar determinant per
+    node, Lagrange-interpolated.  Nodes: one more than the degree bound
+    deg_v(p)·deg_keep(q) + deg_v(q)·deg_keep(p)."""
+    keep = 1 - eliminate
+    m, n = p.degree_in(eliminate), q.degree_in(eliminate)
+    if m <= 0 and n <= 0:
+        raise NotEliminableError("both polynomials are constant in the variable")
+
+    def coeffs_at(f, t):
+        out = [EXACT_ZERO] * (f.degree_in(eliminate) + 1)
+        for e, c in f.terms.items():
+            out[e[eliminate]] = out[e[eliminate]] + c * ExactComplex(t ** e[keep])
+        return out
+
+    def det(mat):
+        size, d = len(mat), EXACT_ONE
+        for col in range(size):
+            piv = next((r for r in range(col, size) if mat[r][col]), None)
+            if piv is None:
+                return EXACT_ZERO
+            if piv != col:
+                mat[col], mat[piv] = mat[piv], mat[col]
+                d = -d
+            d = d * mat[col][col]
+            for r in range(col + 1, size):
+                f = mat[r][col] / mat[col][col]
+                for c in range(col, size):
+                    mat[r][c] = mat[r][c] - f * mat[col][c]
+        return d
+
+    def sylvester_det(prow, qrow):
+        mm, nn = len(prow) - 1, len(qrow) - 1
+        mat = [[EXACT_ZERO] * (mm + nn) for _ in range(mm + nn)]
+        for i in range(nn):
+            for j, c in enumerate(reversed(prow)):
+                mat[i][i + j] = c
+        for i in range(mm):
+            for j, c in enumerate(reversed(qrow)):
+                mat[nn + i][i + j] = c
+        return det(mat)
+
+    bound = m * q.degree_in(keep) + n * p.degree_in(keep)
+    nodes = [(k + 1) // 2 * (-1) ** (k + 1) for k in range(bound + 1)]   # 0, 1, -1, 2, …
+    values = [sylvester_det(coeffs_at(p, t), coeffs_at(q, t)) for t in nodes]
+    coeffs = [EXACT_ZERO] * len(nodes)
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        basis, denom = [EXACT_ONE], EXACT_ONE
+        for j, xj in enumerate(nodes):
+            if j != i:
+                basis = [a - ExactComplex(xj) * b
+                         for a, b in zip([EXACT_ZERO] + basis, basis + [EXACT_ZERO])]
+                denom = denom * ExactComplex(xi - xj)
+        for d, b in enumerate(basis):
+            coeffs[d] = coeffs[d] + yi / denom * b
+    return exact_poly(1, {(k,): c for k, c in enumerate(coeffs)})
+
+
+small_complex = st.builds(ExactComplex, small_fraction, small_fraction)
+
+
+@st.composite
+def complex_polys2(draw, variables=(0, 1), max_degree=3):
+    """Nonzero exact polynomials with complex rational coefficients, of
+    degree at most ``max_degree`` in each of ``variables`` and 0 in the
+    other."""
+    degree = st.integers(min_value=0, max_value=max_degree)
+    exps = st.tuples(*(degree if v in variables else st.just(0) for v in (0, 1)))
+    p = exact_poly(2, draw(st.dictionaries(exps, small_complex, min_size=1, max_size=5)))
+    assume(not p.is_zero())
+    return p
+
+
+def assert_matches_reference(p, q, eliminate):
+    try:
+        want = interpolation_resultant(p, q, eliminate)
+    except NotEliminableError:
+        with pytest.raises(NotEliminableError):
+            resultant(p, q, eliminate)
+        return None
+    got = resultant(p, q, eliminate)
+    assert got == want
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_polys2(), complex_polys2())
+def test_resultant_matches_interpolation_reference(p, q):
+    for eliminate in (0, 1):
+        assert_matches_reference(p, q, eliminate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, 1)), complex_polys2(), st.data())
+def test_resultant_with_one_side_constant_in_the_variable(eliminate, p, data):
+    q = data.draw(complex_polys2(variables=(1 - eliminate,)))
+    for a, b in ((p, q), (q, p)):
+        assert_matches_reference(a, b, eliminate)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((0, 1)), *[complex_polys2(max_degree=1)] * 3)
+def test_resultant_of_a_common_factor_vanishes(eliminate, g, a, b):
+    assume(g.degree_in(eliminate) > 0)
+    assert assert_matches_reference(g * a, g * b, eliminate).is_zero()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((0, 1)), st.data())
+def test_resultant_not_eliminable_on_either_side(eliminate, data):
+    only_kept = complex_polys2(variables=(1 - eliminate,))
+    p, q = data.draw(only_kept), data.draw(only_kept)
+    with pytest.raises(NotEliminableError):
+        interpolation_resultant(p, q, eliminate)
+    with pytest.raises(NotEliminableError):
+        resultant(p, q, eliminate)
 
 
 def test_eval_matches_numpy_reference():

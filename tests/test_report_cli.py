@@ -16,8 +16,10 @@ from polytoep.koszul import build_koszul, dump_matrices
 from polytoep.oracle import OracleConfig
 from polytoep.poly import exact_poly, symbols, tuple_to_json
 from polytoep.report import JobConfig, cache_key, load_tuple, run_index, run_spectrum
+from polytoep.tensor import TrigPoly, trig_from_json
 
 from conftest import p2
+from test_acceptance import fixture_reports
 
 
 def body_bytes(report):
@@ -52,6 +54,37 @@ def test_gcd_reduction_is_reported():
     red = rep["body"]["reduction"]
     assert red["common_factor"] is not None and red["factor_zero_free"]
     assert rep["body"]["verdict"]["index"] == -1
+
+
+ONE_VARIABLE_PAIRS = [
+    ("(z1, z1 - 1/2)", symbols(2, p2({(1, 0): 1}), p2({(1, 0): 1, (0, 0): "-1/2"}))),
+    ("(z1^2 - 1/2, z1)", symbols(2, p2({(2, 0): 1, (0, 0): "-1/2"}), p2({(1, 0): 1}))),
+]
+
+
+@pytest.mark.parametrize("st", [st for _, st in ONE_VARIABLE_PAIRS],
+                         ids=[name for name, _ in ONE_VARIABLE_PAIRS])
+def test_pairs_in_z1_alone_agree_on_zero(st):
+    verdict = run_index(JobConfig(input=st))["body"]["verdict"]
+    assert verdict == {"kind": "agree", "index": 0,
+                       "routes": ["algebraic", "koszul", "oracle"]}
+
+
+def swapped(st):
+    """The pair with z1 and z2 exchanged."""
+    return symbols(2, *(exact_poly(2, {e[::-1]: c for e, c in s.terms.items()})
+                        for s in st.symbols))
+
+
+def test_swapping_the_variables_keeps_the_verdict():
+    reports, _ = fixture_reports()
+    cases = [(name, st, run_index(JobConfig(input=st, seed=0)))
+             for name, st in ONE_VARIABLE_PAIRS]
+    cases += [(name, st, rep) for name, st, _, rep in reports]
+    for name, st, rep in cases:
+        v = rep["body"]["verdict"]
+        w = run_index(JobConfig(input=swapped(st), seed=0))["body"]["verdict"]
+        assert (w["kind"], w.get("index")) == (v["kind"], v.get("index")), name
 
 
 @pytest.mark.parametrize("terms, index", [
@@ -360,6 +393,54 @@ def test_cli_tensor(inputs, tmp_path):
         "variables": [0, 1]}))
     code, out, _ = cli("tensor", "--input", str(factors_file))
     assert code == 0 and json.loads(out)["tuple_index"] == -6
+
+
+def test_cli_tensor_invertible_factor_before_a_circle_zero(tmp_path):
+    # z − 1 vanishes on the circle, z − 2 is invertible: the tuple is exact
+    factors_file = tmp_path / "tensor.json"
+    factors_file.write_text(json.dumps({
+        "factors": [{"fourier": [{"k": 1, "re": 1.0}, {"k": 0, "re": -1.0}]},
+                    {"fourier": [{"k": 1, "re": 1.0}, {"k": 0, "re": -2.0}]}]}))
+    code, out, _ = cli("tensor", "--input", str(factors_file))
+    rep = json.loads(out)
+    assert code == 0 and rep["tuple_fredholm"] is True and rep["tuple_index"] == 0
+
+
+NON_INTEGRAL = [
+    ("exp", {"nvars": 2, "symbols": [
+        {"nvars": 2, "terms": [{"exp": [1.9, 0], "re": "1", "im": "0"}]},
+        {"nvars": 2, "terms": [{"exp": [0, 1], "re": "1", "im": "0"}]}]}),
+    ("nvars", {"nvars": 2.5, "symbols": [
+        {"nvars": 2, "terms": [{"exp": [1, 0], "re": "1", "im": "0"}]},
+        {"nvars": 2, "terms": [{"exp": [0, 1], "re": "1", "im": "0"}]}]}),
+    ("symbol nvars", {"nvars": 2, "symbols": [
+        {"nvars": 2.5, "terms": [{"exp": [1, 0], "re": "1", "im": "0"}]},
+        {"nvars": 2, "terms": [{"exp": [0, 1], "re": "1", "im": "0"}]}]}),
+]
+
+
+@pytest.mark.parametrize("field, obj", NON_INTEGRAL, ids=[f for f, _ in NON_INTEGRAL])
+def test_non_integral_fields_are_rejected(field, obj, tmp_path):
+    # int() would truncate: "exp": [1.9, 0] would read as z1
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_tuple(obj)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = cli("index", "--input", str(path))
+    assert_clean_error(code, err)
+    assert "must be an integer" in err
+
+
+def test_non_integral_fourier_index_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="must be an integer"):
+        trig_from_json({"fourier": [{"k": 0.5, "re": 1.0}]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        TrigPoly({0.5: 1.0})
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"factors": [{"fourier": [{"k": 0.5, "re": 1.0}]}]}))
+    code, _, err = cli("tensor", "--input", str(path))
+    assert_clean_error(code, err)
+    assert "must be an integer" in err
 
 
 def test_cli_config_file_merge(inputs, tmp_path):

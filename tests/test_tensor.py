@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 
 from polytoep.poly import exact_poly, symbols
+from polytoep.report import JobConfig, run_index
 from polytoep.tensor import (
     TrigPoly,
     disc_tuple_index,
     tensor_tuple_index,
     trig_from_json,
     trig_from_poly,
-    trig_to_json,
     trig_toeplitz_index,
 )
 
@@ -35,14 +35,14 @@ def test_trig_poly_values():
     th = np.array([0.0, np.pi])
     assert values(f, th) == pytest.approx([3.0, 1.0])
     assert derivative_values(f, th)[0] == pytest.approx(1j)
-    assert f.min_index == 0 and f.max_index == 1
     with pytest.raises(ValueError):
         TrigPoly({})
 
 
 def test_trig_json_round_trip():
     f = TrigPoly({-2: 1.5 + 0.5j, 3: -1.0})
-    g = trig_from_json(trig_to_json(f))
+    g = trig_from_json({"fourier": [{"k": k, "re": c.real, "im": c.imag}
+                                    for k, c in f.coeffs.items()]})
     assert g.coeffs == f.coeffs
     with pytest.raises(ValueError):
         trig_from_json({"fourier": [{"k": 1, "re": 1, "im": 0},
@@ -75,7 +75,7 @@ def test_factor_indices():
 def test_index_reversal_negation():
     f = TrigPoly({2: 1.0, 0: 0.25})
     a = trig_toeplitz_index(f)
-    b = trig_toeplitz_index(f.reversed_indices())
+    b = trig_toeplitz_index(TrigPoly({-k: c for k, c in f.coeffs.items()}))
     assert a.index == -b.index
 
 
@@ -98,6 +98,23 @@ def test_tensor_invertible_factor_kills_index():
     rep = tensor_tuple_index([TrigPoly({1: 1.0}), TrigPoly({0: 2.0, 1: 1.0})], [0, 1])
     assert rep.tuple_index == 0
     assert "invertible" in rep.note
+    # the invertible rule comes first: z − 1 vanishes on the circle, but
+    # z − 2 is invertible, so the tuple is exact in either factor order
+    broken, invertible = TrigPoly({1: 1.0, 0: -1.0}), TrigPoly({1: 1.0, 0: -2.0})
+    for factors in ([broken, invertible], [invertible, broken]):
+        rep = tensor_tuple_index(factors, [0, 1])
+        assert rep.tuple_fredholm and rep.tuple_index == 0
+        assert "invertible" in rep.note
+
+
+@pytest.mark.parametrize("terms", [({(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -2}),
+                                   ({(2, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -3})])
+def test_pipeline_agrees_with_an_invertible_factor(terms):
+    # (z1 − 1, z2 − 2) and (z1² − 1, z2 − 3): the first symbol vanishes on
+    # the torus, the second nowhere on the closed bidisc
+    verdict = run_index(JobConfig(input=symbols(2, *map(p2, terms))))["body"]["verdict"]
+    assert verdict["kind"] == "agree" and verdict["index"] == 0
+    assert "tensor" in verdict["routes"]
 
 
 def test_tensor_undefined_and_validation():
