@@ -31,11 +31,13 @@ genuine H² functions (not polynomials — e.g. 1 = (z₁−2)·(−Σ z₁^k/2^
 appears as a residual decaying geometrically in M, which plain polynomial
 window algebra would miss.  Singular values of the projected residual falling
 in the unresolved band [rank_tol, band_top] trigger window escalation before
-any integer is reported.  One call keeps one orthonormal basis of the
-weighted shift span and grows it with M: a unit-normalized shift column does
-not depend on M, so each larger window only projects its new shifts off the
-old basis (classical Gram–Schmidt, twice) and takes a column-pivoted QR of
-that remainder.
+any integer is reported.  One call keeps one orthonormal basis N of the
+orthogonal complement of the weighted shift span and grows it with M: a
+unit-normalized shift column does not depend on M, and the old span is zero
+on the rows a larger window adds, so the new complement lies in span(N) ⊕
+(new rows) and each larger window takes one column-pivoted QR of its new
+shifts' coordinates there.  N has rows − rank columns (2 for (z₁ − 2, z₂),
+26 for (z₁, z₂, z₃)), where a basis of the span itself is nearly square.
 
 The sweep passes the singular values it has computed from level to level:
 when every variable has degree D, the enlarged d_k of level N is the d_k of
@@ -56,8 +58,8 @@ benchmark workloads, is the one-grade case: W has no rows, every key is 0
 and each map is a single block.  Ranks keep their tolerance relative to the
 largest singular value of the whole map.
 
-Arithmetic is real when it can be.  Every boundary matrix and span basis is
-``float64`` when each coefficient of the tuple has imaginary part exactly 0
+Arithmetic is real when it can be.  Every boundary matrix and complement basis
+is ``float64`` when each coefficient of the tuple has imaginary part exactly 0
 (exact for exact tuples: a zero ``ExactComplex.im`` converts to 0.0), and
 ``complex128`` otherwise; the choice is made once per tuple and the code path
 is the same.  A real LAPACK factorization costs a fraction of the complex
@@ -133,7 +135,7 @@ class MonomialWindow:
 
 def matrix_dtype(st: SymbolTuple) -> type:
     """``float64`` when every coefficient of the tuple is real, else
-    ``complex128``: the dtype of its boundary matrices and span basis."""
+    ``complex128``: the dtype of its boundary matrices and complement basis."""
     real = all(c.imag == 0 for s in st.to_float().symbols for c in s.terms.values())
     return np.float64 if real else np.complex128
 
@@ -340,15 +342,19 @@ def graded_svdvals(mat: np.ndarray, row_keys: np.ndarray,
     up to a permutation it is block-diagonal by key and its singular values
     are the union of the blocks' ones, padded with zeros.  Blocks of one
     shape are factored in one batched ``np.linalg.svd`` call.  When every key
-    is 0 (a tuple with no weight) the one block is the whole matrix.
+    is the same (always so for a tuple with no weight) the one block is the
+    whole matrix, factored as it is.
     """
     m, n = mat.shape
+    if m and n and (row_keys == row_keys[0]).all() and (col_keys == row_keys[0]).all():
+        return np.linalg.svd(mat, compute_uv=False)
     keys, label = np.unique(np.concatenate([row_keys, col_keys]), return_inverse=True)
-    row_label, col_label = label[:m], label[m:]
-    nrows = np.bincount(row_label, minlength=keys.size)
-    ncols = np.bincount(col_label, minlength=keys.size)
-    row_order = np.argsort(row_label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
+    nrows = np.bincount(label[:m], minlength=keys.size)
+    ncols = np.bincount(label[m:], minlength=keys.size)
+    # one stable sort of rows and columns together: rows come first within a
+    # label, each side in its own order
+    order = np.argsort(label, kind="stable")
+    row_order, col_order = order[order < m], order[order >= m] - m
     row_start = np.cumsum(nrows) - nrows
     col_start = np.cumsum(ncols) - ncols
     live = np.flatnonzero((nrows > 0) & (ncols > 0))
@@ -456,17 +462,18 @@ def euler_index(dims: Sequence[int]) -> int:
 # ---- windowed ideal codimension ---------------------------------------------------
 
 # Column budgets for the membership system, checked against the full column
-# count p·(M+1)ⁿ of the shift span.  They cap the window the basis may grow
-# to, and with it the rows × rank basis array, the projections of each new
-# block of shifts against it and the pivoted QR of what remains.  In three
-# variables the cap is 4000: (z₁², z₂², z₃²) needs the windows K = 3, 4, 5 at
-# M = 7, 8, 9 (3·10³ = 3000 columns), and that whole codim solve takes
-# 0.7 s on the grown basis (2 vCPUs, one BLAS thread).
+# count p·(M+1)ⁿ of the shift span.  They cap the window the complement may
+# grow to, and with it the full pivoted QR of the first window's shifts, the
+# largest factorization of a solve.  In three variables the cap is 4000:
+# (z₁², z₂², z₃²) needs the windows K = 3, 4, 5 at M = 7, 8, 9 (3·10³ = 3000
+# columns), and that whole codim solve takes about 0.6 s, most of it in the
+# 1000 × 1536 QR at M = 7 (2 vCPUs, one BLAS thread).
 MEMBERSHIP_COL_BUDGET = {1: 4000, 2: 2600, 3: 4000}
 
 
 class _ShiftSpan:
-    """Orthonormal basis of the weighted shift span Σ p_i·W_M, grown with M.
+    """Orthonormal basis N of the orthogonal complement of the weighted shift
+    span Σ p_i·W_M, grown with M.
 
     Rows are weighted by ρ^{total degree} and columns normalized to unit
     length, so the column of shift a is the ρ-dilated symbol, normalized,
@@ -474,8 +481,9 @@ class _ShiftSpan:
     at any M′ < M padded with zero rows, provided the rows are ordered by the
     first cofactor window that holds them (t(e) = max_v(e_v − d_v), then
     lexicographically): window M is then a prefix of window M + 1.  (An
-    explicit basis, because least squares via the general drivers mis-solves
-    these wide systems.)
+    explicit basis of the complement, because least squares via the general
+    drivers mis-solves these wide systems; the complement is the narrow side,
+    rows − rank columns where the span has rank.)
     """
 
     def __init__(self, st: SymbolTuple, rho: float):
@@ -492,11 +500,11 @@ class _ShiftSpan:
             vals = vals * rho ** exps.sum(axis=1)
             self.symbols.append((exps, vals / np.linalg.norm(vals)))
         self.M = -1
-        self.q = np.zeros((0, 0), dtype=self.dtype)
+        self.complement = np.zeros((0, 0), dtype=self.dtype)
         self.row = None
 
     def _grow(self, M: int) -> None:
-        nv, old = self.nvars, self.q
+        nv = self.nvars
         caps = M + self.deg
         exps = np.indices(caps + 1).reshape(nv, -1).T          # lexicographic
         row = np.empty(len(exps), dtype=np.int64)
@@ -509,30 +517,29 @@ class _ShiftSpan:
         for i, (e, v) in enumerate(self.symbols):
             cols[self.row[tuple((shifts[:, None, :] + e).transpose(2, 0, 1))],
                  i * len(shifts) + j] = v
-        # Append the new columns to the factorization (QR updating, Daniel–
-        # Gragg–Kaufman–Stewart 1976): classical Gram–Schmidt against the old
-        # basis, twice ("twice is enough", Giraud–Langou–Rozložník 2005).
-        # The old basis is zero on the new rows, so only the old rows of the
-        # new columns that reach them take part.
-        n_old = old.shape[0]
-        touched = np.flatnonzero(cols[:n_old].any(axis=0))
-        if old.shape[1] and touched.size:
-            block = cols[:n_old, touched]
-            for _ in range(2):
-                block -= old @ (old.conj().T @ block)
-            cols[:n_old, touched] = block
-        # Column-pivoted QR of the remainder (Businger–Golub).  |R_ii| falls,
-        # and every column had unit norm, so columns past SVD_PROJECT_CUT
-        # span only rounding: the relative cut of a from-scratch pivoted QR
-        # at |R_00| = 1.  A column already below the cut never passes it.
-        cols = cols[:, np.linalg.norm(cols, axis=0) > SVD_PROJECT_CUT]
-        add = np.zeros((len(exps), 0), dtype=self.dtype)
-        if cols.shape[1]:
-            qn, r, _ = qr(cols, mode="economic", pivoting=True)
-            add = qn[:, np.abs(np.diag(r)) > SVD_PROJECT_CUT]
-        self.q = np.zeros((len(exps), old.shape[1] + add.shape[1]), dtype=self.dtype)
-        self.q[:n_old, :old.shape[1]] = old
-        self.q[:, old.shape[1]:] = add
+        # The old span is zero on the new rows, so in the larger window its
+        # orthogonal complement is span(N_old) ⊕ (the new rows), with the
+        # orthonormal basis B = [N_old 0; 0 I].  The new complement is B
+        # times the complement of the coordinates a = Bᴴ·C of the new
+        # columns.  B is an isometry: a is the remainder of C after
+        # projecting off the old span, written in the basis B, and has the
+        # same pivoted R.
+        old = self.complement
+        n_old, k_old = old.shape
+        a = np.concatenate([old.conj().T @ cols[:n_old], cols[n_old:]])
+        # Column-pivoted QR of a (Businger–Golub).  |R_ii| falls, and every
+        # column had unit norm, so columns past SVD_PROJECT_CUT span only
+        # rounding: the relative cut of a from-scratch pivoted QR at
+        # |R_00| = 1.  A column already below the cut never passes it.  The
+        # columns of the full Q that the cut leaves out span the complement.
+        a = a[:, np.linalg.norm(a, axis=0) > SVD_PROJECT_CUT]
+        v = np.eye(a.shape[0], dtype=self.dtype)
+        if a.shape[1]:
+            v, r, _ = qr(a, mode="full", pivoting=True)
+            in_span = np.zeros(a.shape[0], dtype=bool)
+            in_span[:min(a.shape)] = np.abs(np.diag(r)) > SVD_PROJECT_CUT
+            v = v[:, ~in_span]
+        self.complement = np.concatenate([old @ v[:k_old], v[k_old:]])
         self.M = M
 
     def sigmas(self, K: int, M: int) -> np.ndarray:
@@ -545,14 +552,15 @@ class _ShiftSpan:
                 f"window overflow: membership system needs {ncols} columns "
                 f"(budget {MEMBERSHIP_COL_BUDGET[self.nvars]} at nvars={self.nvars})")
         if M < self.M:
-            self.M, self.q = -1, np.zeros((0, 0), dtype=self.dtype)
+            self.M, self.complement = -1, np.zeros((0, 0), dtype=self.dtype)
         if M > self.M:
             self._grow(M)
         idx = self.row[tuple(np.indices((K + 1,) * self.nvars).reshape(self.nvars, -1))]
-        # (I − QQᴴ)E for the coordinate embedding E of W_K
-        R = -(self.q @ self.q[idx].conj().T)
-        R[idx, np.arange(idx.size)] += 1.0
-        return svdvals(R)
+        # The residual of the coordinate embedding E of W_K is NNᴴE = N·N[idx]ᴴ,
+        # and N is an isometry: its singular values are those of N[idx],
+        # padded with zeros to |W_K|
+        sv = svdvals(self.complement[idx])
+        return np.concatenate([sv, np.zeros(idx.size - sv.size)])
 
 
 def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,

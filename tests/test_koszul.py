@@ -12,6 +12,7 @@ from scipy.linalg import svdvals
 
 from polytoep import koszul
 from polytoep.koszul import (
+    DEFAULT_RANK_TOL,
     SVD_PROJECT_CUT,
     MonomialWindow,
     MatrixBudgetError,
@@ -150,12 +151,13 @@ def hstack_kernel_dims(kt):
     return dims
 
 
-def svd_membership_sigmas(st, K, M, rho):
-    """Reference for ``_membership_sigmas``: the span basis from a full SVD."""
+def svd_span_basis(st, M, rho):
+    """The codomain window, the unit-normalized ρ-weighted shift columns (rows
+    in the window's graded-lex order) and an orthonormal basis of their span
+    from a full SVD."""
     deg = st.degree_vec()
     big = MonomialWindow(st.nvars, tuple(M + d for d in deg))
     shifts = MonomialWindow(st.nvars, M)
-    quot = MonomialWindow(st.nvars, K)
     w = np.array([rho ** sum(e) for e in big.basis])
     cols = []
     for s in st.to_float().symbols:
@@ -167,11 +169,23 @@ def svd_membership_sigmas(st, K, M, rho):
     S = np.asarray(cols).T * w[:, None]
     S = S / np.linalg.norm(S, axis=0)
     u, sv, _ = np.linalg.svd(S, full_matrices=False)
-    q = u[:, sv > SVD_PROJECT_CUT * sv[0]]
+    return big, S, u[:, sv > SVD_PROJECT_CUT * sv[0]]
+
+
+def residual_sigmas(big, q, K):
+    """Singular values of the quotient candidates W_K, as coordinate columns
+    of the window ``big``, with the span of ``q`` projected off."""
+    quot = MonomialWindow(big.nvars, K)
     E = np.zeros((big.dim, quot.dim))
     for j, e in enumerate(quot.basis):
         E[big.index[e], j] = 1.0
     return np.linalg.svd(E - q @ (q.conj().T @ E), compute_uv=False)
+
+
+def svd_membership_sigmas(st, K, M, rho):
+    """Reference for ``_membership_sigmas``: the span basis from a full SVD."""
+    big, _, q = svd_span_basis(st, M, rho)
+    return residual_sigmas(big, q, K)
 
 
 def test_window_basis_and_dim():
@@ -247,22 +261,58 @@ def test_membership_sigmas_match_svd_reference(non_dyadic_pair):
 
 
 def test_grown_span_matches_svd_reference(non_dyadic_pair):
-    # one basis per schedule, extended with each new cofactor window
+    # one complement per schedule, extended with each new cofactor window
     schedules = ((far_pair(), [(2, 5), (2, 9), (2, 13), (2, 17), (3, 18), (4, 19)]),
                  (non_dyadic_pair, [(2, 5), (2, 9), (3, 10)]),
+                 (rotated(non_dyadic_pair), [(2, 5), (2, 9), (3, 10)]),
                  (shifts3(), [(2, 5), (3, 6), (4, 7)]))
     for st, schedule in schedules:
         span = koszul._ShiftSpan(st, 0.75)
         for K, M in schedule:
             got = span.sigmas(K, M)
-            ref = svd_membership_sigmas(st, K, M, 0.75)
+            big, shifts, basis = svd_span_basis(st, M, 0.75)
+            ref = residual_sigmas(big, basis, K)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
-            gram = span.q.conj().T @ span.q
+            # N is an orthonormal basis of the whole orthogonal complement
+            null = span.complement
+            assert null.shape == (big.dim, big.dim - basis.shape[1])
+            gram = null.conj().T @ null
             assert np.linalg.norm(gram - np.eye(gram.shape[0]), 2) <= 1e-12
+            rows = span.row[tuple(np.array(big.basis).T)]
+            assert np.max(np.abs(null[rows].conj().T @ shifts)) <= 1e-12
         # a retry asks for a smaller cofactor window than the basis holds
         K, M = schedule[0]
         assert np.array_equal(span.sigmas(K, M), _membership_sigmas(st, K, M, 0.75))
+
+
+@hst.composite
+def small_exact_pairs(draw):
+    """Pairs in two variables with up to three terms of degree at most 2 in
+    each variable and small integer coefficients."""
+    syms = []
+    for _ in range(2):
+        exps = draw(hst.lists(hst.tuples(hst.integers(0, 2), hst.integers(0, 2)),
+                              min_size=1, max_size=3, unique=True))
+        coeffs = draw(hst.lists(hst.integers(-4, 4).filter(bool),
+                                min_size=len(exps), max_size=len(exps)))
+        syms.append(p2(dict(zip(exps, coeffs))))
+    return symbols(2, *syms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_exact_pairs())
+def test_membership_sigmas_match_svd_reference_on_drawn_pairs(st):
+    K = 2
+    M = K + max(st.degree_vec()) + 2
+    got = _membership_sigmas(st, K, M, 0.75)
+    ref = svd_membership_sigmas(st, K, M, 0.75)
+    assert got.shape == ref.shape
+    if ref[0] <= DEFAULT_RANK_TOL:
+        # the whole window lies in the span: both residuals are rounding
+        assert got[0] <= DEFAULT_RANK_TOL
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
 
 
 def test_route_rank_reuse_keeps_per_n(monkeypatch):
@@ -348,6 +398,15 @@ def test_ungraded_tuples_factor_the_whole_matrix(non_dyadic_pair):
                 assert np.array_equal(graded_svdvals(mat, rows, cols), svdvals(mat))
 
 
+def test_one_grade_matrix_is_factored_as_it_is():
+    # one key on every row and column, whatever its value: the one block is
+    # the whole matrix, and its singular values are numpy's, bit for bit
+    mat = np.random.default_rng(0).standard_normal((7, 5))
+    for key in (0, 3):
+        got = graded_svdvals(mat, np.full(7, key), np.full(5, key))
+        assert np.array_equal(got, np.linalg.svd(mat, compute_uv=False))
+
+
 def gauss_jordan_kernel(rows, n):
     """Reference for ``_rational_kernel``: a primitive integer basis of the
     rational kernel of ``rows`` by Gauss–Jordan elimination over Fraction."""
@@ -394,7 +453,7 @@ def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):
             assert all(d.dtype == dtype for d in kt.boundary_matrices)
             span = koszul._ShiftSpan(tup, 0.75)
             span.sigmas(2, 5)
-            assert span.q.dtype == dtype and span.q.shape[1] > 0
+            assert span.complement.dtype == dtype and span.complement.shape[1] > 0
 
 
 def test_rotating_a_symbol_keeps_the_route(non_dyadic_pair):

@@ -1,13 +1,17 @@
 """Perturbation counting oracle."""
+import itertools
+
+import numpy as np
 import pytest
 
+from polytoep import oracle
 from polytoep.oracle import (
     NoMajorityError,
     OracleConfig,
     perturbed_count,
     perturbed_count_details,
 )
-from polytoep.poly import exact_poly, symbols
+from polytoep.poly import symbols
 
 from conftest import p2
 
@@ -55,3 +59,12 @@ def test_epsilon_halving_stability(shift_pair, quarter_pair):
         base = perturbed_count(st, OracleConfig(epsilon=1e-3))
         assert perturbed_count(st, OracleConfig(epsilon=5e-4)) == base
         assert perturbed_count(st, OracleConfig(epsilon=2.5e-4)) == base
+
+
+def test_even_split_has_no_majority(monkeypatch, shift_pair):
+    # trials alternate between no zero and one zero at the origin: two
+    # counts of 0 and two of 1 out of four trials are no majority
+    found = itertools.cycle([np.empty((0, 2), dtype=complex), np.zeros((1, 2), dtype=complex)])
+    monkeypatch.setattr(oracle, "_solve_pair", lambda p, q: next(found))
+    with pytest.raises(NoMajorityError, match=r"\[0, 1, 0, 1\]"):
+        perturbed_count_details(shift_pair, OracleConfig(trials=4))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from polytoep.poly import exact_poly, symbols
+from polytoep.poly import symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.tensor import (
     TrigPoly,
