@@ -71,6 +71,7 @@ DEFAULT_R_SCHEDULE = (0.5, 0.75, 0.9)
 CELL_BUDGET = 6_000_000          # centers evaluated per certification attempt
 MAX_HALVINGS = 4                 # depth floor: target_mesh / 2**MAX_HALVINGS
 _UNIT_ROUNDOFF = 2.0 ** -53
+GRID_POINT_BUDGET = 2_000_000    # spectrum grid points; 553³ (n = 3, res 24) take ~16 GB
 
 _DEFAULT_MESH = {1: 0.05, 2: 0.15, 3: 0.5}
 
@@ -115,52 +116,46 @@ def lipschitz_sumsq(st: SymbolTuple) -> float:
 
 
 class _CellSet:
-    """Vectorized batch of polar product cells (one face)."""
+    """Vectorized batch of polar product cells (one face): ``lo`` and ``hi``,
+    shape (cells, 2n), bound the n radii, then the n angles."""
 
-    __slots__ = ("rlo", "rhi", "tlo", "thi")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, rlo, rhi, tlo, thi):
-        self.rlo, self.rhi, self.tlo, self.thi = rlo, rhi, tlo, thi
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
 
     @property
     def count(self) -> int:
-        return self.rlo.shape[0]
+        return self.lo.shape[0]
 
     def centers(self) -> np.ndarray:
-        rc = 0.5 * (self.rlo + self.rhi)
-        tc = 0.5 * (self.tlo + self.thi)
+        rc, tc = np.split(0.5 * (self.lo + self.hi), 2, axis=1)
         return rc * np.exp(1j * tc)
+
+    def _extents(self) -> np.ndarray:
+        """Radial half-widths, then angular half-extents (½·Δθ)·r_hi."""
+        half = 0.5 * (self.hi - self.lo)
+        nv = half.shape[1] // 2
+        half[:, nv:] *= self.hi[:, :nv]
+        return half
 
     def deltas(self) -> np.ndarray:
         """Per-variable covering radii, shape (ncells, nvars)."""
-        return np.hypot(0.5 * (self.rhi - self.rlo),
-                        self.rhi * 0.5 * (self.thi - self.tlo))
+        return np.hypot(*np.split(self._extents(), 2, axis=1))
 
     def select(self, mask) -> "_CellSet":
-        return _CellSet(self.rlo[mask], self.rhi[mask], self.tlo[mask], self.thi[mask])
+        return _CellSet(self.lo[mask], self.hi[mask])
 
     def split_widest(self, weight: np.ndarray) -> "_CellSet":
         """Split every cell in two along the parameter whose extent times its
-        variable's weight is largest; a variable of weight 0 is never cut."""
-        n, nv = self.rlo.shape
-        d_r = 0.5 * (self.rhi - self.rlo)
-        d_t = self.rhi * 0.5 * (self.thi - self.tlo)
-        flat = np.concatenate([d_r * weight, d_t * weight], axis=1)
-        pick = np.argmax(flat, axis=1)
-        a = _CellSet(self.rlo.copy(), self.rhi.copy(), self.tlo.copy(), self.thi.copy())
-        b = _CellSet(self.rlo.copy(), self.rhi.copy(), self.tlo.copy(), self.thi.copy())
-        rows = np.arange(n)
-        radial = pick < nv
-        var_r = pick[radial]
-        mid = 0.5 * (self.rlo[rows[radial], var_r] + self.rhi[rows[radial], var_r])
-        a.rhi[rows[radial], var_r] = mid
-        b.rlo[rows[radial], var_r] = mid
-        var_t = pick[~radial] - nv
-        midt = 0.5 * (self.tlo[rows[~radial], var_t] + self.thi[rows[~radial], var_t])
-        a.thi[rows[~radial], var_t] = midt
-        b.tlo[rows[~radial], var_t] = midt
-        return _CellSet(np.vstack([a.rlo, b.rlo]), np.vstack([a.rhi, b.rhi]),
-                        np.vstack([a.tlo, b.tlo]), np.vstack([a.thi, b.thi]))
+        variable's weight is largest; a variable of weight 0 is never cut.
+        The first halves come first, then the second halves."""
+        rows = np.arange(self.count)
+        pick = np.argmax(self._extents() * np.tile(weight, 2), axis=1)
+        mid = 0.5 * (self.lo[rows, pick] + self.hi[rows, pick])
+        first_hi, second_lo = self.hi.copy(), self.lo.copy()
+        first_hi[rows, pick] = second_lo[rows, pick] = mid
+        return _CellSet(np.vstack([self.lo, second_lo]), np.vstack([first_hi, self.hi]))
 
 
 def _initial_cells(bounds: Sequence[Tuple[float, float]], step_mesh: float,
@@ -169,24 +164,19 @@ def _initial_cells(bounds: Sequence[Tuple[float, float]], step_mesh: float,
     no symbol uses stays one cell."""
     nv = len(bounds)
     step = step_mesh * math.sqrt(2.0 / nv)
-    axes = []
+    radii, angles = [], []
     for v, (lo, hi) in enumerate(bounds):
         nr = max(1, math.ceil((hi - lo) / step)) if used[v] else 1
         nt = max(4, math.ceil(2 * math.pi * hi / step)) if hi > 0 and used[v] else 1
-        r_edges = np.linspace(lo, hi, nr + 1)
-        t_edges = np.linspace(0.0, 2 * math.pi, nt + 1)
-        axes.append([(r_edges[i], r_edges[i + 1], t_edges[j], t_edges[j + 1])
-                     for i in range(nr) for j in range(nt)])
-    counts = [len(a) for a in axes]
-    total = int(np.prod(counts))
-    rlo = np.empty((total, nv)); rhi = np.empty((total, nv))
-    tlo = np.empty((total, nv)); thi = np.empty((total, nv))
-    idx = np.indices(counts).reshape(nv, -1)
-    for v in range(nv):
-        ax = np.asarray(axes[v])
-        sel = ax[idx[v]]
-        rlo[:, v], rhi[:, v], tlo[:, v], thi[:, v] = sel.T
-    return _CellSet(rlo, rhi, tlo, thi)
+        radii.append(np.linspace(lo, hi, nr + 1))
+        angles.append(np.linspace(0.0, 2 * math.pi, nt + 1))
+    # cells in C order over (r₁, θ₁, r₂, θ₂, …): the first variable varies
+    # slowest, and within a variable the radius before the angle
+    idx = np.indices([len(e) - 1 for pair in zip(radii, angles) for e in pair])
+    idx = idx.reshape(nv, 2, -1).transpose(1, 0, 2).reshape(2 * nv, -1)
+    edges = radii + angles
+    return _CellSet(np.stack([e[i] for e, i in zip(edges, idx)], axis=1),
+                    np.stack([e[i + 1] for e, i in zip(edges, idx)], axis=1))
 
 
 def _gamma(k: int) -> float:
@@ -424,7 +414,16 @@ def shifted_tuple(st: SymbolTuple, lam: Sequence[complex]) -> SymbolTuple:
 
 def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:
     """Deterministic polar product grid over the closed polydisc, restricted
-    to max |z_i| ≥ r (the closure of 𝕌ᵣⁿ)."""
+    to max |z_i| ≥ r (the closure of 𝕌ᵣⁿ).  Past GRID_POINT_BUDGET points
+    (res·(res − 1) + 1 per variable) a ValueError names the largest res."""
+    def fits(k: int) -> bool:
+        return (k * (k - 1) + 1) ** nvars <= GRID_POINT_BUDGET
+
+    if not fits(resolution):
+        # k(k − 1) + 1 > (k − 1)², so no k past isqrt(budget) + 1 fits
+        top = max(filter(fits, range(math.isqrt(GRID_POINT_BUDGET) + 2)))
+        raise ValueError(f"resolution {resolution} in {nvars} variables exceeds "
+                         f"{GRID_POINT_BUDGET} points; the largest resolution allowed is {top}")
     radii = np.linspace(0.0, 1.0, resolution)
     angles = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
     ring = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple, Optional
 from .certify import boundary_lower_bound
 from .koszul import build_koszul, dump_matrices, koszul_route
 from .oracle import OracleConfig
-from .report import (JobConfig, _cert_json, _koszul_json, _resolved_n_range,
-                     load_tuple, run_index, run_spectrum)
+from .report import (JobConfig, _cert_json, _factors_json, _koszul_json,
+                     _resolved_n_range, load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
 
 _EXIT = {"agree": 0, "not_fredholm": 2, "not_certifiable": 3, "disagree": 4}
@@ -221,9 +221,7 @@ def main(argv=None) -> int:
             factors = [trig_from_json(f) for f in obj["factors"]]
             variables = obj.get("variables")
             rep = tensor_tuple_index(factors, variables)
-            _emit({"per_factor": [{"fredholm": f.fredholm, "index": f.index,
-                                   "invertible_flag": f.invertible_flag}
-                                  for f in rep.per_factor],
+            _emit({"per_factor": _factors_json(rep),
                    "tuple_fredholm": rep.tuple_fredholm,
                    "tuple_index": rep.tuple_index,
                    "note": rep.note})

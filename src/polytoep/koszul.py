@@ -58,13 +58,17 @@ benchmark workloads, is the one-grade case: W has no rows, every key is 0
 and each map is a single block.  Ranks keep their tolerance relative to the
 largest singular value of the whole map.
 
-Arithmetic is real when it can be.  Every boundary matrix and complement basis
-is ``float64`` when each coefficient of the tuple has imaginary part exactly 0
-(exact for exact tuples: a zero ``ExactComplex.im`` converts to 0.0), and
-``complex128`` otherwise; the choice is made once per tuple and the code path
-is the same.  A real LAPACK factorization costs a fraction of the complex
-one, and the real matrices are the complex ones with their imaginary parts
-dropped, so ranks and residual singular values agree up to rounding.
+The route reads the tuple as ``kernels.pack_tuple`` packs it, tiny exact
+coefficients included, and one scatter (``_shifted_symbols``) writes z^a·fᵢ
+for every shift a and symbol i: it builds every boundary map and the shift
+columns of the membership span.  Arithmetic is real when it can be.  Every
+boundary matrix and complement basis is ``float64`` when each packed
+coefficient has imaginary part exactly 0 (exact for exact tuples: a zero
+``ExactComplex.im`` converts to 0.0), and ``complex128`` otherwise; the
+choice is made once per tuple and the code path is the same.  A real LAPACK
+factorization costs a fraction of the complex one, and the real matrices are
+the complex ones with their imaginary parts dropped, so ranks and residual
+singular values agree up to rounding.
 
 ``koszul_route`` runs on one OpenBLAS thread and restores the earlier count
 on exit.  Its factorizations are small (a few hundred columns) and level-2
@@ -94,7 +98,8 @@ import numpy as np
 from scipy.linalg import qr, svdvals
 
 from .exact import echelon
-from .poly import MultiPoly, SymbolTuple
+from .kernels import PackedTuple, pack_tuple
+from .poly import SymbolTuple
 
 DEFAULT_RANK_TOL = 1e-8
 MATRIX_BUDGET = 20_000          # hard cap on columns of any assembled matrix
@@ -108,9 +113,10 @@ class MatrixBudgetError(RuntimeError):
 
 
 class MonomialWindow:
-    """Graded-lex ordered exponent tuples with per-variable caps."""
+    """Exponents under per-variable caps: ``exps`` (dim × nvars, int64) in
+    graded-lex order, and ``row[e]``, shape cap + 1, the position of e."""
 
-    __slots__ = ("nvars", "cap", "basis", "index")
+    __slots__ = ("nvars", "cap", "exps", "row")
 
     def __init__(self, nvars: int, cap):
         if isinstance(cap, int):
@@ -120,45 +126,44 @@ class MonomialWindow:
             raise ValueError(f"bad cap {cap} for nvars={nvars}")
         self.nvars = nvars
         self.cap = cap
-        basis = sorted(product(*(range(c + 1) for c in cap)),
-                       key=lambda e: (sum(e), e))
-        self.basis = basis
-        self.index = {e: i for i, e in enumerate(basis)}
+        lex = np.indices([c + 1 for c in cap]).reshape(nvars, -1).T
+        # a stable sort of the lexicographic list by total degree is graded-lex
+        order = np.argsort(lex.sum(axis=1), kind="stable")
+        self.exps = lex[order]
+        row = np.empty(len(lex), dtype=np.int64)
+        row[order] = np.arange(len(lex))
+        self.row = row.reshape([c + 1 for c in cap])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.exps)
 
     def __repr__(self):
         return f"MonomialWindow(nvars={self.nvars}, cap={self.cap}, dim={self.dim})"
 
 
-def matrix_dtype(st: SymbolTuple) -> type:
-    """``float64`` when every coefficient of the tuple is real, else
-    ``complex128``: the dtype of its boundary matrices and complement basis."""
-    real = all(c.imag == 0 for s in st.to_float().symbols for c in s.terms.values())
-    return np.float64 if real else np.complex128
+def matrix_dtype(pk: PackedTuple) -> type:
+    """``float64`` when every packed coefficient is real, else ``complex128``:
+    the dtype of the tuple's boundary matrices and complement basis."""
+    return np.complex128 if pk.cim.any() else np.float64
 
 
-def mult_matrix(p: MultiPoly, win_in: MonomialWindow, win_out: MonomialWindow,
-                dtype: type = np.complex128) -> np.ndarray:
-    """Matrix of multiplication by ``p`` between two windows.
+def _coefficients(pk: PackedTuple, dtype: type) -> np.ndarray:
+    """The packed coefficients as ``dtype``, formed as the kernels form them."""
+    return pk.cre if np.dtype(dtype).kind == "f" else pk.cre + 1j * pk.cim
 
-    The out-window must absorb every product (domain cap + symbol degree);
-    otherwise the section would not be an exact subcomplex.  ``float64``
-    keeps the real parts of the coefficients, so it is for real symbols only.
-    """
-    need = tuple(a + b for a, b in zip(win_in.cap, p.degree_vec()))
-    if any(n > c for n, c in zip(need, win_out.cap)):
-        raise ValueError(f"out-window cap {win_out.cap} cannot hold products up to {need}")
-    mat = np.zeros((win_out.dim, win_in.dim), dtype=dtype)
-    real = mat.dtype.kind == "f"
-    terms = [(e, c.real if real else c) for e, c in p.to_float().terms.items()]
-    for j, a in enumerate(win_in.basis):
-        for e, c in terms:
-            t = tuple(x + y for x, y in zip(a, e))
-            mat[win_out.index[t], j] = c
-    return mat
+
+def _shifted_symbols(pk: PackedTuple, coeffs: np.ndarray, shifts: np.ndarray,
+                     row: np.ndarray) -> np.ndarray:
+    """The matrix whose column i·len(shifts) + j is z^{shifts[j]}·fᵢ, in one
+    scatter: packed term t, exponent e, puts ``coeffs[t]`` in row
+    ``row[shifts[j] + e]``, so ``row`` must cover every shifted term."""
+    p, m = pk.npolys, len(shifts)
+    symbol = np.repeat(np.arange(p), np.diff(pk.offs))
+    out = np.zeros((row.size, p * m), dtype=coeffs.dtype)
+    out[row[tuple((shifts + pk.exps[:, None]).transpose(2, 0, 1))],
+        symbol[:, None] * m + np.arange(m)] = coeffs[:, None]
+    return out
 
 
 # ---- boundary map block structure --------------------------------------------
@@ -185,19 +190,15 @@ def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _boundary_matrix(st: SymbolTuple, k: int, win_in: MonomialWindow,
+def _boundary_matrix(pk: PackedTuple, k: int, win_in: MonomialWindow,
                      win_out: MonomialWindow, dtype: type) -> np.ndarray:
-    p = len(st)
-    nrow_blocks = len(_subsets(p, k))
-    ncol_blocks = len(_subsets(p, k - 1))
-    mats = {}
-    for _, _, sym, _ in _stage_blocks(p, k):
-        if sym not in mats:
-            mats[sym] = mult_matrix(st.symbols[sym], win_in, win_out, dtype)
-    out = np.zeros((nrow_blocks * win_out.dim, ncol_blocks * win_in.dim), dtype=dtype)
+    """d_k from ``win_in`` into ``win_out``: block (S, R) is ±T_i, with the
+    sign and symbol of ``_stage_blocks``, and every other block is 0."""
+    p, m, n = pk.npolys, win_out.dim, win_in.dim
+    shifted = _shifted_symbols(pk, _coefficients(pk, dtype), win_in.exps, win_out.row)
+    out = np.zeros((len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n), dtype=dtype)
     for ri, ci, sym, sign in _stage_blocks(p, k):
-        out[ri * win_out.dim:(ri + 1) * win_out.dim,
-            ci * win_in.dim:(ci + 1) * win_in.dim] = sign * mats[sym]
+        out[ri * m:(ri + 1) * m, ci * n:(ci + 1) * n] = sign * shifted[:, sym * n:(sym + 1) * n]
     return out
 
 
@@ -206,6 +207,7 @@ class KoszulTruncation:
     """Boundary matrices of the windowed Koszul complex at domain cap N."""
 
     tuple: SymbolTuple
+    packed: PackedTuple            # the tuple as ``kernels.pack_tuple`` reads it
     N: int
     deg_vec: tuple
     windows: tuple                 # stage 0..p monomial windows
@@ -239,9 +241,10 @@ def build_koszul(st: SymbolTuple, N: int,
     if widest > MATRIX_BUDGET:
         raise MatrixBudgetError(
             f"window overflow: stage would need {widest} columns (budget {MATRIX_BUDGET})")
-    dtype = matrix_dtype(st)
-    mats = tuple(_boundary_matrix(st, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
-    return KoszulTruncation(st, N, deg, tuple(wins), mats, rank_tolerance)
+    pk = pack_tuple(st)
+    dtype = matrix_dtype(pk)
+    mats = tuple(_boundary_matrix(pk, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
+    return KoszulTruncation(st, pk, N, deg, tuple(wins), mats, rank_tolerance)
 
 
 def chain_products(kt: KoszulTruncation) -> List[np.ndarray]:
@@ -288,8 +291,8 @@ class TupleGrading:
 
     ``weights`` is an integer basis W of the rational kernel of the
     within-symbol exponent differences, so W·e takes one value W·cᵢ on the
-    support of symbol i (cᵢ, its anchor, is the least exponent of that
-    support).  Coordinate (S, a) of stage k then has grade W·a − Σ_{i∈S} W·cᵢ,
+    support of symbol i (cᵢ, its anchor, is the first packed exponent of
+    that support).  Coordinate (S, a) of stage k then has grade W·a − Σ_{i∈S} W·cᵢ,
     and every boundary map sends each grade into itself.  Grades are stored
     as integer keys: the key of a grade g is Σⱼ gⱼ·Mⱼ for the mixed radix M
     of the bounds |gⱼ| ≤ bⱼ that every window within ``MATRIX_BUDGET``
@@ -299,15 +302,16 @@ class TupleGrading:
 
     def __init__(self, st: SymbolTuple):
         n, p = st.nvars, len(st)
-        supports = [sorted(s.terms) for s in st.to_float().symbols]
-        anchors = [sup[0] if sup else (0,) * n for sup in supports]
-        diffs = [tuple(x - y for x, y in zip(e, c))
-                 for sup, c in zip(supports, anchors) for e in sup[1:]]
-        rows = _rational_kernel(diffs, n)
+        pk = pack_tuple(st)
+        supports = np.split(pk.exps, pk.offs[1:-1])
+        anchors = np.array([sup[0] if len(sup) else np.zeros(n, dtype=np.int64)
+                            for sup in supports])
+        diffs = np.concatenate([sup[1:] - c for sup, c in zip(supports, anchors)])
+        rows = _rational_kernel(diffs.tolist(), n)
         radix = []
         for w in rows:
             bound = (sum(map(abs, w)) * (MATRIX_BUDGET - 1)
-                     + sum(abs(sum(x * y for x, y in zip(w, c))) for c in anchors))
+                     + int(np.abs(anchors @ np.array(w, dtype=np.int64)).sum()))
             radix.append(2 * bound + 1)
         # keep the leading rows whose keys fit in int64: fewer rows grade
         # more coarsely, never wrongly (a guard; n ≤ 3 within the budget
@@ -319,8 +323,7 @@ class TupleGrading:
         self.nsymbols = p
         self.weights = np.array(rows, dtype=np.int64).reshape(len(rows), n)
         self._omega = np.array(omega, dtype=np.int64)
-        self._anchor_keys = np.array([sum(x * y for x, y in zip(c, omega)) for c in anchors],
-                                     dtype=np.int64)
+        self._anchor_keys = anchors @ self._omega
         self._keys: dict = {}
 
     def keys(self, k: int, win: MonomialWindow) -> np.ndarray:
@@ -328,7 +331,7 @@ class TupleGrading:
         in ``_subsets`` order, monomials in window order), computed once per
         window."""
         if (k, win.cap) not in self._keys:
-            mono = np.array(win.basis, dtype=np.int64).reshape(win.dim, -1) @ self._omega
+            mono = win.exps @ self._omega
             self._keys[(k, win.cap)] = np.concatenate(
                 [mono - self._anchor_keys[list(s)].sum() for s in _subsets(self.nsymbols, k)])
         return self._keys[(k, win.cap)]
@@ -433,9 +436,9 @@ def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
     for k in range(1, p):
         null_next = d[k].shape[1] - rank(k + 1, d[k], wins[k], wins[k + 1])
         out = wins[k + 1]
-        enlarged = _boundary_matrix(st, k, wins[k], out, d[0].dtype)
+        enlarged = _boundary_matrix(kt.packed, k, wins[k], out, d[0].dtype)
         outside = np.ones(out.dim, dtype=bool)
-        outside[[out.index[e] for e in wins[k].basis]] = False
+        outside[out.row[tuple(wins[k].exps.T)]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
         rows_kept = graded_svdvals(enlarged[outside], grading.keys(k, out)[outside],
                                    grading.keys(k - 1, wins[k]))
@@ -490,15 +493,12 @@ class _ShiftSpan:
         self.nvars = st.nvars
         self.nsymbols = len(st)
         self.deg = np.array(st.degree_vec(), dtype=np.int64)
-        self.dtype = matrix_dtype(st)
-        self.symbols = []
-        for s in st.to_float().symbols:
-            exps = np.array(list(s.terms), dtype=np.int64).reshape(-1, st.nvars)
-            vals = np.array([complex(c) for c in s.terms.values()])
-            if self.dtype is np.float64:
-                vals = vals.real
-            vals = vals * rho ** exps.sum(axis=1)
-            self.symbols.append((exps, vals / np.linalg.norm(vals)))
+        self.packed = pack_tuple(st)
+        self.dtype = matrix_dtype(self.packed)
+        vals = (_coefficients(self.packed, self.dtype)
+                * rho ** self.packed.exps.sum(axis=1))
+        self.coeffs = np.concatenate([v / np.linalg.norm(v)
+                                      for v in np.split(vals, self.packed.offs[1:-1])])
         self.M = -1
         self.complement = np.zeros((0, 0), dtype=self.dtype)
         self.row = None
@@ -512,11 +512,7 @@ class _ShiftSpan:
         self.row = row.reshape(caps + 1)
         shifts = np.indices((M + 1,) * nv).reshape(nv, -1).T
         shifts = shifts[shifts.max(axis=1) > self.M]
-        cols = np.zeros((len(exps), len(self.symbols) * len(shifts)), dtype=self.dtype)
-        j = np.arange(len(shifts))[:, None]
-        for i, (e, v) in enumerate(self.symbols):
-            cols[self.row[tuple((shifts[:, None, :] + e).transpose(2, 0, 1))],
-                 i * len(shifts) + j] = v
+        cols = _shifted_symbols(self.packed, self.coeffs, shifts, self.row)
         # The old span is zero on the new rows, so in the larger window its
         # orthogonal complement is span(N_old) ⊕ (the new rows), with the
         # orthonormal basis B = [N_old 0; 0 I].  The new complement is B
@@ -744,7 +740,7 @@ def dump_matrices(kt: KoszulTruncation) -> str:
     the complex arithmetic gives."""
     out = []
     for k in range(1, kt.arity + 1):
-        m = _boundary_matrix(kt.tuple, k, kt.windows[k - 1], kt.windows[k], np.complex128)
+        m = _boundary_matrix(kt.packed, k, kt.windows[k - 1], kt.windows[k], np.complex128)
         out.append(f"# d{k} shape {m.shape[0]} {m.shape[1]}")
         for row in m:
             out.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))

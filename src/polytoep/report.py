@@ -46,7 +46,7 @@ from .poly import (
     tuple_from_json,
     tuple_to_json,
 )
-from .tensor import tensor_tuple_index, trig_from_poly
+from .tensor import TensorIndexReport, tensor_tuple_index, trig_from_poly
 from .zeros import common_zeros, gcd_reduce
 
 log = logging.getLogger(__name__)
@@ -246,15 +246,19 @@ def _tensor_variables(st: SymbolTuple) -> Optional[list]:
     return used
 
 
+def _factors_json(rep: TensorIndexReport) -> list:
+    """The ``per_factor`` list of a tensor report, for reports and the CLI."""
+    return [{"fredholm": f.fredholm, "index": f.index,
+             "invertible_flag": f.invertible_flag} for f in rep.per_factor]
+
+
 def _run_tensor(st: SymbolTuple, cfg: JobConfig,
                 cert: BoundaryCertificate) -> dict:
     variables = _tensor_variables(st)
     factors = [trig_from_poly(s, var=v) for s, v in zip(st.symbols, variables)]
     rep = tensor_tuple_index(factors, variables)
     return {
-        "per_factor": [{"fredholm": f.fredholm, "index": f.index,
-                        "invertible_flag": f.invertible_flag}
-                       for f in rep.per_factor],
+        "per_factor": _factors_json(rep),
         "tuple_fredholm": rep.tuple_fredholm,
         "note": rep.note,
         "index": rep.tuple_index,

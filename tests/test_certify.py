@@ -1,4 +1,5 @@
 """Certified region bounds, witnesses, and essential-spectrum queries."""
+import json
 import os
 import subprocess
 import sys
@@ -16,8 +17,9 @@ from polytoep.certify import (
     lipschitz_sumsq,
     shifted_tuple,
 )
+from polytoep.cli import main
 from polytoep.kernels import pack_tuple, sumsq_block, values_block
-from polytoep.poly import exact_poly, symbols
+from polytoep.poly import exact_poly, symbols, tuple_to_json
 
 from conftest import p1, p2
 
@@ -313,6 +315,40 @@ def test_lipschitz_bound_is_global(quarter_pair):
     assert np.all(dv <= lip * steps * (1 + 1e-9))
 
 
+# -- cell engine -------------------------------------------------------------------
+
+
+def test_split_widest_round():
+    # three variables, the middle one unused (weight 0); the cells have been
+    # selected and split before, so their extents differ
+    used = np.array([True, False, True])
+    weight = np.array([1.0, 0.0, 2.5])
+    cells = certify._initial_cells([(0.5, 1.0), (0.0, 1.0), (0.0, 1.0)], 0.8, used)
+    cells = cells.split_widest(weight).select(np.arange(2 * cells.count) % 3 != 0)
+    nv, n = 3, cells.count
+    lo, hi = cells.lo, cells.hi
+    half_r = 0.5 * (hi[:, :nv] - lo[:, :nv])
+    half_t = hi[:, :nv] * (0.5 * (hi[:, nv:] - lo[:, nv:]))
+    assert np.array_equal(cells.deltas(), np.hypot(half_r, half_t))
+    assert np.array_equal(cells.centers(),
+                          0.5 * (lo[:, :nv] + hi[:, :nv]) * np.exp(0.5j * (lo[:, nv:] + hi[:, nv:])))
+    out = cells.split_widest(weight)
+    assert out.count == 2 * n
+    first, second = out.select(np.arange(2 * n) < n), out.select(np.arange(2 * n) >= n)
+    widest = np.argmax(np.concatenate([half_r, half_t], axis=1) * np.tile(weight, 2), axis=1)
+    for c in range(n):
+        cut = np.flatnonzero(first.hi[c] != hi[c])
+        assert cut.tolist() == [widest[c]]
+        assert cut[0] % nv != 1                     # the unused variable
+        j = cut[0]
+        mid = 0.5 * (lo[c, j] + hi[c, j])
+        # the halves tile the parent and meet at the midpoint of the cut
+        assert np.array_equal(first.lo[c], lo[c]) and np.array_equal(second.hi[c], hi[c])
+        assert first.hi[c, j] == second.lo[c, j] == mid
+        assert np.array_equal(np.delete(first.hi[c], j), np.delete(hi[c], j))
+        assert np.array_equal(np.delete(second.lo[c], j), np.delete(lo[c], j))
+
+
 # -- essential spectrum ------------------------------------------------------------
 
 
@@ -342,3 +378,34 @@ def test_cloud_shape_and_guards(shift_pair):
         essential_spectrum_cloud(shift_pair, 0.9, 65)
     with pytest.raises(ValueError):
         essential_spectrum_cloud(shift_pair, 0.0, 8)
+
+
+def test_region_grid_refuses_grids_over_budget(monkeypatch, capsys, tmp_path, shift_pair):
+    # two variables at the default resolution 24: 553² points, within budget
+    assert essential_spectrum_cloud(shift_pair, 0.9, 24).shape[1] == 2
+
+    class Allocated(Exception):
+        pass
+
+    def meshgrid(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "meshgrid", meshgrid)
+    p3 = lambda t: exact_poly(3, t)
+    shifts3 = symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
+    # (11·10 + 1)³ points fit, (12·11 + 1)³ do not
+    with pytest.raises(Allocated):
+        certify._region_grid(3, 0.9, 11)
+    with pytest.raises(ValueError, match="largest resolution allowed is 11"):
+        essential_spectrum_cloud(shifts3, 0.9, 12)
+    with pytest.raises(ValueError, match="largest resolution allowed is 11"):
+        essential_spectrum_cloud(shifts3, 0.9, 24)
+    # (z1 − 1, z2, z3) vanishes at (1, 0, 0): no radius certifies, and the
+    # sampling that follows needs the grid
+    with pytest.raises(ValueError, match="largest resolution allowed is 11"):
+        essential_spectrum_membership(shifts3, (1, 0, 0))
+    path = tmp_path / "shifts3.json"
+    path.write_text(json.dumps(tuple_to_json(shifts3)))
+    assert main(["spectrum", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "largest resolution allowed is 11" in err

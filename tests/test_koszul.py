@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,13 +29,14 @@ from polytoep.koszul import (
     homology_kernel_dims,
     ideal_codim_window,
     koszul_route,
+    _stage_blocks,
     matrix_dtype,
-    mult_matrix,
     numerical_rank,
     range_sum_check,
 )
 from polytoep.exact import ExactComplex
-from polytoep.poly import exact_poly, symbols
+from polytoep.kernels import pack_tuple
+from polytoep.poly import exact_poly, float_poly, symbols
 
 from conftest import p1, p2
 
@@ -72,9 +74,9 @@ def graded_maps(kt, grading):
                grading.keys(k - 1, wins[k - 1]))
     for k in range(1, p):
         out = wins[k + 1]
-        enlarged = _boundary_matrix(st, k, wins[k], out, kt.boundary_matrices[0].dtype)
+        enlarged = _boundary_matrix(kt.packed, k, wins[k], out, kt.boundary_matrices[0].dtype)
         outside = np.ones(out.dim, dtype=bool)
-        outside[[out.index[e] for e in wins[k].basis]] = False
+        outside[[out.row[e] for e in map(tuple, wins[k].exps)]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
         rows, cols = grading.keys(k, out), grading.keys(k - 1, wins[k])
         yield enlarged, rows, cols
@@ -124,13 +126,6 @@ def blas_threads():
     return [get() for get, _ in koszul._openblas_thread_controls()]
 
 
-def toeplitz_matrix(p, N):
-    """Multiplication matrix from the cube window cap N into cap N + deg(p),
-    columns indexed by source monomials (graded-lex)."""
-    d = max(p.degree_vec(), default=0)
-    return mult_matrix(p, MonomialWindow(p.nvars, N), MonomialWindow(p.nvars, N + d))
-
-
 def hstack_kernel_dims(kt):
     """Reference for ``homology_kernel_dims``: the intersection dimension from
     rank(A) + dim V − rank([A | E_V]) with the embedding E_V built explicitly."""
@@ -140,10 +135,10 @@ def hstack_kernel_dims(kt):
     for k in range(1, p):
         null_next = d[k].shape[1] - numerical_rank(d[k], tol)
         stage, out = kt.windows[k], kt.windows[k + 1]
-        enlarged = _boundary_matrix(st, k, stage, out, d[0].dtype)
+        enlarged = _boundary_matrix(kt.packed, k, stage, out, d[0].dtype)
         incl = np.zeros((out.dim, stage.dim))
-        for j, e in enumerate(stage.basis):
-            incl[out.index[e], j] = 1.0
+        for j, e in enumerate(map(tuple, stage.exps)):
+            incl[out.row[e], j] = 1.0
         emb = np.kron(np.eye(len(_subsets(p, k))), incl)
         rank_both = numerical_rank(np.hstack([enlarged, emb]), tol)
         dims.append(max(null_next - (numerical_rank(enlarged, tol) + emb.shape[1]
@@ -158,13 +153,13 @@ def svd_span_basis(st, M, rho):
     deg = st.degree_vec()
     big = MonomialWindow(st.nvars, tuple(M + d for d in deg))
     shifts = MonomialWindow(st.nvars, M)
-    w = np.array([rho ** sum(e) for e in big.basis])
+    w = np.array([rho ** sum(e) for e in big.exps.tolist()])
     cols = []
     for s in st.to_float().symbols:
-        for a in shifts.basis:
+        for a in shifts.exps.tolist():
             col = np.zeros(big.dim, dtype=np.complex128)
             for e, c in s.terms.items():
-                col[big.index[tuple(x + y for x, y in zip(a, e))]] = c
+                col[big.row[tuple(x + y for x, y in zip(a, e))]] = c
             cols.append(col)
     S = np.asarray(cols).T * w[:, None]
     S = S / np.linalg.norm(S, axis=0)
@@ -177,8 +172,8 @@ def residual_sigmas(big, q, K):
     of the window ``big``, with the span of ``q`` projected off."""
     quot = MonomialWindow(big.nvars, K)
     E = np.zeros((big.dim, quot.dim))
-    for j, e in enumerate(quot.basis):
-        E[big.index[e], j] = 1.0
+    for j, e in enumerate(map(tuple, quot.exps)):
+        E[big.row[e], j] = 1.0
     return np.linalg.svd(E - q @ (q.conj().T @ E), compute_uv=False)
 
 
@@ -188,22 +183,91 @@ def svd_membership_sigmas(st, K, M, rho):
     return residual_sigmas(big, q, K)
 
 
-def test_window_basis_and_dim():
-    win = MonomialWindow(2, (2, 1))
-    assert win.dim == 6
-    assert win.basis[0] == (0, 0)
-    # ascending graded-lex, never skipping a monomial under the cap
-    degrees = [sum(e) for e in win.basis]
-    assert degrees == sorted(degrees)
-    assert set(win.basis) == {(a, b) for a in range(3) for b in range(2)}
+def test_window_exponents_and_lookup():
+    for nvars, cap in ((1, (4,)), (2, (2, 1)), (3, (1, 2, 0))):
+        win = MonomialWindow(nvars, cap)
+        # ascending graded-lex, never skipping a monomial under the cap
+        grlex = sorted(product(*(range(c + 1) for c in cap)), key=lambda e: (sum(e), e))
+        assert win.exps.dtype == np.int64
+        assert [tuple(e) for e in win.exps.tolist()] == grlex
+        assert win.dim == len(grlex)
+        assert win.row.shape == tuple(c + 1 for c in cap)
+        assert [win.row[e] for e in grlex] == list(range(win.dim))
 
 
-def test_toeplitz_matrix_is_shift():
+def coefficients(s):
+    """The terms of ``s`` with complex coefficients, none pruned."""
+    return {e: c.to_complex() if s.mode == "exact" else c for e, c in s.terms.items()}
+
+
+def shifted_symbol(s, win_in, win_out):
+    """Reference for one block of a boundary map: multiplication by ``s``
+    from ``win_in`` into ``win_out``, placed term by term."""
+    pos = {e: i for i, e in enumerate(map(tuple, win_out.exps.tolist()))}
+    mat = np.zeros((win_out.dim, win_in.dim), dtype=np.complex128)
+    for j, a in enumerate(win_in.exps.tolist()):
+        for e, c in coefficients(s).items():
+            mat[pos[tuple(x + y for x, y in zip(a, e))], j] = c
+    return mat
+
+
+def boundary_cases():
+    """(tuple, level) in one to three variables with one to three symbols,
+    real and complex."""
     z = p1({(1,): 1})
-    m = toeplitz_matrix(z, 4)
-    # maps window cap 4 into cap 5 without truncating: a clean shift
-    assert m.shape == (6, 5)
-    assert np.allclose(m, np.eye(6, 5, k=-1))
+    p3 = functools.partial(exact_poly, 3)
+    real = [(symbols(1, z), 4),
+            (symbols(1, p1({(1,): 1, (0,): "-1/2"}), p1({(2,): 1})), 3),
+            (symbols(1, z, p1({(1,): 1, (0,): "1/3"}), p1({(3,): 2, (0,): -1})), 2),
+            (symbols(2, p2({(1, 1): 1, (0, 0): "-1/3"})), 2),
+            (far_pair(), 2),
+            (symbols(2, p2({(1, 0): 1}), p2({(0, 1): 1, (0, 0): "-2/7"}),
+                     p2({(1, 1): 1, (2, 0): "1/5"})), 2),
+            (symbols(3, p3({(1, 0, 0): 1, (0, 1, 1): "3/4"})), 1),
+            (symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1, (0, 0, 2): "-1/9"})), 1),
+            (graded_tuples()[1], 1)]
+    floats = [(symbols(2, float_poly(2, {(1, 0): 0.3, (0, 1): -1.25}),
+                       float_poly(2, {(0, 0): 0.7, (1, 1): c})), 2) for c in (1.0, 0.5 - 2j)]
+    return real + [(rotated(st, len(st) - 1), n) for st, n in real] + floats
+
+
+def assert_blocks_are_shifted_symbols(kt):
+    """Every block of every d_k holds ±(the shifted symbol) with the
+    ``_stage_blocks`` sign, and every other block is zero."""
+    st, p, wins = kt.tuple, kt.arity, kt.windows
+    real = all(c.imag == 0 for s in st.symbols for c in coefficients(s).values())
+    for k, d in enumerate(kt.boundary_matrices, start=1):
+        m, n = wins[k].dim, wins[k - 1].dim
+        assert d.dtype == (np.float64 if real else np.complex128)
+        want = np.zeros((len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n),
+                        dtype=np.complex128)
+        for ri, ci, sym, sign in _stage_blocks(p, k):
+            if k == 1:
+                assert sign == 1
+            want[ri * m:(ri + 1) * m, ci * n:(ci + 1) * n] = (
+                sign * shifted_symbol(st.symbols[sym], wins[k - 1], wins[k]))
+        assert np.array_equal(d, want.real if real else want)
+
+
+def test_boundary_matrices_hold_the_symbol_coefficients():
+    for st, n in boundary_cases():
+        assert_blocks_are_shifted_symbols(build_koszul(st, n))
+    # (z): window cap 4 into cap 5 without truncating, a clean shift
+    d1 = build_koszul(symbols(1, p1({(1,): 1})), 4).boundary_matrices[0]
+    assert np.array_equal(d1, np.eye(6, 5, k=-1))
+
+
+def test_tiny_exact_coefficients_reach_the_maps():
+    # (z1 + 10⁻¹⁵, z2): the constant is 10⁻¹⁵ of the largest coefficient,
+    # below the float pruning cut, and the route keeps it as the
+    # certificate does
+    st = symbols(2, p2({(1, 0): 1, (0, 0): "1/1000000000000000"}), p2({(0, 1): 1}))
+    kt = build_koszul(st, 2)
+    assert_blocks_are_shifted_symbols(kt)
+    wins = kt.windows
+    assert kt.boundary_matrices[0][wins[1].row[0, 0], wins[0].row[0, 0]] == 1e-15
+    # the grading reads the same support: z1 and 1 share a z2 grade only
+    assert TupleGrading(st).weights.tolist() == [[0, 1]]
 
 
 def test_chain_property_and_exactness(shift_pair, monomial_pair):
@@ -279,7 +343,7 @@ def test_grown_span_matches_svd_reference(non_dyadic_pair):
             assert null.shape == (big.dim, big.dim - basis.shape[1])
             gram = null.conj().T @ null
             assert np.linalg.norm(gram - np.eye(gram.shape[0]), 2) <= 1e-12
-            rows = span.row[tuple(np.array(big.basis).T)]
+            rows = span.row[tuple(big.exps.T)]
             assert np.max(np.abs(null[rows].conj().T @ shifts)) <= 1e-12
         # a retry asks for a smaller cofactor window than the basis holds
         K, M = schedule[0]
@@ -448,7 +512,7 @@ def test_rational_kernel_matches_gauss_jordan(case):
 def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):
     for st in (far_pair(), non_dyadic_pair, shifts3()):
         for tup, dtype in ((st, np.float64), (rotated(st), np.complex128)):
-            assert matrix_dtype(tup) is dtype
+            assert matrix_dtype(pack_tuple(tup)) is dtype
             kt = build_koszul(tup, 2)
             assert all(d.dtype == dtype for d in kt.boundary_matrices)
             span = koszul._ShiftSpan(tup, 0.75)

@@ -36,10 +36,10 @@ def reference_quotient_basis(st):
         win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
         if win.dim > zeros._WINDOW_COL_BUDGET:
             raise ValueError("window over budget")
-        order = list(reversed(win.basis))           # descending graded-lex
+        order = [tuple(e) for e in win.exps[::-1].tolist()]     # descending graded-lex
         col_of = {e: i for i, e in enumerate(order)}
         rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in f.terms.items()}
-                for f in st.symbols for g in MonomialWindow(2, M).basis]
+                for f in st.symbols for g in MonomialWindow(2, M).exps.tolist()]
         pivots = _reference_echelon(rows)
         ns = [e for i, e in enumerate(order) if i not in pivots and sum(e) <= K]
         if any(sum(e) == K for e in ns):
@@ -67,11 +67,11 @@ def reference_unit_in_ideal(st):
         win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
         if win.dim > zeros._WINDOW_COL_BUDGET:
             return False
-        order = list(reversed(win.basis))
+        order = [tuple(e) for e in win.exps[::-1].tolist()]
         assert order[-1] == (0, 0)
         col_of = {e: i for i, e in enumerate(order)}
         rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in f.terms.items()}
-                for f in st.symbols for g in MonomialWindow(2, M).basis]
+                for f in st.symbols for g in MonomialWindow(2, M).exps.tolist()]
         if len(order) - 1 in _reference_echelon(rows):
             return True
     return False
