@@ -49,6 +49,10 @@ below the failure threshold, found by a damped Gauss–Newton search on the
 symbols from the best center seen (each step is the minimum-norm solution of
 J·s = −f for the complex Jacobian, halved until Σ|fᵢ|² decreases at the
 radially projected point; see ``_witness_search``).
+
+Essential-spectrum membership reads the same certificates (see
+``essential_spectrum_membership``); only the point cloud samples a polar
+grid of its own, capped at GRID_POINT_BUDGET points.
 """
 from __future__ import annotations
 
@@ -58,8 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (PackedTuple, pack_partials, pack_tuple, sumsq_block,
-                      values_block)
+from .kernels import PackedTuple, pack_partials, pack_tuple, values_block
 from .poly import (SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
 
@@ -85,7 +88,7 @@ class BoundaryCertificate:
     mesh: float                   # finest covering radius used
     lipschitz: float
     verdict: str                  # certified | failed | inconclusive
-    min_sample: float             # smallest center value seen
+    min_sample: float             # smallest value sampled (centers, a failed witness)
     min_point: tuple              # where it was seen
     witness: Optional[tuple] = None
     witness_value: Optional[float] = None
@@ -98,7 +101,6 @@ class BoundaryCertificate:
 class SpectrumQuery:
     lam: tuple
     r: float
-    resolution: int
     verdict: str                  # inside | outside | inconclusive
     distance_estimate: float
 
@@ -412,16 +414,23 @@ def shifted_tuple(st: SymbolTuple, lam: Sequence[complex]) -> SymbolTuple:
     return SymbolTuple(shifted, st.nvars)
 
 
-def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:
-    """Deterministic polar product grid over the closed polydisc, restricted
-    to max |z_i| ≥ r (the closure of 𝕌ᵣⁿ).  Past GRID_POINT_BUDGET points
-    (res·(res − 1) + 1 per variable) a ValueError names the largest res."""
+def max_grid_resolution(nvars: int) -> int:
+    """The largest resolution res whose polar grid, (res·(res − 1) + 1)ⁿ
+    points before the radius cut, fits GRID_POINT_BUDGET: 1414, 38 and 11
+    for n = 1, 2, 3."""
     def fits(k: int) -> bool:
         return (k * (k - 1) + 1) ** nvars <= GRID_POINT_BUDGET
 
-    if not fits(resolution):
-        # k(k − 1) + 1 > (k − 1)², so no k past isqrt(budget) + 1 fits
-        top = max(filter(fits, range(math.isqrt(GRID_POINT_BUDGET) + 2)))
+    # k(k − 1) + 1 > (k − 1)², so no k past isqrt(budget) + 1 fits
+    return max(filter(fits, range(math.isqrt(GRID_POINT_BUDGET) + 2)))
+
+
+def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:
+    """Deterministic polar product grid over the closed polydisc, restricted
+    to max |z_i| ≥ r (the closure of 𝕌ᵣⁿ).  Past GRID_POINT_BUDGET points
+    a ValueError names the largest resolution allowed."""
+    top = max_grid_resolution(nvars)
+    if resolution > top:
         raise ValueError(f"resolution {resolution} in {nvars} variables exceeds "
                          f"{GRID_POINT_BUDGET} points; the largest resolution allowed is {top}")
     radii = np.linspace(0.0, 1.0, resolution)
@@ -435,38 +444,30 @@ def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:
 
 
 def essential_spectrum_membership(st: SymbolTuple, lam: Sequence[complex],
-                                  r_schedule: Sequence[float] = DEFAULT_R_SCHEDULE,
-                                  resolution: int = 24) -> SpectrumQuery:
-    """Decide λ against the essential spectrum of the tuple.
+                                  r_schedule: Sequence[float] = DEFAULT_R_SCHEDULE
+                                  ) -> SpectrumQuery:
+    """Decide λ against the essential spectrum of the tuple from the boundary
+    certificates of the λ-shifted tuple at the scheduled radii.
 
-    outside: the λ-shifted tuple certifies a positive boundary bound at some
-    scheduled r (certificate-backed).  inside: at every scheduled r some
-    region sample maps within the distance tolerance of λ (approximate).
+    outside: some scheduled r certifies, at distance √c (certificate-backed).
+    Otherwise the distance at r is √min_sample, the smallest value the
+    certificate sampled in the region (cell centers, and the witness of a
+    failed attempt).  inside: that distance is below DISTANCE_TOLERANCE at
+    every scheduled r (approximate); inconclusive otherwise.  The distance
+    estimate is the largest of them.
     """
     if not r_schedule:
         raise ValueError("empty r schedule")
     lam = tuple(complex(l) for l in lam)
     shifted = shifted_tuple(st, lam)
+    worst = 0.0
     for r in r_schedule:
         cert = boundary_lower_bound(shifted, r)
         if cert.verdict == "certified":
-            return SpectrumQuery(lam, r, resolution, "outside",
-                                 float(math.sqrt(cert.c)))
-    pk = pack_tuple(shifted)
-    worst = 0.0
-    inside_all = True
-    for r in r_schedule:
-        pts = _region_grid(st.nvars, r, resolution)
-        vals = sumsq_block(pk, pts)
-        i = int(np.argmin(vals))
-        _, val = _witness_search(shifted, pk, pts[i], _boundary_faces(st.nvars, r))
-        best = math.sqrt(min(float(vals[i]), val))
-        worst = max(worst, best)
-        if best >= DISTANCE_TOLERANCE:
-            inside_all = False
-    if inside_all:
-        return SpectrumQuery(lam, float(r_schedule[-1]), resolution, "inside", worst)
-    return SpectrumQuery(lam, float(r_schedule[-1]), resolution, "inconclusive", worst)
+            return SpectrumQuery(lam, r, "outside", float(math.sqrt(cert.c)))
+        worst = max(worst, math.sqrt(cert.min_sample))
+    verdict = "inside" if worst < DISTANCE_TOLERANCE else "inconclusive"
+    return SpectrumQuery(lam, float(r_schedule[-1]), verdict, worst)
 
 
 def essential_spectrum_cloud(st: SymbolTuple, r: float, resolution: int) -> np.ndarray:

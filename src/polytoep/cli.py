@@ -5,9 +5,10 @@ query or CSV point cloud), certify (one boundary certificate), koszul-dims
 (per-truncation homology dimensions), tensor (product formula for factor
 lists).  ``COMMANDS`` lists the flags and config-file keys each one reads: a
 flag wins over the file, what neither gives keeps the library's default, and
-any other flag or key is a usage error.  Exit codes: 0 success/agree, 1 usage
-or parse error, 2 not Fredholm, 3 not certifiable or inconclusive, 4 route
-disagreement.
+any other flag or key is a usage error, as are ``spectrum``'s cloud-only
+``r`` and ``resolution`` with a λ and its ``r_schedule`` without.  Exit
+codes: 0 success/agree, 1 usage or parse error, 2 not Fredholm, 3 not
+certifiable or inconclusive, 4 route disagreement.
 """
 from __future__ import annotations
 
@@ -89,7 +90,8 @@ COMMANDS = {
                     "symbol (omit for a cloud); repeatable, and a component with "
                     "a negative real part is written --lambda=-1,0"),
                  _p("--resolution", "resolution", type=int,
-                    help="per-axis sampling resolution"),
+                    help="per-axis resolution of the cloud (default 24, 11 in "
+                    "three variables)"),
                  _p("--r", "r", type=float, help="inner radius of the cloud"),
                  _p("--emit", choices=("json", "csv"),
                     help="output format (default csv for a cloud, json for a query)")),
@@ -179,8 +181,10 @@ def main(argv=None) -> int:
             return _EXIT[report["body"]["verdict"]["kind"]]
 
         if command == "spectrum":
-            out = run_spectrum(cfg, values.get("lambda"), **{
-                k: values[k] for k in ("r", "resolution") if k in values})
+            if "lambda" not in values and "r_schedule" in values:
+                raise ValueError("the cloud reads no r_schedule (a λ query does)")
+            out = run_spectrum(cfg, values.get("lambda"), r=values.get("r"),
+                               resolution=values.get("resolution"))
             if isinstance(out, dict):
                 if args.emit == "csv":
                     b = out["body"]

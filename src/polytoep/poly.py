@@ -486,14 +486,8 @@ def _content_primitive(p: MultiPoly):
             break
     if content is None or content.is_zero():
         content = constant(1, EXACT_ONE, "exact")
-    prim = [_exact_div_univariate(c, content) for c in coeffs]
+    prim = [divexact(c, content) for c in coeffs]
     return content, _from_univariate_in(prim, 1)
-
-
-def _exact_div_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    if a.is_zero():
-        return a
-    return divexact(a, b)
 
 
 def _lift_univariate(c: MultiPoly, var: int) -> MultiPoly:

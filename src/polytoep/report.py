@@ -35,6 +35,7 @@ from .certify import (
     boundary_lower_bound,
     essential_spectrum_cloud,
     essential_spectrum_membership,
+    max_grid_resolution,
 )
 from .koszul import KoszulRouteResult, koszul_route
 from .oracle import OracleConfig, perturbed_count_details
@@ -409,31 +410,38 @@ def _finish(body: dict, timings: dict, t_start: float, key: str,
 
 
 def run_spectrum(cfg: JobConfig, lam: Optional[Sequence[complex]] = None, *,
-                 r: float = 0.9, resolution: int = 24) -> Union[dict, str]:
+                 r: Optional[float] = None,
+                 resolution: Optional[int] = None) -> Union[dict, str]:
     """Membership of ``lam`` (one number per symbol) in the essential spectrum
-    of ``cfg.input`` as a report (``body`` and ``timings``), tried at the
-    radii of ``cfg.r_schedule``; without ``lam``, a deterministic CSV cloud of
-    symbol values outside radius ``r``.  It reads no other field of ``cfg``
-    and caches nothing."""
+    of ``cfg.input`` as a report (``body`` and ``timings``), decided at the
+    radii of ``cfg.r_schedule``; without ``lam``, a deterministic CSV cloud
+    of symbol values outside radius ``r`` (default 0.9) at ``resolution``
+    (default 24, capped by ``max_grid_resolution``), which a query rejects.
+    It reads no other field of ``cfg`` and caches nothing."""
     st = load_tuple(cfg.input)
     if lam is not None:
+        given = [k for k, v in (("r", r), ("resolution", resolution)) if v is not None]
+        if given:
+            raise ValueError(f"a membership query reads no {', '.join(given)} "
+                             "(they set the cloud)")
         if len(lam) != len(st):
             raise ValueError(f"lambda needs {len(st)} components")
         t0 = time.perf_counter()
-        q = essential_spectrum_membership(st, lam, cfg.r_schedule, resolution)
+        q = essential_spectrum_membership(st, lam, cfg.r_schedule)
         body = {
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
             "input": tuple_to_json(st),
             "lambda": [_fmt_complex(z) for z in q.lam],
             "r": q.r,
-            "resolution": q.resolution,
             "verdict": q.verdict,
             "distance_estimate": f"{q.distance_estimate:.17g}",
             "config": {"r_schedule": list(cfg.r_schedule)},
         }
         return {"body": body, "timings": {"total": time.perf_counter() - t0}}
-    vals = essential_spectrum_cloud(st, r, resolution)
+    if resolution is None:
+        resolution = min(24, max_grid_resolution(st.nvars))
+    vals = essential_spectrum_cloud(st, 0.9 if r is None else r, resolution)
     k = vals.shape[1]
     header = ",".join(f"re{i+1},im{i+1}" for i in range(k))
     lines = [header]

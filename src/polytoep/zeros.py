@@ -73,12 +73,6 @@ class ZeroSet:
 
 
 @dataclass(frozen=True)
-class ZeroDimensionality:
-    kind: str                     # zero_dimensional | common_factor | degenerate
-    factor: Optional[MultiPoly] = None
-
-
-@dataclass(frozen=True)
 class GcdReduction:
     common_factor: Optional[MultiPoly]
     reduced: SymbolTuple
@@ -92,20 +86,6 @@ def _require_pair(st: SymbolTuple) -> Tuple[MultiPoly, MultiPoly]:
     if st.mode != "exact":
         raise ModeMismatchError("algebraic route requires exact coefficients")
     return st.symbols
-
-
-def zero_dimensionality(st: SymbolTuple) -> ZeroDimensionality:
-    """Classify the common zero set: finite, a curve (common factor), or
-    degenerate (a zero symbol).  Two coprime polynomials in C[z₁, z₂] have
-    finitely many common zeros (Bézout), so the set is infinite exactly when
-    the gcd is nonconstant."""
-    p, q = _require_pair(st)
-    if p.is_zero() or q.is_zero():
-        return ZeroDimensionality("degenerate")
-    g = gcd_bivariate(p, q)
-    if g.degree() > 0:
-        return ZeroDimensionality("common_factor", g)
-    return ZeroDimensionality("zero_dimensional")
 
 
 # ---- exact quotient algebra ---------------------------------------------------
@@ -146,7 +126,9 @@ def quotient_basis(st: SymbolTuple):
 
     Returns (basis exponent list, M1, M2) with matrices as nested lists of
     exact complex entries, entry [i][j] = coefficient of basis[i] in the
-    reduction of z_v · basis[j].
+    reduction of z_v · basis[j].  The quotient is finite-dimensional exactly
+    for a coprime pair; for any other the staircase never stabilizes (see
+    ``common_zeros``), and the round or column budget raises, saying so.
     """
     p, q = _require_pair(st)
     real = all(c.im == 0 for f in (p, q) for c in f.terms.values())
@@ -164,8 +146,10 @@ def quotient_basis(st: SymbolTuple):
         cols = (M + d0 + 1) * (M + d1 + 1)
         if cols > _WINDOW_COL_BUDGET:
             raise ValueError(
-                f"quotient window needs {cols} columns "
-                f"(budget {_WINDOW_COL_BUDGET}); degrees too large")
+                f"quotient window needs {cols} columns (budget "
+                f"{_WINDOW_COL_BUDGET}): degrees too large, or a pair with a "
+                f"common factor, which has infinitely many common zeros and "
+                f"never stabilizes")
         echelon(_shift_rows(terms, built, M), pivots)
         built = M
         if _key((0, 0)) in pivots:          # 1 lies in the ideal: no zeros
@@ -183,7 +167,9 @@ def quotient_basis(st: SymbolTuple):
         prev_ns = ns
         M += 2
     raise RuntimeError(f"quotient basis used up its budget of {_MAX_ROUNDS} "
-                       f"rounds (last cofactor window M = {built}) for {st}")
+                       f"rounds (last cofactor window M = {built}) for {st}; a "
+                       f"pair with a common factor has infinitely many common "
+                       f"zeros and never stabilizes")
 
 
 def _mult_matrices(ns, pivots):
@@ -267,12 +253,14 @@ def _classify(point: np.ndarray) -> str:
 
 
 def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
-    """Locate all common zeros with multiplicities.  Requires a
-    zero-dimensional pair; the multiplicity sum always equals the quotient
-    dimension."""
-    zd = zero_dimensionality(st)
-    if zd.kind != "zero_dimensional":
-        raise ValueError(f"common zero set is not finite ({zd.kind})")
+    """Locate all common zeros with multiplicities; the multiplicity sum
+    always equals the quotient dimension.  The pair must be coprime, and
+    ``quotient_basis`` raises on any other: with a common factor g of degree
+    d ≥ 1 (a zero symbol included) every echelon row lies in (g), so every
+    pivot is divisible by LM(g) and each degree s ≥ d keeps d normal
+    monomials; the top-degree test never clears, and the round or column
+    budget ends the search.  (0, c) with c a nonzero constant has 1 in its
+    ideal and rightly no zeros."""
     ns, m1, m2 = quotient_basis(st)
     dim = len(ns)
     if dim == 0:

@@ -10,6 +10,8 @@ import pytest
 import polytoep
 from polytoep import certify
 from polytoep.certify import (
+    DEFAULT_R_SCHEDULE,
+    DISTANCE_TOLERANCE,
     WITNESS_THRESHOLD,
     boundary_lower_bound,
     essential_spectrum_cloud,
@@ -22,6 +24,12 @@ from polytoep.kernels import pack_tuple, sumsq_block, values_block
 from polytoep.poly import exact_poly, symbols, tuple_to_json
 
 from conftest import p1, p2
+
+
+@pytest.fixture
+def shift_triple():
+    p3 = lambda t: exact_poly(3, t)
+    return symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
 
 
 def region_samples(nv, r, count, rng):
@@ -368,6 +376,57 @@ def test_membership_fixtures(shift_pair):
     assert essential_spectrum_membership(far, (0, 0)).verdict == "outside"
 
 
+def grid_membership(st, lam):
+    """Reference for ``essential_spectrum_membership``: the same certificates
+    decide outside, but the distance at each radius comes from a polar grid
+    over the region (``certify._region_grid`` at resolution 24) and a witness
+    search from its best point.  Returns (verdict, distance estimate)."""
+    shifted = shifted_tuple(st, lam)
+    for r in DEFAULT_R_SCHEDULE:
+        cert = boundary_lower_bound(shifted, r)
+        if cert.verdict == "certified":
+            return "outside", float(np.sqrt(cert.c))
+    pk = pack_tuple(shifted)
+    worst = 0.0
+    for r in DEFAULT_R_SCHEDULE:
+        pts = certify._region_grid(st.nvars, r, 24)
+        vals = sumsq_block(pk, pts)
+        i = int(np.argmin(vals))
+        _, val = certify._witness_search(shifted, pk, pts[i],
+                                         certify._boundary_faces(st.nvars, r))
+        worst = max(worst, float(np.sqrt(min(float(vals[i]), val))))
+    return ("inside" if worst < DISTANCE_TOLERANCE else "inconclusive"), worst
+
+
+@pytest.mark.parametrize("pair", ["shift_pair", "quarter_pair"])
+def test_membership_matches_the_grid_reference(pair, request):
+    st = request.getfixturevalue(pair)
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for k in range(20):
+        # λ = F(z): z on a face |z_v| = 1 (in the essential spectrum) for
+        # even k, anywhere with moduli up to 1.15 for odd k
+        z = rng.uniform(0.0, 1.15, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        if k % 2 == 0:
+            z[k // 2 % 2] /= abs(z[k // 2 % 2])
+        lam = [complex(s.eval(tuple(z))) for s in st.symbols]
+        got = essential_spectrum_membership(st, lam)
+        verdict, dist = grid_membership(st, lam)
+        assert got.verdict == verdict, (lam, got, dist)
+        if verdict == "outside":
+            assert got.distance_estimate == dist
+        verdicts.add(verdict)
+    assert {"inside", "outside"} <= verdicts
+
+
+def test_membership_in_three_variables(shift_triple):
+    # the certificates need no grid, so three variables run at the defaults
+    inm = essential_spectrum_membership(shift_triple, (1, 0, 0))
+    assert inm.verdict == "inside" and inm.distance_estimate < DISTANCE_TOLERANCE
+    out = essential_spectrum_membership(shift_triple, (0, 0, 0))
+    assert out.verdict == "outside" and out.distance_estimate > 0.1
+
+
 def test_cloud_shape_and_guards(shift_pair):
     cloud = essential_spectrum_cloud(shift_pair, 0.9, 8)
     assert cloud.ndim == 2 and cloud.shape[1] == 2
@@ -380,7 +439,9 @@ def test_cloud_shape_and_guards(shift_pair):
         essential_spectrum_cloud(shift_pair, 0.0, 8)
 
 
-def test_region_grid_refuses_grids_over_budget(monkeypatch, capsys, tmp_path, shift_pair):
+def test_region_grid_refuses_grids_over_budget(monkeypatch, capsys, tmp_path, shift_pair,
+                                              shift_triple):
+    assert [certify.max_grid_resolution(n) for n in (1, 2, 3)] == [1414, 38, 11]
     # two variables at the default resolution 24: 553² points, within budget
     assert essential_spectrum_cloud(shift_pair, 0.9, 24).shape[1] == 2
 
@@ -391,21 +452,15 @@ def test_region_grid_refuses_grids_over_budget(monkeypatch, capsys, tmp_path, sh
         raise Allocated
 
     monkeypatch.setattr(np, "meshgrid", meshgrid)
-    p3 = lambda t: exact_poly(3, t)
-    shifts3 = symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
     # (11·10 + 1)³ points fit, (12·11 + 1)³ do not
     with pytest.raises(Allocated):
         certify._region_grid(3, 0.9, 11)
     with pytest.raises(ValueError, match="largest resolution allowed is 11"):
-        essential_spectrum_cloud(shifts3, 0.9, 12)
+        essential_spectrum_cloud(shift_triple, 0.9, 12)
     with pytest.raises(ValueError, match="largest resolution allowed is 11"):
-        essential_spectrum_cloud(shifts3, 0.9, 24)
-    # (z1 − 1, z2, z3) vanishes at (1, 0, 0): no radius certifies, and the
-    # sampling that follows needs the grid
-    with pytest.raises(ValueError, match="largest resolution allowed is 11"):
-        essential_spectrum_membership(shifts3, (1, 0, 0))
+        essential_spectrum_cloud(shift_triple, 0.9, 24)
     path = tmp_path / "shifts3.json"
-    path.write_text(json.dumps(tuple_to_json(shifts3)))
-    assert main(["spectrum", "--input", str(path)]) == 1
+    path.write_text(json.dumps(tuple_to_json(shift_triple)))
+    assert main(["spectrum", "--input", str(path), "--resolution", "24"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "largest resolution allowed is 11" in err

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polytoep
@@ -195,6 +196,43 @@ def test_spectrum_membership_and_cloud(shift_pair):
     csv2 = run_spectrum(JobConfig(input=shift_pair), resolution=6)
     assert csv1 == csv2
     assert csv1.splitlines()[0] == "re1,im1,re2,im2"
+
+
+def test_spectrum_cloud_default_resolution_follows_n(monkeypatch, shift_pair):
+    seen = []
+
+    def cloud(st, r, resolution):
+        seen.append(resolution)
+        return np.zeros((1, len(st)), dtype=complex)
+
+    monkeypatch.setattr("polytoep.report.essential_spectrum_cloud", cloud)
+    p3 = lambda t: exact_poly(3, t)
+    triple = symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
+    run_spectrum(JobConfig(input=shift_pair))
+    run_spectrum(JobConfig(input=triple))
+    assert seen == [24, 11]           # 553³ points would pass the grid budget
+
+
+def test_spectrum_rejects_the_keys_it_ignores(shift_pair, inputs, tmp_path, capsys):
+    # r and resolution set the cloud, r_schedule the radii of a query
+    with pytest.raises(ValueError, match="reads no r, resolution"):
+        run_spectrum(JobConfig(input=shift_pair), (0, 0), r=0.3, resolution=6)
+    spectrum = ["spectrum", "--input", inputs["shifts"]]
+    lam = ["--lambda", "0,0", "0,0"]
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"lambda": [[0, 0], [0, 0]], "r": 0.3}))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"r_schedule": [0.6]}))
+    for args, key in [(lam + ["--r", "0.3"], "no r "),
+                      (lam + ["--resolution", "6"], "no resolution"),
+                      (["--config", str(query)], "no r "),
+                      (["--config", str(schedule)], "no r_schedule")]:
+        assert main(spectrum + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+    # with a λ the schedule is read
+    assert main(spectrum + lam + ["--config", str(schedule)]) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["config"] == {"r_schedule": [0.6]}
 
 
 def test_job_config_validation(shift_pair):

@@ -9,14 +9,13 @@ from hypothesis import strategies as hst
 from polytoep import zeros
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.koszul import MonomialWindow
-from polytoep.poly import exact_poly, symbols
+from polytoep.poly import exact_poly, gcd_bivariate, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
     algebraic_index,
     common_zeros,
     gcd_reduce,
     quotient_basis,
-    zero_dimensionality,
 )
 
 from conftest import p2
@@ -173,18 +172,17 @@ def echelon_calls(monkeypatch):
     return calls
 
 
-def test_zero_dimensionality_classification(shift_pair, repeated_pair, shared_line_pair, z1):
-    assert zero_dimensionality(shift_pair).kind == "zero_dimensional"
-    rep = zero_dimensionality(repeated_pair)
-    assert rep.kind == "common_factor" and rep.factor.degree() >= 1
-    line = zero_dimensionality(shared_line_pair)
-    assert line.kind == "common_factor"
-    assert line.factor.degree_in(0) == 1 and line.factor.degree_in(1) == 0
+def test_common_zeros_needs_a_coprime_pair(repeated_pair, shared_line_pair, z1):
+    # a common factor keeps normal monomials in every degree: the staircase
+    # never stabilizes, and a budget error says why
     zero = exact_poly(2, {})
-    assert zero_dimensionality(symbols(2, z1, zero)).kind == "degenerate"
-    # no common zeros at all is still zero-dimensional (empty variety)
+    for st in (repeated_pair, shared_line_pair, symbols(2, z1, zero)):
+        with pytest.raises((RuntimeError, ValueError), match="common factor"):
+            common_zeros(st)
+    # no common zeros at all: 1 lies in the ideal
     one = p2({(0, 0): 1})
-    assert zero_dimensionality(symbols(2, z1, z1 + one)).kind == "zero_dimensional"
+    zs = common_zeros(symbols(2, z1, z1 + one))
+    assert zs.zeros == () and zs.total_inside == 0 and zs.quotient_dim == 0
 
 
 def test_quotient_basis_shape_and_commutation(quarter_pair):
@@ -266,7 +264,8 @@ exact_pairs = hst.builds(
 @settings(max_examples=30, deadline=None)
 @given(exact_pairs)
 def test_quotient_basis_matches_reference_on_random_pairs(st):
-    assume(zero_dimensionality(st).kind == "zero_dimensional")
+    p, q = st.symbols
+    assume(not p.is_zero() and not q.is_zero() and gcd_bivariate(p, q).degree() == 0)
     try:
         ref = reference_quotient_basis(st)
     except (RuntimeError, ValueError) as exc:
