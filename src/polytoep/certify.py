@@ -27,10 +27,19 @@ so far (the Moore–Skelboe best-first target of Hansen–Walster, *Global
 Optimization Using Interval Analysis*, 2004), or is merely positive once the
 cell nears the depth floor.  The running minimum only falls, so the bound
 of every target-pruned cell stays above 0.5·min_sample.  Other cells are
-halved along the parameter with the largest extent·Σᵢ G_iv, so a variable no
-symbol uses is never cut, and the depth floor target_mesh / 2**MAX_HALVINGS
-measures only the used variables.  The start grid is four times coarser than
-target_mesh (an unused variable gets one cell); the floor is unchanged.
+halved along the parameter with the largest extent·w_v, where the cell's
+own weight w_v = Σᵢ|fᵢ(c)|·G_iv is half the bound on |∂Σ|fᵢ|²/∂z_v| at its
+center (rule C of Csendes–Ratz, "Subdivision direction selection in interval
+methods for global optimization", SIAM J. Numer. Anal. 34, 1997).  On the
+face |z₂| ≥ r of (z₁⁴, z₂⁴) near z₁ = 0 the weight of z₁ is far below that
+of z₂, so the disc of z₁ is cut far less often than the annulus of z₂.  A
+used variable keeps at least 1/16 of its cell's largest weight, so no cell
+is cut along one variable without limit; a cell centered on a common zero
+(weights all 0) takes the global Σᵢ G_iv instead.  Any split keeps every
+bound valid.  A variable no symbol uses has weight 0 and is never cut, and
+the depth floor target_mesh / 2**MAX_HALVINGS measures only the used
+variables.  The start grid is four times coarser than target_mesh (an
+unused variable gets one cell); the floor is unchanged.
 
 The bound stays a proof under floating-point rounding.  Every computed
 |fᵢ(c)| loses 2γₖ·P̂ᵢ(|c|) (Higham's γₖ = ku/(1 − ku), u = 2⁻⁵³, with k
@@ -73,6 +82,7 @@ DISTANCE_TOLERANCE = 1e-3
 DEFAULT_R_SCHEDULE = (0.5, 0.75, 0.9)
 CELL_BUDGET = 6_000_000          # centers evaluated per certification attempt
 MAX_HALVINGS = 4                 # depth floor: target_mesh / 2**MAX_HALVINGS
+_SPLIT_WEIGHT_FLOOR = 1 / 16     # a used variable's least split weight, per cell max
 _UNIT_ROUNDOFF = 2.0 ** -53
 GRID_POINT_BUDGET = 2_000_000    # spectrum grid points; 553³ (n = 3, res 24) take ~16 GB
 
@@ -134,30 +144,45 @@ class _CellSet:
         rc, tc = np.split(0.5 * (self.lo + self.hi), 2, axis=1)
         return rc * np.exp(1j * tc)
 
-    def _extents(self) -> np.ndarray:
+    def extents(self) -> np.ndarray:
         """Radial half-widths, then angular half-extents (½·Δθ)·r_hi."""
         half = 0.5 * (self.hi - self.lo)
         nv = half.shape[1] // 2
         half[:, nv:] *= self.hi[:, :nv]
         return half
 
-    def deltas(self) -> np.ndarray:
-        """Per-variable covering radii, shape (ncells, nvars)."""
-        return np.hypot(*np.split(self._extents(), 2, axis=1))
+    @staticmethod
+    def deltas(extents: np.ndarray) -> np.ndarray:
+        """Per-variable covering radii from ``extents()``, shape (ncells, nvars)."""
+        return np.hypot(*np.split(extents, 2, axis=1))
 
     def select(self, mask) -> "_CellSet":
         return _CellSet(self.lo[mask], self.hi[mask])
 
-    def split_widest(self, weight: np.ndarray) -> "_CellSet":
+    def split_widest(self, weight: np.ndarray, extents: np.ndarray) -> "_CellSet":
         """Split every cell in two along the parameter whose extent times its
-        variable's weight is largest; a variable of weight 0 is never cut.
-        The first halves come first, then the second halves."""
+        variable's weight in the cell's row of ``weight`` (cells, nvars) is
+        largest; a variable of weight 0 is never cut.  The first halves come
+        first, then the second halves."""
         rows = np.arange(self.count)
-        pick = np.argmax(self._extents() * np.tile(weight, 2), axis=1)
+        pick = np.argmax(extents * np.tile(weight, 2), axis=1)
         mid = 0.5 * (self.lo[rows, pick] + self.hi[rows, pick])
         first_hi, second_lo = self.hi.copy(), self.lo.copy()
         first_hi[rows, pick] = second_lo[rows, pick] = mid
         return _CellSet(np.vstack([self.lo, second_lo]), np.vstack([first_hi, self.hi]))
+
+
+def _split_weights(absv: np.ndarray, gmat: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per-cell split weights Σᵢ|fᵢ(c)|·G_iv, shape (cells, nvars): half the
+    bound on |∂Σ|fᵢ|²/∂z_v| at the center.  A used variable keeps at least
+    _SPLIT_WEIGHT_FLOOR of its row's largest weight, an unused one stays 0,
+    and a row that is 0 throughout (a common zero at the center) takes the
+    global ``weight``."""
+    w = absv @ gmat
+    top = np.max(w, axis=1, keepdims=True)
+    w = np.where(weight > 0, np.maximum(w, _SPLIT_WEIGHT_FLOOR * top), 0.0)
+    w[top[:, 0] == 0] = weight
+    return w
 
 
 def _initial_cells(bounds: Sequence[Tuple[float, float]], step_mesh: float,
@@ -197,7 +222,7 @@ def _cell_bounds(pk_abs: PackedTuple, gmat: np.ndarray, gamma: float,
     d = deltas * (1 + 8 * u) + 32 * u
     a = np.abs(centers) * (1 + 4 * u)
     n = len(a)
-    hat = values_block(pk_abs, np.concatenate([a, (a + d) * (1 + 4 * u)])).real
+    hat = values_block(pk_abs, np.concatenate([a, (a + d) * (1 + 4 * u)]))
     hat_c, hat_up = hat[:n], hat[n:]
     centered = hat_up * (1 + gamma) - hat_c * (1 - gamma)
     directional = (d @ gmat.T) * (1 + gamma)
@@ -335,7 +360,8 @@ def _certify_region(st: SymbolTuple, r: float, target_mesh: float,
                 got = witness_result(centers[i])
                 if got is not None:
                     return got
-            d = batch.deltas()
+            ext = batch.extents()
+            d = _CellSet.deltas(ext)
             rad = np.sqrt(np.sum(d[:, used] ** 2, axis=1))
             bound = _cell_bounds(pk_abs, gmat, gamma, centers, absv, d)
             # aim for slack under half the smallest value seen, so c tracks
@@ -349,9 +375,10 @@ def _certify_region(st: SymbolTuple, r: float, target_mesh: float,
                 j = int(np.argmin(np.where(stuck, vals, np.inf)))
                 if stuck_best is None or vals[j] < stuck_best[0]:
                     stuck_best = (float(vals[j]), centers[j].copy())
-            batch = batch.select(~pruned & ~stuck)
+            keep = ~pruned & ~stuck
+            batch = batch.select(keep)
             if batch.count:
-                batch = batch.split_widest(weight)
+                batch = batch.split_widest(_split_weights(absv[keep], gmat, weight), ext[keep])
                 rounds += 1
                 split_depth = max(split_depth, rounds)
 
