@@ -2,13 +2,14 @@
 
 Subcommands: index (multi-route agreement report), spectrum (membership
 query or CSV point cloud), certify (one boundary certificate), koszul-dims
-(per-truncation homology dimensions), tensor (product formula for factor
-lists).  ``COMMANDS`` lists the flags and config-file keys each one reads: a
-flag wins over the file, what neither gives keeps the library's default, and
-any other flag or key is a usage error, as are ``spectrum``'s cloud-only
-``r`` and ``resolution`` with a λ and its ``r_schedule`` without.  Exit
-codes: 0 success/agree, 1 usage or parse error, 2 not Fredholm, 3 not
-certifiable or inconclusive, 4 route disagreement.
+(the Koszul route, after a boundary certificate along the default
+schedule), tensor (product formula for factor lists).  ``COMMANDS`` lists
+the flags and config-file keys each one reads: a flag wins over the file,
+what neither gives keeps the library's default, and any other flag or key
+is a usage error, as are ``spectrum``'s cloud-only ``r`` and ``resolution``
+with a λ and its ``r_schedule`` without.  Exit codes: 0 success/agree,
+1 usage or parse error, 2 not Fredholm, 3 not certifiable or inconclusive,
+4 route disagreement.
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .certify import boundary_lower_bound
-from .koszul import build_koszul, dump_matrices, koszul_route
+from .koszul import build_koszul, dump_matrices
 from .oracle import OracleConfig
-from .report import (JobConfig, _cert_json, _factors_json, _koszul_json,
-                     _resolved_n_range, load_tuple, run_index, run_spectrum)
+from .report import (JobConfig, _cert_json, _factors_json, _run_koszul,
+                     certify_schedule, load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
 
 _EXIT = {"agree": 0, "not_fredholm": 2, "not_certifiable": 3, "disagree": 4}
@@ -212,10 +213,12 @@ def main(argv=None) -> int:
 
         if command == "koszul-dims":
             st = load_tuple(cfg.input)
-            route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance)
-            _emit(_koszul_json(route))
+            cert, certs = certify_schedule(st, cfg)
+            out = ({"certificates": [_cert_json(c) for c in certs]} if cert is None
+                   else _run_koszul(st, cfg, cert))
+            _emit(out)
             _maybe_dump(args, cfg, st)
-            return 0 if route.homology.stabilized else 3
+            return 0 if out.get("stabilized") else 3
 
         if command == "tensor":
             obj = json.loads(Path(args.input).read_text())

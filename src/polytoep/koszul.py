@@ -24,20 +24,20 @@ Homology dimensions:
   of the window are never reachable and would inflate it); it comes from
   ``ideal_codim_window`` below.
 
-``ideal_codim_window`` measures dim W_K / (W_K ∩ Σ p_i·W_M) with rows
-weighted by ρ^{total degree}.  The weighting realizes membership in the Hardy
-norm of a slightly smaller polydisc: an ideal member whose cofactors are
-genuine H² functions (not polynomials — e.g. 1 = (z₁−2)·(−Σ z₁^k/2^{k+1}))
-appears as a residual decaying geometrically in M, which plain polynomial
-window algebra would miss.  Singular values of the projected residual falling
-in the unresolved band [rank_tol, band_top] trigger window escalation before
-any integer is reported.  One call keeps one orthonormal basis N of the
-orthogonal complement of the weighted shift span and grows it with M: a
-unit-normalized shift column does not depend on M, and the old span is zero
-on the rows a larger window adds, so the new complement lies in span(N) ⊕
-(new rows) and each larger window takes one column-pivoted QR of its new
-shifts' coordinates there.  N has rows − rank columns (2 for (z₁ − 2, z₂),
-26 for (z₁, z₂, z₃)), where a basis of the span itself is nearly square.
+``ideal_codim_window`` counts codim = dim H²/Σ T_fᵢH² on the finite sections
+A_N = P_N [T_f₁ … T_f_p] P_N of the top Koszul map, P_N the projection onto
+the box window of cap N.  Finite sections of Toeplitz operators split their
+singular values into ones bounded below and ones that decay geometrically,
+one per common zero λ in the open polydisc, at the rate max_v|λ_v|
+(Roch–Silbermann, J. Math. Anal. Appl. 1998; Böttcher–Silbermann,
+*Introduction to Large Truncated Toeplitz Matrices*, 1999): A_N* maps the
+kernel function of λ, cut to the window, almost to zero.  A zero outside
+the closed polydisc leaves no decaying value, so 1 = (z₁−2)·(−Σ z₁^k/2^{k+1})
+costs nothing although its cofactor is no polynomial.  Level N is compared
+with level N − D, D the largest degree (the values of (z₁² − ¼, z₂)
+alternate with the parity of N), and a value decays when it shrank by more
+than ρ^D: after a certificate at r every interior zero decays at a rate
+below r < ρ = (1+r)/2.
 
 The sweep passes the singular values it has computed from level to level:
 when every variable has degree D, the enlarged d_k of level N is the d_k of
@@ -59,24 +59,24 @@ and each map is a single block.  Ranks keep their tolerance relative to the
 largest singular value of the whole map.
 
 The route reads the tuple as ``kernels.pack_tuple`` packs it, tiny exact
-coefficients included, and one scatter (``_shifted_symbols``) writes z^a·fᵢ
-for every shift a and symbol i: it builds every boundary map and the shift
-columns of the membership span.  Arithmetic is real when it can be.  Every
-boundary matrix and complement basis is ``float64`` when each packed
-coefficient has imaginary part exactly 0 (exact for exact tuples: a zero
-``ExactComplex.im`` converts to 0.0), and ``complex128`` otherwise; the
-choice is made once per tuple and the code path is the same.  A real LAPACK
-factorization costs a fraction of the complex one, and the real matrices are
-the complex ones with their imaginary parts dropped, so ranks and residual
-singular values agree up to rounding.
+coefficients included, and one scatter (in ``_boundary_matrix``) writes
+z^a·fᵢ for every shift a and symbol i: it builds every boundary map and
+every finite section.  Arithmetic is real when it can be.  Every boundary
+matrix is ``float64`` when each packed coefficient has imaginary part
+exactly 0 (exact for exact tuples: a zero ``ExactComplex.im`` converts to
+0.0), and ``complex128`` otherwise; the choice is made once per tuple and
+the code path is the same.  A real LAPACK factorization costs a fraction of
+the complex one, and the real matrices are the complex ones with their
+imaginary parts dropped, so ranks and section singular values agree up to
+rounding.
 
 ``koszul_route`` runs on one OpenBLAS thread and restores the earlier count
-on exit.  Its factorizations are small (a few hundred columns) and level-2
-heavy, and a thread pool wakes a worker for each call: on 2 vCPUs one
-121×118 pivoted QR took 7 ms alone and 726 ms inside the codim solve.
-OpenBLAS thread counts are process-global, so the cap holds for any thread
-of the process while the route runs; polytoep calls the route from one
-thread.
+on exit.  Its factorizations are small and level-2 heavy, so a thread pool
+mostly adds wake-ups: on 2 vCPUs the routes of the seed-1 koszul-heavy
+tuples take 0.08–0.11 s summed with or without the cap, but the first
+uncapped pass once took 0.90 s.  OpenBLAS thread counts are process-global,
+so the cap holds for any thread of the process while the route runs;
+polytoep calls the route from one thread.
 
 Index convention: Ind = Σ_k (−1)^{p+1−k} h_k, i.e. the alternating sum
 anchored with coefficient −1 at the top (quotient) stage.  For a pair this is
@@ -89,13 +89,13 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import qr, svdvals
+from scipy.linalg import svdvals
 
 from .exact import echelon
 from .kernels import PackedTuple, pack_tuple
@@ -103,9 +103,6 @@ from .poly import SymbolTuple
 
 DEFAULT_RANK_TOL = 1e-8
 MATRIX_BUDGET = 20_000          # hard cap on columns of any assembled matrix
-MEMBERSHIP_BAND_TOP = 0.1       # residual band treated as "possibly decaying"
-MAX_ESCALATIONS = 6             # cofactor-window growths per codimension step
-SVD_PROJECT_CUT = 1e-13         # relative cut for the basis of the shift span
 
 
 class MatrixBudgetError(RuntimeError):
@@ -144,26 +141,8 @@ class MonomialWindow:
 
 def matrix_dtype(pk: PackedTuple) -> type:
     """``float64`` when every packed coefficient is real, else ``complex128``:
-    the dtype of the tuple's boundary matrices and complement basis."""
+    the dtype of the tuple's boundary matrices."""
     return np.complex128 if pk.cim.any() else np.float64
-
-
-def _coefficients(pk: PackedTuple, dtype: type) -> np.ndarray:
-    """The packed coefficients as ``dtype``, formed as the kernels form them."""
-    return pk.cre if np.dtype(dtype).kind == "f" else pk.cre + 1j * pk.cim
-
-
-def _shifted_symbols(pk: PackedTuple, coeffs: np.ndarray, shifts: np.ndarray,
-                     row: np.ndarray) -> np.ndarray:
-    """The matrix whose column i·len(shifts) + j is z^{shifts[j]}·fᵢ, in one
-    scatter: packed term t, exponent e, puts ``coeffs[t]`` in row
-    ``row[shifts[j] + e]``, so ``row`` must cover every shifted term."""
-    p, m = pk.npolys, len(shifts)
-    symbol = np.repeat(np.arange(p), np.diff(pk.offs))
-    out = np.zeros((row.size, p * m), dtype=coeffs.dtype)
-    out[row[tuple((shifts + pk.exps[:, None]).transpose(2, 0, 1))],
-        symbol[:, None] * m + np.arange(m)] = coeffs[:, None]
-    return out
 
 
 # ---- boundary map block structure --------------------------------------------
@@ -193,9 +172,16 @@ def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
 def _boundary_matrix(pk: PackedTuple, k: int, win_in: MonomialWindow,
                      win_out: MonomialWindow, dtype: type) -> np.ndarray:
     """d_k from ``win_in`` into ``win_out``: block (S, R) is ±T_i, with the
-    sign and symbol of ``_stage_blocks``, and every other block is 0."""
+    sign and symbol of ``_stage_blocks``, and every other block is 0.  One
+    scatter writes z^a·fᵢ for every monomial a of ``win_in`` and symbol i:
+    packed term t of fᵢ, exponent e, puts its coefficient (formed as the
+    kernels form it) in row ``win_out.row[a + e]``."""
     p, m, n = pk.npolys, win_out.dim, win_in.dim
-    shifted = _shifted_symbols(pk, _coefficients(pk, dtype), win_in.exps, win_out.row)
+    coeffs = pk.cre if np.dtype(dtype).kind == "f" else pk.cre + 1j * pk.cim
+    symbol = np.repeat(np.arange(p), np.diff(pk.offs))
+    shifted = np.zeros((m, p * n), dtype=dtype)
+    shifted[win_out.row[tuple((win_in.exps + pk.exps[:, None]).transpose(2, 0, 1))],
+            symbol[:, None] * n + np.arange(n)] = coeffs[:, None]
     out = np.zeros((len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n), dtype=dtype)
     for ri, ci, sym, sign in _stage_blocks(p, k):
         out[ri * m:(ri + 1) * m, ci * n:(ci + 1) * n] = sign * shifted[:, sym * n:(sym + 1) * n]
@@ -462,165 +448,67 @@ def euler_index(dims: Sequence[int]) -> int:
     return sum((-1) ** (p + 1 - k) * int(h) for k, h in enumerate(dims))
 
 
-# ---- windowed ideal codimension ---------------------------------------------------
+# ---- ideal codimension from finite sections of the top map ------------------------
 
-# Column budgets for the membership system, checked against the full column
-# count p·(M+1)ⁿ of the shift span.  They cap the window the complement may
-# grow to, and with it the full pivoted QR of the first window's shifts, the
-# largest factorization of a solve.  In three variables the cap is 4000:
-# (z₁², z₂², z₃²) needs the windows K = 3, 4, 5 at M = 7, 8, 9 (3·10³ = 3000
-# columns), and that whole codim solve takes about 0.6 s, most of it in the
-# 1000 × 1536 QR at M = 7 (2 vCPUs, one BLAS thread).
-MEMBERSHIP_COL_BUDGET = {1: 4000, 2: 2600, 3: 4000}
+# Largest cap N of the finite sections, by variable count (A_N has (N+1)ⁿ
+# rows).  Pairs (z₁ − a, z₂ − b) with max(|a|, |b|) up to 0.88, certified at
+# r = 0.9, need levels up to 20: a cap of 16 loses 7 of 20 drawn such pairs.
+SECTION_CAP = {1: 64, 2: 20, 3: 8}
 
 
-class _ShiftSpan:
-    """Orthonormal basis N of the orthogonal complement of the weighted shift
-    span Σ p_i·W_M, grown with M.
+def _section_svdvals(pk: PackedTuple, grading: TupleGrading, N: int,
+                     deg: Sequence[int], dtype: type) -> np.ndarray:
+    """Ascending singular values of A_N = P_N [T_f₁ … T_f_p] P_N, the top
+    boundary map from the box window of cap N, restricted to the rows of
+    that window."""
+    p, n = pk.npolys, len(deg)
+    win = MonomialWindow(n, N)
+    out = MonomialWindow(n, tuple(N + d for d in deg))
+    rows = out.row[tuple(win.exps.T)]
+    mat = _boundary_matrix(pk, p, win, out, dtype)[rows]
+    return graded_svdvals(mat, grading.keys(p, out)[rows], grading.keys(p - 1, win))[::-1]
 
-    Rows are weighted by ρ^{total degree} and columns normalized to unit
-    length, so the column of shift a is the ρ-dilated symbol, normalized,
-    moved by a: it does not depend on M.  The span at M is therefore the span
-    at any M′ < M padded with zero rows, provided the rows are ordered by the
-    first cofactor window that holds them (t(e) = max_v(e_v − d_v), then
-    lexicographically): window M is then a prefix of window M + 1.  (An
-    explicit basis of the complement, because least squares via the general
-    drivers mis-solves these wide systems; the complement is the narrow side,
-    rows − rank columns where the span has rank.)
+
+def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL,
+                       rho: float = 0.8) -> Union[int, str]:
+    """Codimension of the symbol ideal in H²(𝔻ⁿ), counted on the finite
+    sections A_N of the top Koszul map, or "unstable".
+
+    Levels run N = 1, 2, … up to ``SECTION_CAP``, and from N = D + 1 on, D
+    the largest degree, level N compares its ascending singular values with
+    those of level N − D.  c(N) is the length of the leading run of values
+    that are rank-zero (at most ``rank_tolerance`` of the largest) or that
+    shrank by more than ρ^D.  A level is clear when c = 0, when every value
+    is counted, or when the next value is at least ten times the last
+    counted one; three consecutive clear levels with one c give the
+    codimension.  ``rho`` is the decay bound: with a boundary certificate at
+    r and ρ = (1+r)/2, every common zero in the polydisc decays at a rate
+    below r < ρ.
     """
-
-    def __init__(self, st: SymbolTuple, rho: float):
-        self.nvars = st.nvars
-        self.nsymbols = len(st)
-        self.deg = np.array(st.degree_vec(), dtype=np.int64)
-        self.packed = pack_tuple(st)
-        self.dtype = matrix_dtype(self.packed)
-        vals = (_coefficients(self.packed, self.dtype)
-                * rho ** self.packed.exps.sum(axis=1))
-        self.coeffs = np.concatenate([v / np.linalg.norm(v)
-                                      for v in np.split(vals, self.packed.offs[1:-1])])
-        self.M = -1
-        self.complement = np.zeros((0, 0), dtype=self.dtype)
-        self.row = None
-
-    def _grow(self, M: int) -> None:
-        nv = self.nvars
-        caps = M + self.deg
-        exps = np.indices(caps + 1).reshape(nv, -1).T          # lexicographic
-        row = np.empty(len(exps), dtype=np.int64)
-        row[np.argsort((exps - self.deg).max(axis=1), kind="stable")] = np.arange(len(exps))
-        self.row = row.reshape(caps + 1)
-        shifts = np.indices((M + 1,) * nv).reshape(nv, -1).T
-        shifts = shifts[shifts.max(axis=1) > self.M]
-        cols = _shifted_symbols(self.packed, self.coeffs, shifts, self.row)
-        # The old span is zero on the new rows, so in the larger window its
-        # orthogonal complement is span(N_old) ⊕ (the new rows), with the
-        # orthonormal basis B = [N_old 0; 0 I].  The new complement is B
-        # times the complement of the coordinates a = Bᴴ·C of the new
-        # columns.  B is an isometry: a is the remainder of C after
-        # projecting off the old span, written in the basis B, and has the
-        # same pivoted R.
-        old = self.complement
-        n_old, k_old = old.shape
-        a = np.concatenate([old.conj().T @ cols[:n_old], cols[n_old:]])
-        # Column-pivoted QR of a (Businger–Golub).  |R_ii| falls, and every
-        # column had unit norm, so columns past SVD_PROJECT_CUT span only
-        # rounding: the relative cut of a from-scratch pivoted QR at
-        # |R_00| = 1.  A column already below the cut never passes it.  The
-        # columns of the full Q that the cut leaves out span the complement.
-        a = a[:, np.linalg.norm(a, axis=0) > SVD_PROJECT_CUT]
-        v = np.eye(a.shape[0], dtype=self.dtype)
-        if a.shape[1]:
-            v, r, _ = qr(a, mode="full", pivoting=True)
-            in_span = np.zeros(a.shape[0], dtype=bool)
-            in_span[:min(a.shape)] = np.abs(np.diag(r)) > SVD_PROJECT_CUT
-            v = v[:, ~in_span]
-        self.complement = np.concatenate([old @ v[:k_old], v[k_old:]])
-        self.M = M
-
-    def sigmas(self, K: int, M: int) -> np.ndarray:
-        """Residual singular values of the quotient candidates W_K against
-        the span at cofactor window M.  A request below the M already held
-        (a retry with a smaller window) starts the basis afresh."""
-        ncols = self.nsymbols * (M + 1) ** self.nvars
-        if ncols > MEMBERSHIP_COL_BUDGET[self.nvars]:
-            raise MatrixBudgetError(
-                f"window overflow: membership system needs {ncols} columns "
-                f"(budget {MEMBERSHIP_COL_BUDGET[self.nvars]} at nvars={self.nvars})")
-        if M < self.M:
-            self.M, self.complement = -1, np.zeros((0, 0), dtype=self.dtype)
-        if M > self.M:
-            self._grow(M)
-        idx = self.row[tuple(np.indices((K + 1,) * self.nvars).reshape(self.nvars, -1))]
-        # The residual of the coordinate embedding E of W_K is NNᴴE = N·N[idx]ᴴ,
-        # and N is an isometry: its singular values are those of N[idx],
-        # padded with zeros to |W_K|
-        sv = svdvals(self.complement[idx])
-        return np.concatenate([sv, np.zeros(idx.size - sv.size)])
-
-
-def _codim_resolve_band(span: _ShiftSpan, K: int, M: int,
-                        rank_tol: float, step: int) -> Optional[Tuple[int, int]]:
-    """(codim, M used) once the residual band is clear, else None.
-
-    A singular value inside [rank_tol, band_top] is ambiguous: either the
-    geometric tail of a non-polynomial cofactor (it keeps shrinking as M
-    grows) or a genuinely small quotient direction (it stays put).  Escalate
-    while the band maximum shrinks; accept it as rank once it stops moving.
-    """
-    prev_band_max = None
-    for _ in range(MAX_ESCALATIONS + 1):
-        sig = span.sigmas(K, M)
-        above = sig[sig > rank_tol]
-        banded = above[above < MEMBERSHIP_BAND_TOP]
-        if banded.size == 0:
-            return int(above.size), M
-        bmax = float(banded.max())
-        if prev_band_max is not None and bmax > 0.5 * prev_band_max:
-            return int(above.size), M
-        prev_band_max = bmax
-        M += step
-    return None
-
-
-def ideal_codim_window(st: SymbolTuple, K: int,
-                       rank_tolerance: float = DEFAULT_RANK_TOL,
-                       rho: Optional[float] = None) -> Union[int, str]:
-    """Codimension of the symbol ideal seen from quotient window K, cofactor
-    window M = K + max degree + 2, or "unstable".
-
-    Stability requires the same integer at (K, M), (K+1, M+1), (K+2, M+2),
-    each member individually clear of the decaying-residual band.  ``rho`` is
-    the weighting radius; when a boundary certificate at r exists, (1+r)/2 is
-    the sound choice (every interior zero then lies inside the ρ-polydisc and
-    every excluded zero outside the closed polydisc stays excluded).
-    """
-    M = K + max(st.degree_vec(), default=0) + 2
-    if rho is None:
-        rho = 0.8
     if not 0 < rho < 1:
-        raise ValueError("weighting radius rho must lie in (0, 1)")
-    step = 4 if st.nvars <= 2 else 2
-    span = _ShiftSpan(st, rho)       # one basis, grown as M grows
-    for _ in range(MAX_ESCALATIONS + 1):
-        vals = []
-        try:
-            # K+1 and K+2 start one past the M their predecessor settled on
-            m_start = M
-            for i in range(3):
-                got = _codim_resolve_band(span, K + i, m_start, rank_tolerance, step)
-                if got is None:
-                    return "unstable"
-                vals.append(got[0])
-                m_start = got[1] + 1
-        except MatrixBudgetError:
-            return "unstable"
-        if vals[0] == vals[1] == vals[2]:
-            return vals[0]
-        # agreeing failed with clear bands: the quotient window is clipping
-        # the residual space — grow both windows and retry
-        K += 1
-        M += step
+        raise ValueError("decay bound rho must lie in (0, 1)")
+    deg = st.degree_vec()
+    step = max(deg, default=0)
+    pk = pack_tuple(st)
+    dtype = matrix_dtype(pk)
+    grading = TupleGrading(st)
+    levels: List[np.ndarray] = []
+    counts: List[Optional[int]] = []     # c of each compared level, None if not clear
+    for N in range(1, SECTION_CAP[st.nvars] + 1):
+        sv = _section_svdvals(pk, grading, N, deg, dtype)
+        levels.append(sv)
+        if N <= step:
+            continue
+        before = levels[N - 1 - step]
+        tiny = rank_tolerance * sv[-1]
+        c = 0
+        while c < sv.size and (sv[c] <= tiny or (c < before.size
+                                                 and sv[c] < rho ** step * before[c])):
+            c += 1
+        clear = c == 0 or c == sv.size or sv[c] >= 10 * sv[c - 1]
+        counts.append(c if clear else None)
+        if counts[-3:] == [c] * 3:
+            return c
     return "unstable"
 
 
@@ -685,13 +573,18 @@ class KoszulRouteResult:
 
 def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
                  rank_tolerance: float = DEFAULT_RANK_TOL,
-                 rho: Optional[float] = None) -> KoszulRouteResult:
+                 rho: float = 0.8) -> KoszulRouteResult:
     """Sweep the levels of ``n_range`` and stop at the first three consecutive
     ones with the same kernel-side homology vector (``per_n`` ends there, and
     ``sigma_min_first`` is read on its last level), attach the stabilized ideal
     codimension as the top dimension, and form the Euler index.  Emits
     "unstable" rather than any integer when stabilization fails.  Runs on one
-    OpenBLAS thread (module docstring)."""
+    OpenBLAS thread (module docstring).
+
+    Precondition: every common zero of the tuple in the closed polydisc has
+    max_v|z_v| < 2ρ − 1, as a boundary certificate at r = 2ρ − 1 proves.
+    The codimension count is sound only then; on a tuple with a zero on or
+    near the torus it may emit any integer."""
     p = len(st)
     if n_range is None:
         n_range = range(2, 9) if st.nvars <= 2 else range(1, 4)
@@ -719,8 +612,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
             if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
                 stabilized_at = tuple(dims)
                 break
-        kdim = max(2, max(st.degree_vec(), default=0) + 1)
-        codim = ideal_codim_window(st, kdim, rank_tolerance=rank_tolerance, rho=rho)
+        codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)
         hom = HomologyDims(full, True, euler_index(full))

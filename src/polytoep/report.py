@@ -26,7 +26,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .certify import (
@@ -37,7 +37,7 @@ from .certify import (
     essential_spectrum_membership,
     max_grid_resolution,
 )
-from .koszul import KoszulRouteResult, koszul_route
+from .koszul import koszul_route
 from .oracle import OracleConfig, perturbed_count_details
 from .poly import (
     SymbolTuple,
@@ -175,8 +175,12 @@ def _cache_store(path: Path, report: dict) -> None:
 # wrappers installed on this module see every call.
 
 
-def _koszul_json(route: KoszulRouteResult) -> dict:
-    """The Koszul route's evidence, as the report and ``koszul-dims`` print it."""
+def _run_koszul(st: SymbolTuple, cfg: JobConfig,
+                cert: BoundaryCertificate) -> dict:
+    """The Koszul route's evidence, as the report and ``koszul-dims`` print
+    it, at the decay bound ρ = (1+r)/2 of the certificate."""
+    rho = (1 + cert.r) / 2
+    route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
     return {
         "per_n": list(route.per_n),
         "codim": route.codim,
@@ -185,14 +189,8 @@ def _koszul_json(route: KoszulRouteResult) -> dict:
         "sigma_min_first": route.sigma_min_first,
         "chain_exact": route.chain_exact,
         "index": route.index,
+        "rho": rho,
     }
-
-
-def _run_koszul(st: SymbolTuple, cfg: JobConfig,
-                cert: BoundaryCertificate) -> dict:
-    rho = (1 + cert.r) / 2
-    route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
-    return {**_koszul_json(route), "rho": rho}
 
 
 def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
@@ -290,6 +288,20 @@ ROUTES = (
 # ---- the index pipeline --------------------------------------------------------
 
 
+def certify_schedule(st: SymbolTuple, cfg: JobConfig
+                     ) -> Tuple[Optional[BoundaryCertificate], List[BoundaryCertificate]]:
+    """The boundary certificates of ``st`` at the radii of ``cfg.r_schedule``
+    up to the first that certifies, and that one (None when none does).  The
+    routes run only after one: it proves the tuple Fredholm, and its r bounds
+    every common zero in the polydisc."""
+    certs = []
+    for r in cfg.r_schedule:
+        certs.append(boundary_lower_bound(st, r, cfg.target_mesh))
+        if certs[-1].verdict == "certified":
+            return certs[-1], certs
+    return None, certs
+
+
 def run_index(cfg: JobConfig) -> dict:
     """Certificate-first multi-route index report (see module docstring)."""
     st = load_tuple(cfg.input)
@@ -334,19 +346,12 @@ def run_index(cfg: JobConfig) -> dict:
 
     # certificate schedule on the working tuple
     t0 = time.perf_counter()
-    chosen = None
-    failures = 0
-    for r in cfg.r_schedule:
-        cert = boundary_lower_bound(working, r, cfg.target_mesh)
-        body["certificates"].append(_cert_json(cert))
-        if cert.verdict == "certified":
-            chosen = cert
-            break
-        failures += cert.verdict == "failed"
+    chosen, certs = certify_schedule(working, cfg)
+    body["certificates"] = [_cert_json(c) for c in certs]
     timings["certificate"] = time.perf_counter() - t0
 
     if chosen is None:
-        if failures == len(cfg.r_schedule):
+        if all(c.verdict == "failed" for c in certs):
             worst = min((c for c in body["certificates"] if "witness" in c),
                         key=lambda c: c["witness_value"])
             body["verdict"] = {"kind": "not_fredholm",

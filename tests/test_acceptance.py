@@ -38,6 +38,8 @@ AGREE_FIXTURES = [
     ("(z1^2 - 1/4, z2)", symbols(2, p2({(2, 0): 1, (0, 0): "-1/4"}), Z2), -2),
     ("(z1 - z2, z1 z2)", symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1})), -2),
     ("(z1 - 2, z2)", symbols(2, p2({(1, 0): 1, (0, 0): -2}), Z2), 0),
+    # the one common zero lies just outside the closed bidisc
+    ("(z1 - 5/4, z2)", symbols(2, p2({(1, 0): 1, (0, 0): "-5/4"}), Z2), 0),
 ]
 
 NOT_FREDHOLM_FIXTURES = [

@@ -13,12 +13,11 @@ from scipy.linalg import svdvals
 
 from polytoep import koszul
 from polytoep.koszul import (
-    DEFAULT_RANK_TOL,
-    SVD_PROJECT_CUT,
     MonomialWindow,
     MatrixBudgetError,
     TupleGrading,
     _boundary_matrix,
+    _section_svdvals,
     _subsets,
     build_koszul,
     chain_check,
@@ -116,12 +115,6 @@ def stage1_sigma_min(kt):
     return float(sv[-1]) if sv.size else 0.0
 
 
-def _membership_sigmas(st, K, M, rho):
-    """Residual singular values of the quotient candidates against the
-    weighted span of shifted symbols (windows K and M), from a fresh basis."""
-    return koszul._ShiftSpan(st, rho).sigmas(K, M)
-
-
 def blas_threads():
     return [get() for get, _ in koszul._openblas_thread_controls()]
 
@@ -144,43 +137,6 @@ def hstack_kernel_dims(kt):
         dims.append(max(null_next - (numerical_rank(enlarged, tol) + emb.shape[1]
                                      - rank_both), 0))
     return dims
-
-
-def svd_span_basis(st, M, rho):
-    """The codomain window, the unit-normalized ρ-weighted shift columns (rows
-    in the window's graded-lex order) and an orthonormal basis of their span
-    from a full SVD."""
-    deg = st.degree_vec()
-    big = MonomialWindow(st.nvars, tuple(M + d for d in deg))
-    shifts = MonomialWindow(st.nvars, M)
-    w = np.array([rho ** sum(e) for e in big.exps.tolist()])
-    cols = []
-    for s in st.to_float().symbols:
-        for a in shifts.exps.tolist():
-            col = np.zeros(big.dim, dtype=np.complex128)
-            for e, c in s.terms.items():
-                col[big.row[tuple(x + y for x, y in zip(a, e))]] = c
-            cols.append(col)
-    S = np.asarray(cols).T * w[:, None]
-    S = S / np.linalg.norm(S, axis=0)
-    u, sv, _ = np.linalg.svd(S, full_matrices=False)
-    return big, S, u[:, sv > SVD_PROJECT_CUT * sv[0]]
-
-
-def residual_sigmas(big, q, K):
-    """Singular values of the quotient candidates W_K, as coordinate columns
-    of the window ``big``, with the span of ``q`` projected off."""
-    quot = MonomialWindow(big.nvars, K)
-    E = np.zeros((big.dim, quot.dim))
-    for j, e in enumerate(map(tuple, quot.exps)):
-        E[big.row[e], j] = 1.0
-    return np.linalg.svd(E - q @ (q.conj().T @ E), compute_uv=False)
-
-
-def svd_membership_sigmas(st, K, M, rho):
-    """Reference for ``_membership_sigmas``: the span basis from a full SVD."""
-    big, _, q = svd_span_basis(st, M, rho)
-    return residual_sigmas(big, q, K)
 
 
 def test_window_exponents_and_lookup():
@@ -316,69 +272,6 @@ def test_kernel_dims_match_hstack_reference(shift_pair, monomial_pair, quarter_p
         assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
 
 
-def test_membership_sigmas_match_svd_reference(non_dyadic_pair):
-    for st, K, M in ((far_pair(), 2, 13), (non_dyadic_pair, 2, 9)):
-        got = _membership_sigmas(st, K, M, 0.75)
-        ref = svd_membership_sigmas(st, K, M, 0.75)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
-
-
-def test_grown_span_matches_svd_reference(non_dyadic_pair):
-    # one complement per schedule, extended with each new cofactor window
-    schedules = ((far_pair(), [(2, 5), (2, 9), (2, 13), (2, 17), (3, 18), (4, 19)]),
-                 (non_dyadic_pair, [(2, 5), (2, 9), (3, 10)]),
-                 (rotated(non_dyadic_pair), [(2, 5), (2, 9), (3, 10)]),
-                 (shifts3(), [(2, 5), (3, 6), (4, 7)]))
-    for st, schedule in schedules:
-        span = koszul._ShiftSpan(st, 0.75)
-        for K, M in schedule:
-            got = span.sigmas(K, M)
-            big, shifts, basis = svd_span_basis(st, M, 0.75)
-            ref = residual_sigmas(big, basis, K)
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
-            # N is an orthonormal basis of the whole orthogonal complement
-            null = span.complement
-            assert null.shape == (big.dim, big.dim - basis.shape[1])
-            gram = null.conj().T @ null
-            assert np.linalg.norm(gram - np.eye(gram.shape[0]), 2) <= 1e-12
-            rows = span.row[tuple(big.exps.T)]
-            assert np.max(np.abs(null[rows].conj().T @ shifts)) <= 1e-12
-        # a retry asks for a smaller cofactor window than the basis holds
-        K, M = schedule[0]
-        assert np.array_equal(span.sigmas(K, M), _membership_sigmas(st, K, M, 0.75))
-
-
-@hst.composite
-def small_exact_pairs(draw):
-    """Pairs in two variables with up to three terms of degree at most 2 in
-    each variable and small integer coefficients."""
-    syms = []
-    for _ in range(2):
-        exps = draw(hst.lists(hst.tuples(hst.integers(0, 2), hst.integers(0, 2)),
-                              min_size=1, max_size=3, unique=True))
-        coeffs = draw(hst.lists(hst.integers(-4, 4).filter(bool),
-                                min_size=len(exps), max_size=len(exps)))
-        syms.append(p2(dict(zip(exps, coeffs))))
-    return symbols(2, *syms)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_exact_pairs())
-def test_membership_sigmas_match_svd_reference_on_drawn_pairs(st):
-    K = 2
-    M = K + max(st.degree_vec()) + 2
-    got = _membership_sigmas(st, K, M, 0.75)
-    ref = svd_membership_sigmas(st, K, M, 0.75)
-    assert got.shape == ref.shape
-    if ref[0] <= DEFAULT_RANK_TOL:
-        # the whole window lies in the span: both residuals are rounding
-        assert got[0] <= DEFAULT_RANK_TOL
-    else:
-        assert np.max(np.abs(got - ref)) <= 1e-6 * ref[0]
-
-
 def test_route_rank_reuse_keeps_per_n(monkeypatch):
     calls = []
     graded = koszul.graded_svdvals
@@ -509,15 +402,24 @@ def test_rational_kernel_matches_gauss_jordan(case):
     assert koszul._rational_kernel(rows, n) == gauss_jordan_kernel(rows, n)
 
 
-def test_real_tuples_compute_in_real_arithmetic(non_dyadic_pair):
+def test_real_tuples_compute_in_real_arithmetic(monkeypatch, non_dyadic_pair):
+    dtypes = []
+    graded = koszul.graded_svdvals
+
+    def seen(mat, row_keys, col_keys):
+        dtypes.append(mat.dtype)
+        return graded(mat, row_keys, col_keys)
+
+    monkeypatch.setattr(koszul, "graded_svdvals", seen)
     for st in (far_pair(), non_dyadic_pair, shifts3()):
         for tup, dtype in ((st, np.float64), (rotated(st), np.complex128)):
             assert matrix_dtype(pack_tuple(tup)) is dtype
             kt = build_koszul(tup, 2)
             assert all(d.dtype == dtype for d in kt.boundary_matrices)
-            span = koszul._ShiftSpan(tup, 0.75)
-            span.sigmas(2, 5)
-            assert span.complement.dtype == dtype and span.complement.shape[1] > 0
+            # every finite section of the codimension count too
+            dtypes.clear()
+            assert isinstance(ideal_codim_window(tup, rho=0.75), int)
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
 
 
 def test_rotating_a_symbol_keeps_the_route(non_dyadic_pair):
@@ -623,21 +525,6 @@ def test_sweep_stops_at_stabilization(shift_pair, repeated_pair):
     assert route.index == "unstable"
 
 
-def test_membership_windows_warm_start(monkeypatch):
-    # K + 1 and K + 2 start one past the cofactor window their predecessor
-    # settled on instead of climbing from M again
-    solved = []
-    sigmas = koszul._ShiftSpan.sigmas
-
-    def counted(span, K, M):
-        solved.append((K, M))
-        return sigmas(span, K, M)
-
-    monkeypatch.setattr(koszul._ShiftSpan, "sigmas", counted)
-    assert ideal_codim_window(far_pair(), 2, rho=0.75) == 0
-    assert solved == [(2, 5), (2, 9), (2, 13), (2, 17), (2, 21), (3, 22), (4, 23)]
-
-
 def test_route_scaling_invariance(quarter_pair):
     from polytoep.exact import ExactComplex
     scaled = symbols(2, *(s.scale(ExactComplex(3)) for s in quarter_pair.symbols))
@@ -667,9 +554,74 @@ def test_unstable_is_reported_not_guessed(repeated_pair, shift_pair):
     assert short.index == "unstable"
 
 
-def test_ideal_codim_window_values(shift_pair, monomial_pair):
-    assert ideal_codim_window(shift_pair, 4) == 1
-    assert ideal_codim_window(monomial_pair, 6) == 6
+def test_ideal_codim_window_values(shift_pair, monomial_pair, quarter_pair):
+    assert ideal_codim_window(shift_pair) == 1
+    assert ideal_codim_window(monomial_pair) == 6
+    assert ideal_codim_window(quarter_pair) == 2
+    assert ideal_codim_window(far_pair()) == 0
+    assert ideal_codim_window(symbols(1, p1({(3,): 1, (0,): "-1/8"}))) == 3
+    assert ideal_codim_window(shifts3()) == 1
+    with pytest.raises(ValueError):
+        ideal_codim_window(shift_pair, rho=1.0)
+
+
+def dense_section(st, N):
+    """Reference for A_N: the blocks P_N T_fᵢ P_N side by side, placed term by
+    term (column order and signs do not change singular values)."""
+    win = MonomialWindow(st.nvars, N)
+    pos = {e: i for i, e in enumerate(map(tuple, win.exps.tolist()))}
+    blocks = []
+    for s in st.symbols:
+        block = np.zeros((win.dim, win.dim), dtype=np.complex128)
+        for j, a in enumerate(win.exps.tolist()):
+            for e, c in coefficients(s).items():
+                b = tuple(x + y for x, y in zip(a, e))
+                if b in pos:
+                    block[pos[b], j] = c
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+def test_section_svdvals_match_dense_reference(non_dyadic_pair, quarter_pair):
+    graded = [far_pair(), quarter_pair, shifts3()]
+    ungraded = [non_dyadic_pair, rotated(non_dyadic_pair),
+                symbols(2, p2({(2, 0): 1, (1, 0): "-1/12", (0, 0): "-1/12"}),
+                        p2({(0, 1): 1, (0, 0): "1/4", (1, 0): "1/5"}))]
+    for st, weighted in [(st, True) for st in graded] + [(st, False) for st in ungraded]:
+        pk, grading = pack_tuple(st), TupleGrading(st)
+        assert (grading.weights.shape[0] > 0) == weighted
+        for N in ((1, 2) if st.nvars == 3 else (2, 4)):
+            got = _section_svdvals(pk, grading, N, st.degree_vec(), matrix_dtype(pk))
+            ref = np.linalg.svd(dense_section(st, N), compute_uv=False)[::-1]
+            assert got.shape == ref.shape == (MonomialWindow(st.nvars, N).dim,)
+            assert np.all(np.diff(got) >= 0)
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref[-1])
+
+
+def lin(nvars, var, root):
+    """z_var − root in ``nvars`` variables."""
+    one = tuple(int(v == var) for v in range(nvars))
+    return exact_poly(nvars, {one: 1, (0,) * nvars: -Fraction(root)})
+
+
+def test_zeros_outside_the_closed_polydisc_count_nothing():
+    # every common zero lies outside the closed polydisc, a nearby one
+    # included: codim 0 at the ρ = 0.75 of a certificate at 0.5
+    tuples = [symbols(2, lin(2, 0, "5/4"), lin(2, 1, 0)),
+              symbols(2, lin(2, 0, "-5/4"), lin(2, 1, 0)),
+              symbols(2, lin(2, 0, "9/8"), lin(2, 1, 0)),
+              symbols(3, lin(3, 0, "5/4"), lin(3, 1, 0), lin(3, 2, 0)),
+              symbols(2, lin(2, 0, "65/64"), lin(2, 1, "65/64")),
+              symbols(3, lin(3, 0, 2), lin(3, 1, 3))]
+    for st in tuples:
+        route = koszul_route(st, rho=0.75)
+        assert route.codim == 0 and route.index == 0
+
+
+def test_zero_near_the_torus_is_never_counted_inside():
+    # a zero 10⁻³ outside the bidisc, at the ρ = 0.95 of a certificate at 0.9
+    near = symbols(2, lin(2, 0, "1001/1000"), lin(2, 1, 0))
+    assert koszul_route(near, rho=0.95).index != -1
 
 
 def test_dump_matrices_format(shift_pair):

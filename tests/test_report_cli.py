@@ -346,11 +346,27 @@ def test_cli_koszul_dims_and_dump(inputs):
     payload = json.loads(out)
     assert payload["index"] == -1 and payload["stabilized"]
     assert payload["sigma_min_first"] > 0
+    # certified at r = 0.5, so the route ran at ρ = 0.75, as in the report
+    report = run_index(JobConfig(input=inputs["shifts"], n_range=(2, 6)))
+    assert payload == report["body"]["routes"]["koszul"] and payload["rho"] == 0.75
     dumped = inputs["dir"] / "shifts.matrices.txt"
     assert dumped.exists() and dumped.read_text().startswith("# d1 shape")
     # too few levels to stabilize
     code, out, _ = cli("koszul-dims", "--input", inputs["shifts"], "--n-range", "2..3")
     assert code == 3
+
+
+def test_cli_koszul_dims_needs_a_certificate(tmp_path):
+    # (z1 - 1, z2 - 1) vanishes on the torus: no scheduled radius certifies,
+    # so no route runs and the certificates are the output
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(tuple_to_json(symbols(
+        2, p2({(1, 0): 1, (0, 0): -1}), p2({(0, 1): 1, (0, 0): -1})))))
+    code, out, _ = cli("koszul-dims", "--input", str(path))
+    assert code == 3
+    certs = json.loads(out)["certificates"]
+    assert [c["r"] for c in certs] == [0.5, 0.75, 0.9]
+    assert all(c["verdict"] == "failed" for c in certs)
 
 
 def test_cli_dump_follows_config_n_range(inputs, tmp_path):
