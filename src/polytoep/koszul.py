@@ -70,14 +70,6 @@ the complex one, and the real matrices are the complex ones with their
 imaginary parts dropped, so ranks and section singular values agree up to
 rounding.
 
-``koszul_route`` runs on one OpenBLAS thread and restores the earlier count
-on exit.  Its factorizations are small and level-2 heavy, so a thread pool
-mostly adds wake-ups: on 2 vCPUs the routes of the seed-1 koszul-heavy
-tuples take 0.08–0.11 s summed with or without the cap, but the first
-uncapped pass once took 0.90 s.  OpenBLAS thread counts are process-global,
-so the cap holds for any thread of the process while the route runs;
-polytoep calls the route from one thread.
-
 Index convention: Ind = Σ_k (−1)^{p+1−k} h_k, i.e. the alternating sum
 anchored with coefficient −1 at the top (quotient) stage.  For a pair this is
 −h₀ + h₁ − h₂; for a single operator it is dim ker − dim coker; in every
@@ -85,13 +77,10 @@ arity the coprime case gives Ind = −codim.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -514,50 +503,6 @@ def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL
 
 # ---- full route ---------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found once.  numpy and scipy each load their own build, named
-    ``openblas_*``, ``scipy_openblas_*`` or ``scipy_openblas_*64_``.  Empty
-    when no OpenBLAS is loaded or the loaded libraries cannot be listed."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in product(("", "scipy_"), ("", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread; restore the earlier counts on
-    exit, exceptions included.  A no-op when no OpenBLAS is loaded."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(controls, before):
-            put(n)
-
-
 @dataclass(frozen=True)
 class KoszulRouteResult:
     per_n: tuple                 # ({"N": n, "kernel_dims": [...]}, ...)
@@ -578,8 +523,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     ones with the same kernel-side homology vector (``per_n`` ends there, and
     ``sigma_min_first`` is read on its last level), attach the stabilized ideal
     codimension as the top dimension, and form the Euler index.  Emits
-    "unstable" rather than any integer when stabilization fails.  Runs on one
-    OpenBLAS thread (module docstring).
+    "unstable" rather than any integer when stabilization fails.
 
     Precondition: every common zero of the tuple in the closed polydisc has
     max_v|z_v| < 2ρ − 1, as a boundary certificate at r = 2ρ − 1 proves.
@@ -598,21 +542,20 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     stabilized_at = None
     sigma_min = 0.0
     chain_ok = True
-    with _one_blas_thread():
-        for n in n_values:
-            try:
-                kt = build_koszul(st, n, rank_tolerance)
-            except MatrixBudgetError:
-                break
-            dims = homology_kernel_dims(kt, sigmas, grading)
-            chain_ok = chain_ok and chain_check(kt)
-            sigma_min = float(sigmas[(1, kt.windows[0].cap, kt.windows[1].cap)][-1])
-            per_n.append({"N": n, "kernel_dims": list(dims)})
-            history.append(tuple(dims))
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                stabilized_at = tuple(dims)
-                break
-        codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho)
+    for n in n_values:
+        try:
+            kt = build_koszul(st, n, rank_tolerance)
+        except MatrixBudgetError:
+            break
+        dims = homology_kernel_dims(kt, sigmas, grading)
+        chain_ok = chain_ok and chain_check(kt)
+        sigma_min = float(sigmas[(1, kt.windows[0].cap, kt.windows[1].cap)][-1])
+        per_n.append({"N": n, "kernel_dims": list(dims)})
+        history.append(tuple(dims))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            stabilized_at = tuple(dims)
+            break
+    codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)
         hom = HomologyDims(full, True, euler_index(full))

@@ -15,6 +15,7 @@ squarefree part stay exact; only companion-matrix root-finding floats.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,10 +48,11 @@ class OracleConfig:
     trials: int = 5
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.trials < 3:
-            raise ValueError(f"need at least 3 trials for a majority, got {self.trials}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if type(self.trials) is not int or self.trials < 3:
+            raise ValueError(f"need an integer of at least 3 trials for a majority, "
+                             f"got {self.trials!r}")
 
 
 class NoMajorityError(RuntimeError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -70,16 +71,19 @@ class JobConfig:
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.rank_tolerance <= 0:
-            raise ValueError("rank tolerance must be positive")
+        if not (math.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
+            raise ValueError("rank tolerance must be finite and positive")
         if self.n_range is not None:
             a, b = self.n_range
+            if a < 0:
+                raise ValueError(f"truncation levels must be non-negative, got {a}..{b}")
             if b < a:
                 raise ValueError(f"empty truncation range {a}..{b}")
         if not self.r_schedule or any(not 0 < r < 1 for r in self.r_schedule):
             raise ValueError("certificate schedule radii must lie in (0, 1)")
-        if self.target_mesh is not None and self.target_mesh <= 0:
-            raise ValueError("mesh must be positive")
+        if self.target_mesh is not None and not (math.isfinite(self.target_mesh)
+                                                 and self.target_mesh > 0):
+            raise ValueError("mesh must be finite and positive")
 
 
 def load_tuple(source: Union[str, Path, dict, SymbolTuple]) -> SymbolTuple:

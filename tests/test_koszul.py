@@ -14,7 +14,6 @@ from scipy.linalg import svdvals
 from polytoep import koszul
 from polytoep.koszul import (
     MonomialWindow,
-    MatrixBudgetError,
     TupleGrading,
     _boundary_matrix,
     _section_svdvals,
@@ -113,10 +112,6 @@ def stage1_sigma_min(kt):
         return 0.0
     sv = svdvals(d1)
     return float(sv[-1]) if sv.size else 0.0
-
-
-def blas_threads():
-    return [get() for get, _ in koszul._openblas_thread_controls()]
 
 
 def hstack_kernel_dims(kt):
@@ -431,45 +426,6 @@ def test_rotating_a_symbol_keeps_the_route(non_dyadic_pair):
         assert cplx.codim == real.codim
         assert cplx.index == real.index
         assert cplx.sigma_min_first == pytest.approx(real.sigma_min_first, rel=1e-12)
-
-
-def test_route_runs_on_one_blas_thread(monkeypatch, shift_pair):
-    if not koszul._openblas_thread_controls():
-        pytest.skip("no OpenBLAS loaded")
-    before = blas_threads()
-    for _, put in koszul._openblas_thread_controls():
-        put(2)
-    try:
-        seen = []
-        codim = koszul.ideal_codim_window
-
-        def spy(*args, **kwargs):
-            seen.append(blas_threads())
-            return codim(*args, **kwargs)
-
-        monkeypatch.setattr(koszul, "ideal_codim_window", spy)
-        assert koszul_route(shift_pair).index == -1
-        assert seen == [[1] * len(before)]
-        assert blas_threads() == [2] * len(before)
-
-        def overflow(*args, **kwargs):
-            seen.append(blas_threads())
-            raise MatrixBudgetError("window overflow")
-
-        monkeypatch.setattr(koszul, "ideal_codim_window", overflow)
-        with pytest.raises(MatrixBudgetError):
-            koszul_route(shift_pair)
-        assert seen[-1] == [1] * len(before)
-        assert blas_threads() == [2] * len(before)
-    finally:
-        for (_, put), n in zip(koszul._openblas_thread_controls(), before):
-            put(n)
-
-
-def test_route_runs_without_openblas(monkeypatch, shift_pair):
-    monkeypatch.setattr(koszul, "_openblas_thread_controls", lambda: ())
-    route = koszul_route(shift_pair)
-    assert route.index == -1 and route.homology.stabilized
 
 
 def test_range_sum_identity_random_tuples():

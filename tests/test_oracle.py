@@ -1,5 +1,6 @@
 """Perturbation counting oracle."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from conftest import p2
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(trials=2)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            OracleConfig(epsilon=epsilon)
+    for trials in (2, 3.5, 5.0, True, "5"):
+        with pytest.raises(ValueError, match="trials"):
+            OracleConfig(trials=trials)
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import polytoep
 from polytoep.certify import essential_spectrum_cloud
 from polytoep.cli import main
+from polytoep.exact import ExactComplex
 from polytoep.koszul import build_koszul, dump_matrices
 from polytoep.oracle import OracleConfig
 from polytoep.poly import exact_poly, symbols, tuple_to_json
@@ -86,6 +88,60 @@ def test_swapping_the_variables_keeps_the_verdict():
         v = rep["body"]["verdict"]
         w = run_index(JobConfig(input=swapped(st), seed=0))["body"]["verdict"]
         assert (w["kind"], w.get("index")) == (v["kind"], v.get("index")), name
+
+
+# rational points of the unit circle: a root m·u has the exact modulus m
+UNITS = [ExactComplex(Fraction(a, c), Fraction(b, c))
+         for a, b, c in [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1),
+                         (3, 4, 5), (-4, 3, 5), (-3, -4, 5), (4, -3, 5)]]
+
+
+def root_product(var, roots):
+    """∏(z_var − a) over ``roots``, as an exact bivariate polynomial."""
+    one = exact_poly(2, {(0, 0): 1})
+    out = one
+    for a in roots:
+        out = out * (exact_poly(2, {(1 - var, var): 1}) - one.scale(a))
+    return out
+
+
+def seeded_root_pairs(count=12, seed=2024):
+    """(∏(z1 − aᵢ), ∏(z2 − bⱼ)) with one or two rational roots per symbol of
+    modulus 0.2–0.6; every draw is kept."""
+    rng = np.random.default_rng(seed)
+
+    def roots():
+        return [ExactComplex(Fraction(int(rng.integers(1, 4)), 5))
+                * UNITS[int(rng.integers(len(UNITS)))]
+                for _ in range(int(rng.integers(1, 3)))]
+
+    return [symbols(2, root_product(0, roots()), root_product(1, roots()))
+            for _ in range(count)]
+
+
+METAMORPHIC = {
+    "swap the symbols": lambda p, q: (q, p),
+    "conjugate": lambda p, q: tuple(
+        exact_poly(2, {e: ExactComplex(c.re, -c.im) for e, c in s.terms.items()})
+        for s in (p, q)),
+    "q - 2/3 p": lambda p, q: (p, q - p.scale(ExactComplex(Fraction(2, 3)))),
+    "rotate p": lambda p, q: (p.scale(ExactComplex(Fraction(3, 5), Fraction(4, 5))), q),
+}
+
+
+def test_metamorphic_transforms_keep_the_verdict():
+    # each transform keeps the ideal (or conjugates it with its zeros), so the
+    # verdict kind and the index must not move
+    reports, _ = fixture_reports()
+    cases = [(str(k), st, run_index(JobConfig(input=st, seed=0)))
+             for k, st in enumerate(seeded_root_pairs())]
+    cases += [(name, st, rep) for name, st, _, rep in reports]
+    for name, st, rep in cases:
+        v = rep["body"]["verdict"]
+        for what, transform in METAMORPHIC.items():
+            moved = symbols(2, *transform(*st.symbols))
+            w = run_index(JobConfig(input=moved, seed=0))["body"]["verdict"]
+            assert (w["kind"], w.get("index")) == (v["kind"], v.get("index")), (name, what)
 
 
 @pytest.mark.parametrize("terms, index", [
@@ -241,8 +297,14 @@ def test_job_config_validation(shift_pair):
             JobConfig(input=shift_pair, seed=seed)
     with pytest.raises(ValueError):
         JobConfig(input=shift_pair, r_schedule=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        JobConfig(input=shift_pair, rank_tolerance=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rank tolerance"):
+            JobConfig(input=shift_pair, rank_tolerance=tol)
+    for mesh in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mesh"):
+            JobConfig(input=shift_pair, target_mesh=mesh)
+    with pytest.raises(ValueError, match="non-negative"):
+        JobConfig(input=shift_pair, n_range=(-1, 3))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -433,10 +495,13 @@ def test_cli_config_values_of_the_wrong_type(inputs, tmp_path):
                              ("index", {"r_schedule": 0.5}),
                              ("index", {"oracle": [5]}),
                              ("index", {"seed": "abc"}),
+                             ("index", {"oracle": {"trials": 3.5}}),
                              ("spectrum", {"lambda": [0, 0]})):
         cfg.write_text(json.dumps(content))
         code, _, err = cli(command, "--input", inputs["shifts"], "--config", str(cfg))
         assert_clean_error(code, err)
+    code, _, err = cli("index", "--input", inputs["shifts"], "--rank-tol", "nan")
+    assert_clean_error(code, err)
 
 
 def test_cli_tensor(inputs, tmp_path):
