@@ -3,7 +3,7 @@ Hardy spaces: certified boundary criteria, three independent index routes
 (operator-theoretic, algebraic zero counting, perturbation/degree oracle),
 product-formula shortcuts, and essential-spectrum sampling."""
 
-__version__ = "0.5.7"
+__version__ = "0.5.8"
 
 from .certify import (
     BoundaryCertificate,
@@ -18,7 +18,6 @@ from .poly import (
     NotEliminableError,
     SymbolTuple,
     exact_poly,
-    float_poly,
     symbols,
     tuple_from_json,
     tuple_to_json,
@@ -42,7 +41,6 @@ __all__ = [
     "essential_spectrum_cloud",
     "essential_spectrum_membership",
     "exact_poly",
-    "float_poly",
     "gcd_reduce",
     "koszul_route",
     "perturbed_count",

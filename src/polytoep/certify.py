@@ -66,12 +66,12 @@ grid of its own, capped at GRID_POINT_BUDGET points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import PackedTuple, pack_partials, pack_tuple, values_block
+from .kernels import PackedTuple, majorant, pack_partials, pack_tuple, values_block
 from .poly import (SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
 
@@ -311,7 +311,7 @@ def _certify_region(st: SymbolTuple, r: float, target_mesh: float,
                     cell_budget: int) -> BoundaryCertificate:
     faces = _boundary_faces(st.nvars, r)
     pk = pack_tuple(st)
-    pk_abs = replace(pk, cre=np.hypot(pk.cre, pk.cim), cim=np.zeros_like(pk.cim))
+    pk_abs = majorant(pk)
     terms = int(np.max(np.diff(pk.offs)))
     gamma = _gamma(3 * (pk.nvars * pk.maxdeg + terms + 4))
     lip = lipschitz_sumsq(st)
@@ -432,13 +432,11 @@ def boundary_lower_bound(st: SymbolTuple, r: float,
 
 
 def shifted_tuple(st: SymbolTuple, lam: Sequence[complex]) -> SymbolTuple:
-    """(f₁ − λ₁, …) as a float tuple."""
+    """(f₁ − λ₁, …), each λᵢ subtracted exactly."""
     if len(lam) != len(st):
         raise ValueError("shift length must match the tuple length")
-    stf = st.to_float()
-    shifted = tuple(s - constant(st.nvars, complex(l), "float")
-                    for s, l in zip(stf.symbols, lam))
-    return SymbolTuple(shifted, st.nvars)
+    return SymbolTuple(tuple(s - constant(st.nvars, l) for s, l in zip(st.symbols, lam)),
+                       st.nvars)
 
 
 def max_grid_resolution(nvars: int) -> int:

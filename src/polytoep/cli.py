@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .certify import boundary_lower_bound
+from .exact import exact
 from .koszul import build_koszul, dump_matrices
 from .oracle import OracleConfig
 from .report import (JobConfig, _cert_json, _factors_json, _run_koszul,
@@ -47,11 +48,12 @@ def _parse_n_range(text: str):
 
 
 def _parse_lambda(value):
-    """λ from the flag's re,im words or from the file's [re, im] pairs."""
+    """λ from the flag's re,im words or from the file's [re, im] pairs, each
+    part read by ``exact`` (so "p/q" works) and rounded to float."""
     if all(isinstance(x, str) for x in value):
         value = [word.split(",") for word in " ".join(value).split()]
     try:
-        return tuple(complex(float(re), float(im)) for re, im in value)
+        return tuple(exact((re, im)).to_complex() for re, im in value)
     except (TypeError, ValueError):
         raise ValueError(
             f"expected re,im pairs (e.g. --lambda 0,0 1,0), got {value!r}")

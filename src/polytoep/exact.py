@@ -1,7 +1,9 @@
-"""Exact complex-rational scalars built on fractions.Fraction, and the sparse
+"""Exact complex-rational scalars built on fractions.Fraction, the reader
+``exact`` that turns every number from outside into one, and the sparse
 reduced row echelon form that the algebraic route and the Koszul grading use."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, Union
 
@@ -89,6 +91,28 @@ def _coerce(x) -> ExactComplex:
     if isinstance(x, (int, Fraction)):
         return ExactComplex(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into ExactComplex")
+
+
+def _rational(x) -> Fraction:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"non-finite number {x}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {x!r}") from exc
+
+
+def exact(v) -> ExactComplex:
+    """The value ``v`` exactly: an int, a Fraction, a ``"p/q"`` string, a
+    finite float (the dyadic rational it is), a complex of finite floats, or
+    an (re, im) pair of those reals.  Every number that enters from outside
+    is read here; NaN, ±inf and a zero denominator are a ValueError."""
+    if isinstance(v, ExactComplex):
+        return v
+    if isinstance(v, complex):
+        v = (v.real, v.imag)
+    re, im = v if isinstance(v, tuple) else (v, 0)
+    return ExactComplex(_rational(re), _rational(im))
 
 
 EXACT_ZERO = ExactComplex(0)

@@ -9,7 +9,7 @@ reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -36,18 +36,15 @@ class PackedTuple:
 def pack_tuple(st: SymbolTuple) -> PackedTuple:
     """Pack a symbol tuple for kernel evaluation.
 
-    Exact coefficients are converted one by one and none is dropped, so the
-    packed polynomial is the one the tuple holds (``SymbolTuple.to_float``
-    would prune tiny ones).  Terms are emitted in graded-lex order so packing
-    is deterministic.
+    Each exact coefficient is rounded to float once and none is dropped, so
+    a coefficient read from a float packs to that float's bits.  Terms are
+    emitted in graded-lex order so packing is deterministic.
     """
     cre, cim, rows, offs = [], [], [], [0]
     for s in st.symbols:
         for e, c in s.sorted_terms():
-            if s.mode == "exact":
-                c = c.to_complex()
-            cre.append(c.real)
-            cim.append(c.imag)
+            cre.append(float(c.re))
+            cim.append(float(c.im))
             rows.append(e)
         offs.append(len(cre))
     nvars = st.nvars
@@ -61,6 +58,12 @@ def pack_tuple(st: SymbolTuple) -> PackedTuple:
         maxdeg,
         nvars,
     )
+
+
+def majorant(pk: PackedTuple) -> PackedTuple:
+    """The packed tuple with each coefficient c replaced by |c|: at the
+    point |z| it gives Σ|c|·|z^e| for each symbol."""
+    return replace(pk, cre=np.hypot(pk.cre, pk.cim), cim=np.zeros_like(pk.cim))
 
 
 def pack_partials(st: SymbolTuple) -> PackedTuple:

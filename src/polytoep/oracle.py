@@ -18,11 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactComplex
 from .kernels import pack_partials, values_block
 from .poly import (
     MultiPoly,
@@ -30,7 +28,6 @@ from .poly import (
     SymbolTuple,
     constant,
     divexact,
-    exact_poly,
     gcd_univariate,
     resultant,
     symbols,
@@ -59,21 +56,12 @@ class NoMajorityError(RuntimeError):
     pass
 
 
-def _as_exact(p: MultiPoly) -> MultiPoly:
-    if p.mode == "exact":
-        return p
-    return exact_poly(p.nvars, {e: ExactComplex(Fraction(c.real), Fraction(c.imag))
-                                for e, c in p.terms.items()})
-
-
 def _perturbed(st: SymbolTuple, rng: np.random.Generator, epsilon: float) -> SymbolTuple:
     out = []
     for f in st.symbols:
         rho = epsilon * (0.25 + 0.75 * rng.uniform())
         ang = rng.uniform(0.0, 2 * np.pi)
-        delta = ExactComplex(Fraction(float(rho * np.cos(ang))),
-                             Fraction(float(rho * np.sin(ang))))
-        out.append(_as_exact(f) + constant(st.nvars, delta, "exact"))
+        out.append(f + constant(st.nvars, complex(rho * np.cos(ang), rho * np.sin(ang))))
     return symbols(st.nvars, *out)
 
 
@@ -96,8 +84,7 @@ def _specialize(p: MultiPoly, var: int, value: complex) -> np.ndarray:
     deg = p.degree_in(other)
     out = np.zeros(deg + 1, dtype=complex)
     for e, c in p.terms.items():
-        cv = c.to_complex() if p.mode == "exact" else c
-        out[e[other]] += cv * (value ** e[var])
+        out[e[other]] += c.to_complex() * (value ** e[var])
     return out
 
 

@@ -1,47 +1,37 @@
 """Sparse polynomials in up to three complex variables.
 
-A polynomial is a mapping from exponent tuples to coefficients.  Two
-coefficient modes coexist and never mix silently:
+A polynomial is a mapping from exponent tuples to coefficients, and every
+coefficient is an :class:`~polytoep.exact.ExactComplex` (rational real and
+imaginary parts), so "is zero" is decidable and the elimination algebra
+(resultants, GCDs, quotient bases) is exact.  Every value that enters from
+outside is read by :func:`~polytoep.exact.exact`: ints, Fractions, ``"p/q"``
+strings, (re, im) pairs, and finite floats and complex numbers, each of
+which is the dyadic rational it holds.  The numerical routes convert each
+coefficient to float once, when they pack the tuple.
 
-* ``exact`` — coefficients are :class:`~polytoep.exact.ExactComplex`
-  (rational real and imaginary parts).  All elimination algebra (resultants,
-  GCDs, quotient bases) runs in this mode so that "is zero" is decidable.
-* ``float`` — coefficients are Python complex.  This is what the numerical
-  routes consume.  Conversion exact→float is explicit (:meth:`MultiPoly.to_float`)
-  and one-way.
-
-Construction canonicalizes: zero coefficients are dropped (exactly in exact
-mode; below ``1e-14`` relative to the largest magnitude in float mode), and
-exponent tuples must be non-negative integers of length ``nvars``: a value
-with a fractional part is a ValueError, never truncated.
+Construction canonicalizes: zero coefficients are dropped, and exponent
+tuples must be non-negative integers of length ``nvars``: a value with a
+fractional part is a ValueError, never truncated.
 
 JSON form (shared with the CLI): ``{"nvars": n, "terms": [{"exp": [i, j],
-"re": ..., "im": ...}]}`` where re/im are ``"p/q"`` rational strings in exact
-mode and plain numbers in float mode.  Exact round-trips are bit-exact.
+"re": ..., "im": ...}]}``.  re/im are read exactly, whether JSON numbers or
+``"p/q"`` strings, and written as ``"p/q"`` strings, so a round trip gives
+the same polynomial back.
 """
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from .exact import EXACT_ONE, EXACT_ZERO, ExactComplex
-
-FLOAT_PRUNE_REL = 1e-14
+from .exact import EXACT_ONE, EXACT_ZERO, ExactComplex, exact
 
 Exponent = tuple  # tuple[int, ...]
-Coefficient = Union[ExactComplex, complex]
 
 
 class NotEliminableError(ValueError):
     """Raised when a resultant is requested in a variable both inputs lack."""
-
-
-class ModeMismatchError(TypeError):
-    """Raised when exact and float polynomials meet in one operation."""
 
 
 def integral(x, what: str) -> int:
@@ -63,38 +53,23 @@ def _grlex_key(e: Exponent):
 class MultiPoly:
     """Immutable sparse polynomial.  Use module helpers or operators."""
 
-    __slots__ = ("nvars", "terms", "mode")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Coefficient], mode: str):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, object]):
         if nvars not in (1, 2, 3):
             raise ValueError(f"nvars must be 1, 2 or 3, got {nvars}")
-        if mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-        clean: dict[Exponent, Coefficient] = {}
+        clean: dict[Exponent, ExactComplex] = {}
         for e, c in terms.items():
             e = tuple(integral(x, "exponent") for x in e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} for nvars={nvars}")
-            if mode == "exact":
-                if not isinstance(c, ExactComplex):
-                    raise ModeMismatchError(f"exact mode needs ExactComplex, got {type(c).__name__}")
-            else:
-                c = complex(c)
-                if not cmath.isfinite(c):
-                    raise ValueError(f"non-finite coefficient {c} at exponent {e}")
+            c = exact(c)
             if e in clean:
                 clean[e] = clean[e] + c
             else:
                 clean[e] = c
-        if mode == "exact":
-            clean = {e: c for e, c in clean.items() if c}
-        else:
-            top = max((abs(c) for c in clean.values()), default=0.0)
-            cut = FLOAT_PRUNE_REL * top
-            clean = {e: c for e, c in clean.items() if abs(c) > cut}
         self.nvars = nvars
-        self.terms = clean
-        self.mode = mode
+        self.terms = {e: c for e, c in clean.items() if c}
 
     # ---- queries -------------------------------------------------------
 
@@ -123,52 +98,47 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.nvars, self.mode, self.terms) == (other.nvars, other.mode, other.terms)
+        return (self.nvars, self.terms) == (other.nvars, other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, self.mode, tuple(self.sorted_terms())))
+        return hash((self.nvars, tuple(self.sorted_terms())))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms())
-        return f"MultiPoly({self.nvars}, {{{body}}}, {self.mode!r})"
+        return f"MultiPoly({self.nvars}, {{{body}}})"
 
     # ---- ring operations ------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
             raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
-        if self.mode != other.mode:
-            raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out[e] + c if e in out else c
-        return MultiPoly(self.nvars, out, self.mode)
+        return MultiPoly(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()}, self.mode)
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponent, Coefficient] = {}
+        out: dict[Exponent, ExactComplex] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return MultiPoly(self.nvars, out, self.mode)
+        return MultiPoly(self.nvars, out)
 
-    def scale(self, c: Coefficient) -> "MultiPoly":
-        if self.mode == "exact" and not isinstance(c, ExactComplex):
-            raise ModeMismatchError("exact polynomial scaled by non-exact scalar")
-        if self.mode == "float":
-            c = complex(c)
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()}, self.mode)
+    def scale(self, c) -> "MultiPoly":
+        c = exact(c)
+        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def diff(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to variable index ``var``."""
@@ -180,10 +150,9 @@ class MultiPoly:
             if k == 0:
                 continue
             e2 = e[:var] + (k - 1,) + e[var + 1:]
-            mult = k if self.mode == "float" else ExactComplex(k)
-            cc = c * mult
+            cc = c * k
             out[e2] = out[e2] + cc if e2 in out else cc
-        return MultiPoly(self.nvars, out, self.mode)
+        return MultiPoly(self.nvars, out)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -196,45 +165,24 @@ class MultiPoly:
         pk = pack_tuple(SymbolTuple((self,), self.nvars))
         return complex(values_block(pk, [point])[0, 0])
 
-    # ---- conversions -----------------------------------------------------
-
-    def to_float(self) -> "MultiPoly":
-        """Explicit, one-way conversion to float coefficients."""
-        if self.mode == "float":
-            return self
-        return MultiPoly(self.nvars, {e: c.to_complex() for e, c in self.terms.items()}, "float")
-
 
 # ---- constructors ---------------------------------------------------------
 
 def exact_poly(nvars: int, terms: Mapping[Exponent, object]) -> MultiPoly:
-    """Build an exact polynomial; values may be ints, Fractions, 'p/q' strings,
-    (re, im) pairs of those, or ExactComplex."""
-    out = {}
-    for e, v in terms.items():
-        if isinstance(v, ExactComplex):
-            c = v
-        elif isinstance(v, tuple):
-            c = ExactComplex(v[0], v[1])
-        else:
-            c = ExactComplex(v)
-        out[tuple(e)] = c
-    return MultiPoly(nvars, out, "exact")
+    """Build a polynomial; each value is read by :func:`~polytoep.exact.exact`
+    (ints, Fractions, 'p/q' strings, finite floats and complex numbers,
+    (re, im) pairs, or ExactComplex)."""
+    return MultiPoly(nvars, terms)
 
 
-def float_poly(nvars: int, terms: Mapping[Exponent, complex]) -> MultiPoly:
-    return MultiPoly(nvars, dict(terms), "float")
-
-
-def constant(nvars: int, c: Coefficient, mode: str) -> MultiPoly:
-    e = (0,) * nvars
-    return MultiPoly(nvars, {e: c}, mode)
+def constant(nvars: int, c) -> MultiPoly:
+    return MultiPoly(nvars, {(0,) * nvars: c})
 
 
 # ---- coefficient bounds ----------------------------------------------------
 
-def _abs_coeff(c) -> float:
-    return sqrt(float(c.abs2())) if isinstance(c, ExactComplex) else abs(c)
+def _abs_coeff(c: ExactComplex) -> float:
+    return sqrt(float(c.abs2()))
 
 
 def _rounded_up(total: float, nterms: int) -> float:
@@ -279,26 +227,16 @@ def univariate_coeffs(p: MultiPoly) -> list:
     """Dense ascending coefficient list of a 1-variable polynomial."""
     if p.nvars != 1:
         raise ValueError("univariate_coeffs needs nvars=1")
-    d = p.degree_in(0)
-    if p.mode == "exact":
-        out = [EXACT_ZERO] * (d + 1)
-    else:
-        out = [0j] * (d + 1)
+    out = [EXACT_ZERO] * (p.degree_in(0) + 1)
     for (k,), c in p.terms.items():
         out[k] = c
     return out
-
-
-def _poly1_from_coeffs(coeffs, mode: str) -> MultiPoly:
-    return MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)}, mode)
 
 
 def gcd_univariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Monic GCD of two exact univariate polynomials (Euclid)."""
     if p.nvars != 1 or q.nvars != 1:
         raise ValueError("gcd_univariate needs nvars=1")
-    if p.mode != "exact" or q.mode != "exact":
-        raise ModeMismatchError("gcd_univariate runs in exact mode only")
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
     a, b = p, q
@@ -324,13 +262,11 @@ def _rem_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         for i, c in enumerate(cb):
             ca[off + i] = ca[off + i] - f * c
         ca.pop()
-    return _poly1_from_coeffs(ca, "exact")
+    return MultiPoly(1, {(k,): c for k, c in enumerate(ca)})
 
 
 def divexact(p: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient p/g; raises ValueError when g does not divide p."""
-    if p.mode != "exact" or g.mode != "exact":
-        raise ModeMismatchError("divexact runs in exact mode only")
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     rem = dict(p.terms)
@@ -350,7 +286,7 @@ def divexact(p: MultiPoly, g: MultiPoly) -> MultiPoly:
                 rem[t] = val
             else:
                 rem.pop(t, None)
-    return MultiPoly(p.nvars, quo, "exact")
+    return MultiPoly(p.nvars, quo)
 
 
 # ---- bivariate structure ---------------------------------------------------
@@ -365,18 +301,16 @@ def _as_univariate_in(p: MultiPoly, var: int) -> list:
     out = [dict() for _ in range(d + 1)]
     for e, c in p.terms.items():
         out[e[var]][(e[other],)] = c
-    return [MultiPoly(1, t, p.mode) for t in out]
+    return [MultiPoly(1, t) for t in out]
 
 
 def _from_univariate_in(coeffs: Sequence[MultiPoly], var: int) -> MultiPoly:
-    terms: dict[Exponent, Coefficient] = {}
-    mode = None
+    terms: dict[Exponent, ExactComplex] = {}
     for k, cp in enumerate(coeffs):
-        mode = cp.mode
         for (j,), c in cp.terms.items():
             e = (k, j) if var == 0 else (j, k)
-            terms[e] = terms.get(e, EXACT_ZERO if cp.mode == "exact" else 0j) + c
-    return MultiPoly(2, terms, mode or "exact")
+            terms[e] = terms.get(e, EXACT_ZERO) + c
+    return MultiPoly(2, terms)
 
 
 def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
@@ -392,8 +326,6 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
     """
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("resultant is defined for nvars=2")
-    if p.mode != "exact" or q.mode != "exact":
-        raise ModeMismatchError("resultant runs in exact mode only")
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
     if eliminate not in (0, 1):
@@ -413,7 +345,7 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
 
 
 def _pow_poly1(base: MultiPoly, k: int) -> MultiPoly:
-    out = constant(1, EXACT_ONE, "exact")
+    out = constant(1, EXACT_ONE)
     for _ in range(k):
         out = out * base
     return out
@@ -425,7 +357,7 @@ def _sylvester_det(pc: list, qc: list) -> MultiPoly:
     m = len(pc) - 1
     n = len(qc) - 1
     size = m + n
-    zero = MultiPoly(1, {}, "exact")
+    zero = MultiPoly(1, {})
     mat = [[zero] * size for _ in range(size)]
     for i in range(n):
         for j, c in enumerate(reversed(pc)):
@@ -434,7 +366,7 @@ def _sylvester_det(pc: list, qc: list) -> MultiPoly:
         for j, c in enumerate(reversed(qc)):
             mat[n + i][i + j] = c
     sign = 1
-    prev = constant(1, EXACT_ONE, "exact")
+    prev = constant(1, EXACT_ONE)
     for k in range(size - 1):
         piv = next((r for r in range(k, size) if not mat[r][k].is_zero()), None)
         if piv is None:
@@ -461,8 +393,6 @@ def gcd_bivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     leading coefficient is 1."""
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("gcd_bivariate needs nvars=2")
-    if p.mode != "exact" or q.mode != "exact":
-        raise ModeMismatchError("gcd_bivariate runs in exact mode only")
     if p.is_zero():
         return _normalize_lead(q)
     if q.is_zero():
@@ -485,7 +415,7 @@ def _content_primitive(p: MultiPoly):
         if content.degree() == 0:
             break
     if content is None or content.is_zero():
-        content = constant(1, EXACT_ONE, "exact")
+        content = constant(1, EXACT_ONE)
     prim = [divexact(c, content) for c in coeffs]
     return content, _from_univariate_in(prim, 1)
 
@@ -495,7 +425,7 @@ def _lift_univariate(c: MultiPoly, var: int) -> MultiPoly:
     terms = {}
     for (k,), v in c.terms.items():
         terms[(k, 0) if var == 0 else (0, k)] = v
-    return MultiPoly(2, terms, c.mode)
+    return MultiPoly(2, terms)
 
 
 def _primitive_prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -536,7 +466,7 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             r[off + i] = r[off + i] - top * cb[i]
     while r and r[-1].is_zero():
         r.pop()
-    return _from_univariate_in(r, 1) if r else MultiPoly(2, {}, "exact")
+    return _from_univariate_in(r, 1) if r else MultiPoly(2, {})
 
 
 def _normalize_lead(p: MultiPoly) -> MultiPoly:
@@ -560,19 +490,9 @@ class SymbolTuple:
         for s in self.symbols:
             if s.nvars != self.nvars:
                 raise ValueError("all symbols must share nvars")
-        modes = {s.mode for s in self.symbols}
-        if len(modes) > 1:
-            raise ModeMismatchError("symbols mix exact and float modes")
-
-    @property
-    def mode(self) -> str:
-        return self.symbols[0].mode
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def to_float(self) -> "SymbolTuple":
-        return SymbolTuple(tuple(s.to_float() for s in self.symbols), self.nvars)
 
     def degree_vec(self) -> tuple:
         d = [0] * self.nvars
@@ -592,10 +512,7 @@ def symbols(nvars: int, *polys: MultiPoly) -> SymbolTuple:
 def poly_to_json(p: MultiPoly) -> dict:
     terms = []
     for e, c in p.sorted_terms():
-        if p.mode == "exact":
-            terms.append({"exp": list(e), "re": str(c.re), "im": str(c.im)})
-        else:
-            terms.append({"exp": list(e), "re": c.real, "im": c.imag})
+        terms.append({"exp": list(e), "re": str(c.re), "im": str(c.im)})
     return {"nvars": p.nvars, "terms": terms}
 
 
@@ -605,22 +522,16 @@ def poly_from_json(obj: Mapping) -> MultiPoly:
         raw = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc
-    exact_mode = all(isinstance(t.get("re", 0), str) and isinstance(t.get("im", 0), str)
-                     for t in raw) if raw else obj.get("mode", "exact") == "exact"
-    if "mode" in obj:
-        exact_mode = obj["mode"] == "exact"
-    terms: dict[Exponent, Coefficient] = {}
+    terms: dict[Exponent, ExactComplex] = {}
     for t in raw:
         e = tuple(integral(x, "exponent") for x in t["exp"])
-        try:
-            c: Coefficient = (ExactComplex(Fraction(t["re"]), Fraction(t["im"])) if exact_mode
-                              else complex(float(t["re"]), float(t["im"])))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in the coefficient of {e}") from exc
         if e in terms:
             raise ValueError(f"duplicate exponent {e} in polynomial JSON")
-        terms[e] = c
-    return MultiPoly(nvars, terms, "exact" if exact_mode else "float")
+        try:
+            terms[e] = exact((t["re"], t["im"]))
+        except ValueError as exc:
+            raise ValueError(f"the coefficient of {e}: {exc}") from exc
+    return MultiPoly(nvars, terms)
 
 
 def tuple_to_json(st: SymbolTuple) -> dict:

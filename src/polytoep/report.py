@@ -275,15 +275,17 @@ def _run_disc(st: SymbolTuple, cfg: JobConfig,
     return {"index": 0, "certificate_r": cert.r}
 
 
-def _exact_pair(st: SymbolTuple) -> bool:
-    return len(st) == 2 and st.nvars == 2 and st.mode == "exact"
+def _pair(st: SymbolTuple) -> bool:
+    """A pair in two variables: the algebraic route, the oracle and the gcd
+    reduction apply."""
+    return len(st) == 2 and st.nvars == 2
 
 
 # (name, applies(working tuple), runner), in the order the routes run
 ROUTES = (
     ("koszul", lambda st: True, _run_koszul),
-    ("algebraic", _exact_pair, _run_algebraic),
-    ("oracle", _exact_pair, _run_oracle),
+    ("algebraic", _pair, _run_algebraic),
+    ("oracle", _pair, _run_oracle),
     ("tensor", lambda st: _tensor_variables(st) is not None, _run_tensor),
     ("disc", lambda st: st.nvars == 1 and len(st) > 1, _run_disc),
 )
@@ -332,10 +334,10 @@ def run_index(cfg: JobConfig) -> dict:
         "routes": {},
     }
 
-    # gcd reduction for exact bivariate pairs
+    # gcd reduction for pairs in two variables
     working = st
     t0 = time.perf_counter()
-    if _exact_pair(st):
+    if _pair(st):
         red = gcd_reduce(st)
         if red.common_factor is not None:
             body["reduction"] = {

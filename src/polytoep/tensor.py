@@ -33,6 +33,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .exact import exact
 from .poly import MultiPoly, SymbolTuple, integral
 
 QUADRATURE_POINTS = 256          # first node count of ``fourier_winding``
@@ -67,8 +68,7 @@ def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
         for v, k in enumerate(e):
             if k and v != var:
                 raise ValueError(f"symbol uses variable {v}, expected only {var}")
-        cv = c.to_complex() if p.mode == "exact" else complex(c)
-        coeffs[e[var]] = coeffs.get(e[var], 0) + cv
+        coeffs[e[var]] = coeffs.get(e[var], 0) + c.to_complex()
     return TrigPoly(coeffs)
 
 
@@ -79,7 +79,7 @@ def trig_from_json(obj: dict) -> TrigPoly:
             k = integral(t["k"], "Fourier index")
             if k in coeffs:
                 raise ValueError(f"duplicate Fourier index {k}")
-            coeffs[k] = complex(float(t["re"]), float(t.get("im", 0.0)))
+            coeffs[k] = exact((t["re"], t.get("im", 0))).to_complex()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed Fourier factor: {exc!r}") from exc
     return TrigPoly(coeffs)

@@ -25,7 +25,11 @@ Eigenvalues are clustered at radius 1e-7 (multiplicity = cluster size).  A
 cluster of a μ-fold zero spreads like ε^(1/μ), so very high multiplicities
 may resolve as that many nearby simple zeros; locations and the inside count
 are unaffected.  Ambiguous clusterings retry once with a fresh combination
-before raising.
+before raising.  Each cluster center z must be a zero of the pair to working
+precision: its relative residual maxᵢ |fᵢ(z)| / Σ|c|·|z^e| above
+RESIDUAL_TOL raises.  An ill-conditioned basis (two zeros that share a
+coordinate to within 1e-9, say) misplaces the eigenvalues, and the residual
+is how that shows.
 """
 from __future__ import annotations
 
@@ -37,8 +41,8 @@ from scipy.linalg import schur
 
 from .certify import BoundaryCertificate, boundary_lower_bound
 from .exact import EXACT_ZERO, ExactComplex, Scalar, axpy, echelon
+from .kernels import majorant, pack_tuple, values_block
 from .poly import (
-    ModeMismatchError,
     MultiPoly,
     SymbolTuple,
     divexact,
@@ -48,6 +52,7 @@ from .poly import (
 
 CLUSTER_RADIUS = 1e-7
 BOUNDARY_MARGIN = 1e-6
+RESIDUAL_TOL = 1e-8
 _MAX_ROUNDS = 6
 _WINDOW_COL_BUDGET = 3200
 
@@ -83,8 +88,6 @@ class GcdReduction:
 def _require_pair(st: SymbolTuple) -> Tuple[MultiPoly, MultiPoly]:
     if len(st) != 2 or st.nvars != 2:
         raise ValueError("algebraic route handles pairs in two variables")
-    if st.mode != "exact":
-        raise ModeMismatchError("algebraic route requires exact coefficients")
     return st.symbols
 
 
@@ -243,6 +246,15 @@ def _cluster(points: np.ndarray, radius: float) -> List[np.ndarray]:
     return [points[idx] for idx in groups.values()]
 
 
+def _relative_residuals(st: SymbolTuple, points: np.ndarray) -> np.ndarray:
+    """maxᵢ |fᵢ(z)| / Σ|c|·|z^e| at each point z (0 where every term
+    vanishes)."""
+    pk = pack_tuple(st)
+    num = np.abs(values_block(pk, points))
+    den = values_block(majorant(pk), np.abs(points))
+    return np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0), axis=1)
+
+
 def _classify(point: np.ndarray) -> str:
     m = float(np.max(np.abs(point)))
     if m < 1.0 - BOUNDARY_MARGIN:
@@ -277,6 +289,14 @@ def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
                 if np.max(np.abs(centers[i] - centers[j])) < 3 * CLUSTER_RADIUS:
                     ok = False
         if ok:
+            residuals = _relative_residuals(st, np.array(centers))
+            worst = int(np.argmax(residuals))
+            if residuals[worst] > RESIDUAL_TOL:
+                raise RuntimeError(
+                    f"located zero ({complex(centers[worst][0]):.6g}, "
+                    f"{complex(centers[worst][1]):.6g}) has relative residual "
+                    f"{residuals[worst]:.2g} (tolerance {RESIDUAL_TOL:g}): the "
+                    f"eigensolve of the quotient basis is ill-conditioned")
             zeros = []
             for cl, ctr in zip(clusters, centers):
                 zeros.append(Zero(point=(complex(ctr[0]), complex(ctr[1])),

@@ -55,3 +55,13 @@ def repeated_pair(z1):
 def shared_line_pair():
     # (z1 z2, z1 (z2 - 2)): common factor z1 vanishes inside the polydisc
     return symbols(2, p2({(1, 1): 1}), p2({(1, 1): 1, (1, 0): -2}))
+
+
+@pytest.fixture
+def ill_conditioned_pair():
+    # p = (z1 - 9/20)(z1 + 7/20), q = z2 - 7/20 + z1/10⁹ + ⅔p: both common
+    # zeros lie inside (index -2) and share z2 to within 10⁻⁹, which makes
+    # the quotient basis {1, z2} ill-conditioned for the eigensolve
+    p = p2({(1, 0): 1, (0, 0): "-9/20"}) * p2({(1, 0): 1, (0, 0): "7/20"})
+    q = p2({(0, 1): 1, (0, 0): "-7/20", (1, 0): "1/1000000000"}) + p * p2({(0, 0): "2/3"})
+    return symbols(2, p, q)

@@ -114,7 +114,7 @@ def test_criterion_2_necessity_and_sufficiency():
         v = rep["body"]["verdict"]
         assert v["kind"] == "not_fredholm", f"{name}: {v}"
         w = tuple(complex(float(c["re"]), float(c["im"])) for c in v["witness"])
-        value = sum(abs(s.eval(w)) ** 2 for s in st.to_float().symbols)
+        value = sum(abs(s.eval(w)) ** 2 for s in st.symbols)
         assert value < 1e-3, f"{name}: witness value {value}"
     print("\ncriterion 2 PASS: agree fixtures all certified; "
           "witnesses evaluate below 1e-3")

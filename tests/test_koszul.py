@@ -34,7 +34,7 @@ from polytoep.koszul import (
 )
 from polytoep.exact import ExactComplex
 from polytoep.kernels import pack_tuple
-from polytoep.poly import exact_poly, float_poly, symbols
+from polytoep.poly import exact_poly, symbols
 
 from conftest import p1, p2
 
@@ -148,7 +148,7 @@ def test_window_exponents_and_lookup():
 
 def coefficients(s):
     """The terms of ``s`` with complex coefficients, none pruned."""
-    return {e: c.to_complex() if s.mode == "exact" else c for e, c in s.terms.items()}
+    return {e: c.to_complex() for e, c in s.terms.items()}
 
 
 def shifted_symbol(s, win_in, win_out):
@@ -177,8 +177,8 @@ def boundary_cases():
             (symbols(3, p3({(1, 0, 0): 1, (0, 1, 1): "3/4"})), 1),
             (symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1, (0, 0, 2): "-1/9"})), 1),
             (graded_tuples()[1], 1)]
-    floats = [(symbols(2, float_poly(2, {(1, 0): 0.3, (0, 1): -1.25}),
-                       float_poly(2, {(0, 0): 0.7, (1, 1): c})), 2) for c in (1.0, 0.5 - 2j)]
+    floats = [(symbols(2, exact_poly(2, {(1, 0): 0.3, (0, 1): -1.25}),
+                       exact_poly(2, {(0, 0): 0.7, (1, 1): c})), 2) for c in (1.0, 0.5 - 2j)]
     return real + [(rotated(st, len(st) - 1), n) for st, n in real] + floats
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from polytoep.certify import shifted_tuple
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
+from polytoep.kernels import pack_tuple
 from polytoep.poly import (
-    ModeMismatchError,
     MultiPoly,
     NotEliminableError,
     canonical_tuple_json,
@@ -88,6 +88,29 @@ def test_tuple_json_round_trip(p, q):
     assert canonical_tuple_json(back) == canonical_tuple_json(stt)
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(exponents2, st.tuples(finite_floats, finite_floats),
+                       min_size=1, max_size=5))
+def test_float_json_is_read_exactly(terms):
+    # numbers in, "p/q" strings out, the same tuple back; the packed
+    # coefficients are the input floats bit for bit (+ 0.0 maps -0.0 to
+    # 0.0: the rational 0 has no sign)
+    obj = {"nvars": 2, "symbols": [{"nvars": 2, "terms": [
+        {"exp": list(e), "re": re, "im": im} for e, (re, im) in terms.items()]}]}
+    stt = tuple_from_json(json.loads(json.dumps(obj)))
+    out = tuple_to_json(stt)
+    assert all(isinstance(t[k], str) for t in out["symbols"][0]["terms"] for k in ("re", "im"))
+    assert tuple_from_json(json.loads(json.dumps(out))) == stt
+    pk = pack_tuple(stt)
+    packed = {tuple(e): (re.hex(), im.hex())
+              for e, re, im in zip(pk.exps.tolist(), pk.cre.tolist(), pk.cim.tolist())}
+    assert packed == {e: ((re + 0.0).hex(), (im + 0.0).hex())
+                      for e, (re, im) in terms.items() if re or im}
+
+
 # -- fixed fixtures ----------------------------------------------------------
 
 
@@ -102,7 +125,7 @@ def test_poly_json_preserves_rationals():
 def test_float_coefficients_must_be_finite():
     for c in (math.nan, math.inf, complex(0, -math.inf)):
         with pytest.raises(ValueError, match="non-finite"):
-            MultiPoly(2, {(1, 0): 1.0, (0, 0): c}, "float")
+            exact_poly(2, {(1, 0): 1.0, (0, 0): c})
     # the shift λ of the spectrum query builds its constants the same way
     st = symbols(2, exact_poly(2, {(1, 0): 1}), exact_poly(2, {(0, 1): 1}))
     with pytest.raises(ValueError, match="non-finite"):
@@ -111,22 +134,14 @@ def test_float_coefficients_must_be_finite():
 
 def test_exponents_must_be_integral():
     with pytest.raises(ValueError, match="must be an integer"):
-        MultiPoly(2, {(1.5, 0): ExactComplex(1)}, "exact")
-    assert MultiPoly(2, {(1.0, 0): ExactComplex(1)}, "exact").terms == {(1, 0): ExactComplex(1)}
+        MultiPoly(2, {(1.5, 0): ExactComplex(1)})
+    assert MultiPoly(2, {(1.0, 0): ExactComplex(1)}).terms == {(1, 0): ExactComplex(1)}
 
 
 def test_univariate_coeffs_ascending():
     p = exact_poly(1, {(2,): 3, (0,): "1/2"})
     cs = univariate_coeffs(p)
     assert [c.re for c in cs] == [Fraction(1, 2), Fraction(0), Fraction(3)]
-
-
-def test_mode_mixing_rejected():
-    p = exact_poly(2, {(1, 0): 1})
-    from polytoep.poly import float_poly
-    q = float_poly(2, {(0, 1): 1.0})
-    with pytest.raises(ModeMismatchError):
-        p + q
 
 
 def test_gcd_univariate_and_divexact():

@@ -50,6 +50,35 @@ def test_not_fredholm_report(repeated_pair):
     assert rep["body"]["routes"] == {}
 
 
+def test_ill_conditioned_algebraic_route_abstains(ill_conditioned_pair):
+    # koszul and the oracle count both interior zeros; the algebraic route's
+    # misplaced eigenvalues are an error of that route, never an index 0
+    body = run_index(JobConfig(input=ill_conditioned_pair))["body"]
+    assert body["verdict"]["kind"] == "not_certifiable"
+    assert body["verdict"]["details"].endswith(": algebraic")
+    assert "relative residual" in body["routes"]["algebraic"]["error"]
+    assert body["routes"]["koszul"]["index"] == body["routes"]["oracle"]["index"] == -2
+
+
+def test_float_json_pair_gets_every_pair_route(tmp_path):
+    # (z1 - 0.3 + 0.1i, z2 + 0.2 z1 z2 + 0.25) in JSON numbers: read as
+    # dyadic rationals, it reaches the algebraic route and the oracle
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"nvars": 2, "symbols": [
+        {"nvars": 2, "terms": [{"exp": [1, 0], "re": 1.0, "im": 0.0},
+                               {"exp": [0, 0], "re": -0.3, "im": 0.1}]},
+        {"nvars": 2, "terms": [{"exp": [0, 1], "re": 1.0, "im": 0.0},
+                               {"exp": [1, 1], "re": 0.2, "im": 0.0},
+                               {"exp": [0, 0], "re": 0.25, "im": 0.0}]}]}))
+    code, out, _ = cli("index", "--input", str(path))
+    body = json.loads(out)["body"]
+    assert code == 0
+    assert body["verdict"] == {"kind": "agree", "index": -1,
+                               "routes": ["algebraic", "koszul", "oracle"]}
+    assert body["input"]["symbols"][0]["terms"][0] == {
+        "exp": [0, 0], "re": str(Fraction(-0.3)), "im": str(Fraction(0.1))}
+
+
 def test_gcd_reduction_is_reported():
     g = p2({(1, 0): 1, (0, 0): -2})
     st = symbols(2, g * p2({(1, 0): 1}), g * p2({(0, 1): 1, (0, 0): "-1/2"}))
@@ -378,8 +407,10 @@ def test_cli_certify_and_spectrum(inputs):
 
 def test_cli_spectrum_negative_lambda(inputs):
     # --lambda repeats, and its = form takes a component whose real part is
-    # negative: (z1, z2) − (0, −1) vanishes at (0, −1) on the bidisc's boundary
-    for words in (["--lambda", "0,0", "--lambda=-1,0"], ["--lambda=0,0", "--lambda=-1,0"]):
+    # negative: (z1, z2) − (0, −1) vanishes at (0, −1) on the bidisc's boundary;
+    # a part may be a "p/q" string, as a coefficient may
+    for words in (["--lambda", "0,0", "--lambda=-1,0"], ["--lambda=0,0", "--lambda=-1,0"],
+                  ["--lambda", "0/5,0", "--lambda=-2/2,0"]):
         code, out, _ = cli("spectrum", "--input", inputs["shifts"], *words)
         body = json.loads(out)["body"]
         assert code == 0 and body["verdict"] == "inside"

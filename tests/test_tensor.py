@@ -44,6 +44,10 @@ def test_trig_json_round_trip():
     g = trig_from_json({"fourier": [{"k": k, "re": c.real, "im": c.imag}
                                     for k, c in f.coeffs.items()]})
     assert g.coeffs == f.coeffs
+    # "p/q" strings are read as tuple JSON reads them
+    h = trig_from_json({"fourier": [{"k": -2, "re": "3/2", "im": "1/2"},
+                                    {"k": 3, "re": "-1"}]})
+    assert h.coeffs == f.coeffs
     with pytest.raises(ValueError):
         trig_from_json({"fourier": [{"k": 1, "re": 1, "im": 0},
                                     {"k": 1, "re": 2, "im": 0}]})

@@ -362,7 +362,9 @@ def test_gcd_reduce_zero_free_factor():
     assert algebraic_index(red.reduced) == -1
 
 
-def test_exact_mode_required(shift_pair):
-    from polytoep.poly import ModeMismatchError
-    with pytest.raises(ModeMismatchError):
-        common_zeros(shift_pair.to_float())
+def test_ill_conditioned_eigensolve_raises(ill_conditioned_pair):
+    # the Schur step puts both zeros near z1 = 0.05 ± 2.6i, where the pair
+    # does not vanish: the residual check must refuse them, not count 0
+    with pytest.raises(RuntimeError, match="relative residual 0.9"):
+        common_zeros(ill_conditioned_pair)
+
