@@ -94,6 +94,8 @@ def _coerce(x) -> ExactComplex:
 
 
 def _rational(x) -> Fraction:
+    if isinstance(x, bool):
+        raise ValueError(f"a boolean is not a number: {x!r}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"non-finite number {x}")
     try:
@@ -106,7 +108,8 @@ def exact(v) -> ExactComplex:
     """The value ``v`` exactly: an int, a Fraction, a ``"p/q"`` string, a
     finite float (the dyadic rational it is), a complex of finite floats, or
     an (re, im) pair of those reals.  Every number that enters from outside
-    is read here; NaN, ±inf and a zero denominator are a ValueError."""
+    is read here; NaN, ±inf, a zero denominator and a bool are a
+    ValueError."""
     if isinstance(v, ExactComplex):
         return v
     if isinstance(v, complex):

@@ -7,7 +7,8 @@ exact finite section of the Koszul complex: the codomain cap of every boundary
 map is the domain cap enlarged by the tuple degree, so multiplication never
 truncates and consecutive boundary matrices compose to the exact zero matrix.
 The chain property is checked against the rounding bound of the float matrix
-product (``chain_check``); rank decisions carry the only tunable tolerance.
+product, formed on the nonzeros (``chain_check``); rank decisions carry the
+only tunable tolerance.
 
 Homology dimensions:
 
@@ -58,11 +59,18 @@ benchmark workloads, is the one-grade case: W has no rows, every key is 0
 and each map is a single block.  Ranks keep their tolerance relative to the
 largest singular value of the whole map.
 
-The route reads the tuple as ``kernels.pack_tuple`` packs it, tiny exact
-coefficients included, and one scatter (in ``_boundary_matrix``) writes
-z^a·fᵢ for every shift a and symbol i: it builds every boundary map and
-every finite section.  Arithmetic is real when it can be.  Every boundary
-matrix is ``float64`` when each packed coefficient has imaginary part
+Every boundary map is held sparse, as a ``SparseMap``: coordinate triplets
+(row, column, value) and a shape.  The route reads the tuple as
+``kernels.pack_tuple`` packs it, tiny exact coefficients included, and one
+scatter (in ``_boundary_matrix``) emits the nonzeros of z^a·fᵢ for every
+shift a and symbol i with the signs of the Koszul blocks: it builds every
+boundary map and every finite section.  Deleting rows (the stage window of
+an enlarged map, the rows of a finite section) filters triplets, and
+``chain_check`` joins the columns of d_{k+1} with the rows of d_k.  A map
+becomes dense only as a grade block handed to LAPACK, and for a tuple with
+no weight that one block is the whole map, so memory and time follow the
+nonzeros and the grade blocks.  Arithmetic is real when it can be.  Every
+boundary map is ``float64`` when each packed coefficient has imaginary part
 exactly 0 (exact for exact tuples: a zero ``ExactComplex.im`` converts to
 0.0), and ``complex128`` otherwise; the choice is made once per tuple and
 the code path is the same.  A real LAPACK factorization costs a fraction of
@@ -158,23 +166,55 @@ def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
+@dataclass(frozen=True)
+class SparseMap:
+    """A matrix as coordinate triplets: ``vals[t]`` sits at (``rows[t]``,
+    ``cols[t]``), no position twice, and every other entry is 0."""
+
+    rows: np.ndarray             # int64
+    cols: np.ndarray             # int64
+    vals: np.ndarray             # float64 or complex128
+    shape: Tuple[int, int]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.vals.dtype
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def take_rows(self, rows: np.ndarray) -> "SparseMap":
+        """The map's rows ``rows`` (distinct indices), in that order."""
+        at = np.full(self.shape[0], -1, dtype=np.int64)
+        at[rows] = np.arange(len(rows))
+        at = at[self.rows]
+        keep = at >= 0
+        return SparseMap(at[keep], self.cols[keep], self.vals[keep],
+                         (len(rows), self.shape[1]))
+
+
 def _boundary_matrix(pk: PackedTuple, k: int, win_in: MonomialWindow,
-                     win_out: MonomialWindow, dtype: type) -> np.ndarray:
+                     win_out: MonomialWindow, dtype: type) -> SparseMap:
     """d_k from ``win_in`` into ``win_out``: block (S, R) is ±T_i, with the
     sign and symbol of ``_stage_blocks``, and every other block is 0.  One
-    scatter writes z^a·fᵢ for every monomial a of ``win_in`` and symbol i:
+    scatter emits z^a·fᵢ for every monomial a of ``win_in`` and every block:
     packed term t of fᵢ, exponent e, puts its coefficient (formed as the
-    kernels form it) in row ``win_out.row[a + e]``."""
+    kernels form it) times the block's sign in row ``win_out.row[a + e]`` of
+    the block."""
     p, m, n = pk.npolys, win_out.dim, win_in.dim
     coeffs = pk.cre if np.dtype(dtype).kind == "f" else pk.cre + 1j * pk.cim
     symbol = np.repeat(np.arange(p), np.diff(pk.offs))
-    shifted = np.zeros((m, p * n), dtype=dtype)
-    shifted[win_out.row[tuple((win_in.exps + pk.exps[:, None]).transpose(2, 0, 1))],
-            symbol[:, None] * n + np.arange(n)] = coeffs[:, None]
-    out = np.zeros((len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n), dtype=dtype)
-    for ri, ci, sym, sign in _stage_blocks(p, k):
-        out[ri * m:(ri + 1) * m, ci * n:(ci + 1) * n] = sign * shifted[:, sym * n:(sym + 1) * n]
-    return out
+    shifted = win_out.row[tuple((win_in.exps + pk.exps[:, None]).transpose(2, 0, 1))]
+    blocks = np.array(_stage_blocks(p, k), dtype=np.int64)
+    # every (block, term of the block's symbol) pair, then every monomial a
+    b, t = np.nonzero(blocks[:, 2, None] == symbol)
+    ri, ci, _, sign = blocks[b].T
+    rows = (ri * m)[:, None] + shifted[t]
+    cols = (ci * n)[:, None] + np.arange(n)
+    return SparseMap(rows.ravel(), cols.ravel(), np.repeat(sign * coeffs[t], n),
+                     (len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n))
 
 
 @dataclass(frozen=True)
@@ -186,7 +226,7 @@ class KoszulTruncation:
     N: int
     deg_vec: tuple
     windows: tuple                 # stage 0..p monomial windows
-    boundary_matrices: tuple       # d_1..d_p
+    boundary_matrices: tuple       # d_1..d_p, each a ``SparseMap``
     rank_tolerance: float
 
     @property
@@ -194,12 +234,14 @@ class KoszulTruncation:
         return len(self.tuple)
 
 
-def build_koszul(st: SymbolTuple, N: int,
-                 rank_tolerance: float = DEFAULT_RANK_TOL) -> KoszulTruncation:
+def build_koszul(st: SymbolTuple, N: int, rank_tolerance: float = DEFAULT_RANK_TOL,
+                 grading: Optional[TupleGrading] = None) -> KoszulTruncation:
     """Assemble the truncated complex 0 → Λ⁰W → Λ¹W → … → ΛᵖW → 0.
 
     Stage k lives on the window with cap N·1 + k·D where D is the per-variable
-    degree vector of the tuple, so no boundary map truncates.
+    degree vector of the tuple, so no boundary map truncates.  ``grading``
+    is the tuple's ``TupleGrading``, whose packed tuple and windows are used
+    (made here when not given; a sweep passes one through its levels).
     """
     p = len(st)
     if p not in (1, 2, 3):
@@ -211,34 +253,56 @@ def build_koszul(st: SymbolTuple, N: int,
     if N < 0:
         raise ValueError("N must be non-negative")
     deg = st.degree_vec()
-    wins = [MonomialWindow(st.nvars, tuple(N + k * d for d in deg)) for k in range(p + 1)]
+    grading = TupleGrading(st) if grading is None else grading
+    wins = [grading.window(tuple(N + k * d for d in deg)) for k in range(p + 1)]
     widest = max(len(_subsets(p, k)) * wins[k].dim for k in range(p + 1))
     if widest > MATRIX_BUDGET:
         raise MatrixBudgetError(
             f"window overflow: stage would need {widest} columns (budget {MATRIX_BUDGET})")
-    pk = pack_tuple(st)
+    pk = grading.packed
     dtype = matrix_dtype(pk)
     mats = tuple(_boundary_matrix(pk, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
     return KoszulTruncation(st, pk, N, deg, tuple(wins), mats, rank_tolerance)
 
 
-def chain_products(kt: KoszulTruncation) -> List[np.ndarray]:
-    """d_{k+1} @ d_k for every consecutive pair; each must be exactly zero."""
-    d = kt.boundary_matrices
-    return [d[i + 1] @ d[i] for i in range(len(d) - 1)]
+def _nonzero_product(a: SparseMap, b: SparseMap) -> Tuple[SparseMap, np.ndarray]:
+    """a @ b formed on the nonzeros, and Σ|a_ic·b_cj| at each of its
+    entries: every entry (i, c) of ``a`` meets the entries (c, j) of ``b``,
+    and the terms are summed per (i, j).  Positions no pair reaches are
+    left out; the product is exactly 0 there."""
+    # entry i of a makes one pair with each entry of b in row a.cols[i]:
+    # pair q belongs to entry ai[q], and ``skip`` is, per entry of a, where
+    # its row starts in b's row order less where its pairs start
+    in_row = np.bincount(b.rows, minlength=b.shape[0])
+    count = in_row[a.cols]
+    ai = np.repeat(np.arange(a.rows.size), count)
+    skip = (np.cumsum(in_row) - in_row)[a.cols] - np.cumsum(count) + count
+    bi = np.argsort(b.rows, kind="stable")[np.arange(ai.size) + skip[ai]]
+    # the pairs sorted by product position, one run per entry
+    cell = a.rows[ai] * b.shape[1] + b.cols[bi]
+    order = np.argsort(cell, kind="stable")
+    terms = (a.vals[ai] * b.vals[bi])[order]
+    cell = cell[order]
+    first = np.flatnonzero(np.concatenate((cell[:1] >= 0, cell[1:] != cell[:-1])))
+    rows, cols = np.divmod(cell[first], b.shape[1])
+    return (SparseMap(rows, cols, np.add.reduceat(terms, first), (a.shape[0], b.shape[1])),
+            np.add.reduceat(np.abs(terms), first))
 
 
 def chain_check(kt: KoszulTruncation) -> bool:
     """Consecutive boundary maps compose to zero up to the rounding of the
     float product: entrywise |d_{k+1} d_k| ≤ γ·(|d_{k+1}| |d_k|) with
     γ = 4(n+4)·2⁻⁵³ for inner dimension n (a Higham-style bound that covers
-    complex arithmetic and fused multiply-adds).  Exact products are zero by
-    construction, so any wrong entry in an assembled map leaves a residual
-    of the size of the products it enters and fails the check."""
+    complex arithmetic, fused multiply-adds and any summation order).
+    Exact products are zero by construction, so any wrong entry in an
+    assembled map leaves a residual of the size of the products it enters
+    and fails the check.  The products are formed on the nonzeros
+    (``_nonzero_product``)."""
     d = kt.boundary_matrices
-    for a, b, prod in zip(d[1:], d[:-1], chain_products(kt)):
+    for a, b in zip(d[1:], d[:-1]):
+        prod, bound = _nonzero_product(a, b)
         gamma = 4 * (b.shape[0] + 4) * 2.0 ** -53
-        if np.any(np.abs(prod) > gamma * (np.abs(a) @ np.abs(b))):
+        if np.any(np.abs(prod.vals) > gamma * bound):
             return False
     return True
 
@@ -273,6 +337,10 @@ class TupleGrading:
     of the bounds |gⱼ| ≤ bⱼ that every window within ``MATRIX_BUDGET``
     satisfies, so distinct grades get distinct keys and no key leaves int64.
     A tuple with no weight has W of shape (0, n), and every key is 0.
+
+    A route makes one grading per tuple and passes it to every level, so it
+    also holds what the levels share: ``packed``, the tuple as
+    ``kernels.pack_tuple`` packs it, and the monomial windows (``window``).
     """
 
     def __init__(self, st: SymbolTuple):
@@ -295,11 +363,18 @@ class TupleGrading:
             rows, radix = rows[:-1], radix[:-1]
         mult = [math.prod(radix[:j]) for j in range(len(rows))]
         omega = [sum(m * w[v] for m, w in zip(mult, rows)) for v in range(n)]
-        self.nsymbols = p
+        self.nvars, self.nsymbols, self.packed = n, p, pk
         self.weights = np.array(rows, dtype=np.int64).reshape(len(rows), n)
         self._omega = np.array(omega, dtype=np.int64)
         self._anchor_keys = anchors @ self._omega
         self._keys: dict = {}
+        self._windows: dict = {}
+
+    def window(self, cap: Tuple[int, ...]) -> MonomialWindow:
+        """The monomial window of per-variable caps ``cap``, made once."""
+        if cap not in self._windows:
+            self._windows[cap] = MonomialWindow(self.nvars, cap)
+        return self._windows[cap]
 
     def keys(self, k: int, win: MonomialWindow) -> np.ndarray:
         """Grade keys of the coordinates of stage k on ``win`` (subset blocks
@@ -312,38 +387,45 @@ class TupleGrading:
         return self._keys[(k, win.cap)]
 
 
-def graded_svdvals(mat: np.ndarray, row_keys: np.ndarray,
+def graded_svdvals(mat: SparseMap, row_keys: np.ndarray,
                    col_keys: np.ndarray) -> np.ndarray:
     """The min(m, n) singular values of ``mat``, descending.
 
     ``mat`` must vanish wherever the row key differs from the column key, so
     up to a permutation it is block-diagonal by key and its singular values
-    are the union of the blocks' ones, padded with zeros.  Blocks of one
-    shape are factored in one batched ``np.linalg.svd`` call.  When every key
-    is the same (always so for a tuple with no weight) the one block is the
-    whole matrix, factored as it is.
+    are the union of the blocks' ones, padded with zeros.  Each block is
+    scattered straight from the triplets, rows and columns each in their
+    own order, and blocks of one shape are factored in one batched
+    ``np.linalg.svd`` call.  When every key is the same (always so for a
+    tuple with no weight) the one block is the whole matrix.
     """
     m, n = mat.shape
     if m and n and (row_keys == row_keys[0]).all() and (col_keys == row_keys[0]).all():
-        return np.linalg.svd(mat, compute_uv=False)
+        return np.linalg.svd(mat.dense(), compute_uv=False)
     keys, label = np.unique(np.concatenate([row_keys, col_keys]), return_inverse=True)
     nrows = np.bincount(label[:m], minlength=keys.size)
     ncols = np.bincount(label[m:], minlength=keys.size)
     # one stable sort of rows and columns together: rows come first within a
-    # label, each side in its own order
+    # label, each side in its own order; ``at`` is each row's and each
+    # column's place within its block
     order = np.argsort(label, kind="stable")
-    row_order, col_order = order[order < m], order[order >= m] - m
-    row_start = np.cumsum(nrows) - nrows
-    col_start = np.cumsum(ncols) - ncols
+    start = np.cumsum(nrows + ncols) - nrows - ncols
+    at = np.empty(m + n, dtype=np.int64)
+    at[order] = np.arange(m + n) - start[label[order]]
+    at[m:] -= nrows[label[m:]]
     live = np.flatnonzero((nrows > 0) & (ncols > 0))
-    shape = nrows[live] * (n + 1) + ncols[live]
+    shape = nrows * (n + 1) + ncols
+    # every triplet lies in a live block: its row and column share a label
+    block = label[mat.rows]
+    block_shape = shape[block]
     vals = [np.zeros(min(m, n) - int(np.minimum(nrows, ncols).sum()))]
-    for s in np.unique(shape):
-        g = live[shape == s]
-        a, b = nrows[g[0]], ncols[g[0]]
-        ri = row_order[row_start[g, None] + np.arange(a)]
-        ci = col_order[col_start[g, None] + np.arange(b)]
-        blocks = mat[ri[:, :, None], ci[:, None, :]]
+    for s in np.unique(shape[live]):
+        g = live[shape[live] == s]
+        slot = np.full(keys.size, -1, dtype=np.int64)
+        slot[g] = np.arange(g.size)
+        t = np.flatnonzero(block_shape == s)
+        blocks = np.zeros((g.size, nrows[g[0]], ncols[g[0]]), dtype=mat.dtype)
+        blocks[slot[block[t]], at[mat.rows[t]], at[m + mat.cols[t]]] = mat.vals[t]
         vals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
     return np.sort(np.concatenate(vals))[::-1]
 
@@ -414,8 +496,8 @@ def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
         enlarged = _boundary_matrix(kt.packed, k, wins[k], out, d[0].dtype)
         outside = np.ones(out.dim, dtype=bool)
         outside[out.row[tuple(wins[k].exps.T)]] = False
-        outside = np.tile(outside, len(_subsets(p, k)))
-        rows_kept = graded_svdvals(enlarged[outside], grading.keys(k, out)[outside],
+        outside = np.flatnonzero(np.tile(outside, len(_subsets(p, k))))
+        rows_kept = graded_svdvals(enlarged.take_rows(outside), grading.keys(k, out)[outside],
                                    grading.keys(k - 1, wins[k]))
         dim_intersect = rank(k, enlarged, wins[k], out) - _rank_of(rows_kept, tol)
         dims.append(max(null_next - dim_intersect, 0))
@@ -451,15 +533,16 @@ def _section_svdvals(pk: PackedTuple, grading: TupleGrading, N: int,
     boundary map from the box window of cap N, restricted to the rows of
     that window."""
     p, n = pk.npolys, len(deg)
-    win = MonomialWindow(n, N)
-    out = MonomialWindow(n, tuple(N + d for d in deg))
+    win = grading.window((N,) * n)
+    out = grading.window(tuple(N + d for d in deg))
     rows = out.row[tuple(win.exps.T)]
-    mat = _boundary_matrix(pk, p, win, out, dtype)[rows]
+    mat = _boundary_matrix(pk, p, win, out, dtype).take_rows(rows)
     return graded_svdvals(mat, grading.keys(p, out)[rows], grading.keys(p - 1, win))[::-1]
 
 
 def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL,
-                       rho: float = 0.8) -> Union[int, str]:
+                       rho: float = 0.8,
+                       grading: Optional[TupleGrading] = None) -> Union[int, str]:
     """Codimension of the symbol ideal in H²(𝔻ⁿ), counted on the finite
     sections A_N of the top Koszul map, or "unstable".
 
@@ -472,15 +555,16 @@ def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL
     counted one; three consecutive clear levels with one c give the
     codimension.  ``rho`` is the decay bound: with a boundary certificate at
     r and ρ = (1+r)/2, every common zero in the polydisc decays at a rate
-    below r < ρ.
+    below r < ρ.  ``grading`` is the tuple's ``TupleGrading`` (made here
+    when not given).
     """
     if not 0 < rho < 1:
         raise ValueError("decay bound rho must lie in (0, 1)")
     deg = st.degree_vec()
     step = max(deg, default=0)
-    pk = pack_tuple(st)
+    grading = TupleGrading(st) if grading is None else grading
+    pk = grading.packed
     dtype = matrix_dtype(pk)
-    grading = TupleGrading(st)
     levels: List[np.ndarray] = []
     counts: List[Optional[int]] = []     # c of each compared level, None if not clear
     for N in range(1, SECTION_CAP[st.nvars] + 1):
@@ -544,7 +628,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     chain_ok = True
     for n in n_values:
         try:
-            kt = build_koszul(st, n, rank_tolerance)
+            kt = build_koszul(st, n, rank_tolerance, grading)
         except MatrixBudgetError:
             break
         dims = homology_kernel_dims(kt, sigmas, grading)
@@ -555,7 +639,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             stabilized_at = tuple(dims)
             break
-    codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho)
+    codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho, grading=grading)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)
         hom = HomologyDims(full, True, euler_index(full))
@@ -572,10 +656,12 @@ def dump_matrices(kt: KoszulTruncation) -> str:
     column [T₁; T₂] and d2 the block row [−T₂, T₁].  The matrices are
     written as complex ones whatever dtype the route used: a real matrix
     carries no sign on its zero imaginary parts, and the text keeps the one
-    the complex arithmetic gives."""
+    the complex arithmetic gives to a negated coefficient.  Entries off the
+    triplets are written as 0."""
     out = []
     for k in range(1, kt.arity + 1):
-        m = _boundary_matrix(kt.packed, k, kt.windows[k - 1], kt.windows[k], np.complex128)
+        m = _boundary_matrix(kt.packed, k, kt.windows[k - 1], kt.windows[k],
+                             np.complex128).dense()
         out.append(f"# d{k} shape {m.shape[0]} {m.shape[1]}")
         for row in m:
             out.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))

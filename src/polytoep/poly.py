@@ -35,8 +35,11 @@ class NotEliminableError(ValueError):
 
 
 def integral(x, what: str) -> int:
-    """x as an int.  A value with a fractional part, or with no numeric
-    value, is a ValueError: it is never truncated."""
+    """x as an int.  A value with a fractional part, with no numeric value,
+    or a bool (an ``int`` subclass, but JSON ``true`` is no number) is a
+    ValueError: it is never truncated."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
     try:
         k = int(x)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -75,6 +75,8 @@ class JobConfig:
             raise ValueError("rank tolerance must be finite and positive")
         if self.n_range is not None:
             a, b = self.n_range
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"truncation levels must be integers, got {a!r}..{b!r}")
             if a < 0:
                 raise ValueError(f"truncation levels must be non-negative, got {a}..{b}")
             if b < a:

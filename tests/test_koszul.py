@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,13 +15,14 @@ from scipy.linalg import svdvals
 from polytoep import koszul
 from polytoep.koszul import (
     MonomialWindow,
+    SparseMap,
     TupleGrading,
     _boundary_matrix,
+    _nonzero_product,
     _section_svdvals,
     _subsets,
     build_koszul,
     chain_check,
-    chain_products,
     dump_matrices,
     euler_index,
     graded_svdvals,
@@ -62,14 +64,21 @@ def graded_tuples():
             symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))]
 
 
+def sparse(mat):
+    """The nonzeros of a dense matrix as a ``SparseMap``."""
+    rows, cols = np.nonzero(mat)
+    return SparseMap(rows, cols, mat[rows, cols], mat.shape)
+
+
 def graded_maps(kt, grading):
-    """(matrix, row keys, column keys) of every factorization
-    ``homology_kernel_dims`` makes: each d_k, each enlarged d_k and the
-    enlarged d_k's rows outside the stage window."""
+    """(map, its dense matrix, row keys, column keys) of every
+    factorization ``homology_kernel_dims`` makes: each d_k, each enlarged
+    d_k and the enlarged d_k's rows outside the stage window, the last
+    deleted from the dense matrix."""
     st, p, wins = kt.tuple, kt.arity, kt.windows
     for k in range(1, p + 1):
-        yield (kt.boundary_matrices[k - 1], grading.keys(k, wins[k]),
-               grading.keys(k - 1, wins[k - 1]))
+        d = kt.boundary_matrices[k - 1]
+        yield d, d.dense(), grading.keys(k, wins[k]), grading.keys(k - 1, wins[k - 1])
     for k in range(1, p):
         out = wins[k + 1]
         enlarged = _boundary_matrix(kt.packed, k, wins[k], out, kt.boundary_matrices[0].dtype)
@@ -77,8 +86,9 @@ def graded_maps(kt, grading):
         outside[[out.row[e] for e in map(tuple, wins[k].exps)]] = False
         outside = np.tile(outside, len(_subsets(p, k)))
         rows, cols = grading.keys(k, out), grading.keys(k - 1, wins[k])
-        yield enlarged, rows, cols
-        yield enlarged[outside], rows[outside], cols
+        yield enlarged, enlarged.dense(), rows, cols
+        yield (enlarged.take_rows(np.flatnonzero(outside)), enlarged.dense()[outside],
+               rows[outside], cols)
 
 
 def assert_grading_sound(st, levels):
@@ -88,9 +98,10 @@ def assert_grading_sound(st, levels):
     assert grading.weights.shape[0] > 0
     for n in levels:
         kt = build_koszul(st, n)
-        for mat, rows, cols in graded_maps(kt, grading):
+        for sp, mat, rows, cols in graded_maps(kt, grading):
+            assert np.array_equal(sp.dense(), mat)
             assert np.all(mat[rows[:, None] != cols[None, :]] == 0)
-            got, ref = graded_svdvals(mat, rows, cols), svdvals(mat)
+            got, ref = graded_svdvals(sp, rows, cols), svdvals(mat)
             assert got.shape == ref.shape
             assert np.all(np.diff(got) <= 0)
             assert np.all(np.abs(got - ref) <= 1e-12 * ref[:1])
@@ -107,7 +118,7 @@ def rotated(st, i=0):
 
 def stage1_sigma_min(kt):
     """Smallest singular value of the first boundary matrix."""
-    d1 = kt.boundary_matrices[0]
+    d1 = kt.boundary_matrices[0].dense()
     if d1.size == 0:
         return 0.0
     sv = svdvals(d1)
@@ -118,12 +129,12 @@ def hstack_kernel_dims(kt):
     """Reference for ``homology_kernel_dims``: the intersection dimension from
     rank(A) + dim V − rank([A | E_V]) with the embedding E_V built explicitly."""
     st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
-    d = kt.boundary_matrices
+    d = [m.dense() for m in kt.boundary_matrices]
     dims = [d[0].shape[1] - numerical_rank(d[0], tol)]
     for k in range(1, p):
         null_next = d[k].shape[1] - numerical_rank(d[k], tol)
         stage, out = kt.windows[k], kt.windows[k + 1]
-        enlarged = _boundary_matrix(kt.packed, k, stage, out, d[0].dtype)
+        enlarged = _boundary_matrix(kt.packed, k, stage, out, d[0].dtype).dense()
         incl = np.zeros((out.dim, stage.dim))
         for j, e in enumerate(map(tuple, stage.exps)):
             incl[out.row[e], j] = 1.0
@@ -184,12 +195,14 @@ def boundary_cases():
 
 def assert_blocks_are_shifted_symbols(kt):
     """Every block of every d_k holds ±(the shifted symbol) with the
-    ``_stage_blocks`` sign, and every other block is zero."""
+    ``_stage_blocks`` sign, and every other block is zero; no position
+    holds two triplets."""
     st, p, wins = kt.tuple, kt.arity, kt.windows
     real = all(c.imag == 0 for s in st.symbols for c in coefficients(s).values())
     for k, d in enumerate(kt.boundary_matrices, start=1):
         m, n = wins[k].dim, wins[k - 1].dim
         assert d.dtype == (np.float64 if real else np.complex128)
+        assert len(set(zip(d.rows.tolist(), d.cols.tolist()))) == d.vals.size
         want = np.zeros((len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n),
                         dtype=np.complex128)
         for ri, ci, sym, sign in _stage_blocks(p, k):
@@ -197,7 +210,7 @@ def assert_blocks_are_shifted_symbols(kt):
                 assert sign == 1
             want[ri * m:(ri + 1) * m, ci * n:(ci + 1) * n] = (
                 sign * shifted_symbol(st.symbols[sym], wins[k - 1], wins[k]))
-        assert np.array_equal(d, want.real if real else want)
+        assert np.array_equal(d.dense(), want.real if real else want)
 
 
 def test_boundary_matrices_hold_the_symbol_coefficients():
@@ -205,7 +218,7 @@ def test_boundary_matrices_hold_the_symbol_coefficients():
         assert_blocks_are_shifted_symbols(build_koszul(st, n))
     # (z): window cap 4 into cap 5 without truncating, a clean shift
     d1 = build_koszul(symbols(1, p1({(1,): 1})), 4).boundary_matrices[0]
-    assert np.array_equal(d1, np.eye(6, 5, k=-1))
+    assert np.array_equal(d1.dense(), np.eye(6, 5, k=-1))
 
 
 def test_tiny_exact_coefficients_reach_the_maps():
@@ -216,7 +229,7 @@ def test_tiny_exact_coefficients_reach_the_maps():
     kt = build_koszul(st, 2)
     assert_blocks_are_shifted_symbols(kt)
     wins = kt.windows
-    assert kt.boundary_matrices[0][wins[1].row[0, 0], wins[0].row[0, 0]] == 1e-15
+    assert kt.boundary_matrices[0].dense()[wins[1].row[0, 0], wins[0].row[0, 0]] == 1e-15
     # the grading reads the same support: z1 and 1 share a z2 grade only
     assert TupleGrading(st).weights.tolist() == [[0, 1]]
 
@@ -224,8 +237,39 @@ def test_tiny_exact_coefficients_reach_the_maps():
 def test_chain_property_and_exactness(shift_pair, monomial_pair):
     for st in (shift_pair, monomial_pair):
         kt = build_koszul(st, 4)
-        for prod in chain_products(kt):
-            assert np.max(np.abs(prod)) == 0.0
+        assert chain_check(kt)
+        d = [m.dense() for m in kt.boundary_matrices]
+        for a, b in zip(d[1:], d[:-1]):
+            assert np.max(np.abs(a @ b)) == 0.0
+
+
+def test_nonzero_product_matches_the_dense_product(shift_pair, monomial_pair, quarter_pair,
+                                                   non_dyadic_pair, repeated_pair):
+    # both products are within γ·(|a| |b|) of the exact one, so within twice
+    # that of each other; entries no pair of nonzeros reaches are 0 in both
+    tuples = [shift_pair, monomial_pair, quarter_pair, non_dyadic_pair, repeated_pair,
+              rotated(non_dyadic_pair), shifts3(), graded_tuples()[1]]
+    for st in tuples:
+        kt = build_koszul(st, 3 if st.nvars == 2 else 2)
+        for a, b in zip(kt.boundary_matrices[1:], kt.boundary_matrices[:-1]):
+            prod, bound = _nonzero_product(a, b)
+            ref = a.dense() @ b.dense()
+            ref_bound = np.abs(a.dense()) @ np.abs(b.dense())
+            gamma = 4 * (b.shape[0] + 4) * 2.0 ** -53
+            assert prod.shape == ref.shape and prod.dtype == ref.dtype
+            assert np.all(np.abs(prod.dense() - ref) <= 2 * gamma * ref_bound)
+            assert np.all(np.abs(bound - ref_bound[prod.rows, prod.cols])
+                          <= gamma * ref_bound[prod.rows, prod.cols])
+            reached = np.zeros(ref.shape, dtype=bool)
+            reached[prod.rows, prod.cols] = True
+            assert np.all(ref[~reached] == 0)
+
+
+def changed(kt, k, **fields):
+    """``kt`` with map d_{k+1} given new triplet arrays."""
+    d = list(kt.boundary_matrices)
+    d[k] = dataclasses.replace(d[k], **fields)
+    return dataclasses.replace(kt, boundary_matrices=tuple(d))
 
 
 def test_chain_check_catches_a_flipped_sign(non_dyadic_pair):
@@ -233,10 +277,20 @@ def test_chain_check_catches_a_flipped_sign(non_dyadic_pair):
         kt = build_koszul(st, 3)
         assert chain_check(kt)
         for k in range(len(kt.boundary_matrices) - 1):
-            d = [m.copy() for m in kt.boundary_matrices]
-            i, j = np.argwhere(d[k] != 0)[0]
-            d[k][i, j] = -d[k][i, j]
-            assert not chain_check(dataclasses.replace(kt, boundary_matrices=tuple(d)))
+            vals = kt.boundary_matrices[k].vals.copy()
+            vals[0] = -vals[0]
+            assert not chain_check(changed(kt, k, vals=vals))
+
+
+def test_chain_check_catches_an_entry_in_a_wrong_row(non_dyadic_pair):
+    for st in (non_dyadic_pair, rotated(non_dyadic_pair), shifts3()):
+        kt = build_koszul(st, 3)
+        for k in range(len(kt.boundary_matrices) - 1):
+            d = kt.boundary_matrices[k]
+            taken = set(d.rows[d.cols == d.cols[0]].tolist())
+            rows = d.rows.copy()
+            rows[0] = next(r for r in range(d.shape[0]) if r not in taken)
+            assert not chain_check(changed(kt, k, rows=rows))
 
 
 def test_sigma_min_of_shift_stage_one(shift_pair):
@@ -248,7 +302,7 @@ def test_sigma_min_of_shift_stage_one(shift_pair):
 def test_rank_nullity_accounting(quarter_pair):
     kt = build_koszul(quarter_pair, 4)
     for d in kt.boundary_matrices:
-        r = numerical_rank(d, 1e-8)
+        r = numerical_rank(d.dense(), 1e-8)
         kernel = d.shape[1] - r
         assert r + kernel == d.shape[1]
         assert r <= min(d.shape)
@@ -345,9 +399,9 @@ def test_ungraded_tuples_factor_the_whole_matrix(non_dyadic_pair):
         grading = TupleGrading(st)
         assert grading.weights.shape == (0, 2)
         for n in (2, 3):
-            for mat, rows, cols in graded_maps(build_koszul(st, n), grading):
+            for sp, mat, rows, cols in graded_maps(build_koszul(st, n), grading):
                 assert not rows.any() and not cols.any()
-                assert np.array_equal(graded_svdvals(mat, rows, cols), svdvals(mat))
+                assert np.array_equal(graded_svdvals(sp, rows, cols), svdvals(mat))
 
 
 def test_one_grade_matrix_is_factored_as_it_is():
@@ -355,7 +409,7 @@ def test_one_grade_matrix_is_factored_as_it_is():
     # the whole matrix, and its singular values are numpy's, bit for bit
     mat = np.random.default_rng(0).standard_normal((7, 5))
     for key in (0, 3):
-        got = graded_svdvals(mat, np.full(7, key), np.full(5, key))
+        got = graded_svdvals(sparse(mat), np.full(7, key), np.full(5, key))
         assert np.array_equal(got, np.linalg.svd(mat, compute_uv=False))
 
 
@@ -498,6 +552,24 @@ def test_three_variable_shifts():
     route = koszul_route(shifts3())
     assert route.index == -1
     assert route.chain_exact
+
+
+def route_peak_mb(st):
+    """tracemalloc peak of one ``koszul_route(st, rho=0.75)``, in MB."""
+    tracemalloc.start()
+    try:
+        koszul_route(st, rho=0.75)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_graded_route_memory_stays_at_grade_block_size():
+    # no boundary map, enlarged map or chain product is dense: a dense
+    # (z1, z2, z3) route peaks at 12.4 MB and a dense (z1², z2², z3²) one
+    # at 76.8 MB
+    assert route_peak_mb(shifts3()) < 2
+    assert route_peak_mb(graded_tuples()[2]) < 4
 
 
 def test_unstable_is_reported_not_guessed(repeated_pair, shift_pair):

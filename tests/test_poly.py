@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polytoep.certify import shifted_tuple
-from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
+from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex, exact
 from polytoep.kernels import pack_tuple
 from polytoep.poly import (
     MultiPoly,
@@ -130,6 +130,29 @@ def test_float_coefficients_must_be_finite():
     st = symbols(2, exact_poly(2, {(1, 0): 1}), exact_poly(2, {(0, 1): 1}))
     with pytest.raises(ValueError, match="non-finite"):
         shifted_tuple(st, [math.nan, 0])
+
+
+def bool_tuple_jsons():
+    """Tuple JSON with a JSON boolean where a number belongs: nvars of the
+    tuple and of a symbol, an exponent, and the real and imaginary parts."""
+    def tup(nvars=2, sym_nvars=2, exp=(1, 0), re=1, im=0):
+        return {"nvars": nvars, "symbols": [
+            {"nvars": sym_nvars, "terms": [{"exp": list(exp), "re": re, "im": im}]},
+            {"nvars": 2, "terms": [{"exp": [0, 1], "re": 1, "im": 0}]}]}
+    assert tuple_from_json(tup()) == symbols(2, exact_poly(2, {(1, 0): 1}),
+                                             exact_poly(2, {(0, 1): 1}))
+    return [tup(nvars=True), tup(sym_nvars=True), tup(exp=(True, 0)), tup(exp=(1, False)),
+            tup(re=True), tup(im=False)]
+
+
+def test_json_booleans_are_not_numbers():
+    # bool is an int subclass: true must not read as 1, nor false as 0
+    for obj in bool_tuple_jsons():
+        with pytest.raises(ValueError):
+            tuple_from_json(obj)
+    for v in (True, False, (1, True), (False, 0)):
+        with pytest.raises(ValueError, match="boolean"):
+            exact(v)
 
 
 def test_exponents_must_be_integral():

@@ -23,6 +23,7 @@ from polytoep.tensor import TrigPoly, trig_from_json
 
 from conftest import p2
 from test_acceptance import fixture_reports
+from test_poly import bool_tuple_jsons
 
 
 def body_bytes(report):
@@ -334,6 +335,11 @@ def test_job_config_validation(shift_pair):
             JobConfig(input=shift_pair, target_mesh=mesh)
     with pytest.raises(ValueError, match="non-negative"):
         JobConfig(input=shift_pair, n_range=(-1, 3))
+    # a float or bool endpoint would fail in the route, or name the job
+    # [1, 3] with another cache key
+    for n_range in ((1.5, 3), (True, 3), (1, 3.0), (1, False)):
+        with pytest.raises(ValueError, match="integers"):
+            JobConfig(input=shift_pair, n_range=n_range)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -476,6 +482,14 @@ def assert_clean_error(code, err):
     assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
 
 
+def test_cli_rejects_json_booleans_as_numbers(tmp_path):
+    path = tmp_path / "bool.json"
+    for obj in bool_tuple_jsons():
+        path.write_text(json.dumps(obj))
+        code, _, err = cli("index", "--input", str(path))
+        assert_clean_error(code, err)
+
+
 def test_cli_malformed_tensor_input(tmp_path):
     path = tmp_path / "tensor.json"
     z = {"fourier": [{"k": 1, "re": 1.0}]}
@@ -527,6 +541,8 @@ def test_cli_config_values_of_the_wrong_type(inputs, tmp_path):
                              ("index", {"oracle": [5]}),
                              ("index", {"seed": "abc"}),
                              ("index", {"oracle": {"trials": 3.5}}),
+                             ("index", {"n_range": [1.5, 3]}),
+                             ("koszul-dims", {"n_range": [True, 3]}),
                              ("spectrum", {"lambda": [0, 0]})):
         cfg.write_text(json.dumps(content))
         code, _, err = cli(command, "--input", inputs["shifts"], "--config", str(cfg))
