@@ -2,7 +2,7 @@
 
 The region for the Fredholm criterion is the closure of 𝕌ᵣⁿ = 𝔻ⁿ ∖ 𝔻ᵣⁿ,
 covered by the n faces on which one coordinate has modulus in [r, 1] and the
-others range over the whole closed disc.  Its degenerate cases need no code
+others range over the whole closed disc.  Its limiting cases need no code
 of their own: in one variable the region is the annulus r ≤ |z| ≤ 1, and at
 r = 0 the faces coincide in the closed polydisc (the zero-freeness check for
 a factored-out divisor), which is then covered once.
@@ -426,6 +426,21 @@ def boundary_lower_bound(st: SymbolTuple, r: float,
         raise ValueError(f"r must lie in [0, 1), got {r}")
     mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[st.nvars]
     return _certify_region(st, r, mesh, cell_budget)
+
+
+def inside_by_gap(points: np.ndarray, r: float) -> np.ndarray:
+    """Which computed common zeros (rows of ``points``) lie in the open
+    polydisc: those with max_v|z_v| < (1 + r)/2, the Koszul route's ρ.
+
+    Precondition: a boundary certificate at r holds for their tuple.  It
+    proves Σ|fᵢ|² > 0 on r ≤ max_v|z_v| ≤ 1, so every common zero has
+    max_v|z_v| < r or > 1, and a zero computed to within (1 − r)/2 in the
+    max metric falls on its true side of the midpoint: no margin around the
+    torus is needed (Taylor, Acta Math. 1970, for why the boundary alone
+    decides Fredholmness)."""
+    if not 0 <= r < 1:
+        raise ValueError(f"r must lie in [0, 1), got {r}")
+    return np.max(np.abs(points), axis=1) < (1 + r) / 2
 
 
 # ---- essential spectrum ----------------------------------------------------------

@@ -11,7 +11,9 @@ The solve eliminates z₂ when either symbol depends on it and z₁ otherwise;
 a pair in z₁ alone then has a constant resultant and no common zero.
 Perturbations are exact rational constants (every float is one), so the
 resultant (a fraction-free determinant, ``poly.resultant``) and its
-squarefree part stay exact; only companion-matrix root-finding floats.
+squarefree part stay exact; only companion-matrix root-finding floats.  A
+perturbed zero is inside or outside by the gap of the caller's certificate
+(``certify.inside_by_gap``).
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import inside_by_gap
 from .kernels import pack_partials, values_block
 from .poly import (
     MultiPoly,
@@ -34,7 +37,6 @@ from .poly import (
     univariate_coeffs,
 )
 
-BOUNDARY_MARGIN = 1e-6
 _LIFT_TOL = 1e-6
 _DUPLICATE_TOL = 1e-9
 
@@ -45,7 +47,8 @@ class OracleConfig:
     trials: int = 5
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        eps = self.epsilon
+        if type(eps) is bool or not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if type(self.trials) is not int or self.trials < 3:
             raise ValueError(f"need an integer of at least 3 trials for a majority, "
@@ -130,15 +133,15 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
     return pts
 
 
-def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None,
+def perturbed_count_details(st: SymbolTuple, r: float,
+                            cfg: OracleConfig | None = None,
                             *, seed: int = 0) -> dict:
-    """perturbed_count plus its evidence: the per-trial counts, the number of
-    attempts spent, and how many trials were discarded for margin hits."""
+    """perturbed_count plus its evidence: the per-trial counts and the
+    number of attempts spent.  The precondition is ``perturbed_count``'s."""
     cfg = cfg or OracleConfig()
     if len(st) != 2 or st.nvars != 2:
         raise ValueError("perturbed counting handles pairs in two variables")
     counts = []
-    margin_hits = 0
     attempt = 0
     max_attempts = 3 * cfg.trials
     while len(counts) < cfg.trials and attempt < max_attempts:
@@ -147,16 +150,10 @@ def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None,
         pts = _solve_pair(*_perturbed(st, rng, cfg.epsilon).symbols)
         if pts is None:
             continue
-        radii = np.max(np.abs(pts), axis=1) if len(pts) else np.empty(0)
-        if np.any(np.abs(radii - 1.0) <= BOUNDARY_MARGIN):
-            margin_hits += 1
-            continue
-        counts.append(int(np.sum(radii < 1.0 - BOUNDARY_MARGIN)))
+        counts.append(int(np.sum(inside_by_gap(pts, r))))
     if not counts:
-        if margin_hits:
-            raise RuntimeError("every perturbation trial left a zero inside "
-                               "the boundary margin")
-        raise RuntimeError("no usable perturbation trial (degenerate pair?)")
+        raise RuntimeError("no usable perturbation trial: every perturbed "
+                           "pair had a vanishing resultant or an unsplit zero")
     if len(counts) < cfg.trials:
         raise RuntimeError(f"only {len(counts)} of {cfg.trials} perturbation "
                            "trials were usable")
@@ -164,11 +161,14 @@ def perturbed_count_details(st: SymbolTuple, cfg: OracleConfig | None = None,
     if hits * 2 <= len(counts):
         raise NoMajorityError(f"no majority among trial counts {counts}")
     return {"count": value, "trial_counts": counts, "attempts": attempt,
-            "margin_hits": margin_hits, "epsilon": cfg.epsilon}
+            "epsilon": cfg.epsilon}
 
 
-def perturbed_count(st: SymbolTuple, cfg: OracleConfig | None = None,
+def perturbed_count(st: SymbolTuple, r: float, cfg: OracleConfig | None = None,
                     *, seed: int = 0) -> int:
     """Zeros of an ε-perturbed copy strictly inside the bidisc, majority-voted
-    across independent perturbation trials drawn from ``seed``."""
-    return perturbed_count_details(st, cfg, seed=seed)["count"]
+    across independent perturbation trials drawn from ``seed``.
+    Precondition: a boundary certificate at r with bound c holds for ``st``,
+    and 4·(2·Σᵢ sup|fᵢ|·ε + p·ε²) ≤ c, so no perturbed tuple vanishes on
+    r ≤ max_v|z_v| ≤ 1 either; otherwise a zero may be counted wrongly."""
+    return perturbed_count_details(st, r, cfg, seed=seed)["count"]

@@ -71,7 +71,8 @@ class JobConfig:
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (math.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
+        if type(self.rank_tolerance) is bool or not (
+                math.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
             raise ValueError("rank tolerance must be finite and positive")
         if self.n_range is not None:
             a, b = self.n_range
@@ -83,8 +84,9 @@ class JobConfig:
                 raise ValueError(f"empty truncation range {a}..{b}")
         if not self.r_schedule or any(not 0 < r < 1 for r in self.r_schedule):
             raise ValueError("certificate schedule radii must lie in (0, 1)")
-        if self.target_mesh is not None and not (math.isfinite(self.target_mesh)
-                                                 and self.target_mesh > 0):
+        if self.target_mesh is not None and (
+                type(self.target_mesh) is bool
+                or not (math.isfinite(self.target_mesh) and self.target_mesh > 0)):
             raise ValueError("mesh must be finite and positive")
 
 
@@ -201,27 +203,21 @@ def _run_koszul(st: SymbolTuple, cfg: JobConfig,
 
 def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
                    cert: BoundaryCertificate) -> dict:
-    zs = common_zeros(st, seed=cfg.seed)
+    zs = common_zeros(st, cert.r, seed=cfg.seed)
     zeros = [{"point": [_fmt_complex(z.point[0]), _fmt_complex(z.point[1])],
               "multiplicity": z.multiplicity, "location": z.location}
              for z in zs.zeros]
-    out = {"zeros": zeros, "total_inside": zs.total_inside,
-           "quotient_dim": zs.quotient_dim, "degenerate": zs.degenerate}
-    if zs.degenerate:
-        out["error"] = "a zero sits within the boundary margin"
-    else:
-        out["index"] = -zs.total_inside
-    return out
+    return {"zeros": zeros, "total_inside": zs.total_inside,
+            "quotient_dim": zs.quotient_dim, "index": -zs.total_inside}
 
 
 def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
-    """Shrink ε until its worst-case effect on Σ|fᵢ|² is well under the
-    certified bound, so perturbation cannot cross the boundary criterion."""
+    """Halve ε until its worst-case effect on Σ|fᵢ|² is at most a quarter
+    of the certified bound c > 0, so no perturbed zero enters the gap
+    r ≤ max|z_v| ≤ 1 that the oracle's classification reads."""
     sups = sum(coefficient_bounds(s)[0] for s in st.symbols)
     eps = base
-    for _ in range(12):
-        if (2 * sups * eps + len(st) * eps * eps) * 4 <= cert_c:
-            break
+    while (2 * sups * eps + len(st) * eps * eps) * 4 > cert_c:
         eps /= 2
     return eps
 
@@ -229,7 +225,7 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
 def _run_oracle(st: SymbolTuple, cfg: JobConfig,
                 cert: BoundaryCertificate) -> dict:
     eps = _oracle_epsilon(st, cert.c, cfg.oracle.epsilon)
-    detail = perturbed_count_details(st, replace(cfg.oracle, epsilon=eps),
+    detail = perturbed_count_details(st, cert.r, replace(cfg.oracle, epsilon=eps),
                                      seed=cfg.seed)
     detail["index"] = -detail["count"]
     return detail
@@ -388,19 +384,18 @@ def run_index(cfg: JobConfig) -> dict:
         timings[name] = time.perf_counter() - t0
 
     values = set(emitted.values())
-    all_ok = all("error" not in r for r in routes.values()) and \
-        len(emitted) == len(routes)
     if len(values) > 1:
         body["verdict"] = {
             "kind": "disagree",
             "details": {name: val for name, val in sorted(emitted.items())}}
-    elif not values or not all_ok:
-        broken = sorted(name for name, r in routes.items()
-                        if "error" in r or name not in emitted)
+    elif len(emitted) < len(routes):
+        # each silent route's error, else its note (tensor), else its value
+        why = "; ".join(f"{n}: {r.get('error') or r.get('note') or r.get('index')}"
+                        for n, r in sorted(routes.items()) if n not in emitted)
         body["verdict"] = {
             "kind": "not_certifiable",
             "details": f"certificate holds but routes did not all emit an "
-                       f"integer: {', '.join(broken)}"}
+                       f"integer: {why}"}
     else:
         index = values.pop()
         assert chosen.verdict == "certified"       # agree requires certification

@@ -19,7 +19,8 @@ equals a fresh elimination entry for entry.  The commuting check multiplies
 sparse columns, touching stored entries only.  Only
 the final eigensolve is floating point: one complex Schur decomposition of a
 random unit-modulus combination M₁ + τM₂ triangularizes both matrices at
-once, and the paired diagonals are the zero coordinates.
+once, and the paired diagonals are the zero coordinates.  A zero is inside
+or outside by the gap of the caller's certificate (``certify.inside_by_gap``).
 
 Eigenvalues are clustered at radius 1e-7 (multiplicity = cluster size).  A
 cluster of a μ-fold zero spreads like ε^(1/μ), so very high multiplicities
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.linalg import schur
 
-from .certify import BoundaryCertificate, boundary_lower_bound
+from .certify import BoundaryCertificate, boundary_lower_bound, inside_by_gap
 from .exact import EXACT_ZERO, ExactComplex, Scalar, axpy, echelon
 from .kernels import majorant, pack_tuple, values_block
 from .poly import (
@@ -51,7 +52,6 @@ from .poly import (
 )
 
 CLUSTER_RADIUS = 1e-7
-BOUNDARY_MARGIN = 1e-6
 RESIDUAL_TOL = 1e-8
 _MAX_ROUNDS = 6
 _WINDOW_COL_BUDGET = 3200
@@ -66,14 +66,13 @@ class ClusterAmbiguityError(RuntimeError):
 class Zero:
     point: Tuple[complex, complex]
     multiplicity: int
-    location: str                 # inside | boundary_proximate | outside
+    location: str                 # inside | outside
 
 
 @dataclass(frozen=True)
 class ZeroSet:
     zeros: Tuple[Zero, ...]
     total_inside: int
-    degenerate: bool              # any zero within the boundary margin
     quotient_dim: int
 
 
@@ -255,18 +254,12 @@ def _relative_residuals(st: SymbolTuple, points: np.ndarray) -> np.ndarray:
     return np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0), axis=1)
 
 
-def _classify(point: np.ndarray) -> str:
-    m = float(np.max(np.abs(point)))
-    if m < 1.0 - BOUNDARY_MARGIN:
-        return "inside"
-    if m > 1.0 + BOUNDARY_MARGIN:
-        return "outside"
-    return "boundary_proximate"
-
-
-def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
+def common_zeros(st: SymbolTuple, r: float, *, seed: int = 0) -> ZeroSet:
     """Locate all common zeros with multiplicities; the multiplicity sum
-    always equals the quotient dimension.  The pair must be coprime, and
+    always equals the quotient dimension.  Precondition: a boundary
+    certificate at r holds for ``st`` (see ``certify.inside_by_gap``); with
+    a zero on or near the torus a location may be wrong.  The pair must be
+    coprime, and
     ``quotient_basis`` raises on any other: with a common factor g of degree
     d ≥ 1 (a zero symbol included) every echelon row lies in (g), so every
     pivot is divisible by LM(g) and each degree s ≥ d keeps d normal
@@ -276,7 +269,7 @@ def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
     ns, m1, m2 = quotient_basis(st)
     dim = len(ns)
     if dim == 0:
-        return ZeroSet((), 0, False, 0)
+        return ZeroSet((), 0, 0)
     a1 = np.array([[c.to_complex() for c in row] for row in m1])
     a2 = np.array([[c.to_complex() for c in row] for row in m2])
     for trial in range(2):
@@ -297,30 +290,25 @@ def common_zeros(st: SymbolTuple, *, seed: int = 0) -> ZeroSet:
                     f"{complex(centers[worst][1]):.6g}) has relative residual "
                     f"{residuals[worst]:.2g} (tolerance {RESIDUAL_TOL:g}): the "
                     f"eigensolve of the quotient basis is ill-conditioned")
-            zeros = []
-            for cl, ctr in zip(clusters, centers):
-                zeros.append(Zero(point=(complex(ctr[0]), complex(ctr[1])),
-                                  multiplicity=cl.shape[0],
-                                  location=_classify(ctr)))
+            inside = inside_by_gap(np.array(centers), r)
+            zeros = [Zero(point=(complex(ctr[0]), complex(ctr[1])),
+                          multiplicity=cl.shape[0],
+                          location="inside" if ins else "outside")
+                     for cl, ctr, ins in zip(clusters, centers, inside)]
             zeros.sort(key=lambda z: (abs(z.point[0]), abs(z.point[1]),
                                       z.point[0].real, z.point[1].real))
-            inside = sum(z.multiplicity for z in zeros if z.location == "inside")
-            degenerate = any(z.location == "boundary_proximate" for z in zeros)
-            return ZeroSet(tuple(zeros), inside, degenerate, dim)
+            return ZeroSet(tuple(zeros), sum(z.multiplicity for z in zeros
+                                             if z.location == "inside"), dim)
     raise ClusterAmbiguityError(
         "zero clusters closer than the cluster radius persisted after a "
         "retry; refine the eigensolve or perturb the tuple")
 
 
-def algebraic_index(st: SymbolTuple, *, seed: int = 0) -> int:
+def algebraic_index(st: SymbolTuple, r: float, *, seed: int = 0) -> int:
     """Index by zero counting: minus the number of common zeros strictly
     inside the open bidisc, with multiplicity.  Raises on non-finite zero
-    sets and on zeros too close to the distinguished boundary to classify."""
-    zs = common_zeros(st, seed=seed)
-    if zs.degenerate:
-        raise ValueError("a common zero sits within the boundary margin; "
-                         "the count inside is not decidable at this precision")
-    return -zs.total_inside
+    sets.  The precondition is ``common_zeros``'s."""
+    return -common_zeros(st, r, seed=seed).total_inside
 
 
 def gcd_reduce(st: SymbolTuple) -> GcdReduction:

@@ -12,13 +12,14 @@ from polytoep.oracle import (
     perturbed_count,
     perturbed_count_details,
 )
-from polytoep.poly import symbols
+from polytoep.poly import coefficient_bounds, symbols
+from polytoep.report import _oracle_epsilon
 
 from conftest import p2
 
 
 def test_config_validation():
-    for epsilon in (0.0, math.nan, math.inf):
+    for epsilon in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="epsilon"):
             OracleConfig(epsilon=epsilon)
     for trials in (2, 3.5, 5.0, True, "5"):
@@ -27,25 +28,26 @@ def test_config_validation():
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
-    assert perturbed_count(shift_pair) == 1
-    assert perturbed_count(monomial_pair) == 6
-    assert perturbed_count(quarter_pair) == 2
+    # each at the radius where its certificate holds
+    assert perturbed_count(shift_pair, 0.5) == 1
+    assert perturbed_count(monomial_pair, 0.5) == 6
+    assert perturbed_count(quarter_pair, 0.75) == 2
     cross = symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))
-    assert perturbed_count(cross) == 2
+    assert perturbed_count(cross, 0.5) == 2
     far = symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
-    assert perturbed_count(far) == 0
+    assert perturbed_count(far, 0.5) == 0
     # both symbols constant in z2: z1 is eliminated, and the perturbed
     # pair's resultant is a nonzero constant, so there is nothing to count
     z1 = p2({(1, 0): 1})
     for p, q in ((z1, p2({(1, 0): 1, (0, 0): "-1/2"})),
                  (p2({(2, 0): 1, (0, 0): "-1/2"}), z1)):
-        assert perturbed_count(symbols(2, p, q)) == 0
+        assert perturbed_count(symbols(2, p, q), 0.5) == 0
 
 
 def test_details_are_deterministic(monomial_pair):
     cfg = OracleConfig()
-    a = perturbed_count_details(monomial_pair, cfg, seed=11)
-    b = perturbed_count_details(monomial_pair, cfg, seed=11)
+    a = perturbed_count_details(monomial_pair, 0.5, cfg, seed=11)
+    b = perturbed_count_details(monomial_pair, 0.5, cfg, seed=11)
     assert a == b
     assert a["count"] == 6
     assert len(a["trial_counts"]) >= cfg.trials
@@ -53,15 +55,24 @@ def test_details_are_deterministic(monomial_pair):
 
 
 def test_seed_changes_trials_not_count(quarter_pair):
-    counts = {perturbed_count(quarter_pair, seed=s) for s in range(4)}
+    counts = {perturbed_count(quarter_pair, 0.75, seed=s) for s in range(4)}
     assert counts == {2}
 
 
 def test_epsilon_halving_stability(shift_pair, quarter_pair):
-    for st in (shift_pair, quarter_pair):
-        base = perturbed_count(st, OracleConfig(epsilon=1e-3))
-        assert perturbed_count(st, OracleConfig(epsilon=5e-4)) == base
-        assert perturbed_count(st, OracleConfig(epsilon=2.5e-4)) == base
+    for st, r in ((shift_pair, 0.5), (quarter_pair, 0.75)):
+        base = perturbed_count(st, r, OracleConfig(epsilon=1e-3))
+        assert perturbed_count(st, r, OracleConfig(epsilon=5e-4)) == base
+        assert perturbed_count(st, r, OracleConfig(epsilon=2.5e-4)) == base
+
+
+def test_oracle_epsilon_meets_its_bound(shift_pair):
+    # a bound far below what twelve halvings of 10⁻³ reach
+    c = 1e-9
+    eps = _oracle_epsilon(shift_pair, c, 1e-3)
+    sups = sum(coefficient_bounds(s)[0] for s in shift_pair.symbols)
+    assert 0 < eps and 4 * (2 * sups * eps + 2 * eps * eps) <= c
+    assert _oracle_epsilon(shift_pair, 1.0, 1e-3) == 1e-3
 
 
 def test_even_split_has_no_majority(monkeypatch, shift_pair):
@@ -70,4 +81,4 @@ def test_even_split_has_no_majority(monkeypatch, shift_pair):
     found = itertools.cycle([np.empty((0, 2), dtype=complex), np.zeros((1, 2), dtype=complex)])
     monkeypatch.setattr(oracle, "_solve_pair", lambda p, q: next(found))
     with pytest.raises(NoMajorityError, match=r"\[0, 1, 0, 1\]"):
-        perturbed_count_details(shift_pair, OracleConfig(trials=4))
+        perturbed_count_details(shift_pair, 0.5, OracleConfig(trials=4))

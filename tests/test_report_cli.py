@@ -56,9 +56,19 @@ def test_ill_conditioned_algebraic_route_abstains(ill_conditioned_pair):
     # misplaced eigenvalues are an error of that route, never an index 0
     body = run_index(JobConfig(input=ill_conditioned_pair))["body"]
     assert body["verdict"]["kind"] == "not_certifiable"
-    assert body["verdict"]["details"].endswith(": algebraic")
+    assert "integer: algebraic: located zero" in body["verdict"]["details"]
     assert "relative residual" in body["routes"]["algebraic"]["error"]
     assert body["routes"]["koszul"]["index"] == body["routes"]["oracle"]["index"] == -2
+
+
+def test_not_certifiable_names_each_silent_route_and_why():
+    # (z1 - 1001/1000, z2) certifies at r = 0.9; algebraic and oracle give 0
+    st = symbols(2, p2({(1, 0): 1, (0, 0): "-1001/1000"}), p2({(0, 1): 1}))
+    verdict = run_index(JobConfig(input=st))["body"]["verdict"]
+    assert verdict == {
+        "kind": "not_certifiable",
+        "details": "certificate holds but routes did not all emit an integer: "
+                   "koszul: unstable; tensor: a factor vanishes on the circle"}
 
 
 def test_float_json_pair_gets_every_pair_route(tmp_path):
@@ -327,10 +337,10 @@ def test_job_config_validation(shift_pair):
             JobConfig(input=shift_pair, seed=seed)
     with pytest.raises(ValueError):
         JobConfig(input=shift_pair, r_schedule=(0.5, 1.5))
-    for tol in (0.0, math.nan, math.inf):
+    for tol in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="rank tolerance"):
             JobConfig(input=shift_pair, rank_tolerance=tol)
-    for mesh in (0.0, math.nan, math.inf):
+    for mesh in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="mesh"):
             JobConfig(input=shift_pair, target_mesh=mesh)
     with pytest.raises(ValueError, match="non-negative"):
@@ -537,6 +547,7 @@ def test_cli_unknown_oracle_option(inputs, tmp_path):
 def test_cli_config_values_of_the_wrong_type(inputs, tmp_path):
     cfg = tmp_path / "cfg.json"
     for command, content in (("index", {"rank_tolerance": "tight"}),
+                             ("index", {"rank_tolerance": True}),
                              ("index", {"r_schedule": 0.5}),
                              ("index", {"oracle": [5]}),
                              ("index", {"seed": "abc"}),

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from polytoep import zeros
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.koszul import MonomialWindow
-from polytoep.poly import exact_poly, gcd_bivariate, symbols
+from polytoep.poly import coefficient_bounds, exact_poly, gcd_bivariate, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
     algebraic_index,
@@ -176,12 +176,13 @@ def test_common_zeros_needs_a_coprime_pair(repeated_pair, shared_line_pair, z1):
     # a common factor keeps normal monomials in every degree: the staircase
     # never stabilizes, and a budget error says why
     zero = exact_poly(2, {})
+    # (none certifies; the quotient basis raises before r is read)
     for st in (repeated_pair, shared_line_pair, symbols(2, z1, zero)):
         with pytest.raises((RuntimeError, ValueError), match="common factor"):
-            common_zeros(st)
+            common_zeros(st, 0.5)
     # no common zeros at all: 1 lies in the ideal
     one = p2({(0, 0): 1})
-    zs = common_zeros(symbols(2, z1, z1 + one))
+    zs = common_zeros(symbols(2, z1, z1 + one), 0.5)
     assert zs.zeros == () and zs.total_inside == 0 and zs.quotient_dim == 0
 
 
@@ -280,8 +281,8 @@ def test_quotient_basis_matches_reference_on_random_pairs(st):
 
 
 def test_common_zeros_quarter_pair(quarter_pair):
-    zs = common_zeros(quarter_pair)
-    assert zs.quotient_dim == 2 and zs.total_inside == 2 and not zs.degenerate
+    zs = common_zeros(quarter_pair, 0.75)
+    assert zs.quotient_dim == 2 and zs.total_inside == 2
     pts = sorted(z.point[0].real for z in zs.zeros)
     assert pts == pytest.approx([-0.5, 0.5], abs=1e-8)
     assert all(z.multiplicity == 1 and z.location == "inside" for z in zs.zeros)
@@ -290,51 +291,73 @@ def test_common_zeros_quarter_pair(quarter_pair):
 def test_common_zeros_multiplicity_and_sum_rule():
     # (z1 - z2, z1 z2) meets only at the origin, with multiplicity two
     st = symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))
-    zs = common_zeros(st)
+    zs = common_zeros(st, 0.5)
     assert zs.total_inside == 2
     assert len(zs.zeros) == 1 and zs.zeros[0].multiplicity == 2
     assert sum(z.multiplicity for z in zs.zeros) == zs.quotient_dim
     # a fat origin: (z1^2, z2^3) carries the full quotient dimension 6
     fat = symbols(2, p2({(2, 0): 1}), p2({(0, 3): 1}))
-    zf = common_zeros(fat)
+    zf = common_zeros(fat, 0.5)
     assert zf.quotient_dim == 6 and zf.total_inside == 6
 
 
 def test_outside_zero_does_not_count():
     st = symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
-    zs = common_zeros(st)
+    zs = common_zeros(st, 0.5)
     assert zs.total_inside == 0
     assert [z.location for z in zs.zeros] == ["outside"]
     assert zs.zeros[0].point[0] == pytest.approx(2.0, abs=1e-8)
-    assert algebraic_index(st) == 0
+    assert algebraic_index(st, 0.5) == 0
 
 
 def test_conjugation_symmetry_of_real_systems():
     # real coefficients: zeros (±i/2, 0) come as a conjugate pair
     st = symbols(2, p2({(2, 0): 1, (0, 0): "1/4"}), p2({(0, 1): 1}))
-    zs = common_zeros(st)
+    zs = common_zeros(st, 0.75)
     xs = sorted(z.point[0].imag for z in zs.zeros)
     assert xs == pytest.approx([-0.5, 0.5], abs=1e-8)
     assert max(abs(z.point[0].real) for z in zs.zeros) < 1e-8
 
 
 def test_algebraic_index_values(shift_pair, quarter_pair, monomial_pair):
-    assert algebraic_index(shift_pair) == -1
-    assert algebraic_index(quarter_pair) == -2
-    assert algebraic_index(monomial_pair) == -6
+    assert algebraic_index(shift_pair, 0.5) == -1
+    assert algebraic_index(quarter_pair, 0.75) == -2
+    assert algebraic_index(monomial_pair, 0.5) == -6
 
 
-def test_boundary_zero_blocks_the_count():
-    st = symbols(2, p2({(1, 0): 1, (0, 0): -1}), p2({(0, 1): 1}))
-    zs = common_zeros(st)
-    assert zs.degenerate
-    with pytest.raises(ValueError):
-        algebraic_index(st)
+def linear_pair(a, b):
+    """(z1 - a, z2 - b) for rationals a, b given as strings."""
+    return symbols(2, p2({(1, 0): 1, (0, 0): -Fraction(a)}),
+                   p2({(0, 1): 1, (0, 0): -Fraction(b)}))
+
+
+@pytest.mark.parametrize("st, index", [
+    (linear_pair("5/4", "0"), 0),
+    (linear_pair("-5/4", "0"), 0),
+    (linear_pair("9/8", "0"), 0),
+    (linear_pair("65/64", "65/64"), 0),
+    (linear_pair("1001/1000", "0"), 0),          # certifies at r = 0.9 only
+    (symbols(2, p2({(1, 0): 1, (0, 0): "-2/5"}) * p2({(1, 0): 1, (0, 0): "-5/2"}),
+             p2({(0, 1): 1, (0, 0): "-1/3"})), -1),
+], ids=["5/4", "-5/4", "9/8", "65/64 twice", "1001/1000", "2/5 and 5/2"])
+def test_certificate_gap_places_every_zero(st, index):
+    # a certificate at r leaves no zero in r ≤ max|z_v| ≤ 1: each route
+    # classifies at (1 + r)/2, and the oracle's ε keeps its zeros out of
+    # the gap
+    body = run_index(JobConfig(input=st))["body"]
+    cert, routes = body["certificate"], body["routes"]
+    assert routes["algebraic"]["index"] == routes["oracle"]["index"] == index
+    for z in routes["algebraic"]["zeros"]:
+        radius = max(abs(complex(float(c["re"]), float(c["im"]))) for c in z["point"])
+        assert z["location"] == ("inside" if radius < 1 else "outside")
+    eps, sups = routes["oracle"]["epsilon"], sum(
+        coefficient_bounds(s)[0] for s in st.symbols)
+    assert 4 * (2 * sups * eps + 2 * eps * eps) <= cert["c"]
 
 
 def test_determinism_across_calls(quarter_pair):
-    a = common_zeros(quarter_pair, seed=3)
-    b = common_zeros(quarter_pair, seed=3)
+    a = common_zeros(quarter_pair, 0.75, seed=3)
+    b = common_zeros(quarter_pair, 0.75, seed=3)
     assert a == b
 
 
@@ -359,12 +382,12 @@ def test_gcd_reduce_zero_free_factor():
     red = gcd_reduce(st)
     assert red.factor_zero_free
     assert red.certificate.verdict == "certified" and red.certificate.c > 0
-    assert algebraic_index(red.reduced) == -1
+    assert algebraic_index(red.reduced, 0.75) == -1     # (z1, z2 - 1/2)
 
 
 def test_ill_conditioned_eigensolve_raises(ill_conditioned_pair):
     # the Schur step puts both zeros near z1 = 0.05 ± 2.6i, where the pair
     # does not vanish: the residual check must refuse them, not count 0
     with pytest.raises(RuntimeError, match="relative residual 0.9"):
-        common_zeros(ill_conditioned_pair)
+        common_zeros(ill_conditioned_pair, 0.5)
 
