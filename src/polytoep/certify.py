@@ -71,6 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .exact import exact
 from .kernels import PackedTuple, majorant, pack_partials, pack_tuple, values_block
 from .poly import (SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
@@ -483,11 +484,12 @@ def _region_grid(nvars: int, r: float, resolution: int) -> np.ndarray:
     return pts[keep]
 
 
-def essential_spectrum_membership(st: SymbolTuple, lam: Sequence[complex],
+def essential_spectrum_membership(st: SymbolTuple, lam: Sequence,
                                   r_schedule: Sequence[float] = DEFAULT_R_SCHEDULE
                                   ) -> SpectrumQuery:
-    """Decide λ against the essential spectrum of the tuple from the boundary
-    certificates of the λ-shifted tuple at the scheduled radii.
+    """Decide λ, each component read by ``exact``, against the essential
+    spectrum of the tuple from the boundary certificates of the λ-shifted
+    tuple at the scheduled radii.
 
     outside: some scheduled r certifies, at distance √c (certificate-backed).
     Otherwise the distance at r is √min_sample, the smallest value the
@@ -498,7 +500,7 @@ def essential_spectrum_membership(st: SymbolTuple, lam: Sequence[complex],
     """
     if not r_schedule:
         raise ValueError("empty r schedule")
-    lam = tuple(complex(l) for l in lam)
+    lam = tuple(map(exact, lam))
     shifted = shifted_tuple(st, lam)
     worst = 0.0
     for r in r_schedule:

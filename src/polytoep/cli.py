@@ -49,11 +49,11 @@ def _parse_n_range(text: str):
 
 def _parse_lambda(value):
     """λ from the flag's re,im words or from the file's [re, im] pairs, each
-    part read by ``exact`` (so "p/q" works) and rounded to float."""
+    part read exactly by ``exact`` (so "p/q" works)."""
     if all(isinstance(x, str) for x in value):
         value = [word.split(",") for word in " ".join(value).split()]
     try:
-        return tuple(exact((re, im)).to_complex() for re, im in value)
+        return tuple(exact((re, im)) for re, im in value)
     except (TypeError, ValueError):
         raise ValueError(
             f"expected re,im pairs (e.g. --lambda 0,0 1,0), got {value!r}")

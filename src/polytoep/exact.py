@@ -78,6 +78,9 @@ class ExactComplex:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
 
+    def conjugate(self) -> "ExactComplex":
+        return ExactComplex(self.re, -self.im)
+
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 

@@ -292,6 +292,62 @@ def divexact(p: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(p.nvars, quo)
 
 
+def disc_zero_count(p: MultiPoly) -> tuple:
+    """(inside, on_circle): the zeros of a nonzero univariate polynomial in
+    the open unit disc and on the unit circle, with multiplicity, exactly,
+    by the Schur–Cohn recursion (Henrici, *Applied and Computational Complex
+    Analysis* I, §6.8).  If δ = |c₀|² − |cₙ|² ≠ 0 and p has no zero on the
+    circle, Tp = c̄₀·p − cₙ·p*, p*(z) = zⁿ·p̄(1/z), has degree below n and as
+    many zeros inside as p (δ > 0) or n minus as many (δ < 0).  Each step
+    keeps g = gcd(p, p*), which holds the circle zeros and the pairs
+    (w, 1/w̄) and has δ = 0, so the recursion meets δ = 0 if g ≠ 1.  Then the
+    count restarts on p/g, and g, being self-inversive, has as many zeros
+    inside the disc as outside, and as many outside as g′ (Bonsall–Marden,
+    Proc. AMS 1952).  If g = 1, a disc automorphism removes the singularity."""
+    c = univariate_coeffs(p)
+    if not c:
+        raise ValueError("the zero polynomial has no zero count")
+    g, base, sign, on_circle, shifts = None, 0, 1, 0, 0
+    while len(c) > 1:
+        delta = c[0].abs2() - c[-1].abs2()
+        if delta == 0 and g is None:
+            star = {(p.degree() - k,): a.conjugate() for (k,), a in p.terms.items()}
+            g = gcd_univariate(p, MultiPoly(1, star))
+            m = g.degree()
+            if m > 0:
+                d_inside, d_on = disc_zero_count(g.diff(0))
+                base = m - 1 - d_inside - d_on             # zeros of g outside
+                c, sign, on_circle = univariate_coeffs(divexact(p, g)), 1, m - 2 * base
+                continue
+        if delta == 0:
+            if shifts == len(_DISC_SHIFTS):
+                raise ValueError("Schur–Cohn: singular at every disc automorphism tried")
+            c, shifts = _compose_automorphism(c, _DISC_SHIFTS[shifts]), shifts + 1
+            continue
+        n, a0, an = len(c) - 1, c[0].conjugate(), c[-1]
+        c = [a0 * x - an * y.conjugate() for x, y in zip(c[:-1], c[:0:-1])]
+        while not c[-1]:
+            c.pop()
+        if delta < 0:
+            base, sign = base + sign * n, -sign
+        shifts = 0
+    return base, on_circle
+
+
+# no t is real: |p(t)| = |p*(t)| at every real t if p*(z) = p(−z), as for z² − (3/2)i·z + 1
+_DISC_SHIFTS = (ExactComplex("1/3", "1/2"), ExactComplex("-2/7", "1/5"))
+
+
+def _compose_automorphism(c: list, t: ExactComplex) -> list:
+    """Ascending coefficients of Σ cₖ(z + t)ᵏ(1 + t̄z)ⁿ⁻ᵏ = (1 + t̄z)ⁿ·p((z + t)/(1 + t̄z)),
+    n = deg p, whose zeros are those of p moved by a disc automorphism."""
+    u, v = MultiPoly(1, {(0,): t, (1,): 1}), MultiPoly(1, {(0,): 1, (1,): t.conjugate()})
+    q = MultiPoly(1, {})
+    for k, a in enumerate(c):
+        q = q + (_pow_poly1(u, k) * _pow_poly1(v, len(c) - 1 - k)).scale(a)
+    return univariate_coeffs(q)
+
+
 # ---- bivariate structure ---------------------------------------------------
 
 def _as_univariate_in(p: MultiPoly, var: int) -> list:

@@ -440,7 +440,7 @@ def run_spectrum(cfg: JobConfig, lam: Optional[Sequence[complex]] = None, *,
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
             "input": tuple_to_json(st),
-            "lambda": [_fmt_complex(z) for z in q.lam],
+            "lambda": [_fmt_complex(z.to_complex()) for z in q.lam],
             "r": q.r,
             "verdict": q.verdict,
             "distance_estimate": f"{q.distance_estimate:.17g}",

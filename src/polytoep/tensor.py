@@ -4,11 +4,11 @@ A tuple (f₁(z₁), …, fₙ(zₙ)) acts as a tensor product of one-variable
 Toeplitz operators, and when every factor is Fredholm and none is
 invertible, the tuple index is (−1)^{n+1}·∏ ind(T_{fᵢ}).  Symbols are
 trigonometric polynomials on the circle (negative Fourier indices allowed,
-so z̄ is in scope); Fredholmness of a factor is decided by a certified
-winding number (``fourier_winding``), and ind(T_f) = −winding(f).  At
-n = 1 the formula is the classical criterion for one Toeplitz operator:
-T_f is Fredholm exactly when f has no zero on the circle, of index
-−winding(f).
+so z̄ is in scope) with exact coefficients.  With lo the lowest Fourier
+index, q = z^(−lo)·f is a polynomial whose zeros ``poly.disc_zero_count``
+counts exactly: T_f is Fredholm exactly when q has no zero on the circle,
+and then ind(T_f) = −winding(f) = −(lo + the zeros of q in the disc).  At
+n = 1 this is the classical criterion for one Toeplitz operator.
 
 A factor is invertible exactly when its winding number is 0: by Coburn's
 lemma a Fredholm Toeplitz operator with continuous symbol and index 0 is
@@ -27,59 +27,44 @@ its koszul and disc routes must agree.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .exact import exact
-from .poly import MultiPoly, SymbolTuple, integral
-
-QUADRATURE_POINTS = 256          # first node count of ``fourier_winding``
+from .exact import ExactComplex, exact
+from .poly import MultiPoly, SymbolTuple, disc_zero_count, integral
 
 
+@dataclass(frozen=True)
 class TrigPoly:
-    """Trigonometric polynomial Σ c_k e^{ikθ} with finitely many terms."""
+    """Trigonometric polynomial Σ c_k e^{ikθ} with finitely many terms; each
+    c_k is read by ``exact``, so NaN and ±inf are a ValueError."""
+    coeffs: Mapping[int, ExactComplex]
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, complex]):
-        clean = {integral(k, "Fourier index"): complex(c)
-                 for k, c in coeffs.items() if c != 0}
-        if not all(map(cmath.isfinite, clean.values())):
-            raise ValueError("non-finite Fourier coefficient")
+    def __post_init__(self):
+        exacts = {integral(k, "Fourier index"): exact(c) for k, c in self.coeffs.items()}
+        clean = {k: c for k, c in exacts.items() if c}
         if not clean:
             raise ValueError("zero trigonometric polynomial")
         object.__setattr__(self, "coeffs", clean)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
-        return f"TrigPoly({{{items}}})"
-
 
 def trig_from_poly(p: MultiPoly, var: int = 0) -> TrigPoly:
     """Analytic polynomial in one variable, viewed on the circle."""
-    coeffs: Dict[int, complex] = {}
-    for e, c in p.terms.items():
+    for e in p.terms:
         for v, k in enumerate(e):
             if k and v != var:
                 raise ValueError(f"symbol uses variable {v}, expected only {var}")
-        coeffs[e[var]] = coeffs.get(e[var], 0) + c.to_complex()
-    return TrigPoly(coeffs)
+    return TrigPoly({e[var]: c for e, c in p.terms.items()})
 
 
 def trig_from_json(obj: dict) -> TrigPoly:
-    coeffs: Dict[int, complex] = {}
+    coeffs: Dict[int, ExactComplex] = {}
     try:
         for t in obj["fourier"]:
             k = integral(t["k"], "Fourier index")
             if k in coeffs:
                 raise ValueError(f"duplicate Fourier index {k}")
-            coeffs[k] = exact((t["re"], t.get("im", 0))).to_complex()
+            coeffs[k] = exact((t["re"], t.get("im", 0)))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed Fourier factor: {exc!r}") from exc
     return TrigPoly(coeffs)
@@ -100,36 +85,15 @@ class TensorIndexReport:
     note: str = ""
 
 
-def fourier_winding(coeffs: Mapping[int, complex], npts: int) -> Optional[int]:
-    """Winding of f(θ) = Σ c_k e^{ikθ} around 0, by trapezoidal quadrature of
-    f′/f on npts nodes (doubled once if needed); None when f may vanish on
-    the circle or the quadrature does not settle.  The contour is certified
-    nonvanishing by sampling plus a Lipschitz bound before the quadrature is
-    trusted."""
-    ks = np.array(sorted(coeffs))
-    cs = np.array([coeffs[int(k)] for k in ks], dtype=complex)
-    lip = float(np.sum(np.abs(ks) * np.abs(cs)))   # sup |f′| on the circle
-    for _ in range(2):
-        theta = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
-        modes = np.exp(1j * np.outer(theta, ks))
-        vals = modes @ cs
-        if np.min(np.abs(vals)) <= lip * np.pi / npts:
-            npts *= 2
-            continue
-        w = np.mean((modes @ (1j * ks * cs)) / vals) / 1j
-        k = round(w.real)
-        if abs(w - k) <= 0.25:
-            return int(k)
-        npts *= 2
-    return None
-
-
 def trig_toeplitz_index(f: TrigPoly) -> FactorIndex:
-    """Fredholm data of one Toeplitz factor: winding-certified Fredholmness,
-    index = −winding, and invertibility (winding 0, by Coburn's lemma)."""
-    w = fourier_winding(f.coeffs, QUADRATURE_POINTS)
-    if w is None:
+    """Fredholm data of one Toeplitz factor (module docstring), invertible at
+    winding 0 by Coburn's lemma."""
+    lo = min(f.coeffs)
+    inside, on_circle = disc_zero_count(
+        MultiPoly(1, {(k - lo,): c for k, c in f.coeffs.items()}))
+    if on_circle:
         return FactorIndex(fredholm=False, index=None, invertible_flag=False)
+    w = lo + inside
     return FactorIndex(fredholm=True, index=-w, invertible_flag=w == 0)
 
 

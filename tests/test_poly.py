@@ -2,6 +2,8 @@
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from polytoep.poly import (
     canonical_tuple_json,
     coefficient_bounds,
     directional_gradient_bounds,
+    disc_zero_count,
     divexact,
     exact_poly,
     gcd_bivariate,
@@ -175,6 +178,52 @@ def test_gcd_univariate_and_divexact():
     # monic gcd of degree 2 with roots 0 and 1/2
     assert g.degree() == 2
     assert divexact(p, g) * g == p
+
+
+# -- zeros in the unit disc, exactly ------------------------------------------
+
+
+def from_roots(*roots):
+    """The monic polynomial with these roots, each read by ``exact``."""
+    return reduce(mul, (exact_poly(1, {(1,): 1, (0,): -exact(w)}) for w in roots))
+
+
+gaussian_ints = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(gaussian_ints, min_size=2, max_size=7).filter(lambda c: c[-1] != 0))
+def test_disc_zero_count_matches_numpy_roots(coeffs):
+    roots = np.roots(coeffs[::-1])
+    assume(np.all(np.abs(np.abs(roots) - 1) >= 1e-3))
+    p = exact_poly(1, {(k,): c for k, c in enumerate(coeffs)})
+    assert disc_zero_count(p) == (int(np.sum(np.abs(roots) < 1)), 0)
+
+
+PYTHAGOREAN = (ExactComplex(Fraction(3, 5), Fraction(4, 5)),
+               ExactComplex(Fraction(-5, 13), Fraction(12, 13)))
+
+
+@pytest.mark.parametrize("p, counts", [
+    # Pythagorean circle zeros of multiplicity 2, with one zero inside, one outside
+    (from_roots(*PYTHAGOREAN, *PYTHAGOREAN, "1/2", 3), (1, 4)),
+    (from_roots("2/5", "5/2"), (1, 0)),                  # a reciprocal pair
+    (from_roots(1, "1/2"), (1, 1)),                      # δ < 0, then the circle zero
+    # δ = 0 with gcd(p, p*) = 1: the non-essential singular case
+    (exact_poly(1, {(0,): 1, (1,): 3, (2,): -1}), (1, 0)),
+    (exact_poly(1, {(2,): 1, (1,): (0, "-3/2"), (0,): 1}), (1, 0)),
+    (from_roots("999/1000"), (1, 0)),
+    (from_roots("1001/1000"), (0, 0)),
+    (from_roots(0, 0, "1001/1000"), (2, 0)),
+    (exact_poly(1, {(0,): 5}), (0, 0)),
+])
+def test_disc_zero_count_exact_cases(p, counts):
+    assert disc_zero_count(p) == counts
+
+
+def test_disc_zero_count_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        disc_zero_count(exact_poly(1, {}))
 
 
 def test_gcd_bivariate_fixtures():

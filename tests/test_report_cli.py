@@ -2,6 +2,7 @@
 import json
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import polytoep
-from polytoep.certify import essential_spectrum_cloud
-from polytoep.cli import main
+from polytoep.certify import (essential_spectrum_cloud, essential_spectrum_membership,
+                              shifted_tuple)
+from polytoep.cli import _parse_lambda, main
 from polytoep.exact import ExactComplex
 from polytoep.koszul import build_koszul, dump_matrices
 from polytoep.oracle import OracleConfig
@@ -62,13 +64,18 @@ def test_ill_conditioned_algebraic_route_abstains(ill_conditioned_pair):
 
 
 def test_not_certifiable_names_each_silent_route_and_why():
-    # (z1 - 1001/1000, z2) certifies at r = 0.9; algebraic and oracle give 0
+    # (z1 - 1001/1000, z2) certifies at r = 0.9; algebraic, oracle and
+    # tensor give 0 (z1 - 1001/1000 is invertible), koszul abstains
     st = symbols(2, p2({(1, 0): 1, (0, 0): "-1001/1000"}), p2({(0, 1): 1}))
-    verdict = run_index(JobConfig(input=st))["body"]["verdict"]
-    assert verdict == {
+    body = run_index(JobConfig(input=st))["body"]
+    assert body["verdict"] == {
         "kind": "not_certifiable",
         "details": "certificate holds but routes did not all emit an integer: "
-                   "koszul: unstable; tensor: a factor vanishes on the circle"}
+                   "koszul: unstable"}
+    assert body["routes"]["tensor"]["per_factor"] == [
+        {"fredholm": True, "index": 0, "invertible_flag": True},
+        {"fredholm": True, "index": -1, "invertible_flag": False}]
+    assert body["routes"]["tensor"]["index"] == 0
 
 
 def test_float_json_pair_gets_every_pair_route(tmp_path):
@@ -356,8 +363,12 @@ def test_job_config_validation(shift_pair):
 
 
 def cli(*args, cwd=None):
+    # the child does not inherit pytest's pythonpath, so it gets src itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "polytoep.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -419,6 +430,16 @@ def test_cli_certify_and_spectrum(inputs):
     cloud = essential_spectrum_cloud(load_tuple(inputs["shifts"]), 0.9, 6)
     assert code == 0 and json.loads(out) == {
         "points": [[x for v in row for x in (v.real, v.imag)] for row in cloud]}
+
+
+def test_lambda_shifts_by_exactly_what_was_written(shift_pair):
+    # 1/3 is no float: the parsed λ, the query and the shift keep it exact
+    lam = _parse_lambda(["1/3,0", "0,-1/3"])
+    assert lam == (ExactComplex(Fraction(1, 3)), ExactComplex(0, Fraction(-1, 3)))
+    q = essential_spectrum_membership(shift_pair, lam)
+    assert q.lam == lam and q.verdict == "outside"
+    shifted = shifted_tuple(shift_pair, q.lam)
+    assert shifted.symbols[0].terms[(0, 0)] == ExactComplex(Fraction(-1, 3))
 
 
 def test_cli_spectrum_negative_lambda(inputs):
@@ -581,6 +602,20 @@ def test_cli_tensor_invertible_factor_before_a_circle_zero(tmp_path):
     code, out, _ = cli("tensor", "--input", str(factors_file))
     rep = json.loads(out)
     assert code == 0 and rep["tuple_fredholm"] is True and rep["tuple_index"] == 0
+
+
+def test_cli_tensor_root_just_outside_the_circle(tmp_path):
+    # z1 − 1001/1000 has its root at 1.001: an invertible factor, index 0
+    factors_file = tmp_path / "tensor.json"
+    factors_file.write_text(json.dumps({
+        "factors": [{"fourier": [{"k": 1, "re": 1}, {"k": 0, "re": "-1001/1000"}]},
+                    {"fourier": [{"k": 1, "re": 1}]}]}))
+    code, out, _ = cli("tensor", "--input", str(factors_file))
+    rep = json.loads(out)
+    assert code == 0 and rep["tuple_fredholm"] is True and rep["tuple_index"] == 0
+    assert rep["per_factor"] == [
+        {"fredholm": True, "index": 0, "invertible_flag": True},
+        {"fredholm": True, "index": -1, "invertible_flag": False}]
 
 
 NON_INTEGRAL = [

@@ -1,4 +1,6 @@
 """Tensor-product index formula and single-disc reductions."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,14 @@ from conftest import p1, p2
 def values(f: TrigPoly, theta: np.ndarray) -> np.ndarray:
     """f(e^{iθ})."""
     ks = np.array(sorted(f.coeffs))
-    cs = np.array([f.coeffs[int(k)] for k in ks])
+    cs = np.array([f.coeffs[int(k)].to_complex() for k in ks])
     return np.exp(1j * np.outer(theta, ks)) @ cs
 
 
 def derivative_values(f: TrigPoly, theta: np.ndarray) -> np.ndarray:
     """d/dθ of f(e^{iθ})."""
     ks = np.array(sorted(f.coeffs))
-    cs = np.array([1j * k * f.coeffs[int(k)] for k in ks])
+    cs = np.array([1j * k * f.coeffs[int(k)].to_complex() for k in ks])
     return np.exp(1j * np.outer(theta, ks)) @ cs
 
 
@@ -41,7 +43,7 @@ def test_trig_poly_values():
 
 def test_trig_json_round_trip():
     f = TrigPoly({-2: 1.5 + 0.5j, 3: -1.0})
-    g = trig_from_json({"fourier": [{"k": k, "re": c.real, "im": c.imag}
+    g = trig_from_json({"fourier": [{"k": k, "re": str(c.re), "im": str(c.im)}
                                     for k, c in f.coeffs.items()]})
     assert g.coeffs == f.coeffs
     # "p/q" strings are read as tuple JSON reads them
@@ -55,9 +57,9 @@ def test_trig_json_round_trip():
 
 def test_trig_from_poly():
     f = trig_from_poly(p1({(2,): 1, (0,): "-1/4"}))
-    assert f.coeffs[2] == 1.0 and f.coeffs[0] == -0.25
+    assert f.coeffs == {2: 1, 0: Fraction(-1, 4)}
     g = trig_from_poly(p2({(0, 3): 2}), var=1)
-    assert g.coeffs[3] == 2.0
+    assert g.coeffs == {3: 2}
     with pytest.raises(ValueError):
         trig_from_poly(p2({(1, 1): 1}), var=0)
 
@@ -74,6 +76,18 @@ def test_factor_indices():
         assert inv.fredholm and inv.index == 0 and inv.invertible_flag
     broken = trig_toeplitz_index(TrigPoly({1: 1.0, 0: -1.0}))   # vanishes at θ=0
     assert not broken.fredholm and broken.index is None
+
+
+def test_exact_counts_near_the_circle():
+    inside = trig_toeplitz_index(trig_from_poly(p1({(1,): 1, (0,): "-999/1000"})))
+    assert inside.fredholm and inside.index == -1
+    # the root of z − 1001/1000 lies at 1.001, off the circle: invertible
+    outside = trig_toeplitz_index(trig_from_poly(p1({(1,): 1, (0,): "-1001/1000"})))
+    assert outside.fredholm and outside.index == 0 and outside.invertible_flag
+    rep = tensor_tuple_index([trig_from_poly(p2({(1, 0): 1, (0, 0): "-1001/1000"})),
+                              trig_from_poly(p2({(0, 1): 1}), var=1)], [0, 1])
+    assert [f.index for f in rep.per_factor] == [0, -1]
+    assert rep.tuple_fredholm and rep.tuple_index == 0
 
 
 def test_index_reversal_negation():
