@@ -3,7 +3,7 @@ Hardy spaces: certified boundary criteria, three independent index routes
 (operator-theoretic, algebraic zero counting, perturbation/degree oracle),
 product-formula shortcuts, and essential-spectrum sampling."""
 
-__version__ = "0.5.10"
+__version__ = "0.5.11"
 
 from .certify import (
     BoundaryCertificate,
@@ -12,7 +12,7 @@ from .certify import (
     essential_spectrum_membership,
 )
 from .koszul import koszul_route, range_sum_check
-from .oracle import OracleConfig, perturbed_count
+from .oracle import perturbed_count_details
 from .poly import (
     MultiPoly,
     NotEliminableError,
@@ -24,17 +24,15 @@ from .poly import (
 )
 from .report import JobConfig, run_index, run_spectrum
 from .tensor import TrigPoly, disc_tuple_index, tensor_tuple_index
-from .zeros import algebraic_index, common_zeros, gcd_reduce
+from .zeros import common_zeros, gcd_reduce
 
 __all__ = [
     "BoundaryCertificate",
     "JobConfig",
     "MultiPoly",
     "NotEliminableError",
-    "OracleConfig",
     "SymbolTuple",
     "TrigPoly",
-    "algebraic_index",
     "boundary_lower_bound",
     "common_zeros",
     "disc_tuple_index",
@@ -43,7 +41,7 @@ __all__ = [
     "exact_poly",
     "gcd_reduce",
     "koszul_route",
-    "perturbed_count",
+    "perturbed_count_details",
     "range_sum_check",
     "run_index",
     "run_spectrum",

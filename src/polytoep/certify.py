@@ -37,9 +37,10 @@ used variable keeps at least 1/16 of its cell's largest weight, so no cell
 is cut along one variable without limit; a cell centered on a common zero
 (weights all 0) takes the global Σᵢ G_iv instead.  Any split keeps every
 bound valid.  A variable no symbol uses has weight 0 and is never cut, and
-the depth floor target_mesh / 2**MAX_HALVINGS measures only the used
-variables.  The start grid is four times coarser than target_mesh (an
-unused variable gets one cell); the floor is unchanged.
+the depth floor, the target mesh ``_DEFAULT_MESH[n]`` over 2**MAX_HALVINGS,
+measures only the used variables.  The start grid is four times coarser
+than the target mesh (an unused variable gets one cell); the floor is
+unchanged.
 
 The bound stays a proof under floating-point rounding.  Every computed
 |fᵢ(c)| loses 2γₖ·P̂ᵢ(|c|) (Higham's γₖ = ku/(1 − ku), u = 2⁻⁵³, with k
@@ -82,7 +83,7 @@ WITNESS_HALVINGS = 60            # step lengths tried per Gauss–Newton step
 DISTANCE_TOLERANCE = 1e-3
 DEFAULT_R_SCHEDULE = (0.5, 0.75, 0.9)
 CELL_BUDGET = 6_000_000          # centers evaluated per certification attempt
-MAX_HALVINGS = 4                 # depth floor: target_mesh / 2**MAX_HALVINGS
+MAX_HALVINGS = 4                 # depth floor: _DEFAULT_MESH[n] / 2**MAX_HALVINGS
 _SPLIT_WEIGHT_FLOOR = 1 / 16     # a used variable's least split weight, per cell max
 _UNIT_ROUNDOFF = 2.0 ** -53
 GRID_POINT_BUDGET = 2_000_000    # spectrum grid points; 553³ (n = 3, res 24) take ~16 GB
@@ -308,8 +309,8 @@ def _witness_search(st: SymbolTuple, pk: PackedTuple, start: np.ndarray,
     return z, val
 
 
-def _certify_region(st: SymbolTuple, r: float, target_mesh: float,
-                    cell_budget: int) -> BoundaryCertificate:
+def _certify_region(st: SymbolTuple, r: float, cell_budget: int) -> BoundaryCertificate:
+    target_mesh = _DEFAULT_MESH[st.nvars]
     faces = _boundary_faces(st.nvars, r)
     pk = pack_tuple(st)
     pk_abs = majorant(pk)
@@ -418,15 +419,13 @@ def _pt(z) -> tuple:
 
 
 def boundary_lower_bound(st: SymbolTuple, r: float,
-                         target_mesh: Optional[float] = None,
                          cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
     """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ),
     0 ≤ r < 1: the closed polydisc at r = 0, the annulus r ≤ |z| ≤ 1 in one
     variable."""
     if not 0 <= r < 1:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    mesh = target_mesh if target_mesh is not None else _DEFAULT_MESH[st.nvars]
-    return _certify_region(st, r, mesh, cell_budget)
+    return _certify_region(st, r, cell_budget)
 
 
 def inside_by_gap(points: np.ndarray, r: float) -> np.ndarray:

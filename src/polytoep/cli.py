@@ -23,28 +23,18 @@ from typing import Callable, NamedTuple, Optional
 from .certify import boundary_lower_bound
 from .exact import exact
 from .koszul import build_koszul, dump_matrices
-from .oracle import OracleConfig
 from .report import (JobConfig, _cert_json, _factors_json, _run_koszul,
                      certify_schedule, load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
 
 _EXIT = {"agree": 0, "not_fredholm": 2, "not_certifiable": 3, "disagree": 4}
-DUMP_LEVEL = 4      # Koszul level --dump-matrices writes when no n_range is set
+DUMP_LEVEL = 4      # the Koszul level --dump-matrices writes
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):                     # usage errors exit 1, not 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _parse_n_range(text: str):
-    try:
-        a, b = text.split("..")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected A..B (e.g. 2..8), got {text!r}")
 
 
 def _parse_lambda(value):
@@ -72,21 +62,16 @@ def _p(flag, key=None, convert=None, **opts) -> Param:
 
 _INPUT = _p("--input", required=True, help="input JSON file")
 _CONFIG = _p("--config", help="JSON config file (flags override it)")
-_N_RANGE = _p("--n-range", "n_range", tuple, type=_parse_n_range, metavar="A..B",
-              help="Koszul levels to try (inclusive); the sweep stops at three that agree")
-_RANK_TOL = _p("--rank-tol", "rank_tolerance", type=float, help="numerical rank tolerance")
-_MESH = _p("--mesh", "target_mesh", type=float, help="target covering mesh")
 _DUMP = _p("--dump-matrices", action="store_true",
            help="write boundary matrices next to the input")
 _R_SCHEDULE = _p(None, "r_schedule", tuple)
 
 # The parameters each subcommand reads; every other flag or key is an error.
 COMMANDS = {
-    "index": (_INPUT, _CONFIG, _N_RANGE, _RANK_TOL, _MESH, _DUMP, _R_SCHEDULE,
+    "index": (_INPUT, _CONFIG, _DUMP, _R_SCHEDULE,
               _p("--seed", "seed", type=int, help="seed of the algebraic route and oracle"),
               _p("--cache", "cache_dir", metavar="DIR", help="report cache directory "
-                 "(default: .polytoep_cache beside the input)"),
-              _p(None, "oracle", lambda v: OracleConfig(**v))),
+                 "(default: .polytoep_cache beside the input)")),
     "spectrum": (_INPUT, _CONFIG, _R_SCHEDULE,
                  _p("--lambda", "lambda", _parse_lambda, nargs="+", action="extend",
                     metavar="re,im", help="membership query point, one re,im per "
@@ -98,10 +83,10 @@ COMMANDS = {
                  _p("--r", "r", type=float, help="inner radius of the cloud"),
                  _p("--emit", choices=("json", "csv"),
                     help="output format (default csv for a cloud, json for a query)")),
-    "certify": (_INPUT, _CONFIG, _MESH, _R_SCHEDULE,
+    "certify": (_INPUT, _CONFIG, _R_SCHEDULE,
                 _p("--r", type=float, help="inner radius in [0, 1); 0 is the closed "
                    "polydisc (default: the first scheduled one)")),
-    "koszul-dims": (_INPUT, _CONFIG, _N_RANGE, _RANK_TOL, _DUMP),
+    "koszul-dims": (_INPUT, _CONFIG, _DUMP),
     "tensor": (_INPUT,),
 }
 _JOB_FIELDS = {f.name for f in fields(JobConfig)}
@@ -113,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "polynomial symbols on polydisc Hardy spaces")
     subs = p.add_subparsers(dest="command", required=True)
     for name, params in COMMANDS.items():
-        sub = subs.add_parser(name, allow_abbrev=False)   # --r is no --rank-tol
+        sub = subs.add_parser(name, allow_abbrev=False)   # flags only in full
         for param in params:
             if param.flag is not None:
                 sub.add_argument(param.flag, **param.opts)
@@ -137,7 +122,7 @@ def _settings(args):
     if set(file_cfg) - set(keys):
         raise ValueError(f"{args.config}: {args.command} reads no config key "
                          f"{', '.join(sorted(set(file_cfg) - set(keys)))} "
-                         f"(it reads {', '.join(keys)})")
+                         f"(it reads {', '.join(keys) or 'none'})")
     values = {k: v for k, v in vars(args).items() if v is not None}
     try:                    # a TypeError here comes from a config-file value
         for p in params:
@@ -161,11 +146,10 @@ def _emit(obj) -> None:
         sys.stdout.write("\n")
 
 
-def _maybe_dump(args, cfg: JobConfig, st) -> None:
+def _maybe_dump(args, st) -> None:
     if not args.dump_matrices:
         return
-    n = cfg.n_range[1] if cfg.n_range else DUMP_LEVEL
-    text = dump_matrices(build_koszul(st, n))
+    text = dump_matrices(build_koszul(st, DUMP_LEVEL))
     out = Path(args.input).with_suffix(".matrices.txt")
     out.write_text(text)
     print(f"wrote {out}", file=sys.stderr)
@@ -180,7 +164,7 @@ def main(argv=None) -> int:
         if command == "index":
             report = run_index(cfg)
             _emit(report)
-            _maybe_dump(args, cfg, load_tuple(cfg.input))
+            _maybe_dump(args, load_tuple(cfg.input))
             return _EXIT[report["body"]["verdict"]["kind"]]
 
         if command == "spectrum":
@@ -208,8 +192,7 @@ def main(argv=None) -> int:
 
         if command == "certify":
             cert = boundary_lower_bound(load_tuple(cfg.input),
-                                        values.get("r", cfg.r_schedule[0]),
-                                        cfg.target_mesh)
+                                        values.get("r", cfg.r_schedule[0]))
             _emit({"certificate": _cert_json(cert)})
             return {"certified": 0, "failed": 2}.get(cert.verdict, 3)
 
@@ -219,7 +202,7 @@ def main(argv=None) -> int:
             out = ({"certificates": [_cert_json(c) for c in certs]} if cert is None
                    else _run_koszul(st, cfg, cert))
             _emit(out)
-            _maybe_dump(args, cfg, st)
+            _maybe_dump(args, st)
             return 0 if out.get("stabilized") else 3
 
         if command == "tensor":

@@ -8,7 +8,7 @@ map is the domain cap enlarged by the tuple degree, so multiplication never
 truncates and consecutive boundary matrices compose to the exact zero matrix.
 The chain property is checked against the rounding bound of the float matrix
 product, formed on the nonzeros (``chain_check``); rank decisions carry the
-only tunable tolerance.
+only tolerance, ``DEFAULT_RANK_TOL`` relative to the largest singular value.
 
 Homology dimensions:
 
@@ -227,14 +227,13 @@ class KoszulTruncation:
     deg_vec: tuple
     windows: tuple                 # stage 0..p monomial windows
     boundary_matrices: tuple       # d_1..d_p, each a ``SparseMap``
-    rank_tolerance: float
 
     @property
     def arity(self) -> int:
         return len(self.tuple)
 
 
-def build_koszul(st: SymbolTuple, N: int, rank_tolerance: float = DEFAULT_RANK_TOL,
+def build_koszul(st: SymbolTuple, N: int,
                  grading: Optional[TupleGrading] = None) -> KoszulTruncation:
     """Assemble the truncated complex 0 → Λ⁰W → Λ¹W → … → ΛᵖW → 0.
 
@@ -248,8 +247,6 @@ def build_koszul(st: SymbolTuple, N: int, rank_tolerance: float = DEFAULT_RANK_T
         raise ValueError(f"unsupported tuple arity {p} (1, 2 or 3 supported)")
     if st.nvars not in (1, 2, 3):
         raise ValueError(f"unsupported variable count {st.nvars}")
-    if rank_tolerance <= 0:
-        raise ValueError("rank tolerance must be positive")
     if N < 0:
         raise ValueError("N must be non-negative")
     deg = st.degree_vec()
@@ -262,7 +259,7 @@ def build_koszul(st: SymbolTuple, N: int, rank_tolerance: float = DEFAULT_RANK_T
     pk = grading.packed
     dtype = matrix_dtype(pk)
     mats = tuple(_boundary_matrix(pk, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
-    return KoszulTruncation(st, pk, N, deg, tuple(wins), mats, rank_tolerance)
+    return KoszulTruncation(st, pk, N, deg, tuple(wins), mats)
 
 
 def _nonzero_product(a: SparseMap, b: SparseMap) -> Tuple[SparseMap, np.ndarray]:
@@ -477,7 +474,7 @@ def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
     sweep passes one through its levels); every factorization goes through
     ``graded_svdvals`` with its grade keys.
     """
-    st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
+    st, p, tol = kt.tuple, kt.arity, DEFAULT_RANK_TOL
     d, wins = kt.boundary_matrices, kt.windows
     sigmas = {} if sigmas is None else sigmas
     grading = TupleGrading(st) if grading is None else grading
@@ -540,8 +537,7 @@ def _section_svdvals(pk: PackedTuple, grading: TupleGrading, N: int,
     return graded_svdvals(mat, grading.keys(p, out)[rows], grading.keys(p - 1, win))[::-1]
 
 
-def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL,
-                       rho: float = 0.8,
+def ideal_codim_window(st: SymbolTuple, *, rho: float,
                        grading: Optional[TupleGrading] = None) -> Union[int, str]:
     """Codimension of the symbol ideal in H²(𝔻ⁿ), counted on the finite
     sections A_N of the top Koszul map, or "unstable".
@@ -549,7 +545,7 @@ def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL
     Levels run N = 1, 2, … up to ``SECTION_CAP``, and from N = D + 1 on, D
     the largest degree, level N compares its ascending singular values with
     those of level N − D.  c(N) is the length of the leading run of values
-    that are rank-zero (at most ``rank_tolerance`` of the largest) or that
+    that are rank-zero (at most ``DEFAULT_RANK_TOL`` of the largest) or that
     shrank by more than ρ^D.  A level is clear when c = 0, when every value
     is counted, or when the next value is at least ten times the last
     counted one; three consecutive clear levels with one c give the
@@ -573,7 +569,7 @@ def ideal_codim_window(st: SymbolTuple, rank_tolerance: float = DEFAULT_RANK_TOL
         if N <= step:
             continue
         before = levels[N - 1 - step]
-        tiny = rank_tolerance * sv[-1]
+        tiny = DEFAULT_RANK_TOL * sv[-1]
         c = 0
         while c < sv.size and (sv[c] <= tiny or (c < before.size
                                                  and sv[c] < rho ** step * before[c])):
@@ -600,14 +596,15 @@ class KoszulRouteResult:
         return self.homology.index_estimate
 
 
-def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
-                 rank_tolerance: float = DEFAULT_RANK_TOL,
-                 rho: float = 0.8) -> KoszulRouteResult:
-    """Sweep the levels of ``n_range`` and stop at the first three consecutive
-    ones with the same kernel-side homology vector (``per_n`` ends there, and
-    ``sigma_min_first`` is read on its last level), attach the stabilized ideal
-    codimension as the top dimension, and form the Euler index.  Emits
-    "unstable" rather than any integer when stabilization fails.
+def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
+                 rho: float) -> KoszulRouteResult:
+    """Sweep the levels of ``n_range`` (by default 2..8, and 1..3 in three
+    variables) and stop at the first three consecutive ones with the same
+    kernel-side homology vector (``per_n`` ends there, and
+    ``sigma_min_first`` is read on its last level), attach the stabilized
+    ideal codimension at decay bound ``rho`` as the top dimension, and form
+    the Euler index.  Emits "unstable" rather than any integer when
+    stabilization fails.
 
     Precondition: every common zero of the tuple in the closed polydisc has
     max_v|z_v| < 2ρ − 1, as a boundary certificate at r = 2ρ − 1 proves.
@@ -628,7 +625,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
     chain_ok = True
     for n in n_values:
         try:
-            kt = build_koszul(st, n, rank_tolerance, grading)
+            kt = build_koszul(st, n, grading)
         except MatrixBudgetError:
             break
         dims = homology_kernel_dims(kt, sigmas, grading)
@@ -639,7 +636,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None,
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             stabilized_at = tuple(dims)
             break
-    codim = ideal_codim_window(st, rank_tolerance=rank_tolerance, rho=rho, grading=grading)
+    codim = ideal_codim_window(st, rho=rho, grading=grading)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)
         hom = HomologyDims(full, True, euler_index(full))

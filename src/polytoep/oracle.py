@@ -17,9 +17,7 @@ perturbed zero is inside or outside by the gap of the caller's certificate
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +35,10 @@ from .poly import (
     univariate_coeffs,
 )
 
+EPSILON = 1e-3                  # largest perturbation; ``report`` halves it to fit c
+TRIALS = 5                      # trials of the majority vote
 _LIFT_TOL = 1e-6
 _DUPLICATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    epsilon: float = 1e-3
-    trials: int = 5
-
-    def __post_init__(self):
-        eps = self.epsilon
-        if type(eps) is bool or not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if type(self.trials) is not int or self.trials < 3:
-            raise ValueError(f"need an integer of at least 3 trials for a majority, "
-                             f"got {self.trials!r}")
 
 
 class NoMajorityError(RuntimeError):
@@ -133,42 +119,33 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
     return pts
 
 
-def perturbed_count_details(st: SymbolTuple, r: float,
-                            cfg: OracleConfig | None = None,
+def perturbed_count_details(st: SymbolTuple, r: float, epsilon: float = EPSILON,
                             *, seed: int = 0) -> dict:
-    """perturbed_count plus its evidence: the per-trial counts and the
-    number of attempts spent.  The precondition is ``perturbed_count``'s."""
-    cfg = cfg or OracleConfig()
+    """Zeros of an ε-perturbed copy strictly inside the bidisc, majority-voted
+    across TRIALS independent perturbation trials drawn from ``seed``, with
+    the evidence: the per-trial counts and the number of attempts spent.
+    Precondition: a boundary certificate at r with bound c holds for ``st``,
+    and 4·(2·Σᵢ sup|fᵢ|·ε + p·ε²) ≤ c, so no perturbed tuple vanishes on
+    r ≤ max_v|z_v| ≤ 1 either; otherwise a zero may be counted wrongly."""
     if len(st) != 2 or st.nvars != 2:
         raise ValueError("perturbed counting handles pairs in two variables")
     counts = []
     attempt = 0
-    max_attempts = 3 * cfg.trials
-    while len(counts) < cfg.trials and attempt < max_attempts:
+    while len(counts) < TRIALS and attempt < 3 * TRIALS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         attempt += 1
-        pts = _solve_pair(*_perturbed(st, rng, cfg.epsilon).symbols)
+        pts = _solve_pair(*_perturbed(st, rng, epsilon).symbols)
         if pts is None:
             continue
         counts.append(int(np.sum(inside_by_gap(pts, r))))
     if not counts:
         raise RuntimeError("no usable perturbation trial: every perturbed "
                            "pair had a vanishing resultant or an unsplit zero")
-    if len(counts) < cfg.trials:
-        raise RuntimeError(f"only {len(counts)} of {cfg.trials} perturbation "
+    if len(counts) < TRIALS:
+        raise RuntimeError(f"only {len(counts)} of {TRIALS} perturbation "
                            "trials were usable")
     value, hits = Counter(counts).most_common(1)[0]
     if hits * 2 <= len(counts):
         raise NoMajorityError(f"no majority among trial counts {counts}")
     return {"count": value, "trial_counts": counts, "attempts": attempt,
-            "epsilon": cfg.epsilon}
-
-
-def perturbed_count(st: SymbolTuple, r: float, cfg: OracleConfig | None = None,
-                    *, seed: int = 0) -> int:
-    """Zeros of an ε-perturbed copy strictly inside the bidisc, majority-voted
-    across independent perturbation trials drawn from ``seed``.
-    Precondition: a boundary certificate at r with bound c holds for ``st``,
-    and 4·(2·Σᵢ sup|fᵢ|·ε + p·ε²) ≤ c, so no perturbed tuple vanishes on
-    r ≤ max_v|z_v| ≤ 1 either; otherwise a zero may be counted wrongly."""
-    return perturbed_count_details(st, r, cfg, seed=seed)["count"]
+            "epsilon": epsilon}

@@ -21,11 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -39,7 +38,7 @@ from .certify import (
     max_grid_resolution,
 )
 from .koszul import koszul_route
-from .oracle import OracleConfig, perturbed_count_details
+from .oracle import EPSILON, perturbed_count_details
 from .poly import (
     SymbolTuple,
     canonical_tuple_json,
@@ -58,36 +57,21 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class JobConfig:
-    """The parameters of an index job; ``run_index`` reads every field."""
+    """The parameters of an index job; ``run_index`` reads every field.  The
+    rank tolerance, certificate mesh, Koszul levels and oracle settings are
+    the library's constants (``koszul.DEFAULT_RANK_TOL``,
+    ``certify._DEFAULT_MESH``, ``koszul_route``'s levels, ``oracle.EPSILON``
+    and ``oracle.TRIALS``)."""
     input: Union[str, Path, dict, SymbolTuple]
-    n_range: Optional[Tuple[int, int]] = None      # inclusive endpoints
-    rank_tolerance: float = 1e-8
-    oracle: OracleConfig = field(default_factory=OracleConfig)
     r_schedule: Tuple[float, ...] = DEFAULT_R_SCHEDULE
-    target_mesh: Optional[float] = None
     cache_dir: Optional[Union[str, Path]] = None
     seed: int = 0                                  # algebraic route and oracle
 
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if type(self.rank_tolerance) is bool or not (
-                math.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
-            raise ValueError("rank tolerance must be finite and positive")
-        if self.n_range is not None:
-            a, b = self.n_range
-            if type(a) is not int or type(b) is not int:
-                raise ValueError(f"truncation levels must be integers, got {a!r}..{b!r}")
-            if a < 0:
-                raise ValueError(f"truncation levels must be non-negative, got {a}..{b}")
-            if b < a:
-                raise ValueError(f"empty truncation range {a}..{b}")
         if not self.r_schedule or any(not 0 < r < 1 for r in self.r_schedule):
             raise ValueError("certificate schedule radii must lie in (0, 1)")
-        if self.target_mesh is not None and (
-                type(self.target_mesh) is bool
-                or not (math.isfinite(self.target_mesh) and self.target_mesh > 0)):
-            raise ValueError("mesh must be finite and positive")
 
 
 def load_tuple(source: Union[str, Path, dict, SymbolTuple]) -> SymbolTuple:
@@ -102,13 +86,6 @@ def load_tuple(source: Union[str, Path, dict, SymbolTuple]) -> SymbolTuple:
         raise ValueError(f"{path}: parse error at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
     return tuple_from_json(obj)
-
-
-def _resolved_n_range(cfg: JobConfig):
-    if cfg.n_range is None:
-        return None
-    a, b = cfg.n_range
-    return range(a, b + 1)
 
 
 def _fmt_complex(z: complex) -> dict:
@@ -133,14 +110,7 @@ def _cert_json(cert: BoundaryCertificate) -> dict:
 def _config_json(cfg: JobConfig) -> dict:
     """The index parameters of a job: echoed as ``body["config"]`` and hashed
     into the cache key."""
-    return {
-        "n_range": list(cfg.n_range) if cfg.n_range else None,
-        "rank_tolerance": cfg.rank_tolerance,
-        "seed": cfg.seed,
-        "oracle": asdict(cfg.oracle),
-        "r_schedule": list(cfg.r_schedule),
-        "target_mesh": cfg.target_mesh,
-    }
+    return {"seed": cfg.seed, "r_schedule": list(cfg.r_schedule)}
 
 
 def cache_key(cfg: JobConfig, st: SymbolTuple) -> str:
@@ -188,7 +158,7 @@ def _run_koszul(st: SymbolTuple, cfg: JobConfig,
     """The Koszul route's evidence, as the report and ``koszul-dims`` print
     it, at the decay bound ρ = (1+r)/2 of the certificate."""
     rho = (1 + cert.r) / 2
-    route = koszul_route(st, _resolved_n_range(cfg), cfg.rank_tolerance, rho=rho)
+    route = koszul_route(st, rho=rho)
     return {
         "per_n": list(route.per_n),
         "codim": route.codim,
@@ -211,12 +181,12 @@ def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
             "quotient_dim": zs.quotient_dim, "index": -zs.total_inside}
 
 
-def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
-    """Halve ε until its worst-case effect on Σ|fᵢ|² is at most a quarter
-    of the certified bound c > 0, so no perturbed zero enters the gap
-    r ≤ max|z_v| ≤ 1 that the oracle's classification reads."""
+def _oracle_epsilon(st: SymbolTuple, cert_c: float) -> float:
+    """Halve ε from ``oracle.EPSILON`` until its worst-case effect on Σ|fᵢ|²
+    is at most a quarter of the certified bound c > 0, so no perturbed zero
+    enters the gap r ≤ max|z_v| ≤ 1 that the oracle's classification reads."""
     sups = sum(coefficient_bounds(s)[0] for s in st.symbols)
-    eps = base
+    eps = EPSILON
     while (2 * sups * eps + len(st) * eps * eps) * 4 > cert_c:
         eps /= 2
     return eps
@@ -224,8 +194,7 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float, base: float) -> float:
 
 def _run_oracle(st: SymbolTuple, cfg: JobConfig,
                 cert: BoundaryCertificate) -> dict:
-    eps = _oracle_epsilon(st, cert.c, cfg.oracle.epsilon)
-    detail = perturbed_count_details(st, cert.r, replace(cfg.oracle, epsilon=eps),
+    detail = perturbed_count_details(st, cert.r, _oracle_epsilon(st, cert.c),
                                      seed=cfg.seed)
     detail["index"] = -detail["count"]
     return detail
@@ -300,7 +269,7 @@ def certify_schedule(st: SymbolTuple, cfg: JobConfig
     every common zero in the polydisc."""
     certs = []
     for r in cfg.r_schedule:
-        certs.append(boundary_lower_bound(st, r, cfg.target_mesh))
+        certs.append(boundary_lower_bound(st, r))
         if certs[-1].verdict == "certified":
             return certs[-1], certs
     return None, certs

@@ -304,13 +304,6 @@ def common_zeros(st: SymbolTuple, r: float, *, seed: int = 0) -> ZeroSet:
         "retry; refine the eigensolve or perturb the tuple")
 
 
-def algebraic_index(st: SymbolTuple, r: float, *, seed: int = 0) -> int:
-    """Index by zero counting: minus the number of common zeros strictly
-    inside the open bidisc, with multiplicity.  Raises on non-finite zero
-    sets.  The precondition is ``common_zeros``'s."""
-    return -common_zeros(st, r, seed=seed).total_inside
-
-
 def gcd_reduce(st: SymbolTuple) -> GcdReduction:
     """Split off the gcd of the pair.  The reduced pair together with the
     factor satisfies p = g·p', q = g·q' exactly; the factor is additionally

@@ -1,6 +1,7 @@
 import pytest
 
 from polytoep.poly import exact_poly, symbols
+from polytoep.report import JobConfig, certify_schedule
 
 
 def p2(terms):
@@ -9,6 +10,13 @@ def p2(terms):
 
 def p1(terms):
     return exact_poly(1, terms)
+
+
+def certified_rho(st):
+    """The decay bound the report hands the Koszul route: (1 + r)/2 at the
+    first radius r of the default schedule that certifies ``st``."""
+    cert, _ = certify_schedule(st, JobConfig(input=st))
+    return (1 + cert.r) / 2
 
 
 @pytest.fixture

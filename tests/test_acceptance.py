@@ -20,6 +20,8 @@ from polytoep.poly import exact_poly, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.tensor import TrigPoly, disc_tuple_index, tensor_tuple_index
 
+from conftest import certified_rho
+
 
 def p2(terms):
     return exact_poly(2, terms)
@@ -126,11 +128,11 @@ def test_criterion_3_tensor_grid_and_three_shifts():
             st = symbols(2, p2({(a, 0): 1}), p2({(0, b): 1}))
             rep = tensor_tuple_index([TrigPoly({a: 1.0}), TrigPoly({b: 1.0})], [0, 1])
             assert rep.tuple_index == -a * b
-            assert koszul_route(st).index == -a * b, (a, b)
+            assert koszul_route(st, rho=certified_rho(st)).index == -a * b, (a, b)
     shifts3 = symbols(3, exact_poly(3, {(1, 0, 0): 1}),
                       exact_poly(3, {(0, 1, 0): 1}), exact_poly(3, {(0, 0, 1): 1}))
     rep3 = tensor_tuple_index([TrigPoly({1: 1.0})] * 3, [0, 1, 2])
-    route3 = koszul_route(shifts3)       # sweeps N = 1..3, within the N <= 6 cap
+    route3 = koszul_route(shifts3, rho=0.75)   # sweeps N = 1..3, within the N <= 6 cap
     assert rep3.tuple_index == -1 and route3.index == -1
     print("\ncriterion 3 PASS: 16 monomial grid points match koszul; "
           "three shifts -> -1 on both routes")
@@ -149,7 +151,7 @@ def test_criterion_4_univariate_tuples_vanish():
     for name, st in tuples:
         assert boundary_lower_bound(st, 0.5).verdict == "certified", name
         assert disc_tuple_index(st) == 0, name
-        assert koszul_route(st).index == 0, name
+        assert koszul_route(st, rho=0.75).index == 0, name
     print(f"\ncriterion 4 PASS: {len(tuples)} certified univariate tuples "
           "-> 0 on formula and koszul routes")
 
@@ -211,12 +213,13 @@ def test_criterion_8_determinism():
 
 
 def test_criterion_9_stabilization_honesty():
-    short = koszul_route(symbols(2, Z1, Z2), range(2, 4))
+    # (z1, z2) certifies at r = 0.5; (z1, z1) at no radius, so any ρ
+    short = koszul_route(symbols(2, Z1, Z2), range(2, 4), rho=0.75)
     assert short.index == "unstable" and not short.homology.stabilized
-    never = koszul_route(symbols(2, Z1, Z1))
+    never = koszul_route(symbols(2, Z1, Z1), rho=0.75)
     assert never.index == "unstable"
     # a stabilized emission really does rest on three agreeing levels
-    full = koszul_route(symbols(2, Z1, Z2))
+    full = koszul_route(symbols(2, Z1, Z2), rho=0.75)
     dims = [rec["kernel_dims"] for rec in full.per_n]
     assert full.homology.stabilized
     assert dims[-1] == dims[-2] == dims[-3]

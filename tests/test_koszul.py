@@ -38,7 +38,7 @@ from polytoep.exact import ExactComplex
 from polytoep.kernels import pack_tuple
 from polytoep.poly import exact_poly, symbols
 
-from conftest import p1, p2
+from conftest import certified_rho, p1, p2
 
 
 def shifts3():
@@ -128,7 +128,7 @@ def stage1_sigma_min(kt):
 def hstack_kernel_dims(kt):
     """Reference for ``homology_kernel_dims``: the intersection dimension from
     rank(A) + dim V − rank([A | E_V]) with the embedding E_V built explicitly."""
-    st, p, tol = kt.tuple, kt.arity, kt.rank_tolerance
+    st, p, tol = kt.tuple, kt.arity, koszul.DEFAULT_RANK_TOL
     d = [m.dense() for m in kt.boundary_matrices]
     dims = [d[0].shape[1] - numerical_rank(d[0], tol)]
     for k in range(1, p):
@@ -331,7 +331,7 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
 
     monkeypatch.setattr(koszul, "graded_svdvals", counted)
     monkeypatch.setattr(koszul, "ideal_codim_window", lambda *a, **k: 1)
-    route = koszul_route(shifts3())
+    route = koszul_route(shifts3(), rho=0.75)
     monkeypatch.undo()
     assert [rec["N"] for rec in route.per_n] == [1, 2, 3]
     fresh = [{"N": n, "kernel_dims": homology_kernel_dims(build_koszul(shifts3(), n))}
@@ -475,7 +475,8 @@ def test_rotating_a_symbol_keeps_the_route(non_dyadic_pair):
     # (3 + 4i)/5 is a unit: the ideal, the homology and the index stay, while
     # the matrices turn complex
     for st in (far_pair(), non_dyadic_pair, shifts3()):
-        real, cplx = koszul_route(st), koszul_route(rotated(st, len(st) - 1))
+        rho = certified_rho(st)
+        real, cplx = koszul_route(st, rho=rho), koszul_route(rotated(st, len(st) - 1), rho=rho)
         assert cplx.per_n == real.per_n
         assert cplx.codim == real.codim
         assert cplx.index == real.index
@@ -510,16 +511,15 @@ def test_euler_index_sign_convention():
 
 
 def test_route_fixture_indices(shift_pair, monomial_pair, quarter_pair):
-    assert koszul_route(shift_pair).index == -1
-    assert koszul_route(monomial_pair).index == -6
-    assert koszul_route(quarter_pair).index == -2
-    far = symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
-    assert koszul_route(far).index == 0
+    assert koszul_route(shift_pair, rho=0.75).index == -1
+    assert koszul_route(monomial_pair, rho=0.75).index == -6
+    assert koszul_route(quarter_pair, rho=0.875).index == -2
+    assert koszul_route(far_pair(), rho=0.75).index == 0
 
 
 def test_route_reports_chain_and_codim(shift_pair, non_dyadic_pair):
     for st in (shift_pair, non_dyadic_pair):
-        route = koszul_route(st)
+        route = koszul_route(st, rho=certified_rho(st))
         assert route.chain_exact
         assert route.codim == 1
         assert route.index == -1
@@ -528,9 +528,9 @@ def test_route_reports_chain_and_codim(shift_pair, non_dyadic_pair):
 
 
 def test_sweep_stops_at_stabilization(shift_pair, repeated_pair):
-    assert [rec["N"] for rec in koszul_route(shift_pair).per_n] == [2, 3, 4]
+    assert [rec["N"] for rec in koszul_route(shift_pair, rho=0.75).per_n] == [2, 3, 4]
     # a tuple that never stabilizes still sweeps the whole range
-    route = koszul_route(repeated_pair)
+    route = koszul_route(repeated_pair, rho=0.75)
     assert [rec["N"] for rec in route.per_n] == list(range(2, 9))
     assert route.index == "unstable"
 
@@ -538,18 +538,18 @@ def test_sweep_stops_at_stabilization(shift_pair, repeated_pair):
 def test_route_scaling_invariance(quarter_pair):
     from polytoep.exact import ExactComplex
     scaled = symbols(2, *(s.scale(ExactComplex(3)) for s in quarter_pair.symbols))
-    assert koszul_route(scaled).index == koszul_route(quarter_pair).index
+    assert koszul_route(scaled, rho=0.875).index == koszul_route(quarter_pair, rho=0.875).index
 
 
 def test_route_univariate_pairs():
     z = p1({(1,): 1})
     zz = p1({(2,): 1})
-    assert koszul_route(symbols(1, z, zz)).index == 0
-    assert koszul_route(symbols(1, z)).index == -1
+    assert koszul_route(symbols(1, z, zz), rho=0.75).index == 0
+    assert koszul_route(symbols(1, z), rho=0.75).index == -1
 
 
 def test_three_variable_shifts():
-    route = koszul_route(shifts3())
+    route = koszul_route(shifts3(), rho=0.75)
     assert route.index == -1
     assert route.chain_exact
 
@@ -574,21 +574,22 @@ def test_graded_route_memory_stays_at_grade_block_size():
 
 def test_unstable_is_reported_not_guessed(repeated_pair, shift_pair):
     # (z1, z1) vanishes on a curve: kernel dims keep growing with N
-    route = koszul_route(repeated_pair)
+    route = koszul_route(repeated_pair, rho=0.75)
     assert route.index == "unstable"
     assert not route.homology.stabilized
     # an honest route refuses short sweeps instead of emitting an integer
-    short = koszul_route(shift_pair, range(2, 4))
+    short = koszul_route(shift_pair, range(2, 4), rho=0.75)
     assert short.index == "unstable"
 
 
 def test_ideal_codim_window_values(shift_pair, monomial_pair, quarter_pair):
-    assert ideal_codim_window(shift_pair) == 1
-    assert ideal_codim_window(monomial_pair) == 6
-    assert ideal_codim_window(quarter_pair) == 2
-    assert ideal_codim_window(far_pair()) == 0
-    assert ideal_codim_window(symbols(1, p1({(3,): 1, (0,): "-1/8"}))) == 3
-    assert ideal_codim_window(shifts3()) == 1
+    # each at ρ = (1 + r)/2 of its first certifying radius r
+    assert ideal_codim_window(shift_pair, rho=0.75) == 1
+    assert ideal_codim_window(monomial_pair, rho=0.75) == 6
+    assert ideal_codim_window(quarter_pair, rho=0.875) == 2
+    assert ideal_codim_window(far_pair(), rho=0.75) == 0
+    assert ideal_codim_window(symbols(1, p1({(3,): 1, (0,): "-1/8"})), rho=0.875) == 3
+    assert ideal_codim_window(shifts3(), rho=0.75) == 1
     with pytest.raises(ValueError):
         ideal_codim_window(shift_pair, rho=1.0)
 

@@ -1,84 +1,68 @@
 """Perturbation counting oracle."""
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from polytoep import oracle
-from polytoep.oracle import (
-    NoMajorityError,
-    OracleConfig,
-    perturbed_count,
-    perturbed_count_details,
-)
+from polytoep.oracle import NoMajorityError, perturbed_count_details
 from polytoep.poly import coefficient_bounds, symbols
 from polytoep.report import _oracle_epsilon
 
 from conftest import p2
 
 
-def test_config_validation():
-    for epsilon in (0.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="epsilon"):
-            OracleConfig(epsilon=epsilon)
-    for trials in (2, 3.5, 5.0, True, "5"):
-        with pytest.raises(ValueError, match="trials"):
-            OracleConfig(trials=trials)
-
-
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
     # each at the radius where its certificate holds
-    assert perturbed_count(shift_pair, 0.5) == 1
-    assert perturbed_count(monomial_pair, 0.5) == 6
-    assert perturbed_count(quarter_pair, 0.75) == 2
+    assert perturbed_count_details(shift_pair, 0.5)["count"] == 1
+    assert perturbed_count_details(monomial_pair, 0.5)["count"] == 6
+    assert perturbed_count_details(quarter_pair, 0.75)["count"] == 2
     cross = symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))
-    assert perturbed_count(cross, 0.5) == 2
+    assert perturbed_count_details(cross, 0.5)["count"] == 2
     far = symbols(2, p2({(1, 0): 1, (0, 0): -2}), p2({(0, 1): 1}))
-    assert perturbed_count(far, 0.5) == 0
+    assert perturbed_count_details(far, 0.5)["count"] == 0
     # both symbols constant in z2: z1 is eliminated, and the perturbed
     # pair's resultant is a nonzero constant, so there is nothing to count
     z1 = p2({(1, 0): 1})
     for p, q in ((z1, p2({(1, 0): 1, (0, 0): "-1/2"})),
                  (p2({(2, 0): 1, (0, 0): "-1/2"}), z1)):
-        assert perturbed_count(symbols(2, p, q), 0.5) == 0
+        assert perturbed_count_details(symbols(2, p, q), 0.5)["count"] == 0
 
 
 def test_details_are_deterministic(monomial_pair):
-    cfg = OracleConfig()
-    a = perturbed_count_details(monomial_pair, 0.5, cfg, seed=11)
-    b = perturbed_count_details(monomial_pair, 0.5, cfg, seed=11)
+    a = perturbed_count_details(monomial_pair, 0.5, seed=11)
+    b = perturbed_count_details(monomial_pair, 0.5, seed=11)
     assert a == b
     assert a["count"] == 6
-    assert len(a["trial_counts"]) >= cfg.trials
-    assert a["epsilon"] == cfg.epsilon
+    assert len(a["trial_counts"]) >= oracle.TRIALS
+    assert a["epsilon"] == oracle.EPSILON
 
 
 def test_seed_changes_trials_not_count(quarter_pair):
-    counts = {perturbed_count(quarter_pair, 0.75, seed=s) for s in range(4)}
+    counts = {perturbed_count_details(quarter_pair, 0.75, seed=s)["count"] for s in range(4)}
     assert counts == {2}
 
 
 def test_epsilon_halving_stability(shift_pair, quarter_pair):
     for st, r in ((shift_pair, 0.5), (quarter_pair, 0.75)):
-        base = perturbed_count(st, r, OracleConfig(epsilon=1e-3))
-        assert perturbed_count(st, r, OracleConfig(epsilon=5e-4)) == base
-        assert perturbed_count(st, r, OracleConfig(epsilon=2.5e-4)) == base
+        base = perturbed_count_details(st, r, 1e-3)["count"]
+        assert perturbed_count_details(st, r, 5e-4)["count"] == base
+        assert perturbed_count_details(st, r, 2.5e-4)["count"] == base
 
 
 def test_oracle_epsilon_meets_its_bound(shift_pair):
     # a bound far below what twelve halvings of 10⁻³ reach
     c = 1e-9
-    eps = _oracle_epsilon(shift_pair, c, 1e-3)
+    eps = _oracle_epsilon(shift_pair, c)
     sups = sum(coefficient_bounds(s)[0] for s in shift_pair.symbols)
     assert 0 < eps and 4 * (2 * sups * eps + 2 * eps * eps) <= c
-    assert _oracle_epsilon(shift_pair, 1.0, 1e-3) == 1e-3
+    assert _oracle_epsilon(shift_pair, 1.0) == oracle.EPSILON == 1e-3
 
 
 def test_even_split_has_no_majority(monkeypatch, shift_pair):
-    # trials alternate between no zero and one zero at the origin: two
-    # counts of 0 and two of 1 out of four trials are no majority
-    found = itertools.cycle([np.empty((0, 2), dtype=complex), np.zeros((1, 2), dtype=complex)])
+    # trials cycle through no zero, one and two zeros at the origin: two
+    # counts of 0, two of 1 and one of 2 out of five trials are no majority
+    found = itertools.cycle([np.zeros((k, 2), dtype=complex) for k in range(3)])
     monkeypatch.setattr(oracle, "_solve_pair", lambda p, q: next(found))
-    with pytest.raises(NoMajorityError, match=r"\[0, 1, 0, 1\]"):
-        perturbed_count_details(shift_pair, 0.5, OracleConfig(trials=4))
+    with pytest.raises(NoMajorityError, match=r"\[0, 1, 2, 0, 1\]"):
+        perturbed_count_details(shift_pair, 0.5)

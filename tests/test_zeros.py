@@ -12,7 +12,6 @@ from polytoep.koszul import MonomialWindow
 from polytoep.poly import coefficient_bounds, exact_poly, gcd_bivariate, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
-    algebraic_index,
     common_zeros,
     gcd_reduce,
     quotient_basis,
@@ -307,7 +306,6 @@ def test_outside_zero_does_not_count():
     assert zs.total_inside == 0
     assert [z.location for z in zs.zeros] == ["outside"]
     assert zs.zeros[0].point[0] == pytest.approx(2.0, abs=1e-8)
-    assert algebraic_index(st, 0.5) == 0
 
 
 def test_conjugation_symmetry_of_real_systems():
@@ -320,9 +318,9 @@ def test_conjugation_symmetry_of_real_systems():
 
 
 def test_algebraic_index_values(shift_pair, quarter_pair, monomial_pair):
-    assert algebraic_index(shift_pair, 0.5) == -1
-    assert algebraic_index(quarter_pair, 0.75) == -2
-    assert algebraic_index(monomial_pair, 0.5) == -6
+    assert common_zeros(shift_pair, 0.5).total_inside == 1
+    assert common_zeros(quarter_pair, 0.75).total_inside == 2
+    assert common_zeros(monomial_pair, 0.5).total_inside == 6
 
 
 def linear_pair(a, b):
@@ -382,7 +380,7 @@ def test_gcd_reduce_zero_free_factor():
     red = gcd_reduce(st)
     assert red.factor_zero_free
     assert red.certificate.verdict == "certified" and red.certificate.c > 0
-    assert algebraic_index(red.reduced, 0.75) == -1     # (z1, z2 - 1/2)
+    assert common_zeros(red.reduced, 0.75).total_inside == 1    # (z1, z2 - 1/2)
 
 
 def test_ill_conditioned_eigensolve_raises(ill_conditioned_pair):
