@@ -22,11 +22,13 @@ from below.  dropᵢ is the smaller of two bounds on |fᵢ(z) − fᵢ(c)|:
 
 Both cost a symbol nothing for variables it does not involve.
 
-A cell is pruned once its bound exceeds half the smallest center value seen
-so far (the Moore–Skelboe best-first target of Hansen–Walster, *Global
-Optimization Using Interval Analysis*, 2004), or is merely positive once the
-cell nears the depth floor.  The running minimum only falls, so the bound
-of every target-pruned cell stays above 0.5·min_sample.  Other cells are
+A cell is pruned once its bound exceeds min(target, ½·min_val), where
+min_val is the smallest center value seen so far (the Moore–Skelboe
+best-first target of Hansen–Walster, *Global Optimization Using Interval
+Analysis*, 2004) and ``target`` is the largest c the caller reads (∞ by
+default, 0 for bare positivity), or is merely positive once the cell nears
+the depth floor.  The running minimum only falls, so the bound of every
+target-pruned cell stays above min(target, 0.5·min_sample).  Other cells are
 halved along the parameter with the largest extent·w_v, where the cell's
 own weight w_v = Σᵢ|fᵢ(c)|·G_iv is half the bound on |∂Σ|fᵢ|²/∂z_v| at its
 center (rule C of Csendes–Ratz, "Subdivision direction selection in interval
@@ -309,7 +311,8 @@ def _witness_search(st: SymbolTuple, pk: PackedTuple, start: np.ndarray,
     return z, val
 
 
-def _certify_region(st: SymbolTuple, r: float, cell_budget: int) -> BoundaryCertificate:
+def _certify_region(st: SymbolTuple, r: float, cell_budget: int,
+                    target: float) -> BoundaryCertificate:
     target_mesh = _DEFAULT_MESH[st.nvars]
     faces = _boundary_faces(st.nvars, r)
     pk = pack_tuple(st)
@@ -367,8 +370,10 @@ def _certify_region(st: SymbolTuple, r: float, cell_budget: int) -> BoundaryCert
             rad = np.sqrt(np.sum(d[:, used] ** 2, axis=1))
             bound = _cell_bounds(pk_abs, gmat, gamma, centers, absv, d)
             # aim for slack under half the smallest value seen, so c tracks
-            # the infimum, but settle for bare positivity near the depth floor
-            pruned = (bound > 0.5 * min_val) | ((bound > 0) & (rad <= 4 * delta_floor))
+            # the infimum, unless the caller reads no more than target; settle
+            # for bare positivity near the depth floor
+            aim = min(target, 0.5 * min_val)
+            pruned = (bound > aim) | ((bound > 0) & (rad <= 4 * delta_floor))
             if np.any(pruned):
                 c_min = min(c_min, float(np.min(bound[pruned])))
                 mesh_finest = min(mesh_finest, float(np.min(rad[pruned])))
@@ -419,13 +424,21 @@ def _pt(z) -> tuple:
 
 
 def boundary_lower_bound(st: SymbolTuple, r: float,
-                         cell_budget: int = CELL_BUDGET) -> BoundaryCertificate:
+                         cell_budget: int = CELL_BUDGET, *,
+                         target: float = math.inf) -> BoundaryCertificate:
     """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ),
     0 ≤ r < 1: the closed polydisc at r = 0, the annulus r ≤ |z| ≤ 1 in one
-    variable."""
+    variable.
+
+    A cell is pruned once its bound exceeds min(target, ½·min_val), min_val
+    being the smallest center value seen so far, or is positive near the
+    depth floor.  The default ∞ refines c to within half of the sampled
+    minimum; a finite ``target`` stops refining where c passes it (0 asks
+    for bare positivity), so c may then be far below the infimum, but it
+    is a proof at every target."""
     if not 0 <= r < 1:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    return _certify_region(st, r, cell_budget)
+    return _certify_region(st, r, cell_budget, target)
 
 
 def inside_by_gap(points: np.ndarray, r: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .certify import boundary_lower_bound
 from .exact import exact
-from .koszul import build_koszul, dump_matrices
+from .koszul import MatrixBudgetError, build_koszul, dump_matrices
 from .report import (JobConfig, _cert_json, _factors_json, _run_koszul,
                      certify_schedule, load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
@@ -149,7 +149,10 @@ def _emit(obj) -> None:
 def _maybe_dump(args, st) -> None:
     if not args.dump_matrices:
         return
-    text = dump_matrices(build_koszul(st, DUMP_LEVEL))
+    try:
+        text = dump_matrices(build_koszul(st, DUMP_LEVEL))
+    except MatrixBudgetError as exc:
+        raise ValueError(f"--dump-matrices: {exc}") from exc
     out = Path(args.input).with_suffix(".matrices.txt")
     out.write_text(text)
     print(f"wrote {out}", file=sys.stderr)

@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 
 from .certify import inside_by_gap
-from .kernels import pack_partials, values_block
+from .kernels import PackedTuple, pack_partials, values_block
 from .poly import (
     MultiPoly,
     NotEliminableError,
@@ -77,9 +77,11 @@ def _specialize(p: MultiPoly, var: int, value: complex) -> np.ndarray:
     return out
 
 
-def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
+def _solve_pair(p: MultiPoly, q: MultiPoly, partials: PackedTuple) -> np.ndarray | None:
     """All common zeros of a generic exact pair; None if the trial is bad
-    (vanishing resultant or an ambiguous lift)."""
+    (vanishing resultant or an ambiguous lift).  ``partials`` packs
+    ∂₁p, ∂₂p, ∂₁q, ∂₂q (``pack_partials``); a perturbation by constants
+    leaves them unchanged, so every trial shares the unperturbed pair's."""
     try:
         r = resultant(p, q, eliminate=1)
         keep = 0
@@ -112,7 +114,7 @@ def _solve_pair(p: MultiPoly, q: MultiPoly) -> np.ndarray | None:
         for j in range(i + 1, len(pts)):
             if np.max(np.abs(pts[i] - pts[j])) < _DUPLICATE_TOL:
                 return None   # perturbation failed to split a zero
-    jac = values_block(pack_partials(symbols(2, p, q)), pts)   # ∂₁p, ∂₂p, ∂₁q, ∂₂q
+    jac = values_block(partials, pts)   # ∂₁p, ∂₂p, ∂₁q, ∂₂q
     det = jac[:, 0] * jac[:, 3] - jac[:, 1] * jac[:, 2]
     if np.any(np.abs(det) < 1e-10):
         return None   # a zero failed to split into simple ones
@@ -129,12 +131,13 @@ def perturbed_count_details(st: SymbolTuple, r: float, epsilon: float = EPSILON,
     r ≤ max_v|z_v| ≤ 1 either; otherwise a zero may be counted wrongly."""
     if len(st) != 2 or st.nvars != 2:
         raise ValueError("perturbed counting handles pairs in two variables")
+    partials = pack_partials(st)
     counts = []
     attempt = 0
     while len(counts) < TRIALS and attempt < 3 * TRIALS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         attempt += 1
-        pts = _solve_pair(*_perturbed(st, rng, epsilon).symbols)
+        pts = _solve_pair(*_perturbed(st, rng, epsilon).symbols, partials)
         if pts is None:
             continue
         counts.append(int(np.sum(inside_by_gap(pts, r))))

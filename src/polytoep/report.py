@@ -181,13 +181,20 @@ def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
             "quotient_dim": zs.quotient_dim, "index": -zs.total_inside}
 
 
+def _oracle_need(st: SymbolTuple, eps: float = EPSILON) -> float:
+    """4·(2·Σᵢ sup|fᵢ|·ε + p·ε²): four times the worst-case effect on Σ|fᵢ|²
+    of perturbing each symbol by at most ε.  At ε = ``oracle.EPSILON`` it is
+    the smallest certified c at which ``_oracle_epsilon`` keeps that ε."""
+    sups = sum(coefficient_bounds(s)[0] for s in st.symbols)
+    return (2 * sups * eps + len(st) * eps * eps) * 4
+
+
 def _oracle_epsilon(st: SymbolTuple, cert_c: float) -> float:
     """Halve ε from ``oracle.EPSILON`` until its worst-case effect on Σ|fᵢ|²
     is at most a quarter of the certified bound c > 0, so no perturbed zero
     enters the gap r ≤ max|z_v| ≤ 1 that the oracle's classification reads."""
-    sups = sum(coefficient_bounds(s)[0] for s in st.symbols)
     eps = EPSILON
-    while (2 * sups * eps + len(st) * eps * eps) * 4 > cert_c:
+    while _oracle_need(st, eps) > cert_c:
         eps /= 2
     return eps
 
@@ -266,10 +273,13 @@ def certify_schedule(st: SymbolTuple, cfg: JobConfig
     """The boundary certificates of ``st`` at the radii of ``cfg.r_schedule``
     up to the first that certifies, and that one (None when none does).  The
     routes run only after one: it proves the tuple Fredholm, and its r bounds
-    every common zero in the polydisc."""
+    every common zero in the polydisc.  Each is refined only as far as the
+    routes read its c: to ``_oracle_need`` for a pair in two variables, the
+    oracle's, and to bare positivity otherwise."""
+    target = _oracle_need(st) if _pair(st) else 0.0
     certs = []
     for r in cfg.r_schedule:
-        certs.append(boundary_lower_bound(st, r))
+        certs.append(boundary_lower_bound(st, r, target=target))
         if certs[-1].verdict == "certified":
             return certs[-1], certs
     return None, certs
@@ -337,7 +347,7 @@ def run_index(cfg: JobConfig) -> dict:
                            "are not witnessed everywhere"}
         return _finish(body, timings, t_start, key, cache_path)
 
-    body["certificate"] = _cert_json(chosen)
+    body["certificate"] = body["certificates"][-1]
     routes = body["routes"]
     emitted = {}
     for name, applies, run in ROUTES:

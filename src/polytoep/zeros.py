@@ -308,11 +308,12 @@ def gcd_reduce(st: SymbolTuple) -> GcdReduction:
     """Split off the gcd of the pair.  The reduced pair together with the
     factor satisfies p = g·p', q = g·q' exactly; the factor is additionally
     certified zero-free on the closed bidisc when possible (if it is not,
-    the original tuple is not Fredholm)."""
+    the original tuple is not Fredholm).  Only that verdict is read, so the
+    certificate is refined to bare positivity (``target=0``)."""
     p, q = _require_pair(st)
     g = gcd_bivariate(p, q)
     if g.degree() == 0:
         return GcdReduction(None, st, True, None)
     reduced = symbols(2, divexact(p, g), divexact(q, g))
-    cert = boundary_lower_bound(symbols(2, g), 0.0)
+    cert = boundary_lower_bound(symbols(2, g), 0.0, target=0.0)
     return GcdReduction(g, reduced, cert.verdict == "certified", cert)

@@ -23,6 +23,7 @@ from polytoep.certify import (
 from polytoep.cli import main
 from polytoep.kernels import pack_tuple, sumsq_block, values_block
 from polytoep.poly import exact_poly, symbols, tuple_to_json
+from polytoep.report import _oracle_need
 
 from conftest import p1, p2
 
@@ -277,6 +278,19 @@ def test_seeded_products_audit():
             assert int(np.sum(vals < cert.c)) == 0, f"product {k} r={r}"
             audited += 1
     assert audited >= 6
+
+
+@pytest.mark.parametrize("target", ["bare", "oracle"])
+def test_targeted_certificates_stay_sound(target, shift_pair, shift_triple):
+    # a finite target stops refining early, but c still bounds every sample
+    rng = np.random.default_rng(3)
+    for st in (shift_triple, shift_pair, seeded_products()[4]):
+        goal = 0.0 if target == "bare" else _oracle_need(st)
+        cert = boundary_lower_bound(st, 0.5, target=goal)
+        assert cert.verdict == "certified"
+        assert cert.cells_evaluated <= boundary_lower_bound(st, 0.5).cells_evaluated
+        vals = sumsq_block(pack_tuple(st), region_samples(st.nvars, 0.5, 10_000, rng))
+        assert float(np.min(vals)) >= cert.c > 0
 
 
 @pytest.mark.parametrize("root, gap", [("2", 1), ("17/16", 1 / 16), ("65/64", 1 / 64)])

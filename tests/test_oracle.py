@@ -7,9 +7,11 @@ import pytest
 from polytoep import oracle
 from polytoep.oracle import NoMajorityError, perturbed_count_details
 from polytoep.poly import coefficient_bounds, symbols
-from polytoep.report import _oracle_epsilon
+from polytoep.certify import boundary_lower_bound
+from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule
 
 from conftest import p2
+from test_certify import seeded_products
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
@@ -59,10 +61,22 @@ def test_oracle_epsilon_meets_its_bound(shift_pair):
     assert _oracle_epsilon(shift_pair, 1.0) == oracle.EPSILON == 1e-3
 
 
+def test_targeted_certificate_keeps_the_oracle_epsilon(
+        shift_pair, monomial_pair, quarter_pair, non_dyadic_pair):
+    # the report refines c only to _oracle_need, which keeps ε where the
+    # fully refined c of the default target keeps it
+    for st in (shift_pair, monomial_pair, quarter_pair, non_dyadic_pair,
+               *seeded_products()):
+        chosen, _ = certify_schedule(st, JobConfig(input=st))
+        full = boundary_lower_bound(st, chosen.r)
+        assert full.verdict == "certified"
+        assert _oracle_epsilon(st, chosen.c) == _oracle_epsilon(st, full.c)
+
+
 def test_even_split_has_no_majority(monkeypatch, shift_pair):
     # trials cycle through no zero, one and two zeros at the origin: two
     # counts of 0, two of 1 and one of 2 out of five trials are no majority
     found = itertools.cycle([np.zeros((k, 2), dtype=complex) for k in range(3)])
-    monkeypatch.setattr(oracle, "_solve_pair", lambda p, q: next(found))
+    monkeypatch.setattr(oracle, "_solve_pair", lambda p, q, partials: next(found))
     with pytest.raises(NoMajorityError, match=r"\[0, 1, 2, 0, 1\]"):
         perturbed_count_details(shift_pair, 0.5)

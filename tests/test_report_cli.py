@@ -46,6 +46,24 @@ def test_agree_report_shape(shift_pair):
     assert rep["timings"]["total"] > 0
 
 
+def test_chosen_certificate_is_the_last_attempt(quarter_pair):
+    # (z1² − ¼, z2) fails at r = 0.5 and certifies at 0.75
+    body = run_index(JobConfig(input=quarter_pair))["body"]
+    assert len(body["certificates"]) == 2
+    assert body["certificate"] is body["certificates"][-1]
+    assert body["certificate"] == body["certificates"][-1]
+
+
+def test_three_shifts_certify_on_few_cells():
+    # no route reads c of a triple, so it is refined to bare positivity:
+    # 576 cells, against 38,720 at the default target
+    p3 = lambda t: exact_poly(3, t)
+    st = symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
+    body = run_index(JobConfig(input=st))["body"]
+    assert body["verdict"]["kind"] == "agree" and body["verdict"]["index"] == -1
+    assert sum(c["cells_evaluated"] for c in body["certificates"]) <= 1_000
+
+
 def test_not_fredholm_report(repeated_pair):
     rep = run_index(JobConfig(input=repeated_pair))
     v = rep["body"]["verdict"]
@@ -471,6 +489,19 @@ def test_cli_koszul_dims_and_dump(inputs):
     assert payload == report["body"]["routes"]["koszul"] and payload["rho"] == 0.75
     dumped = (inputs["dir"] / "shifts.matrices.txt").read_text()
     assert dumped == dump_matrices(build_koszul(load_tuple(inputs["shifts"]), DUMP_LEVEL))
+
+
+def test_cli_dump_over_the_matrix_budget_is_an_error(tmp_path):
+    # level 4 of (z1⁸, z2⁸, z3⁸) needs 27,783 columns, over MATRIX_BUDGET
+    p3 = lambda t: exact_poly(3, t)
+    path = tmp_path / "eighth.json"
+    path.write_text(json.dumps(tuple_to_json(symbols(
+        3, p3({(8, 0, 0): 1}), p3({(0, 8, 0): 1}), p3({(0, 0, 8): 1})))))
+    code, _, err = cli("koszul-dims", "--input", str(path), "--dump-matrices")
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: --dump-matrices: window overflow: stage would "
+                          "need 27783 columns (budget 20000)")
+    assert not (tmp_path / "eighth.matrices.txt").exists()
 
 
 def test_cli_koszul_dims_needs_a_certificate(tmp_path):
