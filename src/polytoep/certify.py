@@ -22,6 +22,18 @@ from below.  dropᵢ is the smaller of two bounds on |fᵢ(z) − fᵢ(c)|:
 
 Both cost a symbol nothing for variables it does not involve.
 
+A symbol with a monomial factor gets a second bound, and keeps the larger.
+Write fᵢ = z^{mᵢ}·gᵢ with mᵢ the componentwise least exponent of its terms.
+On a polar cell |z^{mᵢ}| ≥ ∏_v r_lo,v^{m_iv} holds exactly, r_lo,v being
+the cell's lower radius in z_v, and |gᵢ| stays above |gᵢ(c)| − drop_gᵢ,
+with drop_gᵢ the smaller of Σ_v G^g_iv·δ_v (G^g the coefficient bounds of
+gᵢ's partials) and the centered form ĝᵢ(|c|+δ) − ĝᵢ(|c|).  The majorant
+factors the same way, P̂ᵢ(x) = x^{mᵢ}·ĝᵢ(x) for x ≥ 0, and |fᵢ(c)| =
+|c|^{mᵢ}·|gᵢ(c)|, so every gᵢ quantity is an fᵢ quantity divided by
+|c|^{mᵢ} or (|c|+δ)^{mᵢ}: no evaluation is added.  On the face |z₂| ≥ ½ of
+(z₁⁴, z₂⁴) it gives |z₂⁴| ≥ r_lo⁴ ≥ 1/16 on every cell, where the centered
+form alone needs the angles of z₂ cut until its drop is below |z₂|⁴.
+
 A cell is pruned once its bound exceeds min(target, ½·min_val), where
 min_val is the smallest center value seen so far (the Moore–Skelboe
 best-first target of Hansen–Walster, *Global Optimization Using Interval
@@ -49,7 +61,17 @@ The bound stays a proof under floating-point rounding.  Every computed
 covering the complex products and sums of the kernel and the rounding of the
 packed coefficients); P̂ᵢ(|c|+δ) is inflated and P̂ᵢ(|c|) deflated by
 (1 ± γₖ); δ, |c|, G and the coefficient bounds are rounded upward; and the
-summed bound is rounded down.
+summed bound is rounded down.  The monomial factor's powers x^{mᵢ} are
+products of |mᵢ| factors, |mᵢ| − 1 roundings, so they and the quotients
+and products that use them are each within a factor 1 ± γ_{|m|+8} of their
+exact values, |m| the largest |mᵢ|; every such quotient is inflated or
+deflated by that factor on the safe side, as is the product with
+∏_v r_lo,v^{m_iv}.  The
+divisors are the majorant's own rounded-up arguments a ≥ |c| and
+b ≥ a + δ: |gᵢ(c)| − 2γₖ·ĝᵢ(|c|) ≥ (|fᵢ(c)| − 2γₖ·P̂ᵢ(a))/a^{mᵢ} when the
+dividend is positive (the bound is 0 otherwise), and the centered form
+ĝᵢ(b) − ĝᵢ(a) covers ĝᵢ(|c|+δ) − ĝᵢ(|c|) because ĝᵢ has nonnegative
+coefficients, so it and x ↦ ĝᵢ(x+δ) − ĝᵢ(x) only grow with x.
 
 Certified ``c`` is the minimum bound over pruned cells; the reported
 ``mesh`` is the effective uniform step, defined by
@@ -76,7 +98,7 @@ import numpy as np
 
 from .exact import exact
 from .kernels import PackedTuple, majorant, pack_partials, pack_tuple, values_block
-from .poly import (SymbolTuple, coefficient_bounds, constant,
+from .poly import (MultiPoly, SymbolTuple, coefficient_bounds, constant,
                    directional_gradient_bounds)
 
 WITNESS_THRESHOLD = 1e-3
@@ -145,8 +167,9 @@ class _CellSet:
         return self.lo.shape[0]
 
     def centers(self) -> np.ndarray:
-        rc, tc = np.split(0.5 * (self.lo + self.hi), 2, axis=1)
-        return rc * np.exp(1j * tc)
+        mid = 0.5 * (self.lo + self.hi)
+        nv = mid.shape[1] // 2
+        return mid[:, :nv] * np.exp(1j * mid[:, nv:])
 
     def extents(self) -> np.ndarray:
         """Radial half-widths, then angular half-extents (½·Δθ)·r_hi."""
@@ -158,7 +181,8 @@ class _CellSet:
     @staticmethod
     def deltas(extents: np.ndarray) -> np.ndarray:
         """Per-variable covering radii from ``extents()``, shape (ncells, nvars)."""
-        return np.hypot(*np.split(extents, 2, axis=1))
+        nv = extents.shape[1] // 2
+        return np.hypot(extents[:, :nv], extents[:, nv:])
 
     def select(self, mask) -> "_CellSet":
         return _CellSet(self.lo[mask], self.hi[mask])
@@ -169,11 +193,12 @@ class _CellSet:
         largest; a variable of weight 0 is never cut.  The first halves come
         first, then the second halves."""
         rows = np.arange(self.count)
-        pick = np.argmax(extents * np.tile(weight, 2), axis=1)
+        pick = np.argmax(extents * np.concatenate([weight, weight], axis=1), axis=1)
         mid = 0.5 * (self.lo[rows, pick] + self.hi[rows, pick])
         first_hi, second_lo = self.hi.copy(), self.lo.copy()
         first_hi[rows, pick] = second_lo[rows, pick] = mid
-        return _CellSet(np.vstack([self.lo, second_lo]), np.vstack([first_hi, self.hi]))
+        return _CellSet(np.concatenate([self.lo, second_lo]),
+                        np.concatenate([first_hi, self.hi]))
 
 
 def _split_weights(absv: np.ndarray, gmat: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -215,22 +240,75 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
+@dataclass(frozen=True)
+class _MonomialFactor:
+    """fᵢ = z^{mᵢ}·gᵢ for the symbols ``rows`` whose least exponent mᵢ is
+    not 0: ``factors`` lists, per such symbol, the variable of each of the
+    |mᵢ| factors of z^{mᵢ}, ``gmat`` holds the directional gradient bounds
+    of the gᵢ, and ``gamma`` is γ_{|m|+8} for the largest |mᵢ|."""
+
+    rows: np.ndarray              # int64[q]
+    factors: Tuple[np.ndarray, ...]
+    gmat: np.ndarray              # float64[q, nvars]
+    gamma: float
+
+
+def _monomial_factor(st: SymbolTuple) -> Optional[_MonomialFactor]:
+    """Each symbol's componentwise least exponent mᵢ and the gradient bounds
+    of its cofactor gᵢ = fᵢ / z^{mᵢ}; None when no symbol has one."""
+    rows, factors, gmat = [], [], []
+    for i, s in enumerate(st.symbols):
+        m = tuple(min((e[v] for e in s.terms), default=0) for v in range(st.nvars))
+        if any(m):
+            g = MultiPoly(st.nvars, {tuple(x - y for x, y in zip(e, m)): c
+                                     for e, c in s.terms.items()})
+            rows.append(i)
+            factors.append(np.repeat(np.arange(st.nvars), m))
+            gmat.append(directional_gradient_bounds(g))
+    if not rows:
+        return None
+    degree = max(len(f) for f in factors)
+    return _MonomialFactor(np.array(rows), tuple(factors), np.array(gmat),
+                           _gamma(degree + 8))
+
+
+def _monomial(x: np.ndarray, factor: _MonomialFactor) -> np.ndarray:
+    """x^{mᵢ} for each row of x (cells, nvars) and each factored symbol, as
+    |mᵢ| − 1 rounded products: shape (cells, len(factor.rows))."""
+    return np.stack([np.prod(x[:, f], axis=1) for f in factor.factors], axis=1)
+
+
 def _cell_bounds(pk_abs: PackedTuple, gmat: np.ndarray, gamma: float,
-                 centers: np.ndarray, absv: np.ndarray,
-                 deltas: np.ndarray) -> np.ndarray:
+                 centers: np.ndarray, absv: np.ndarray, deltas: np.ndarray,
+                 r_lo: np.ndarray, factor: Optional[_MonomialFactor]) -> np.ndarray:
     """Lower bound of Σ|fᵢ|² on each cell from the computed |fᵢ(center)|,
-    rounded so that it holds for the exact symbols (module docstring)."""
+    rounded so that it holds for the exact symbols (module docstring);
+    ``r_lo`` holds the cells' lower radii, which bound |z^{mᵢ}| below."""
     u = _UNIT_ROUNDOFF
     # the computed center is a few ulps off the cell's own, and the start
     # grid's 2·math.pi falls short of 2π: the absolute term covers both
     d = deltas * (1 + 8 * u) + 32 * u
     a = np.abs(centers) * (1 + 4 * u)
+    b = (a + d) * (1 + 4 * u)
     n = len(a)
-    hat = values_block(pk_abs, np.concatenate([a, (a + d) * (1 + 4 * u)]))
+    hat = values_block(pk_abs, np.concatenate([a, b]))
     hat_c, hat_up = hat[:n], hat[n:]
+    value = absv - 2 * gamma * hat_c
     centered = hat_up * (1 + gamma) - hat_c * (1 - gamma)
     directional = (d @ gmat.T) * (1 + gamma)
-    low = np.maximum(absv - 2 * gamma * hat_c - np.minimum(centered, directional), 0.0)
+    low = np.maximum(value - np.minimum(centered, directional), 0.0)
+    if factor is not None:
+        # the same bound for gᵢ = fᵢ / z^{mᵢ}, whose majorant is P̂ᵢ(x)/x^{mᵢ}
+        # exactly, times |z^{mᵢ}| ≥ r_lo^{mᵢ}
+        k, gm = factor.rows, factor.gamma
+        power = _monomial(np.concatenate([a, b, r_lo]), factor)
+        inv_a = (1 - gm) / power[:n]
+        g_value = value[:, k] * inv_a
+        g_centered = (hat_up[:, k] * ((1 + gamma) * (1 + gm)) / power[n:2 * n]
+                      - hat_c[:, k] * ((1 - gamma) * inv_a))
+        g_directional = (d @ factor.gmat.T) * (1 + gamma)
+        g_low = np.maximum(g_value - np.minimum(g_centered, g_directional), 0.0)
+        low[:, k] = np.maximum(low[:, k], g_low * power[2 * n:] * (1 - gm) ** 2)
     return np.sum(low * low, axis=1) * (1 - _gamma(low.shape[1] + 2))
 
 
@@ -321,6 +399,7 @@ def _certify_region(st: SymbolTuple, r: float, cell_budget: int,
     gamma = _gamma(3 * (pk.nvars * pk.maxdeg + terms + 4))
     lip = lipschitz_sumsq(st)
     gmat = np.array([directional_gradient_bounds(s) for s in st.symbols])
+    factor = _monomial_factor(st)
     weight = gmat.sum(axis=0)
     used = weight > 0
     cells = [_initial_cells(face, 4 * target_mesh, used) for face in faces]
@@ -368,7 +447,8 @@ def _certify_region(st: SymbolTuple, r: float, cell_budget: int,
             ext = batch.extents()
             d = _CellSet.deltas(ext)
             rad = np.sqrt(np.sum(d[:, used] ** 2, axis=1))
-            bound = _cell_bounds(pk_abs, gmat, gamma, centers, absv, d)
+            bound = _cell_bounds(pk_abs, gmat, gamma, centers, absv, d,
+                                 batch.lo[:, :pk.nvars], factor)
             # aim for slack under half the smallest value seen, so c tracks
             # the infimum, unless the caller reads no more than target; settle
             # for bare positivity near the depth floor

@@ -73,41 +73,43 @@ def pack_partials(st: SymbolTuple) -> PackedTuple:
     return pack_tuple(SymbolTuple(tuple(s.diff(v) for s in st.symbols for v in range(n)), n))
 
 
-def _dtype(pk: PackedTuple, points: np.ndarray) -> type:
-    """float64 when the points and every packed coefficient are real (the
-    majorant P̂ at |c| and |c| + δ), complex128 otherwise.  On real data both
-    give the same values bit for bit; the real one does a quarter of the
-    multiplications."""
-    return np.float64 if np.isrealobj(points) and not pk.cim.any() else np.complex128
+def _points(pk: PackedTuple, points) -> np.ndarray:
+    """The points as a contiguous array, shape (npts, nvars): float64 when
+    they and every packed coefficient are real (the majorant P̂ at |c| and
+    |c| + δ), complex128 otherwise.  On real data both give the same values
+    bit for bit; the real one does a quarter of the multiplications."""
+    points = np.asarray(points)
+    real = points.dtype.kind != "c" and not pk.cim.any()
+    return np.ascontiguousarray(points, dtype=np.float64 if real else np.complex128)
 
 
-def _poly_values(pk: PackedTuple, points: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the values of f_1, f_2, … in turn at a block of points, shape
-    (npts, nvars)."""
-    dtype = _dtype(pk, points)
-    z = np.ascontiguousarray(points, dtype=dtype)
+def _poly_values(pk: PackedTuple, z: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the values of f_1, f_2, … in turn at a block of points from
+    ``_points``."""
+    dtype = z.dtype
     npts, nv = z.shape
     pw = np.empty((nv, pk.maxdeg + 1, npts), dtype=dtype)
     pw[:, 0, :] = 1.0
     for k in range(1, pk.maxdeg + 1):
         pw[:, k, :] = pw[:, k - 1, :] * z.T
-    coef = pk.cre if dtype is np.float64 else pk.cre + 1j * pk.cim
+    coef = (pk.cre if dtype == np.float64 else pk.cre + 1j * pk.cim).tolist()
+    exps, offs = pk.exps.tolist(), pk.offs.tolist()
     for i in range(pk.npolys):
         acc = np.zeros(npts, dtype=dtype)
-        for t in range(pk.offs[i], pk.offs[i + 1]):
-            term = np.full(npts, coef[t])
-            for v in range(pk.nvars):
-                e = pk.exps[t, v]
+        for t in range(offs[i], offs[i + 1]):
+            term = coef[t]
+            for v, e in enumerate(exps[t]):
                 if e:
-                    term *= pw[v, e]
+                    term = term * pw[v, e]
             acc += term
         yield acc
 
 
 def sumsq_block(pk: PackedTuple, points: np.ndarray) -> np.ndarray:
     """Σ_i |f_i(z)|² for a block of points, shape (npts, nvars)."""
-    out = np.zeros(len(points), dtype=np.float64)
-    for acc in _poly_values(pk, points):
+    z = _points(pk, points)
+    out = np.zeros(len(z), dtype=np.float64)
+    for acc in _poly_values(pk, z):
         out += acc.real ** 2 + acc.imag ** 2
     return out
 
@@ -115,7 +117,8 @@ def sumsq_block(pk: PackedTuple, points: np.ndarray) -> np.ndarray:
 def values_block(pk: PackedTuple, points: np.ndarray) -> np.ndarray:
     """Tuple values at a block of points, shape (npts, npolys): float64 for
     real points and coefficients, complex128 otherwise."""
-    out = np.empty((len(points), pk.npolys), dtype=_dtype(pk, points))
-    for i, acc in enumerate(_poly_values(pk, points)):
+    z = _points(pk, points)
+    out = np.empty((len(z), pk.npolys), dtype=z.dtype)
+    for i, acc in enumerate(_poly_values(pk, z)):
         out[:, i] = acc
     return out

@@ -8,7 +8,9 @@ the count is then read off a resultant-plus-lifting solve and put to a
 majority vote across trials.
 
 The solve eliminates z₂ when either symbol depends on it and z₁ otherwise;
-a pair in z₁ alone then has a constant resultant and no common zero.
+a pair in z₁ alone then has a constant resultant and no common zero.  When
+one symbol is constant in the eliminated variable, the resultant is a power
+of it, so its own squarefree roots are taken without forming the resultant.
 Perturbations are exact rational constants (every float is one), so the
 resultant (a fraction-free determinant, ``poly.resultant``) and its
 squarefree part stay exact; only companion-matrix root-finding floats.  A
@@ -25,7 +27,6 @@ from .certify import inside_by_gap
 from .kernels import PackedTuple, pack_partials, values_block
 from .poly import (
     MultiPoly,
-    NotEliminableError,
     SymbolTuple,
     constant,
     divexact,
@@ -77,23 +78,30 @@ def _specialize(p: MultiPoly, var: int, value: complex) -> np.ndarray:
     return out
 
 
+def _base_roots(p: MultiPoly, q: MultiPoly) -> tuple[np.ndarray | None, int]:
+    """Distinct values of the kept variable at the common zeros of an exact
+    pair, and that variable; None for a vanishing resultant.  z₂ is
+    eliminated when either symbol depends on it, z₁ otherwise.  A symbol
+    constant in the eliminated variable gives them directly: the resultant
+    is then a power of it, with the same distinct roots."""
+    elim = 1 if p.degree_in(1) > 0 or q.degree_in(1) > 0 else 0
+    keep = 1 - elim
+    for s in (p, q):
+        if s.degree_in(elim) <= 0:
+            return _squarefree_roots(
+                MultiPoly(1, {(e[keep],): c for e, c in s.terms.items()})), keep
+    r = resultant(p, q, eliminate=elim)
+    return (None if r.is_zero() else _squarefree_roots(r)), keep
+
+
 def _solve_pair(p: MultiPoly, q: MultiPoly, partials: PackedTuple) -> np.ndarray | None:
     """All common zeros of a generic exact pair; None if the trial is bad
     (vanishing resultant or an ambiguous lift).  ``partials`` packs
     ∂₁p, ∂₂p, ∂₁q, ∂₂q (``pack_partials``); a perturbation by constants
     leaves them unchanged, so every trial shares the unperturbed pair's."""
-    try:
-        r = resultant(p, q, eliminate=1)
-        keep = 0
-    except NotEliminableError:
-        try:
-            r = resultant(p, q, eliminate=0)
-            keep = 1
-        except NotEliminableError:
-            return np.empty((0, 2), dtype=complex)   # two nonzero constants
-    if r.is_zero():
+    base, keep = _base_roots(p, q)
+    if base is None:
         return None
-    base = _squarefree_roots(r)
     points = []
     for a in base:
         pa = _specialize(p, keep, a)

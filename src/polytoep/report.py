@@ -12,7 +12,8 @@ variable is the product formula's n = 1 case, so its winding number comes
 from the tensor route.
 
 Reports are deterministic: the ``body`` sub-object is byte-identical across
-runs with the same configuration; wall-clock timings live outside it.  The
+runs with the same configuration; timings (wall seconds per stage, and
+process CPU seconds per stage under ``"cpu"``) live outside it.  The
 cache stores whole reports keyed by a content hash of the canonicalized
 input, ``body["config"]`` and the package version, written atomically.
 """
@@ -24,6 +25,7 @@ import logging
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -298,8 +300,7 @@ def run_index(cfg: JobConfig) -> dict:
                 stored.setdefault("cache", {})["hit"] = True
                 return stored
 
-    t_start = time.perf_counter()
-    timings = {}
+    timer = _Timer()
     body = {
         "schema_version": SCHEMA_VERSION,
         "command": "index",
@@ -313,25 +314,23 @@ def run_index(cfg: JobConfig) -> dict:
 
     # gcd reduction for pairs in two variables
     working = st
-    t0 = time.perf_counter()
-    if _pair(st):
-        red = gcd_reduce(st)
-        if red.common_factor is not None:
-            body["reduction"] = {
-                "common_factor": poly_to_json(red.common_factor),
-                "factor_zero_free": red.factor_zero_free,
-                "reduced": tuple_to_json(red.reduced),
-                "certificate": _cert_json(red.certificate),
-            }
-            if red.factor_zero_free:
-                working = red.reduced
-    timings["reduction"] = time.perf_counter() - t0
+    with timer.stage("reduction"):
+        if _pair(st):
+            red = gcd_reduce(st)
+            if red.common_factor is not None:
+                body["reduction"] = {
+                    "common_factor": poly_to_json(red.common_factor),
+                    "factor_zero_free": red.factor_zero_free,
+                    "reduced": tuple_to_json(red.reduced),
+                    "certificate": _cert_json(red.certificate),
+                }
+                if red.factor_zero_free:
+                    working = red.reduced
 
     # certificate schedule on the working tuple
-    t0 = time.perf_counter()
-    chosen, certs = certify_schedule(working, cfg)
-    body["certificates"] = [_cert_json(c) for c in certs]
-    timings["certificate"] = time.perf_counter() - t0
+    with timer.stage("certificate"):
+        chosen, certs = certify_schedule(working, cfg)
+        body["certificates"] = [_cert_json(c) for c in certs]
 
     if chosen is None:
         if all(c.verdict == "failed" for c in certs):
@@ -345,7 +344,7 @@ def run_index(cfg: JobConfig) -> dict:
                 "kind": "not_certifiable",
                 "details": "no scheduled radius certified and the failures "
                            "are not witnessed everywhere"}
-        return _finish(body, timings, t_start, key, cache_path)
+        return _finish(body, timer, key, cache_path)
 
     body["certificate"] = body["certificates"][-1]
     routes = body["routes"]
@@ -353,14 +352,13 @@ def run_index(cfg: JobConfig) -> dict:
     for name, applies, run in ROUTES:
         if not applies(working):
             continue
-        t0 = time.perf_counter()
-        try:
-            routes[name] = run(working, cfg, chosen)
-            if isinstance(routes[name].get("index"), int):
-                emitted[name] = routes[name]["index"]
-        except Exception as exc:                  # noqa: BLE001 - recorded
-            routes[name] = {"error": str(exc)}
-        timings[name] = time.perf_counter() - t0
+        with timer.stage(name):
+            try:
+                routes[name] = run(working, cfg, chosen)
+                if isinstance(routes[name].get("index"), int):
+                    emitted[name] = routes[name]["index"]
+            except Exception as exc:                  # noqa: BLE001 - recorded
+                routes[name] = {"error": str(exc)}
 
     values = set(emitted.values())
     if len(values) > 1:
@@ -380,13 +378,35 @@ def run_index(cfg: JobConfig) -> dict:
         assert chosen.verdict == "certified"       # agree requires certification
         body["verdict"] = {"kind": "agree", "index": index,
                            "routes": sorted(emitted)}
-    return _finish(body, timings, t_start, key, cache_path)
+    return _finish(body, timer, key, cache_path)
 
 
-def _finish(body: dict, timings: dict, t_start: float, key: str,
-            cache_path: Optional[Path]) -> dict:
-    timings["total"] = time.perf_counter() - t_start
-    report = {"body": body, "timings": timings,
+class _Timer:
+    """Wall and process CPU seconds per stage of one report, from its start."""
+
+    def __init__(self):
+        self.wall, self.cpu = {}, {}
+        self._start = (time.perf_counter(), time.process_time())
+
+    @contextmanager
+    def stage(self, name: str):
+        wall, cpu = time.perf_counter(), time.process_time()
+        try:
+            yield
+        finally:
+            self.wall[name] = time.perf_counter() - wall
+            self.cpu[name] = time.process_time() - cpu
+
+    def timings(self) -> dict:
+        """Wall seconds per stage and in total, and the same CPU seconds
+        under ``"cpu"``."""
+        self.wall["total"] = time.perf_counter() - self._start[0]
+        self.cpu["total"] = time.process_time() - self._start[1]
+        return {**self.wall, "cpu": self.cpu}
+
+
+def _finish(body: dict, timer: _Timer, key: str, cache_path: Optional[Path]) -> dict:
+    report = {"body": body, "timings": timer.timings(),
               "cache": {"key": key, "hit": False}}
     if cache_path is not None:
         _cache_store(cache_path, report)

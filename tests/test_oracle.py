@@ -6,12 +6,13 @@ import pytest
 
 from polytoep import oracle
 from polytoep.oracle import NoMajorityError, perturbed_count_details
-from polytoep.poly import coefficient_bounds, symbols
+from polytoep.kernels import pack_partials
+from polytoep.poly import coefficient_bounds, resultant, symbols
 from polytoep.certify import boundary_lower_bound
 from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule
 
 from conftest import p2
-from test_certify import seeded_products
+from test_certify import monomials, seeded_products
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
@@ -80,3 +81,41 @@ def test_even_split_has_no_majority(monkeypatch, shift_pair):
     monkeypatch.setattr(oracle, "_solve_pair", lambda p, q, partials: next(found))
     with pytest.raises(NoMajorityError, match=r"\[0, 1, 2, 0, 1\]"):
         perturbed_count_details(shift_pair, 0.5)
+
+
+def resultant_base_roots(p, q):
+    """The general path: distinct roots of the resultant, never the symbol."""
+    elim = 1 if p.degree_in(1) > 0 or q.degree_in(1) > 0 else 0
+    res = resultant(p, q, eliminate=elim)
+    return (None if res.is_zero() else oracle._squarefree_roots(res)), 1 - elim
+
+
+def solve_trials(st):
+    """``_solve_pair`` on the perturbations of the first TRIALS attempts."""
+    partials = pack_partials(st)
+    out = []
+    for attempt in range(oracle.TRIALS):
+        rng = np.random.default_rng(np.random.SeedSequence((0, attempt)))
+        out.append(oracle._solve_pair(*oracle._perturbed(st, rng, oracle.EPSILON).symbols,
+                                      partials))
+    return out
+
+
+def test_direct_solve_matches_the_resultant_path(monkeypatch, monomial_pair, quarter_pair):
+    # a symbol constant in the eliminated variable gives the base roots
+    # itself: the same perturbed zeros and counts as the resultant's (the
+    # counts at one radius for all, since only the two paths are compared)
+    cross = symbols(2, p2({(1, 0): 1, (0, 1): -1}), p2({(1, 1): 1}))
+    pairs = [monomial_pair, monomials(4, 4), quarter_pair, cross, *seeded_products()]
+    direct = [(solve_trials(st), perturbed_count_details(st, 0.5)) for st in pairs]
+    monkeypatch.setattr(oracle, "_base_roots", resultant_base_roots)
+    for st, (solves, details) in zip(pairs, direct):
+        for got, want in zip(solves, solve_trials(st)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape
+                # each zero of one set within 10⁻⁹ of a zero of the other
+                dist = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+                assert np.all(np.min(dist, axis=1) < 1e-9)
+                assert np.all(np.min(dist, axis=0) < 1e-9)
+        assert perturbed_count_details(st, 0.5) == details
