@@ -389,8 +389,7 @@ def _witness_search(st: SymbolTuple, pk: PackedTuple, start: np.ndarray,
     return z, val
 
 
-def _certify_region(st: SymbolTuple, r: float, cell_budget: int,
-                    target: float) -> BoundaryCertificate:
+def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertificate:
     target_mesh = _DEFAULT_MESH[st.nvars]
     faces = _boundary_faces(st.nvars, r)
     pk = pack_tuple(st)
@@ -429,7 +428,7 @@ def _certify_region(st: SymbolTuple, r: float, cell_budget: int,
         batch = cells.pop()
         rounds = 0
         while batch.count:
-            if evaluated + batch.count > cell_budget:
+            if evaluated + batch.count > CELL_BUDGET:
                 budget_hit = True
                 break
             centers = batch.centers()
@@ -503,8 +502,7 @@ def _pt(z) -> tuple:
 # ---- public certification entry points -----------------------------------------
 
 
-def boundary_lower_bound(st: SymbolTuple, r: float,
-                         cell_budget: int = CELL_BUDGET, *,
+def boundary_lower_bound(st: SymbolTuple, r: float, *,
                          target: float = math.inf) -> BoundaryCertificate:
     """Certified positive lower bound for Σ|fᵢ|² on closure(𝔻ⁿ ∖ 𝔻ᵣⁿ),
     0 ≤ r < 1: the closed polydisc at r = 0, the annulus r ≤ |z| ≤ 1 in one
@@ -518,7 +516,7 @@ def boundary_lower_bound(st: SymbolTuple, r: float,
     is a proof at every target."""
     if not 0 <= r < 1:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    return _certify_region(st, r, cell_budget, target)
+    return _certify_region(st, r, target)
 
 
 def inside_by_gap(points: np.ndarray, r: float) -> np.ndarray:

@@ -86,7 +86,7 @@ COMMANDS = {
     "certify": (_INPUT, _CONFIG, _R_SCHEDULE,
                 _p("--r", type=float, help="inner radius in [0, 1); 0 is the closed "
                    "polydisc (default: the first scheduled one)")),
-    "koszul-dims": (_INPUT, _CONFIG, _DUMP),
+    "koszul-dims": (_INPUT, _DUMP),
     "tensor": (_INPUT,),
 }
 _JOB_FIELDS = {f.name for f in fields(JobConfig)}
@@ -109,18 +109,18 @@ def _settings(args):
     """The values the subcommand reads, by parameter (a flag wins over the
     --config file), and the JobConfig made of those that are its fields.
     The cache of ``index`` defaults to a directory beside the input."""
-    params, file_cfg = COMMANDS[args.command], {}
-    if args.config:
+    params, file_cfg, config = COMMANDS[args.command], {}, getattr(args, "config", None)
+    if config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            file_cfg = json.loads(Path(config).read_text())
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: parse error at line "
+            raise ValueError(f"{config}: parse error at line "
                              f"{exc.lineno}, column {exc.colno}: {exc.msg}")
         if not isinstance(file_cfg, dict):
-            raise ValueError(f"{args.config}: the top level must be a JSON object")
+            raise ValueError(f"{config}: the top level must be a JSON object")
     keys = [p.key for p in params if p.key]
     if set(file_cfg) - set(keys):
-        raise ValueError(f"{args.config}: {args.command} reads no config key "
+        raise ValueError(f"{config}: {args.command} reads no config key "
                          f"{', '.join(sorted(set(file_cfg) - set(keys)))} "
                          f"(it reads {', '.join(keys) or 'none'})")
     values = {k: v for k, v in vars(args).items() if v is not None}
@@ -135,7 +135,7 @@ def _settings(args):
                                             / ".polytoep_cache"))
         return values, JobConfig(**job)
     except TypeError as exc:
-        raise ValueError(f"{args.config}: bad config value: {exc}") from exc
+        raise ValueError(f"{config}: bad config value: {exc}") from exc
 
 
 def _emit(obj) -> None:

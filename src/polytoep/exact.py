@@ -1,6 +1,7 @@
 """Exact complex-rational scalars built on fractions.Fraction, the reader
 ``exact`` that turns every number from outside into one, and the sparse
-reduced row echelon form that the algebraic route and the Koszul grading use."""
+reduced row echelon form, with its null vectors, that the bivariate gcd, the
+algebraic route and the Koszul grading use."""
 from __future__ import annotations
 
 import math
@@ -164,3 +165,12 @@ def echelon(rows: Iterable[Dict[int, Scalar]], pivots: Dict[int, Dict[int, Scala
         tail = pivots[lead]
         for k in [k for k in tail if k in pivots]:
             axpy(tail, tail.pop(k), pivots[k])
+
+
+def kernel_vector(pivots: Dict[int, Dict[int, Scalar]], free: int) -> Dict[int, Scalar]:
+    """The null vector of a reduced row echelon form (``echelon``'s pivots)
+    that is 1 at the non-pivot column ``free`` and 0 at every other
+    non-pivot column: each pivot column holds minus its tail's entry there."""
+    w = {free: 1}
+    w.update((lead, -tail[free]) for lead, tail in pivots.items() if free in tail)
+    return w

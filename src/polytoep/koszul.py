@@ -92,9 +92,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import svdvals
 
-from .exact import echelon
+from .exact import echelon, kernel_vector
 from .kernels import PackedTuple, pack_tuple
 from .poly import SymbolTuple
 
@@ -314,11 +313,9 @@ def _rational_kernel(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     echelon(({j: Fraction(x) for j, x in enumerate(v) if x} for v in rows), pivots)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        w = [Fraction(c == free) for c in range(n)]
-        for lead, tail in pivots.items():
-            w[lead] = -tail.get(free, Fraction(0))
-        scale = math.lcm(*(x.denominator for x in w))
-        basis.append([int(x * scale) for x in w])
+        w = kernel_vector(pivots, free)
+        scale = math.lcm(*(x.denominator for x in w.values()))
+        basis.append([int(w.get(c, 0) * scale) for c in range(n)])
     return basis
 
 
@@ -437,7 +434,7 @@ def _rank_of(sv: np.ndarray, tol: float) -> int:
 
 
 def numerical_rank(mat: np.ndarray, tol: float) -> int:
-    return _rank_of(svdvals(mat), tol) if mat.size else 0
+    return _rank_of(np.linalg.svd(mat, compute_uv=False), tol) if mat.size else 0
 
 
 def range_sum_check(matrices: Sequence[np.ndarray],

@@ -3,11 +3,14 @@
 A polynomial is a mapping from exponent tuples to coefficients, and every
 coefficient is an :class:`~polytoep.exact.ExactComplex` (rational real and
 imaginary parts), so "is zero" is decidable and the elimination algebra
-(resultants, GCDs, quotient bases) is exact.  Every value that enters from
-outside is read by :func:`~polytoep.exact.exact`: ints, Fractions, ``"p/q"``
-strings, (re, im) pairs, and finite floats and complex numbers, each of
-which is the dyadic rational it holds.  The numerical routes convert each
-coefficient to float once, when they pack the tuple.
+is exact: univariate GCDs by Euclid, the Sylvester resultant by Bareiss
+elimination, and the bivariate GCD as one null vector of the reduced echelon
+form of ``exact.echelon``, which also builds the quotient bases.  Every
+value that enters from outside is read by :func:`~polytoep.exact.exact`:
+ints, Fractions, ``"p/q"`` strings, (re, im) pairs, and finite floats and
+complex numbers, each of which is the dyadic rational it holds.  The
+numerical routes convert each coefficient to float once, when they pack the
+tuple.
 
 Construction canonicalizes: zero coefficients are dropped, and exponent
 tuples must be non-negative integers of length ``nvars``: a value with a
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Mapping, Sequence
 
-from .exact import EXACT_ONE, EXACT_ZERO, ExactComplex, exact
+from .exact import EXACT_ONE, EXACT_ZERO, ExactComplex, echelon, exact, kernel_vector
 
 Exponent = tuple  # tuple[int, ...]
 
@@ -363,15 +366,6 @@ def _as_univariate_in(p: MultiPoly, var: int) -> list:
     return [MultiPoly(1, t) for t in out]
 
 
-def _from_univariate_in(coeffs: Sequence[MultiPoly], var: int) -> MultiPoly:
-    terms: dict[Exponent, ExactComplex] = {}
-    for k, cp in enumerate(coeffs):
-        for (j,), c in cp.terms.items():
-            e = (k, j) if var == 0 else (j, k)
-            terms[e] = terms.get(e, EXACT_ZERO) + c
-    return MultiPoly(2, terms)
-
-
 def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
     """Sylvester resultant of two exact bivariate polynomials, eliminating
     the given variable.  Returns a univariate exact polynomial in the kept
@@ -380,8 +374,7 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
     The determinant of the Sylvester matrix is taken over ℚ(i)[z_keep] by
     fraction-free Gaussian elimination with row swaps (Bareiss, Math. Comp.
     22, 1968): every update (a_kk·a_ij − a_ik·a_kj) / (previous pivot) is an
-    exact polynomial division by Sylvester's identity.  A symbol constant in
-    the eliminated variable gives the triangular case, a power of it.
+    exact polynomial division by Sylvester's identity.
     """
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("resultant is defined for nvars=2")
@@ -394,13 +387,7 @@ def resultant(p: MultiPoly, q: MultiPoly, eliminate: int) -> MultiPoly:
     if m <= 0 and n <= 0:
         raise NotEliminableError(
             f"not eliminable: both polynomials are constant in variable {eliminate}")
-    pc = _as_univariate_in(p, eliminate)
-    qc = _as_univariate_in(q, eliminate)
-    if m <= 0:
-        return _pow_poly1(pc[0], n)
-    if n <= 0:
-        return _pow_poly1(qc[0], m)
-    return _sylvester_det(pc, qc)
+    return _sylvester_det(_as_univariate_in(p, eliminate), _as_univariate_in(q, eliminate))
 
 
 def _pow_poly1(base: MultiPoly, k: int) -> MultiPoly:
@@ -447,85 +434,39 @@ def _sylvester_det(pc: list, qc: list) -> MultiPoly:
 
 
 def gcd_bivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD of two exact bivariate polynomials via content/primitive-part and a
-    primitive pseudo-remainder sequence in z2.  Normalized so the graded-lex
-    leading coefficient is 1."""
+    """GCD of two exact bivariate polynomials, as one kernel of the exact
+    echelon, normalized so the graded-lex leading coefficient is 1.
+
+    Write p = g·p̄ and q = g·q̄ with p̄, q̄ coprime.  The pairs (a, b) with
+    a·p = b·q, a within q's degree box and b within p's, are exactly
+    h·(q̄, p̄) with deg_v h ≤ deg_v g in each variable: a·p̄ = b·q̄ makes q̄
+    divide a.  The unknowns are b's coefficients, then a's in increasing
+    graded-lex order of their monomials.  In the reduced echelon form
+    (pivot = least column) the null vector of a non-pivot column has its
+    last nonzero entry there, so the non-pivot columns are the leading
+    monomials LM(h)·LM(q̄) of the a's of the kernel, and the least of them
+    holds h constant: a = q̄/lc(q̄), and g = q/a.  Real pairs eliminate over
+    ``Fraction``, as ``zeros.quotient_basis`` does."""
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("gcd_bivariate needs nvars=2")
-    if p.is_zero():
-        return _normalize_lead(q)
-    if q.is_zero():
-        return _normalize_lead(p)
-    cp, pp = _content_primitive(p)
-    cq, pq = _content_primitive(q)
-    cg = gcd_univariate(cp, cq)
-    g = _primitive_prs_gcd(pp, pq)
-    return _normalize_lead(_lift_univariate(cg, 0) * g)
-
-
-def _content_primitive(p: MultiPoly):
-    """(content in C[z1], primitive part) viewing p in (C[z1])[z2]."""
-    coeffs = _as_univariate_in(p, 1)
-    content = None
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        content = c if content is None else gcd_univariate(content, c)
-        if content.degree() == 0:
-            break
-    if content is None or content.is_zero():
-        content = constant(1, EXACT_ONE)
-    prim = [divexact(c, content) for c in coeffs]
-    return content, _from_univariate_in(prim, 1)
-
-
-def _lift_univariate(c: MultiPoly, var: int) -> MultiPoly:
-    """Embed a univariate polynomial as a bivariate one in variable ``var``."""
-    terms = {}
-    for (k,), v in c.terms.items():
-        terms[(k, 0) if var == 0 else (0, k)] = v
-    return MultiPoly(2, terms)
-
-
-def _primitive_prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD of two z1-primitive bivariate polynomials, PRS in z2."""
-    if a.degree_in(1) < b.degree_in(1):
-        a, b = b, a
-    while True:
-        if b.is_zero():
-            _, prim = _content_primitive(a)
-            return prim
-        r = _pseudo_rem(a, b)
-        if r.is_zero():
-            _, prim = _content_primitive(b)
-            return prim
-        _, r = _content_primitive(r)
-        a, b = b, r
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Pseudo-remainder of a by b in z2: lc(b)^(da-db+1) * a mod b."""
-    da = a.degree_in(1)
-    db = b.degree_in(1)
-    if db < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    ca = _as_univariate_in(a, 1)
-    cb = _as_univariate_in(b, 1)
-    lead = cb[-1]
-    r = list(ca)
-    for _ in range(da - db + 1):
-        if not r:
-            break
-        top = r[-1]
-        r = [c * lead for c in r[:-1]]
-        if top.is_zero():
-            continue
-        off = len(r) - db
-        for i in range(db):
-            r[off + i] = r[off + i] - top * cb[i]
-    while r and r[-1].is_zero():
-        r.pop()
-    return _from_univariate_in(r, 1) if r else MultiPoly(2, {})
+    if p.is_zero() or q.is_zero():
+        return _normalize_lead(p + q)
+    real = all(c.im == 0 for f in (p, q) for c in f.terms.values())
+    (dp0, dp1), (dq0, dq1) = p.degree_vec(), q.degree_vec()
+    b_box = [(i, j) for i in range(dp0 + 1) for j in range(dp1 + 1)]
+    a_box = sorted(((i, j) for i in range(dq0 + 1) for j in range(dq1 + 1)), key=_grlex_key)
+    nb = len(b_box)
+    rows: dict = {}                     # monomial of a·p − b·q -> its row
+    for col, ((e0, e1), f) in enumerate([(e, -q) for e in b_box] + [(e, p) for e in a_box]):
+        for (f0, f1), c in f.terms.items():
+            rows.setdefault((e0 + f0, e1 + f1), {})[col] = c.re if real else c
+    pivots: dict = {}
+    # rows in increasing graded-lex order of their monomials: on pairs with a
+    # shared factor this fills in far less than the order they were built in
+    echelon((rows[m] for m in sorted(rows, key=_grlex_key)), pivots)
+    free = min(c for c in range(nb, nb + len(a_box)) if c not in pivots)
+    a = {a_box[c - nb]: v for c, v in kernel_vector(pivots, free).items() if c >= nb}
+    return _normalize_lead(divexact(q, MultiPoly(2, a)))
 
 
 def _normalize_lead(p: MultiPoly) -> MultiPoly:

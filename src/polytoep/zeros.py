@@ -225,24 +225,18 @@ def _joint_points(m1: np.ndarray, m2: np.ndarray, seed: int, trial: int) -> np.n
 
 
 def _cluster(points: np.ndarray, radius: float) -> List[np.ndarray]:
-    """Greedy transitive clustering in the max metric."""
-    n = points.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(points[i] - points[j])) <= radius:
-                parent[find(i)] = find(j)
-    groups: Dict[int, List[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [points[idx] for idx in groups.values()]
+    """Transitive clustering in the max metric: the components of the graph
+    joining points within ``radius``, labelled by their least index (each
+    point takes the least label among its neighbours until none changes).
+    Clusters come in order of least index, members in index order."""
+    near = np.max(np.abs(points[:, None] - points[None]), axis=2) <= radius
+    np.fill_diagonal(near, True)                  # a NaN point is its own cluster
+    label = np.arange(points.shape[0])
+    while True:
+        least = np.min(np.where(near, label, label.size), axis=1)
+        if np.array_equal(least, label):
+            return [points[label == k] for k in np.unique(label)]
+        label = least
 
 
 def _relative_residuals(st: SymbolTuple, points: np.ndarray) -> np.ndarray:

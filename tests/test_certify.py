@@ -283,8 +283,9 @@ def test_monomial_factor_bound_is_sound(name, r, target):
         assert cert.c > 0
 
 
-def test_budget_hit_is_reported(monomial_pair):
-    cert = boundary_lower_bound(monomial_pair, 0.5, cell_budget=1_000)
+def test_budget_hit_is_reported(monomial_pair, monkeypatch):
+    monkeypatch.setattr(certify, "CELL_BUDGET", 1_000)
+    cert = boundary_lower_bound(monomial_pair, 0.5)
     assert cert.verdict == "inconclusive" and cert.budget_hit
     assert cert.cells_evaluated <= 1_000
 

@@ -18,6 +18,7 @@ from polytoep.poly import (
     NotEliminableError,
     canonical_tuple_json,
     coefficient_bounds,
+    constant,
     directional_gradient_bounds,
     disc_zero_count,
     divexact,
@@ -40,6 +41,8 @@ small_fraction = st.builds(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=1, max_value=4),
 )
+
+small_complex = st.builds(ExactComplex, small_fraction, small_fraction)
 
 exponents2 = st.tuples(st.integers(min_value=0, max_value=3),
                        st.integers(min_value=0, max_value=3))
@@ -237,6 +240,34 @@ def test_gcd_bivariate_fixtures():
     assert g2.degree_in(1) == 1 and g2.degree_in(0) == 0
     coprime = gcd_bivariate(z1, z2)
     assert coprime.degree() == 0
+    # coprime, of total degree 8: a primitive PRS's coefficients swell here
+    p = exact_poly(2, {(8, 0): 1, (6, 0): -3, (2, 0): -7, (1, 0): -9, (0, 8): 1,
+                       (0, 7): 3, (0, 0): -1})
+    q = exact_poly(2, {(8, 0): 1, (7, 0): 8, (5, 1): -9, (1, 4): -2, (0, 8): 1,
+                       (0, 4): 4, (0, 0): 3})
+    assert gcd_bivariate(p, q) == constant(2, 1)
+
+
+def small_polys2(coeffs):
+    """Exact polynomials of degree at most 2 in each variable, the zero
+    polynomial and constants included."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, coeffs, max_size=4).map(lambda t: exact_poly(2, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((small_fraction, small_complex)).flatmap(
+    lambda coeffs: st.tuples(*[small_polys2(coeffs)] * 3)))
+def test_gcd_bivariate_is_the_normalized_greatest_divisor(polys):
+    g0, a, b = polys
+    assume(not g0.is_zero() and not (a.is_zero() and b.is_zero()))
+    p, q = g0 * a, g0 * b
+    g = gcd_bivariate(p, q)
+    assert g.sorted_terms()[-1][1] == EXACT_ONE          # graded-lex lead 1
+    pr, qr = divexact(p, g), divexact(q, g)
+    assert pr * g == p and qr * g == q
+    divexact(g, g0)                                      # g0 divides g
+    assert gcd_bivariate(pr, qr) == constant(2, 1)
 
 
 def test_resultant_matches_common_zero_structure():
@@ -325,9 +356,6 @@ def interpolation_resultant(p, q, eliminate):
         for d, b in enumerate(basis):
             coeffs[d] = coeffs[d] + yi / denom * b
     return exact_poly(1, {(k,): c for k, c in enumerate(coeffs)})
-
-
-small_complex = st.builds(ExactComplex, small_fraction, small_fraction)
 
 
 @st.composite

@@ -125,6 +125,43 @@ def test_gcd_reduction_is_reported():
     assert rep["body"]["verdict"]["index"] == -1
 
 
+def test_routes_that_disagree_are_reported(inputs, monkeypatch, capsys):
+    # no tuple of the suite makes two routes disagree: the oracle is made to
+    # count one zero too many on (z1, z2)
+    counted = polytoep.report.perturbed_count_details
+
+    def one_more(*args, **kwargs):
+        detail = counted(*args, **kwargs)
+        return {**detail, "count": detail["count"] + 1}
+
+    monkeypatch.setattr("polytoep.report.perturbed_count_details", one_more)
+    verdict = run_index(JobConfig(input=inputs["shifts"]))["body"]["verdict"]
+    assert verdict == {"kind": "disagree", "details": {"algebraic": -1, "koszul": -1,
+                                                       "oracle": -2, "tensor": -1}}
+    assert main(["index", "--input", inputs["shifts"]]) == 4
+    assert json.loads(capsys.readouterr().out)["body"]["verdict"] == verdict
+
+
+def test_unwitnessed_failures_are_not_certifiable(inputs, monkeypatch, capsys):
+    # every scheduled radius ends inconclusive (as when the cell budget is
+    # spent), so no witness says the tuple is not Fredholm
+    attempt = polytoep.report.boundary_lower_bound
+
+    def inconclusive(st, r, **kwargs):
+        return dataclasses.replace(attempt(st, r, **kwargs), verdict="inconclusive",
+                                   c=0.0, budget_hit=True)
+
+    monkeypatch.setattr("polytoep.report.boundary_lower_bound", inconclusive)
+    body = run_index(JobConfig(input=inputs["shifts"]))["body"]
+    assert [c["verdict"] for c in body["certificates"]] == ["inconclusive"] * 3
+    assert body["certificate"] is None and body["routes"] == {}
+    assert body["verdict"] == {
+        "kind": "not_certifiable",
+        "details": "no scheduled radius certified and the failures are not "
+                   "witnessed everywhere"}
+    assert main(["index", "--input", inputs["shifts"]]) == 3
+    assert json.loads(capsys.readouterr().out)["body"]["verdict"] == body["verdict"]
+
 ONE_VARIABLE_PAIRS = [
     ("(z1, z1 - 1/2)", symbols(2, p2({(1, 0): 1}), p2({(1, 0): 1, (0, 0): "-1/2"}))),
     ("(z1^2 - 1/2, z1)", symbols(2, p2({(2, 0): 1, (0, 0): "-1/2"}), p2({(1, 0): 1}))),
@@ -669,7 +706,8 @@ IGNORED_FLAGS = [
     *[f"certify {f}" for f in ("--n-range 2..6", "--rank-tol 1e-8", "--mesh 0.05",
                                "--seed 1", "--cache c", "--dump-matrices")],
     *[f"koszul-dims {f}" for f in ("--n-range 2..6", "--rank-tol 1e-8", "--r 0.7",
-                                   "--mesh 0.05", "--seed 1", "--cache c")],
+                                   "--mesh 0.05", "--seed 1", "--cache c",
+                                   "--config c.json")],
     *[f"tensor {f}" for f in ("--config c.json", "--n-range 2..6", "--rank-tol 1e-8",
                               "--r 0.7", "--mesh 0.05", "--seed 1", "--cache c",
                               "--dump-matrices")],
@@ -693,9 +731,7 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(args, capsys):
                                               ("index", {"rank_tolerance": 1e-8}),
                                               ("index", {"target_mesh": 0.05}),
                                               ("index", {"oracle": {"trials": 5}}),
-                                              ("certify", {"target_mesh": 0.05}),
-                                              ("koszul-dims", {"n_range": [2, 6]}),
-                                              ("koszul-dims", {"rank_tolerance": 1e-8})])
+                                              ("certify", {"target_mesh": 0.05})])
 def test_cli_rejects_config_keys_a_subcommand_does_not_read(command, content,
                                                             inputs, tmp_path):
     cfg = tmp_path / "cfg.json"
