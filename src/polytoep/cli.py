@@ -203,7 +203,7 @@ def main(argv=None) -> int:
             st = load_tuple(cfg.input)
             cert, certs = certify_schedule(st, cfg)
             out = ({"certificates": [_cert_json(c) for c in certs]} if cert is None
-                   else _run_koszul(st, cfg, cert))
+                   else _run_koszul(st, cfg, cert, {}))
             _emit(out)
             _maybe_dump(args, st)
             return 0 if out.get("stabilized") else 3

@@ -40,9 +40,14 @@ alternate with the parity of N), and a value decays when it shrank by more
 than ρ^D: after a certificate at r every interior zero decays at a rate
 below r < ρ = (1+r)/2.
 
-The sweep passes the singular values it has computed from level to level:
-when every variable has degree D, the enlarged d_k of level N is the d_k of
-level N + D, and σ_min of the last level's d₁ is read from the same record.
+A route builds each boundary map once and factors each whole map once
+(``TupleGrading.boundary`` and ``TupleGrading.svdvals``): when every
+variable has degree D, the enlarged d_k of level N is the d_k of level
+N + D, a finite section A_N is a row subset of a top map the sweep already
+holds, and σ_min of the last level's d₁ is read from the same record.  What
+does not depend on the symbols, the monomial windows (``monomial_window``)
+and the block pattern of each boundary map (``_stage_blocks``), is made
+once per process as read-only arrays.
 
 Weight-homogeneous tuples factor their boundary maps grade by grade.  If an
 integer weight w takes one value w·cᵢ on the support of every symbol fᵢ, the
@@ -67,9 +72,11 @@ shift a and symbol i with the signs of the Koszul blocks: it builds every
 boundary map and every finite section.  Deleting rows (the stage window of
 an enlarged map, the rows of a finite section) filters triplets, and
 ``chain_check`` joins the columns of d_{k+1} with the rows of d_k.  A map
-becomes dense only as a grade block handed to LAPACK, and for a tuple with
-no weight that one block is the whole map, so memory and time follow the
-nonzeros and the grade blocks.  Arithmetic is real when it can be.  Every
+becomes dense only as a grade block with at least two rows and two columns
+handed to LAPACK; a block with one row or one column has one singular
+value, its 2-norm, summed from the triplets.  For a tuple with no weight
+the one block is the whole map, so memory and time follow the nonzeros and
+the grade blocks.  Arithmetic is real when it can be.  Every
 boundary map is ``float64`` when each packed coefficient has imaginary part
 exactly 0 (exact for exact tuples: a zero ``ExactComplex.im`` converts to
 0.0), and ``complex128`` otherwise; the choice is made once per tuple and
@@ -85,6 +92,7 @@ arity the coprime case gives Ind = −codim.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,7 +115,8 @@ class MatrixBudgetError(RuntimeError):
 
 class MonomialWindow:
     """Exponents under per-variable caps: ``exps`` (dim × nvars, int64) in
-    graded-lex order, and ``row[e]``, shape cap + 1, the position of e."""
+    graded-lex order, and ``row[e]``, shape cap + 1, the position of e.  Both
+    arrays are read-only, so one window can serve every tuple."""
 
     __slots__ = ("nvars", "cap", "exps", "row")
 
@@ -126,6 +135,7 @@ class MonomialWindow:
         row = np.empty(len(lex), dtype=np.int64)
         row[order] = np.arange(len(lex))
         self.row = row.reshape([c + 1 for c in cap])
+        self.exps.flags.writeable = self.row.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -133,6 +143,22 @@ class MonomialWindow:
 
     def __repr__(self):
         return f"MonomialWindow(nvars={self.nvars}, cap={self.cap}, dim={self.dim})"
+
+
+# windows by cap, shared by every tuple; only windows within MATRIX_BUDGET
+# are kept (no assembled matrix has a larger one), so the cache is bounded
+_WINDOWS: dict = {}
+
+
+def monomial_window(cap: Tuple[int, ...]) -> MonomialWindow:
+    """The monomial window of per-variable caps ``cap``, made once per
+    process when it has at most ``MATRIX_BUDGET`` monomials."""
+    win = _WINDOWS.get(cap)
+    if win is None:
+        win = MonomialWindow(len(cap), cap)
+        if win.dim <= MATRIX_BUDGET:
+            _WINDOWS[cap] = win
+    return win
 
 
 def matrix_dtype(pk: PackedTuple) -> type:
@@ -147,11 +173,13 @@ def _subsets(p: int, k: int) -> List[Tuple[int, ...]]:
     return list(combinations(range(p), k))
 
 
-def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
-    """(row_subset, col_subset, symbol, sign) entries of the k-th boundary map,
+@functools.cache
+def _stage_blocks(p: int, k: int) -> np.ndarray:
+    """(row_subset, col_subset, symbol, sign) rows of the k-th boundary map,
     with the exterior-algebra signs: d(ξ·e_S) = Σ_{i∉S} (−1)^j·Tᵢξ·e_{S∪{i}},
     where j is the position of i in the sorted S ∪ {i}.  For a pair this is
-    d₁ξ = (T₁ξ, T₂ξ) and d₂(ξ₁,ξ₂) = −T₂ξ₁ + T₁ξ₂.
+    d₁ξ = (T₁ξ, T₂ξ) and d₂(ξ₁,ξ₂) = −T₂ξ₁ + T₁ξ₂.  Made once per process,
+    as a read-only int64 array of shape (blocks, 4).
     """
     rows = _subsets(p, k)
     cols = _subsets(p, k - 1)
@@ -162,7 +190,9 @@ def _stage_blocks(p: int, k: int) -> List[Tuple[int, int, int, int]]:
                 continue
             s_set = tuple(sorted(r_set + (i,)))
             out.append((rows.index(s_set), ci, i, (-1) ** s_set.index(i)))
-    return out
+    blocks = np.array(out, dtype=np.int64).reshape(-1, 4)
+    blocks.flags.writeable = False
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -206,14 +236,14 @@ def _boundary_matrix(pk: PackedTuple, k: int, win_in: MonomialWindow,
     coeffs = pk.cre if np.dtype(dtype).kind == "f" else pk.cre + 1j * pk.cim
     symbol = np.repeat(np.arange(p), np.diff(pk.offs))
     shifted = win_out.row[tuple((win_in.exps + pk.exps[:, None]).transpose(2, 0, 1))]
-    blocks = np.array(_stage_blocks(p, k), dtype=np.int64)
+    blocks = _stage_blocks(p, k)
     # every (block, term of the block's symbol) pair, then every monomial a
     b, t = np.nonzero(blocks[:, 2, None] == symbol)
     ri, ci, _, sign = blocks[b].T
     rows = (ri * m)[:, None] + shifted[t]
     cols = (ci * n)[:, None] + np.arange(n)
     return SparseMap(rows.ravel(), cols.ravel(), np.repeat(sign * coeffs[t], n),
-                     (len(_subsets(p, k)) * m, len(_subsets(p, k - 1)) * n))
+                     (math.comb(p, k) * m, math.comb(p, k - 1) * n))
 
 
 @dataclass(frozen=True)
@@ -238,8 +268,8 @@ def build_koszul(st: SymbolTuple, N: int,
 
     Stage k lives on the window with cap N·1 + k·D where D is the per-variable
     degree vector of the tuple, so no boundary map truncates.  ``grading``
-    is the tuple's ``TupleGrading``, whose packed tuple and windows are used
-    (made here when not given; a sweep passes one through its levels).
+    is the tuple's ``TupleGrading``, whose packed tuple and boundary maps are
+    used (made here when not given; a sweep passes one through its levels).
     """
     p = len(st)
     if p not in (1, 2, 3):
@@ -250,15 +280,13 @@ def build_koszul(st: SymbolTuple, N: int,
         raise ValueError("N must be non-negative")
     deg = st.degree_vec()
     grading = TupleGrading(st) if grading is None else grading
-    wins = [grading.window(tuple(N + k * d for d in deg)) for k in range(p + 1)]
-    widest = max(len(_subsets(p, k)) * wins[k].dim for k in range(p + 1))
+    wins = [monomial_window(tuple(N + k * d for d in deg)) for k in range(p + 1)]
+    widest = max(math.comb(p, k) * wins[k].dim for k in range(p + 1))
     if widest > MATRIX_BUDGET:
         raise MatrixBudgetError(
             f"window overflow: stage would need {widest} columns (budget {MATRIX_BUDGET})")
-    pk = grading.packed
-    dtype = matrix_dtype(pk)
-    mats = tuple(_boundary_matrix(pk, k, wins[k - 1], wins[k], dtype) for k in range(1, p + 1))
-    return KoszulTruncation(st, pk, N, deg, tuple(wins), mats)
+    mats = tuple(grading.boundary(k, wins[k - 1], wins[k]) for k in range(1, p + 1))
+    return KoszulTruncation(st, grading.packed, N, deg, tuple(wins), mats)
 
 
 def _nonzero_product(a: SparseMap, b: SparseMap) -> Tuple[SparseMap, np.ndarray]:
@@ -334,7 +362,15 @@ class TupleGrading:
 
     A route makes one grading per tuple and passes it to every level, so it
     also holds what the levels share: ``packed``, the tuple as
-    ``kernels.pack_tuple`` packs it, and the monomial windows (``window``).
+    ``kernels.pack_tuple`` packs it, ``dtype`` (``matrix_dtype``), every
+    boundary map it was asked for (``boundary``) and the singular values of
+    every whole map it factored (``svdvals``), each keyed by (stage, domain
+    cap, codomain cap).  So the enlarged d_k of level N is level N + D's d_k
+    whenever the caps agree, and a finite section is a row subset of a top
+    map the sweep already holds.  ``work`` counts the route's work: maps
+    built, batched LAPACK calls and the grade blocks they factored, and
+    blocks taken by their norm (``graded_svdvals``).  The grading lives as
+    long as the route that made it.
     """
 
     def __init__(self, st: SymbolTuple):
@@ -357,70 +393,115 @@ class TupleGrading:
             rows, radix = rows[:-1], radix[:-1]
         mult = [math.prod(radix[:j]) for j in range(len(rows))]
         omega = [sum(m * w[v] for m, w in zip(mult, rows)) for v in range(n)]
-        self.nvars, self.nsymbols, self.packed = n, p, pk
+        self.nsymbols, self.packed = p, pk
+        self.dtype = matrix_dtype(pk)
         self.weights = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        self.work = new_work()
         self._omega = np.array(omega, dtype=np.int64)
-        self._anchor_keys = anchors @ self._omega
+        anchor_keys = anchors @ self._omega
+        # per stage, the anchor keys summed over each subset, in ``_subsets`` order
+        self._subset_keys = [np.array([anchor_keys[list(sub)].sum() for sub in _subsets(p, k)],
+                                      dtype=np.int64) for k in range(p + 1)]
         self._keys: dict = {}
-        self._windows: dict = {}
-
-    def window(self, cap: Tuple[int, ...]) -> MonomialWindow:
-        """The monomial window of per-variable caps ``cap``, made once."""
-        if cap not in self._windows:
-            self._windows[cap] = MonomialWindow(self.nvars, cap)
-        return self._windows[cap]
+        self._maps: dict = {}
+        self._sigmas: dict = {}
 
     def keys(self, k: int, win: MonomialWindow) -> np.ndarray:
         """Grade keys of the coordinates of stage k on ``win`` (subset blocks
         in ``_subsets`` order, monomials in window order), computed once per
         window."""
         if (k, win.cap) not in self._keys:
-            mono = win.exps @ self._omega
-            self._keys[(k, win.cap)] = np.concatenate(
-                [mono - self._anchor_keys[list(s)].sum() for s in _subsets(self.nsymbols, k)])
+            self._keys[(k, win.cap)] = (win.exps @ self._omega
+                                        - self._subset_keys[k][:, None]).ravel()
         return self._keys[(k, win.cap)]
 
+    def boundary(self, k: int, win_in: MonomialWindow,
+                 win_out: MonomialWindow) -> SparseMap:
+        """d_k from ``win_in`` into ``win_out`` (``_boundary_matrix``), built
+        once."""
+        key = (k, win_in.cap, win_out.cap)
+        if key not in self._maps:
+            self._maps[key] = _boundary_matrix(self.packed, k, win_in, win_out, self.dtype)
+            self.work["maps_built"] += 1
+        return self._maps[key]
 
-def graded_svdvals(mat: SparseMap, row_keys: np.ndarray,
-                   col_keys: np.ndarray) -> np.ndarray:
+    def svdvals(self, k: int, win_in: MonomialWindow,
+                win_out: MonomialWindow) -> np.ndarray:
+        """Singular values of d_k from ``win_in`` into ``win_out``, descending,
+        factored once through ``graded_svdvals`` with the grade keys."""
+        key = (k, win_in.cap, win_out.cap)
+        if key not in self._sigmas:
+            self._sigmas[key] = graded_svdvals(self.boundary(k, win_in, win_out),
+                                               self.keys(k, win_out),
+                                               self.keys(k - 1, win_in), self.work)
+        return self._sigmas[key]
+
+
+# the route's deterministic work counters (``TupleGrading.work``)
+WORK_COUNTERS = ("maps_built", "lapack_calls", "lapack_blocks", "norm_blocks")
+
+
+def new_work() -> dict:
+    """Every work counter at 0."""
+    return dict.fromkeys(WORK_COUNTERS, 0)
+
+
+def graded_svdvals(mat: SparseMap, row_keys: np.ndarray, col_keys: np.ndarray,
+                   work: Optional[dict] = None) -> np.ndarray:
     """The min(m, n) singular values of ``mat``, descending.
 
     ``mat`` must vanish wherever the row key differs from the column key, so
     up to a permutation it is block-diagonal by key and its singular values
-    are the union of the blocks' ones, padded with zeros.  Each block is
-    scattered straight from the triplets, rows and columns each in their
-    own order, and blocks of one shape are factored in one batched
-    ``np.linalg.svd`` call.  When every key is the same (always so for a
-    tuple with no weight) the one block is the whole matrix.
+    are the union of the blocks' ones, padded with zeros.  A block with one
+    row or one column has one singular value, its 2-norm: those norms come
+    from one ``np.bincount`` of the squared moduli over the triplets.  Each
+    block with at least two rows and two columns is scattered straight from
+    the triplets, rows and columns each in their own order, and blocks of
+    one shape are factored in one batched ``np.linalg.svd`` call.  When
+    every key is the same (always so for a tuple with no weight) the one
+    block is the whole matrix, factored as it is.  ``work`` (``new_work``)
+    counts the LAPACK calls, the blocks they factored and the blocks taken
+    by their norm.
     """
+    work = new_work() if work is None else work
     m, n = mat.shape
     if m and n and (row_keys == row_keys[0]).all() and (col_keys == row_keys[0]).all():
+        work["lapack_calls"] += 1
+        work["lapack_blocks"] += 1
         return np.linalg.svd(mat.dense(), compute_uv=False)
     keys, label = np.unique(np.concatenate([row_keys, col_keys]), return_inverse=True)
     nrows = np.bincount(label[:m], minlength=keys.size)
     ncols = np.bincount(label[m:], minlength=keys.size)
-    # one stable sort of rows and columns together: rows come first within a
-    # label, each side in its own order; ``at`` is each row's and each
-    # column's place within its block
-    order = np.argsort(label, kind="stable")
-    start = np.cumsum(nrows + ncols) - nrows - ncols
-    at = np.empty(m + n, dtype=np.int64)
-    at[order] = np.arange(m + n) - start[label[order]]
-    at[m:] -= nrows[label[m:]]
-    live = np.flatnonzero((nrows > 0) & (ncols > 0))
-    shape = nrows * (n + 1) + ncols
-    # every triplet lies in a live block: its row and column share a label
+    small = np.minimum(nrows, ncols)
+    # every triplet lies in a block of positive size: its row and column
+    # share a label
     block = label[mat.rows]
-    block_shape = shape[block]
-    vals = [np.zeros(min(m, n) - int(np.minimum(nrows, ncols).sum()))]
-    for s in np.unique(shape[live]):
-        g = live[shape[live] == s]
-        slot = np.full(keys.size, -1, dtype=np.int64)
-        slot[g] = np.arange(g.size)
-        t = np.flatnonzero(block_shape == s)
-        blocks = np.zeros((g.size, nrows[g[0]], ncols[g[0]]), dtype=mat.dtype)
-        blocks[slot[block[t]], at[mat.rows[t]], at[m + mat.cols[t]]] = mat.vals[t]
-        vals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+    thin = small == 1
+    sumsq = np.bincount(block, weights=np.abs(mat.vals) ** 2, minlength=keys.size)
+    vals = [np.zeros(min(m, n) - int(small.sum())), np.sqrt(sumsq[thin])]
+    work["norm_blocks"] += int(thin.sum())
+    fat = np.flatnonzero(small > 1)
+    if fat.size:
+        # one stable sort of rows and columns together: rows come first
+        # within a label, each side in its own order; ``at`` is each row's
+        # and each column's place within its block
+        order = np.argsort(label, kind="stable")
+        start = np.cumsum(nrows + ncols) - nrows - ncols
+        at = np.empty(m + n, dtype=np.int64)
+        at[order] = np.arange(m + n) - start[label[order]]
+        at[m:] -= nrows[label[m:]]
+        shape = nrows * (n + 1) + ncols
+        block_shape = shape[block]
+        for s in np.unique(shape[fat]):
+            g = fat[shape[fat] == s]
+            slot = np.full(keys.size, -1, dtype=np.int64)
+            slot[g] = np.arange(g.size)
+            t = np.flatnonzero(block_shape == s)
+            blocks = np.zeros((g.size, nrows[g[0]], ncols[g[0]]), dtype=mat.dtype)
+            blocks[slot[block[t]], at[mat.rows[t]], at[m + mat.cols[t]]] = mat.vals[t]
+            vals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+            work["lapack_calls"] += 1
+            work["lapack_blocks"] += g.size
     return np.sort(np.concatenate(vals))[::-1]
 
 
@@ -454,7 +535,7 @@ def range_sum_check(matrices: Sequence[np.ndarray],
 
 # ---- homology dimensions --------------------------------------------------------
 
-def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
+def homology_kernel_dims(kt: KoszulTruncation,
                          grading: Optional[TupleGrading] = None) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
@@ -463,38 +544,32 @@ def homology_kernel_dims(kt: KoszulTruncation, sigmas: Optional[dict] = None,
     coordinate rows of the enlarged codomain, so the intersection dimension
     is rank(A) − rank(A with the rows of V deleted).
 
-    ``sigmas`` maps (k, domain cap, codomain cap) to the singular values of
-    that d_k and is read and filled here; a sweep passes one dict through its
-    levels.  When every variable has degree D, the enlarged d_k of level N
-    is, entry for entry, the d_k of level N + D, so it is not factored twice.
     ``grading`` is the tuple's ``TupleGrading`` (made here when not given; a
-    sweep passes one through its levels); every factorization goes through
-    ``graded_svdvals`` with its grade keys.
+    sweep passes one through its levels).  Every map comes from it and every
+    whole map is factored by it (``TupleGrading.svdvals``) once: when every
+    variable has degree D, the enlarged d_k of level N is, entry for entry,
+    the d_k of level N + D, so it is neither built nor factored twice.
     """
-    st, p, tol = kt.tuple, kt.arity, DEFAULT_RANK_TOL
-    d, wins = kt.boundary_matrices, kt.windows
-    sigmas = {} if sigmas is None else sigmas
-    grading = TupleGrading(st) if grading is None else grading
+    p, tol = kt.arity, DEFAULT_RANK_TOL
+    wins = kt.windows
+    grading = TupleGrading(kt.tuple) if grading is None else grading
 
-    def rank(k, mat, win_in, win_out):
-        key = (k, win_in.cap, win_out.cap)
-        if key not in sigmas:
-            sigmas[key] = graded_svdvals(mat, grading.keys(k, win_out),
-                                         grading.keys(k - 1, win_in))
-        return _rank_of(sigmas[key], tol)
+    def nullity(k):
+        return wins[k - 1].dim * math.comb(p, k - 1) - _rank_of(
+            grading.svdvals(k, wins[k - 1], wins[k]), tol)
 
-    dims = [d[0].shape[1] - rank(1, d[0], wins[0], wins[1])]
+    dims = [nullity(1)]
     for k in range(1, p):
-        null_next = d[k].shape[1] - rank(k + 1, d[k], wins[k], wins[k + 1])
         out = wins[k + 1]
-        enlarged = _boundary_matrix(kt.packed, k, wins[k], out, d[0].dtype)
         outside = np.ones(out.dim, dtype=bool)
         outside[out.row[tuple(wins[k].exps.T)]] = False
-        outside = np.flatnonzero(np.tile(outside, len(_subsets(p, k))))
-        rows_kept = graded_svdvals(enlarged.take_rows(outside), grading.keys(k, out)[outside],
-                                   grading.keys(k - 1, wins[k]))
-        dim_intersect = rank(k, enlarged, wins[k], out) - _rank_of(rows_kept, tol)
-        dims.append(max(null_next - dim_intersect, 0))
+        outside = np.flatnonzero(np.tile(outside, math.comb(p, k)))
+        rows_kept = graded_svdvals(grading.boundary(k, wins[k], out).take_rows(outside),
+                                   grading.keys(k, out)[outside],
+                                   grading.keys(k - 1, wins[k]), grading.work)
+        dim_intersect = (_rank_of(grading.svdvals(k, wins[k], out), tol)
+                         - _rank_of(rows_kept, tol))
+        dims.append(max(nullity(k + 1) - dim_intersect, 0))
     return dims
 
 
@@ -521,17 +596,17 @@ def euler_index(dims: Sequence[int]) -> int:
 SECTION_CAP = {1: 64, 2: 20, 3: 8}
 
 
-def _section_svdvals(pk: PackedTuple, grading: TupleGrading, N: int,
-                     deg: Sequence[int], dtype: type) -> np.ndarray:
+def _section_svdvals(grading: TupleGrading, N: int, deg: Sequence[int]) -> np.ndarray:
     """Ascending singular values of A_N = P_N [T_f₁ … T_f_p] P_N, the top
     boundary map from the box window of cap N, restricted to the rows of
     that window."""
-    p, n = pk.npolys, len(deg)
-    win = grading.window((N,) * n)
-    out = grading.window(tuple(N + d for d in deg))
+    p = grading.nsymbols
+    win = monomial_window((N,) * len(deg))
+    out = monomial_window(tuple(N + d for d in deg))
     rows = out.row[tuple(win.exps.T)]
-    mat = _boundary_matrix(pk, p, win, out, dtype).take_rows(rows)
-    return graded_svdvals(mat, grading.keys(p, out)[rows], grading.keys(p - 1, win))[::-1]
+    mat = grading.boundary(p, win, out).take_rows(rows)
+    return graded_svdvals(mat, grading.keys(p, out)[rows], grading.keys(p - 1, win),
+                          grading.work)[::-1]
 
 
 def ideal_codim_window(st: SymbolTuple, *, rho: float,
@@ -556,12 +631,10 @@ def ideal_codim_window(st: SymbolTuple, *, rho: float,
     deg = st.degree_vec()
     step = max(deg, default=0)
     grading = TupleGrading(st) if grading is None else grading
-    pk = grading.packed
-    dtype = matrix_dtype(pk)
     levels: List[np.ndarray] = []
     counts: List[Optional[int]] = []     # c of each compared level, None if not clear
     for N in range(1, SECTION_CAP[st.nvars] + 1):
-        sv = _section_svdvals(pk, grading, N, deg, dtype)
+        sv = _section_svdvals(grading, N, deg)
         levels.append(sv)
         if N <= step:
             continue
@@ -587,6 +660,7 @@ class KoszulRouteResult:
     homology: HomologyDims
     sigma_min_first: float
     chain_exact: bool
+    work: dict                   # ``TupleGrading.work``; no part of a report body
 
     @property
     def index(self) -> Union[int, str]:
@@ -615,7 +689,6 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
         raise ValueError("empty truncation range")
     per_n = []
     history = []
-    sigmas: dict = {}
     grading = TupleGrading(st)
     stabilized_at = None
     sigma_min = 0.0
@@ -625,9 +698,9 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
             kt = build_koszul(st, n, grading)
         except MatrixBudgetError:
             break
-        dims = homology_kernel_dims(kt, sigmas, grading)
+        dims = homology_kernel_dims(kt, grading)
         chain_ok = chain_ok and chain_check(kt)
-        sigma_min = float(sigmas[(1, kt.windows[0].cap, kt.windows[1].cap)][-1])
+        sigma_min = float(grading.svdvals(1, kt.windows[0], kt.windows[1])[-1])
         per_n.append({"N": n, "kernel_dims": list(dims)})
         history.append(tuple(dims))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
@@ -640,7 +713,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
     else:
         last = history[-1] if history else tuple([0] * p)
         hom = HomologyDims(last + (codim,), False, "unstable")
-    return KoszulRouteResult(tuple(per_n), codim, hom, sigma_min, chain_ok)
+    return KoszulRouteResult(tuple(per_n), codim, hom, sigma_min, chain_ok, grading.work)
 
 
 def dump_matrices(kt: KoszulTruncation) -> str:

@@ -12,10 +12,11 @@ a pair in z₁ alone then has a constant resultant and no common zero.  When
 one symbol is constant in the eliminated variable, the resultant is a power
 of it, so its own squarefree roots are taken without forming the resultant.
 Perturbations are exact rational constants (every float is one), so the
-resultant (a fraction-free determinant, ``poly.resultant``) and its
-squarefree part stay exact; only companion-matrix root-finding floats.  A
-perturbed zero is inside or outside by the gap of the caller's certificate
-(``certify.inside_by_gap``).
+resultant (a fraction-free determinant, ``poly.resultant``) stays exact.
+Whether it is squarefree is decided modulo a prime, with the exact gcd as
+the fallback (``_squarefree_roots``), so its squarefree part is exact too;
+only companion-matrix root-finding floats.  A perturbed zero is inside or
+outside by the gap of the caller's certificate (``certify.inside_by_gap``).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from collections import Counter
 import numpy as np
 
 from .certify import inside_by_gap
+from .exact import ExactComplex
 from .kernels import PackedTuple, pack_partials, values_block
 from .poly import (
     MultiPoly,
@@ -40,6 +42,10 @@ EPSILON = 1e-3                  # largest perturbation; ``report`` halves it to 
 TRIALS = 5                      # trials of the majority vote
 _LIFT_TOL = 1e-6
 _DUPLICATE_TOL = 1e-9
+# the prime 2³¹ − 19 ≡ 5 (mod 8), where 2 is no square, so 2^((P−1)/4) is a
+# square root of −1: the image of i
+_P = 2 ** 31 - 19
+_I = pow(2, (_P - 1) // 4, _P)
 
 
 class NoMajorityError(RuntimeError):
@@ -55,15 +61,62 @@ def _perturbed(st: SymbolTuple, rng: np.random.Generator, epsilon: float) -> Sym
     return symbols(st.nvars, *out)
 
 
+def _mod_p(c: ExactComplex) -> int | None:
+    """The image of c in F_P, i sent to ``_I``; None when P divides a
+    denominator."""
+    if c.re.denominator % _P == 0 or c.im.denominator % _P == 0:
+        return None
+    return (c.re.numerator * pow(c.re.denominator, -1, _P)
+            + c.im.numerator * pow(c.im.denominator, -1, _P) * _I) % _P
+
+
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """gcd(a, b) = 1 in F_P[x], by Euclid on ascending coefficient lists."""
+    while b and not b[-1]:
+        b = b[:-1]
+    while b:
+        a = list(a)
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            f = a[-1] * inv % _P
+            off = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] = (a[off + j] - f * c) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_mod_p(p: MultiPoly) -> bool:
+    """True only when the exact univariate p of positive degree is
+    squarefree: its image p̄ in F_P[x] keeps its degree and gcd(p̄, p̄′) = 1.
+
+    Let φ send the Gaussian rationals whose denominators P does not divide
+    to F_P, with i ↦ ``_I`` (reduction modulo a prime of ℤ[i] over P, which
+    splits since P ≡ 1 (mod 4)).  The resultant Res(p, p′) is a polynomial
+    in the coefficients, so φ(Res(p, p′)) is the resultant of φ(p) = p̄ and
+    φ(p′) = p̄′ at the formal degrees n and n − 1; as p̄ keeps degree n, that
+    is a power of lc(p̄) times Res(p̄, p̄′), which gcd(p̄, p̄′) = 1 makes
+    nonzero.  So Res(p, p′) ≠ 0 and p has no repeated root (Brown, J. ACM
+    18, 1971).  False decides nothing: p may still be squarefree."""
+    coeffs = [_mod_p(c) for c in univariate_coeffs(p)]
+    if None in coeffs or not coeffs[-1]:
+        return False
+    return _coprime_mod_p(coeffs, [k * c % _P for k, c in enumerate(coeffs)][1:])
+
+
 def _squarefree_roots(p: MultiPoly) -> np.ndarray:
     """Distinct roots of a nonzero exact univariate polynomial (a resultant):
-    the squarefree part p/gcd(p, p′) is computed exactly, so the companion
+    unless p is squarefree modulo a prime (``_squarefree_mod_p``), its
+    squarefree part p/gcd(p, p′) is computed exactly, so the companion
     solve only ever sees simple roots.  A constant has none."""
     if p.degree() == 0:
         return np.empty(0, dtype=complex)
-    g = gcd_univariate(p, p.diff(0))
-    if g.degree() > 0:
-        p = divexact(p, g)
+    if not _squarefree_mod_p(p):
+        g = gcd_univariate(p, p.diff(0))
+        if g.degree() > 0:
+            p = divexact(p, g)
     arr = np.array([c.to_complex() for c in univariate_coeffs(p)])
     return np.roots(arr[::-1])
 
@@ -94,6 +147,13 @@ def _base_roots(p: MultiPoly, q: MultiPoly) -> tuple[np.ndarray | None, int]:
     return (None if r.is_zero() else _squarefree_roots(r)), keep
 
 
+def _has_duplicate(pts: np.ndarray) -> bool:
+    """Two of the points (rows) lie within ``_DUPLICATE_TOL`` of each other
+    in the max metric; a NaN distance compares false."""
+    gap = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+    return bool(np.triu(gap < _DUPLICATE_TOL, 1).any())
+
+
 def _solve_pair(p: MultiPoly, q: MultiPoly, partials: PackedTuple) -> np.ndarray | None:
     """All common zeros of a generic exact pair; None if the trial is bad
     (vanishing resultant or an ambiguous lift).  ``partials`` packs
@@ -118,10 +178,8 @@ def _solve_pair(p: MultiPoly, q: MultiPoly, partials: PackedTuple) -> np.ndarray
     if not points:
         return np.empty((0, 2), dtype=complex)
     pts = np.array(points, dtype=complex)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.max(np.abs(pts[i] - pts[j])) < _DUPLICATE_TOL:
-                return None   # perturbation failed to split a zero
+    if _has_duplicate(pts):
+        return None   # perturbation failed to split a zero
     jac = values_block(partials, pts)   # ∂₁p, ∂₂p, ∂₁q, ∂₂q
     det = jac[:, 0] * jac[:, 3] - jac[:, 1] * jac[:, 2]
     if np.any(np.abs(det) < 1e-10):

@@ -12,8 +12,9 @@ variable is the product formula's n = 1 case, so its winding number comes
 from the tensor route.
 
 Reports are deterministic: the ``body`` sub-object is byte-identical across
-runs with the same configuration; timings (wall seconds per stage, and
-process CPU seconds per stage under ``"cpu"``) live outside it.  The
+runs with the same configuration; timings (wall seconds per stage, process
+CPU seconds per stage under ``"cpu"``, and the routes' deterministic work
+counters under ``"work"``) live outside it.  The
 cache stores whole reports keyed by a content hash of the canonicalized
 input, ``body["config"]`` and the package version, written atomically.
 """
@@ -149,18 +150,22 @@ def _cache_store(path: Path, report: dict) -> None:
 
 # ---- route runners -------------------------------------------------------------
 #
-# Every runner takes (working tuple, config, chosen certificate) and returns
-# the route's evidence; a route emits when that carries an integer "index".
+# Every runner takes (working tuple, config, chosen certificate, work) and
+# returns the route's evidence; a route emits when that carries an integer
+# "index".  ``work`` is the report's dict of deterministic work counters,
+# kept outside the body: a runner may file its route's under the route name.
 # Runners look the library functions up as module globals at call time, so
 # wrappers installed on this module see every call.
 
 
 def _run_koszul(st: SymbolTuple, cfg: JobConfig,
-                cert: BoundaryCertificate) -> dict:
+                cert: BoundaryCertificate, work: dict) -> dict:
     """The Koszul route's evidence, as the report and ``koszul-dims`` print
-    it, at the decay bound ρ = (1+r)/2 of the certificate."""
+    it, at the decay bound ρ = (1+r)/2 of the certificate; its work counters
+    (``koszul.TupleGrading``) go to ``work["koszul"]``."""
     rho = (1 + cert.r) / 2
     route = koszul_route(st, rho=rho)
+    work["koszul"] = route.work
     return {
         "per_n": list(route.per_n),
         "codim": route.codim,
@@ -174,7 +179,7 @@ def _run_koszul(st: SymbolTuple, cfg: JobConfig,
 
 
 def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
-                   cert: BoundaryCertificate) -> dict:
+                   cert: BoundaryCertificate, work: dict) -> dict:
     zs = common_zeros(st, cert.r, seed=cfg.seed)
     zeros = [{"point": [_fmt_complex(z.point[0]), _fmt_complex(z.point[1])],
               "multiplicity": z.multiplicity, "location": z.location}
@@ -202,7 +207,7 @@ def _oracle_epsilon(st: SymbolTuple, cert_c: float) -> float:
 
 
 def _run_oracle(st: SymbolTuple, cfg: JobConfig,
-                cert: BoundaryCertificate) -> dict:
+                cert: BoundaryCertificate, work: dict) -> dict:
     detail = perturbed_count_details(st, cert.r, _oracle_epsilon(st, cert.c),
                                      seed=cfg.seed)
     detail["index"] = -detail["count"]
@@ -232,7 +237,7 @@ def _factors_json(rep: TensorIndexReport) -> list:
 
 
 def _run_tensor(st: SymbolTuple, cfg: JobConfig,
-                cert: BoundaryCertificate) -> dict:
+                cert: BoundaryCertificate, work: dict) -> dict:
     variables = _tensor_variables(st)
     factors = [trig_from_poly(s, var=v) for s, v in zip(st.symbols, variables)]
     rep = tensor_tuple_index(factors, variables)
@@ -245,7 +250,7 @@ def _run_tensor(st: SymbolTuple, cfg: JobConfig,
 
 
 def _run_disc(st: SymbolTuple, cfg: JobConfig,
-              cert: BoundaryCertificate) -> dict:
+              cert: BoundaryCertificate, work: dict) -> dict:
     # In one variable the boundary region is the annulus r ≤ |z| ≤ 1, which
     # the certificate has just certified: the tuple is Fredholm of index 0.
     return {"index": 0, "certificate_r": cert.r}
@@ -354,7 +359,7 @@ def run_index(cfg: JobConfig) -> dict:
             continue
         with timer.stage(name):
             try:
-                routes[name] = run(working, cfg, chosen)
+                routes[name] = run(working, cfg, chosen, timer.work)
                 if isinstance(routes[name].get("index"), int):
                     emitted[name] = routes[name]["index"]
             except Exception as exc:                  # noqa: BLE001 - recorded
@@ -382,10 +387,11 @@ def run_index(cfg: JobConfig) -> dict:
 
 
 class _Timer:
-    """Wall and process CPU seconds per stage of one report, from its start."""
+    """Wall and process CPU seconds per stage of one report, from its start,
+    and the routes' work counters."""
 
     def __init__(self):
-        self.wall, self.cpu = {}, {}
+        self.wall, self.cpu, self.work = {}, {}, {}
         self._start = (time.perf_counter(), time.process_time())
 
     @contextmanager
@@ -398,11 +404,11 @@ class _Timer:
             self.cpu[name] = time.process_time() - cpu
 
     def timings(self) -> dict:
-        """Wall seconds per stage and in total, and the same CPU seconds
-        under ``"cpu"``."""
+        """Wall seconds per stage and in total, the same CPU seconds under
+        ``"cpu"``, and each route's work counters under ``"work"``."""
         self.wall["total"] = time.perf_counter() - self._start[0]
         self.cpu["total"] = time.process_time() - self._start[1]
-        return {**self.wall, "cpu": self.cpu}
+        return {**self.wall, "cpu": self.cpu, "work": self.work}
 
 
 def _finish(body: dict, timer: _Timer, key: str, cache_path: Optional[Path]) -> dict:

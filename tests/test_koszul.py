@@ -1,6 +1,7 @@
 """Truncated Koszul complex: chain structure, ranks, homology, route."""
 import dataclasses
 import functools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import svdvals
 
-from polytoep import koszul
+from polytoep import koszul, report
 from polytoep.koszul import (
     MonomialWindow,
     SparseMap,
@@ -36,7 +37,7 @@ from polytoep.koszul import (
 )
 from polytoep.exact import ExactComplex
 from polytoep.kernels import pack_tuple
-from polytoep.poly import exact_poly, symbols
+from polytoep.poly import exact_poly, symbols, tuple_to_json
 
 from conftest import certified_rho, p1, p2
 
@@ -325,9 +326,9 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
     calls = []
     graded = koszul.graded_svdvals
 
-    def counted(mat, row_keys, col_keys):
+    def counted(mat, *keys_and_work):
         calls.append(mat.shape)
-        return graded(mat, row_keys, col_keys)
+        return graded(mat, *keys_and_work)
 
     monkeypatch.setattr(koszul, "graded_svdvals", counted)
     monkeypatch.setattr(koszul, "ideal_codim_window", lambda *a, **k: 1)
@@ -413,6 +414,130 @@ def test_one_grade_matrix_is_factored_as_it_is():
         assert np.array_equal(got, np.linalg.svd(mat, compute_uv=False))
 
 
+def block_diagonal_map(rng, complex_vals):
+    """A random sparse map that is block-diagonal by key up to a
+    permutation of rows and columns: blocks of 1×k, k×1, 1×1 and fat
+    shapes, one fat block and one 1×k block left zero, and keys with rows
+    or columns only.  Returns (dense matrix, row keys, column keys)."""
+    shapes = [(1, 4), (3, 1), (1, 1), (1, 1), (3, 2), (2, 5), (4, 4), (2, 2),
+              (1, 3), (2, 0), (0, 3)]
+    shapes = [shapes[i] for i in rng.permutation(len(shapes))]
+    m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    mat = np.zeros((m, n), dtype=np.complex128 if complex_vals else np.float64)
+    row_keys, col_keys = np.empty(m, dtype=np.int64), np.empty(n, dtype=np.int64)
+    i = j = 0
+    for key, (r, c) in enumerate(shapes):
+        block = rng.standard_normal((r, c))
+        if complex_vals:
+            block = block + 1j * rng.standard_normal((r, c))
+        block[rng.random((r, c)) < 0.3] = 0
+        if (r, c) in ((2, 2), (1, 3)):
+            block[:] = 0
+        mat[i:i + r, j:j + c] = block
+        row_keys[i:i + r], col_keys[j:j + c] = 7 * key - 20, 7 * key - 20
+        i, j = i + r, j + c
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    return mat[rows][:, cols], row_keys[rows], col_keys[cols]
+
+
+def test_thin_blocks_are_taken_by_their_norm(monkeypatch):
+    # a block with one row or one column has one singular value, its norm;
+    # only blocks with two rows and two columns reach LAPACK
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        mat, rows, cols = block_diagonal_map(rng, complex_vals=trial % 2 == 1)
+        ref = np.linalg.svd(mat, compute_uv=False)
+        factored = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            factored.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        work = koszul.new_work()
+        got = graded_svdvals(sparse(mat), rows, cols, work)
+        monkeypatch.undo()
+        assert got.shape == (min(mat.shape),)
+        assert np.all(np.diff(got) <= 0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref[0])
+        # the fat blocks, (3, 2), (2, 5), (4, 4) and (2, 2), one call per shape
+        assert sorted(shape[1:] for shape in factored) == [(2, 2), (2, 5), (3, 2), (4, 4)]
+        assert work == {"maps_built": 0, "lapack_calls": 4, "lapack_blocks": 4,
+                        "norm_blocks": 5}
+
+
+def test_traced_functions_stay_on_the_route(monkeypatch):
+    # the benchmark times the route by wrapping these module attributes, so
+    # the route must still look each of them up when it runs
+    reached = set()
+    inside = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            if inside:
+                reached.add(name)
+            return real(*args, **kwargs)
+        return call
+
+    for mod, name in ((koszul, "build_koszul"), (koszul, "homology_kernel_dims"),
+                      (koszul, "ideal_codim_window"), (np.linalg, "svd")):
+        monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    route = report.koszul_route
+
+    def traced_route(*args, **kwargs):
+        inside.append(1)
+        try:
+            return route(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(report, "koszul_route", traced_route)
+    rep = report.run_index(report.JobConfig(input=tuple_to_json(far_pair())))
+    assert rep["body"]["verdict"] == {"kind": "agree", "index": 0,
+                                      "routes": ["algebraic", "koszul", "oracle", "tensor"]}
+    assert reached == {"build_koszul", "homology_kernel_dims", "ideal_codim_window", "svd"}
+    # the windows every tuple shares are read-only
+    win = koszul.monomial_window((3, 2))
+    assert win is koszul.monomial_window((3, 2))
+    with pytest.raises(ValueError):
+        win.exps[0, 0] = 1
+    with pytest.raises(ValueError):
+        win.row[0, 0] = 1
+
+
+def test_work_counters_stay_outside_the_body(monkeypatch):
+    # (z1 − z2, z1·z2), graded by total degree, has grade blocks of both kinds
+    keys = []
+    graded = koszul.graded_svdvals
+
+    def spy(mat, row_keys, col_keys, *work):
+        keys.append((row_keys, col_keys))
+        return graded(mat, row_keys, col_keys, *work)
+
+    monkeypatch.setattr(koszul, "graded_svdvals", spy)
+    cfg = report.JobConfig(input=tuple_to_json(graded_tuples()[5]))
+    first = report.run_index(cfg)
+    calls = len(keys)
+    second = report.run_index(cfg)
+    work = first["timings"]["work"]["koszul"]
+    assert work == second["timings"]["work"]["koszul"]
+    assert json.dumps(first["body"], sort_keys=True) == json.dumps(second["body"], sort_keys=True)
+    assert first["cache"]["key"] == second["cache"]["key"]
+    assert "maps_built" not in json.dumps(first["body"])
+    # count the grade blocks of every factorization of the first route
+    fat = thin = 0
+    for row_keys, col_keys in keys[:calls]:
+        assert len(set(row_keys.tolist() + col_keys.tolist())) > 1   # never one grade
+        for key in set(row_keys.tolist()) & set(col_keys.tolist()):
+            small = min(np.sum(row_keys == key), np.sum(col_keys == key))
+            fat, thin = fat + (small >= 2), thin + (small == 1)
+    assert work["lapack_blocks"] == fat > 0
+    assert work["norm_blocks"] == thin > 0
+    assert 0 < work["lapack_calls"] <= fat
+    assert work["maps_built"] > 0
+
+
 def gauss_jordan_kernel(rows, n):
     """Reference for ``_rational_kernel``: a primitive integer basis of the
     rational kernel of ``rows`` by Gauss–Jordan elimination over Fraction."""
@@ -455,9 +580,9 @@ def test_real_tuples_compute_in_real_arithmetic(monkeypatch, non_dyadic_pair):
     dtypes = []
     graded = koszul.graded_svdvals
 
-    def seen(mat, row_keys, col_keys):
+    def seen(mat, *keys_and_work):
         dtypes.append(mat.dtype)
-        return graded(mat, row_keys, col_keys)
+        return graded(mat, *keys_and_work)
 
     monkeypatch.setattr(koszul, "graded_svdvals", seen)
     for st in (far_pair(), non_dyadic_pair, shifts3()):
@@ -617,10 +742,10 @@ def test_section_svdvals_match_dense_reference(non_dyadic_pair, quarter_pair):
                 symbols(2, p2({(2, 0): 1, (1, 0): "-1/12", (0, 0): "-1/12"}),
                         p2({(0, 1): 1, (0, 0): "1/4", (1, 0): "1/5"}))]
     for st, weighted in [(st, True) for st in graded] + [(st, False) for st in ungraded]:
-        pk, grading = pack_tuple(st), TupleGrading(st)
+        grading = TupleGrading(st)
         assert (grading.weights.shape[0] > 0) == weighted
         for N in ((1, 2) if st.nvars == 3 else (2, 4)):
-            got = _section_svdvals(pk, grading, N, st.degree_vec(), matrix_dtype(pk))
+            got = _section_svdvals(grading, N, st.degree_vec())
             ref = np.linalg.svd(dense_section(st, N), compute_uv=False)[::-1]
             assert got.shape == ref.shape == (MonomialWindow(st.nvars, N).dim,)
             assert np.all(np.diff(got) >= 0)

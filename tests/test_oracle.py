@@ -1,17 +1,23 @@
 """Perturbation counting oracle."""
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from polytoep import oracle
+from polytoep.exact import ExactComplex
 from polytoep.oracle import NoMajorityError, perturbed_count_details
 from polytoep.kernels import pack_partials
-from polytoep.poly import coefficient_bounds, resultant, symbols
+from polytoep.poly import (MultiPoly, coefficient_bounds, exact_poly, gcd_univariate,
+                           resultant, symbols)
 from polytoep.certify import boundary_lower_bound
 from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule
 
-from conftest import p2
+from conftest import p1, p2
 from test_certify import monomials, seeded_products
 
 
@@ -119,3 +125,79 @@ def test_direct_solve_matches_the_resultant_path(monkeypatch, monomial_pair, qua
                 assert np.all(np.min(dist, axis=1) < 1e-9)
                 assert np.all(np.min(dist, axis=0) < 1e-9)
         assert perturbed_count_details(st, 0.5) == details
+
+
+gaussian_rationals = hst.builds(
+    ExactComplex,
+    *[hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 5))] * 2)
+
+
+@hst.composite
+def gaussian_products(draw):
+    """Products of one to three Gaussian-rational factors of degree one or
+    two, each drawn squared or not."""
+    p = exact_poly(1, {(0,): 1})
+    for _ in range(draw(hst.integers(1, 3))):
+        coeffs = draw(hst.lists(gaussian_rationals, min_size=2, max_size=3))
+        factor = MultiPoly(1, {(k,): c for k, c in enumerate(coeffs) if c})
+        if factor.degree() > 0:
+            p = p * factor * (factor if draw(hst.booleans()) else exact_poly(1, {(0,): 1}))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussian_products())
+def test_squarefree_mod_p_never_passes_a_repeated_root(p):
+    if p.degree() > 0 and oracle._squarefree_mod_p(p):
+        assert gcd_univariate(p, p.diff(0)).degree() == 0
+
+
+def test_squarefree_roots_fall_back_to_the_exact_gcd(monkeypatch):
+    # P is a prime ≡ 1 (mod 4), and _I a square root of −1 modulo it
+    assert all(oracle._P % d for d in range(2, math.isqrt(oracle._P) + 1))
+    assert oracle._P % 4 == 1 and pow(oracle._I, 2, oracle._P) == oracle._P - 1
+    calls = []
+    exact_gcd = oracle.gcd_univariate
+    monkeypatch.setattr(oracle, "gcd_univariate",
+                        lambda p, q: calls.append(p) or exact_gcd(p, q))
+
+    def lin(root):
+        return p1({(1,): 1, (0,): -root})
+
+    i = ExactComplex(0, 1)
+    cases = [
+        # squarefree, denominators prime to P: decided modulo P
+        (lin(Fraction(1, 2)) * lin(Fraction(-1, 3)) * lin(i), [0.5, -1 / 3, 1j], False),
+        # a repeated root: the exact gcd, then the squarefree part's roots
+        (lin(Fraction(1, 2)) * lin(Fraction(1, 2)) * lin(i), [0.5, 1j], True),
+        # squarefree, but P divides a denominator: the exact gcd
+        (lin(Fraction(1, oracle._P)) * lin(2), [1 / oracle._P, 2.0], True),
+        # (Pz − 1)²(z − 2): P divides the leading coefficient, and modulo P
+        # the repeated root 1/P goes to infinity, leaving z − 2; the
+        # degree check alone sends it to the exact gcd
+        (p1({(1,): oracle._P, (0,): -1}) * p1({(1,): oracle._P, (0,): -1}) * lin(2),
+         [1 / oracle._P, 2.0], True),
+    ]
+    for p, roots, fallback in cases:
+        calls.clear()
+        got = oracle._squarefree_roots(p)
+        assert bool(calls) == fallback
+        assert sorted(got, key=lambda z: (z.real, z.imag)) == pytest.approx(
+            sorted(roots, key=lambda z: (complex(z).real, complex(z).imag)), abs=1e-12)
+
+
+def test_duplicate_points_match_the_pairwise_rule():
+    # the broadcast rule against the loop it replaced: exact and near
+    # duplicates, points just apart, and NaN coordinates, which never match
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        k = int(rng.integers(1, 8))
+        pts = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, k, size=2)
+            pts[i] = pts[j] + rng.choice([0.0, 1e-10, 2e-9]) * rng.standard_normal(2)
+        if rng.random() < 0.3:
+            pts[rng.integers(0, k), rng.integers(0, 2)] = np.nan
+        want = any(np.max(np.abs(pts[i] - pts[j])) < oracle._DUPLICATE_TOL
+                   for i in range(k) for j in range(i + 1, k))
+        assert oracle._has_duplicate(pts) == want
