@@ -13,8 +13,9 @@ one symbol is constant in the eliminated variable, the resultant is a power
 of it, so its own squarefree roots are taken without forming the resultant.
 Perturbations are exact rational constants (every float is one), so the
 resultant (a fraction-free determinant, ``poly.resultant``) stays exact.
-Whether it is squarefree is decided modulo a prime, with the exact gcd as
-the fallback (``_squarefree_roots``), so its squarefree part is exact too;
+Whether it is squarefree is decided modulo a prime, with the exact gcd
+(``poly.gcd``, the echelon kernel every exact gcd uses) as the fallback
+(``_squarefree_roots``), so its squarefree part is exact too;
 only companion-matrix root-finding floats.  A perturbed zero is inside or
 outside by the gap of the caller's certificate (``certify.inside_by_gap``).
 """
@@ -32,7 +33,7 @@ from .poly import (
     SymbolTuple,
     constant,
     divexact,
-    gcd_univariate,
+    gcd,
     resultant,
     symbols,
     univariate_coeffs,
@@ -114,7 +115,7 @@ def _squarefree_roots(p: MultiPoly) -> np.ndarray:
     if p.degree() == 0:
         return np.empty(0, dtype=complex)
     if not _squarefree_mod_p(p):
-        g = gcd_univariate(p, p.diff(0))
+        g = gcd(p, p.diff(0))
         if g.degree() > 0:
             p = divexact(p, g)
     arr = np.array([c.to_complex() for c in univariate_coeffs(p)])

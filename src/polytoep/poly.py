@@ -3,9 +3,9 @@
 A polynomial is a mapping from exponent tuples to coefficients, and every
 coefficient is an :class:`~polytoep.exact.ExactComplex` (rational real and
 imaginary parts), so "is zero" is decidable and the elimination algebra
-is exact: univariate GCDs by Euclid, the Sylvester resultant by Bareiss
-elimination, and the bivariate GCD as one null vector of the reduced echelon
-form of ``exact.echelon``, which also builds the quotient bases.  Every
+is exact: the Sylvester resultant by Bareiss elimination, and the GCD, in
+any number of variables, as one null vector of the reduced echelon form of
+``exact.echelon``, which also builds the quotient bases.  Every
 value that enters from outside is read by :func:`~polytoep.exact.exact`:
 ints, Fractions, ``"p/q"`` strings, (re, im) pairs, and finite floats and
 complex numbers, each of which is the dyadic rational it holds.  The
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from math import sqrt
+from operator import add
 from typing import Mapping, Sequence
 
 from .exact import EXACT_ONE, EXACT_ZERO, ExactComplex, echelon, exact, kernel_vector
@@ -239,38 +241,6 @@ def univariate_coeffs(p: MultiPoly) -> list:
     return out
 
 
-def gcd_univariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic GCD of two exact univariate polynomials (Euclid)."""
-    if p.nvars != 1 or q.nvars != 1:
-        raise ValueError("gcd_univariate needs nvars=1")
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _rem_univariate(a, b)
-    if a.is_zero():
-        return a
-    lead = univariate_coeffs(a)[-1]
-    return a.scale(EXACT_ONE / lead)
-
-
-def _rem_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    ca = univariate_coeffs(a)
-    cb = univariate_coeffs(b)
-    if len(cb) == 0:
-        raise ZeroDivisionError("remainder by zero polynomial")
-    while len(ca) >= len(cb):
-        if not ca[-1]:
-            ca.pop()
-            continue
-        f = ca[-1] / cb[-1]
-        off = len(ca) - len(cb)
-        for i, c in enumerate(cb):
-            ca[off + i] = ca[off + i] - f * c
-        ca.pop()
-    return MultiPoly(1, {(k,): c for k, c in enumerate(ca)})
-
-
 def divexact(p: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient p/g; raises ValueError when g does not divide p."""
     if g.is_zero():
@@ -315,7 +285,7 @@ def disc_zero_count(p: MultiPoly) -> tuple:
         delta = c[0].abs2() - c[-1].abs2()
         if delta == 0 and g is None:
             star = {(p.degree() - k,): a.conjugate() for (k,), a in p.terms.items()}
-            g = gcd_univariate(p, MultiPoly(1, star))
+            g = gcd(p, MultiPoly(1, star))
             m = g.degree()
             if m > 0:
                 d_inside, d_on = disc_zero_count(g.diff(0))
@@ -433,40 +403,40 @@ def _sylvester_det(pc: list, qc: list) -> MultiPoly:
     return det if sign > 0 else -det
 
 
-def gcd_bivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD of two exact bivariate polynomials, as one kernel of the exact
-    echelon, normalized so the graded-lex leading coefficient is 1.
+def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """GCD of two exact polynomials in the same variables, as one kernel of
+    the exact echelon, normalized so the graded-lex leading coefficient is 1
+    (the zero polynomial when both are zero).
 
     Write p = g·p̄ and q = g·q̄ with p̄, q̄ coprime.  The pairs (a, b) with
-    a·p = b·q, a within q's degree box and b within p's, are exactly
-    h·(q̄, p̄) with deg_v h ≤ deg_v g in each variable: a·p̄ = b·q̄ makes q̄
-    divide a.  The unknowns are b's coefficients, then a's in increasing
-    graded-lex order of their monomials.  In the reduced echelon form
-    (pivot = least column) the null vector of a non-pivot column has its
-    last nonzero entry there, so the non-pivot columns are the leading
-    monomials LM(h)·LM(q̄) of the a's of the kernel, and the least of them
-    holds h constant: a = q̄/lc(q̄), and g = q/a.  Real pairs eliminate over
-    ``Fraction``, as ``zeros.quotient_basis`` does."""
-    if p.nvars != 2 or q.nvars != 2:
-        raise ValueError("gcd_bivariate needs nvars=2")
+    a·p = b·q, a within q's degree box and b within p's (boxes over
+    ``degree_vec``), are exactly h·(q̄, p̄) with deg_v h ≤ deg_v g in each
+    variable: a·p̄ = b·q̄ makes q̄ divide a.  The unknowns are b's
+    coefficients, then a's in increasing graded-lex order of their
+    monomials.  In the reduced echelon form (pivot = least column) the null
+    vector of a non-pivot column has its last nonzero entry there, so the
+    non-pivot columns are the leading monomials LM(h)·LM(q̄) of the a's of
+    the kernel, and the least of them holds h constant: a = q̄/lc(q̄), and
+    g = q/a.  Real pairs eliminate over ``Fraction``, as
+    ``zeros.quotient_basis`` does."""
+    p._check(q)
     if p.is_zero() or q.is_zero():
         return _normalize_lead(p + q)
     real = all(c.im == 0 for f in (p, q) for c in f.terms.values())
-    (dp0, dp1), (dq0, dq1) = p.degree_vec(), q.degree_vec()
-    b_box = [(i, j) for i in range(dp0 + 1) for j in range(dp1 + 1)]
-    a_box = sorted(((i, j) for i in range(dq0 + 1) for j in range(dq1 + 1)), key=_grlex_key)
+    b_box = list(product(*(range(d + 1) for d in p.degree_vec())))
+    a_box = sorted(product(*(range(d + 1) for d in q.degree_vec())), key=_grlex_key)
     nb = len(b_box)
     rows: dict = {}                     # monomial of a·p − b·q -> its row
-    for col, ((e0, e1), f) in enumerate([(e, -q) for e in b_box] + [(e, p) for e in a_box]):
-        for (f0, f1), c in f.terms.items():
-            rows.setdefault((e0 + f0, e1 + f1), {})[col] = c.re if real else c
+    for col, (e, f) in enumerate([(e, -q) for e in b_box] + [(e, p) for e in a_box]):
+        for fe, c in f.terms.items():
+            rows.setdefault(tuple(map(add, e, fe)), {})[col] = c.re if real else c
     pivots: dict = {}
     # rows in increasing graded-lex order of their monomials: on pairs with a
     # shared factor this fills in far less than the order they were built in
     echelon((rows[m] for m in sorted(rows, key=_grlex_key)), pivots)
     free = min(c for c in range(nb, nb + len(a_box)) if c not in pivots)
     a = {a_box[c - nb]: v for c, v in kernel_vector(pivots, free).items() if c >= nb}
-    return _normalize_lead(divexact(q, MultiPoly(2, a)))
+    return _normalize_lead(divexact(q, MultiPoly(p.nvars, a)))
 
 
 def _normalize_lead(p: MultiPoly) -> MultiPoly:

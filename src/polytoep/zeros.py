@@ -9,13 +9,13 @@ coordinates.
 Everything structural is exact.  The quotient basis is read off a Macaulay
 window matrix (rows = monomial shifts z^γ·fᵢ, columns = monomials keyed by
 graded-lex rank) reduced to row echelon form; the window is enlarged until
-the staircase stabilizes, the basis is closed under the variable actions,
-and the two multiplication matrices commute exactly.  The scalars are
+its normal set passes the border-basis criterion, which proves it a basis
+of the quotient (see ``quotient_basis``).  The scalars are
 rationals (``Fraction``) when every coefficient is real and exact complex
 rationals otherwise.  One reduced echelon form is grown per call: each
 larger cofactor window only adds its new shift rows, and since the reduced
 echelon form of a row space is unique for a fixed column order, the result
-equals a fresh elimination entry for entry.  The commuting check multiplies
+equals a fresh elimination entry for entry.  The criterion multiplies
 sparse columns, touching stored entries only.  Only
 the final eigensolve is floating point: one complex Schur decomposition of a
 random unit-modulus combination M₁ + τM₂ triangularizes both matrices at
@@ -47,7 +47,7 @@ from .poly import (
     MultiPoly,
     SymbolTuple,
     divexact,
-    gcd_bivariate,
+    gcd,
     symbols,
 )
 
@@ -123,30 +123,43 @@ def _apply(cols, x: Dict[int, Scalar]) -> Dict[int, Scalar]:
 
 
 def quotient_basis(st: SymbolTuple):
-    """Stabilized monomial basis of C[z]/(p, q) plus exact multiplication
-    matrices (M₁, M₂) for the two coordinate actions.
+    """Monomial basis of C[z]/(p, q) plus exact multiplication matrices
+    (M₁, M₂) for the two coordinate actions.
 
     Returns (basis exponent list, M1, M2) with matrices as nested lists of
     exact complex entries, entry [i][j] = coefficient of basis[i] in the
-    reduction of z_v · basis[j].  The quotient is finite-dimensional exactly
-    for a coprime pair; for any other the staircase never stabilizes (see
-    ``common_zeros``), and the round or column budget raises, saying so.
+    reduction of z_v · basis[j].
+
+    Each round grows the cofactor window M by 2 and returns at the first
+    candidate normal set N (the non-pivot monomials of degree below
+    K = max(2, deg p·deg q)) that passes the border-basis criterion
+    (Mourrain, AAECC 1999; Cox–Little–O'Shea, *Using Algebraic Geometry*,
+    ch. 2 §4):
+    - N holds 1 and is connected to it: each b ≠ 1 in N is z_v·b′, b′ in N;
+    - every border monomial z_v·b ∉ N reduces into N by a pivot row;
+    - M₁M₂ = M₂M₁;
+    - p(M)·e₁ = q(M)·e₁ = 0, e₁ the coordinate of 1.
+
+    Then N is a basis of C[z]/(p, q) and M_v multiplies by z_v on it.  Let
+    φ(f) = f(M₁, M₂)·e₁, read as a combination of N.  Commuting matrices make
+    φ a module map; f − φ(f) lies in (p, q) by induction over monomials, as
+    every border row is an echelon row of shifts; with the generator test,
+    ker φ = (p, q); and connectivity gives φ(b) = e_b for b in N, so φ is
+    onto.  By Bézout the quotient has dimension at most deg p·deg q, so a
+    connected basis stays below degree K.  A pair with a common factor has
+    an infinite-dimensional quotient and never passes: the round or column
+    budget ends it.
     """
     p, q = _require_pair(st)
     real = all(c.im == 0 for f in (p, q) for c in f.terms.values())
     terms = [{e: c.re if real else c for e, c in f.terms.items()} for f in (p, q)]
     d0, d1 = st.degree_vec()
     K = max(2, p.degree() * q.degree())
-    M = K + 2
-    prev_ns = None
-    # The echelon only grows: M never falls below the window it holds.  The
-    # normal set shrinks as rows are added, so K rises only in the first
-    # round for that K, where M = K + 2 exceeds the window built before.
     pivots: Dict[int, Dict[int, Scalar]] = {}
     built = -1                    # cofactor window the pivots hold
-    for _ in range(_MAX_ROUNDS):
+    for M in range(K + 2, K + 2 + 2 * _MAX_ROUNDS, 2):
         cols = (M + d0 + 1) * (M + d1 + 1)
-        if cols > _WINDOW_COL_BUDGET:
+        if cols > _WINDOW_COL_BUDGET:    # both texts are in report bodies: keep them
             raise ValueError(
                 f"quotient window needs {cols} columns (budget "
                 f"{_WINDOW_COL_BUDGET}): degrees too large, or a pair with a "
@@ -156,22 +169,40 @@ def quotient_basis(st: SymbolTuple):
         built = M
         if _key((0, 0)) in pivots:          # 1 lies in the ideal: no zeros
             return [], [], []
-        ns = [(e0, s - e0) for s in range(K + 1) for e0 in range(s, -1, -1)
+        ns = [(e0, s - e0) for s in range(K) for e0 in range(s, -1, -1)
               if _key((e0, s - e0)) not in pivots]
-        if ns and sum(ns[-1]) == K:         # ns runs by degree
-            K += 2
-            M = K + 2
-            prev_ns = None
-            continue
-        mats = _mult_matrices(ns, pivots)
-        if mats is not None and ns == prev_ns and _commute(*mats):
+        mats = _border_basis(ns, pivots, terms)
+        if mats is not None:
             return ns, _dense(mats[0]), _dense(mats[1])
-        prev_ns = ns
-        M += 2
     raise RuntimeError(f"quotient basis used up its budget of {_MAX_ROUNDS} "
                        f"rounds (last cofactor window M = {built}) for {st}; a "
                        f"pair with a common factor has infinitely many common "
                        f"zeros and never stabilizes")
+
+
+def _border_basis(ns, pivots, terms):
+    """Sparse columns of (M₁, M₂) when ``ns`` passes the border-basis
+    criterion of ``quotient_basis``, else None.  ``ns`` runs by degree, so
+    it holds 1 first: 1 is no pivot once the unit test fails."""
+    have = set(ns)
+    if any((b[0] - 1, b[1]) not in have and (b[0], b[1] - 1) not in have for b in ns[1:]):
+        return None               # not connected to 1
+    mats = _mult_matrices(ns, pivots)
+    if mats is None or not _commute(*mats) or any(_at_one(mats, f) for f in terms):
+        return None
+    return mats
+
+
+def _at_one(mats, f) -> Dict[int, Scalar]:
+    """The sparse column f(M₁, M₂)·e₁, e₁ the coordinate of 1 (index 0)."""
+    out: Dict[int, Scalar] = {}
+    for e, c in f.items():
+        v = {0: 1}
+        for cols, k in zip(mats, e):
+            for _ in range(k):
+                v = _apply(cols, v)
+        axpy(out, -c, v)
+    return out
 
 
 def _mult_matrices(ns, pivots):
@@ -253,13 +284,12 @@ def common_zeros(st: SymbolTuple, r: float, *, seed: int = 0) -> ZeroSet:
     always equals the quotient dimension.  Precondition: a boundary
     certificate at r holds for ``st`` (see ``certify.inside_by_gap``); with
     a zero on or near the torus a location may be wrong.  The pair must be
-    coprime, and
-    ``quotient_basis`` raises on any other: with a common factor g of degree
-    d ≥ 1 (a zero symbol included) every echelon row lies in (g), so every
-    pivot is divisible by LM(g) and each degree s ≥ d keeps d normal
-    monomials; the top-degree test never clears, and the round or column
-    budget ends the search.  (0, c) with c a nonzero constant has 1 in its
-    ideal and rightly no zeros."""
+    coprime: with a common factor (a zero symbol included) the quotient is
+    infinite-dimensional, no finite normal set passes the border-basis
+    criterion, and ``quotient_basis`` raises when its round or column budget
+    runs out, as it also does for a coprime pair whose basis needs a larger
+    window.  (0, c) with c a nonzero constant has 1 in its ideal and rightly
+    no zeros."""
     ns, m1, m2 = quotient_basis(st)
     dim = len(ns)
     if dim == 0:
@@ -269,14 +299,11 @@ def common_zeros(st: SymbolTuple, r: float, *, seed: int = 0) -> ZeroSet:
     for trial in range(2):
         pts = _joint_points(a1, a2, seed, trial)
         clusters = _cluster(pts, CLUSTER_RADIUS)
-        centers = [np.mean(cl, axis=0) for cl in clusters]
-        ok = True
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                if np.max(np.abs(centers[i] - centers[j])) < 3 * CLUSTER_RADIUS:
-                    ok = False
-        if ok:
-            residuals = _relative_residuals(st, np.array(centers))
+        centers = np.array([np.mean(cl, axis=0) for cl in clusters])
+        # centres closer than 3 radii in the max metric; a NaN gap compares false
+        gap = np.abs(centers[:, None] - centers[None]).max(axis=2)
+        if not np.triu(gap < 3 * CLUSTER_RADIUS, 1).any():
+            residuals = _relative_residuals(st, centers)
             worst = int(np.argmax(residuals))
             if residuals[worst] > RESIDUAL_TOL:
                 raise RuntimeError(
@@ -284,7 +311,7 @@ def common_zeros(st: SymbolTuple, r: float, *, seed: int = 0) -> ZeroSet:
                     f"{complex(centers[worst][1]):.6g}) has relative residual "
                     f"{residuals[worst]:.2g} (tolerance {RESIDUAL_TOL:g}): the "
                     f"eigensolve of the quotient basis is ill-conditioned")
-            inside = inside_by_gap(np.array(centers), r)
+            inside = inside_by_gap(centers, r)
             zeros = [Zero(point=(complex(ctr[0]), complex(ctr[1])),
                           multiplicity=cl.shape[0],
                           location="inside" if ins else "outside")
@@ -305,7 +332,7 @@ def gcd_reduce(st: SymbolTuple) -> GcdReduction:
     the original tuple is not Fredholm).  Only that verdict is read, so the
     certificate is refined to bare positivity (``target=0``)."""
     p, q = _require_pair(st)
-    g = gcd_bivariate(p, q)
+    g = gcd(p, q)
     if g.degree() == 0:
         return GcdReduction(None, st, True, None)
     reduced = symbols(2, divexact(p, g), divexact(q, g))

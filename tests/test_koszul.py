@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import svdvals
 
-from polytoep import koszul, report
+from polytoep import certify, koszul, report, zeros
 from polytoep.koszul import (
     MonomialWindow,
     SparseMap,
@@ -504,6 +504,29 @@ def test_traced_functions_stay_on_the_route(monkeypatch):
         win.exps[0, 0] = 1
     with pytest.raises(ValueError):
         win.row[0, 0] = 1
+
+
+def test_pipeline_trace_points_stay_on_the_pipeline(monkeypatch):
+    # the benchmark's other spans wrap these module attributes, and
+    # zeros.quotient_basis's span feeds its zeros.quotient_basis_s, so one
+    # run must look each of them up when it calls it
+    reached = set()
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return real(*args, **kwargs)
+        return call
+
+    points = [(report, name) for name in (
+        "gcd_reduce", "boundary_lower_bound", "koszul_route", "common_zeros",
+        "perturbed_count_details", "tensor_tuple_index")]
+    points += [(zeros, "quotient_basis"), (certify, "values_block")]
+    for mod, name in points:
+        monkeypatch.setattr(mod, name, spy(f"{mod.__name__}.{name}", getattr(mod, name)))
+    rep = report.run_index(report.JobConfig(input=tuple_to_json(far_pair())))
+    assert rep["body"]["verdict"]["kind"] == "agree"
+    assert reached == {f"{mod.__name__}.{name}" for mod, name in points}
 
 
 def test_work_counters_stay_outside_the_body(monkeypatch):

@@ -12,7 +12,7 @@ from polytoep import oracle
 from polytoep.exact import ExactComplex
 from polytoep.oracle import NoMajorityError, perturbed_count_details
 from polytoep.kernels import pack_partials
-from polytoep.poly import (MultiPoly, coefficient_bounds, exact_poly, gcd_univariate,
+from polytoep.poly import (MultiPoly, coefficient_bounds, exact_poly, gcd,
                            resultant, symbols)
 from polytoep.certify import boundary_lower_bound
 from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule
@@ -149,7 +149,7 @@ def gaussian_products(draw):
 @given(gaussian_products())
 def test_squarefree_mod_p_never_passes_a_repeated_root(p):
     if p.degree() > 0 and oracle._squarefree_mod_p(p):
-        assert gcd_univariate(p, p.diff(0)).degree() == 0
+        assert gcd(p, p.diff(0)).degree() == 0
 
 
 def test_squarefree_roots_fall_back_to_the_exact_gcd(monkeypatch):
@@ -157,8 +157,8 @@ def test_squarefree_roots_fall_back_to_the_exact_gcd(monkeypatch):
     assert all(oracle._P % d for d in range(2, math.isqrt(oracle._P) + 1))
     assert oracle._P % 4 == 1 and pow(oracle._I, 2, oracle._P) == oracle._P - 1
     calls = []
-    exact_gcd = oracle.gcd_univariate
-    monkeypatch.setattr(oracle, "gcd_univariate",
+    exact_gcd = oracle.gcd
+    monkeypatch.setattr(oracle, "gcd",
                         lambda p, q: calls.append(p) or exact_gcd(p, q))
 
     def lin(root):

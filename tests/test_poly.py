@@ -23,8 +23,7 @@ from polytoep.poly import (
     disc_zero_count,
     divexact,
     exact_poly,
-    gcd_bivariate,
-    gcd_univariate,
+    gcd,
     poly_from_json,
     poly_to_json,
     resultant,
@@ -177,7 +176,7 @@ def test_gcd_univariate_and_divexact():
     z = exact_poly(1, {(1,): 1})
     half = exact_poly(1, {(0,): "1/2"})
     p = (z - half) * (z + half) * z
-    g = gcd_univariate(p, (z - half) * z)
+    g = gcd(p, (z - half) * z)
     # monic gcd of degree 2 with roots 0 and 1/2
     assert g.degree() == 2
     assert divexact(p, g) * g == p
@@ -233,41 +232,41 @@ def test_gcd_bivariate_fixtures():
     z1 = exact_poly(2, {(1, 0): 1})
     z2 = exact_poly(2, {(0, 1): 1})
     two = exact_poly(2, {(0, 0): 2})
-    g = gcd_bivariate(z1 * z2, z1 * (z2 - two))
+    g = gcd(z1 * z2, z1 * (z2 - two))
     assert g.degree() == 1 and g.degree_in(0) == 1   # g ~ z1
     # zero coefficients in the coefficient list must not trip the content
-    g2 = gcd_bivariate(z1 * z2, z2 * z2 * z2)
+    g2 = gcd(z1 * z2, z2 * z2 * z2)
     assert g2.degree_in(1) == 1 and g2.degree_in(0) == 0
-    coprime = gcd_bivariate(z1, z2)
+    coprime = gcd(z1, z2)
     assert coprime.degree() == 0
     # coprime, of total degree 8: a primitive PRS's coefficients swell here
     p = exact_poly(2, {(8, 0): 1, (6, 0): -3, (2, 0): -7, (1, 0): -9, (0, 8): 1,
                        (0, 7): 3, (0, 0): -1})
     q = exact_poly(2, {(8, 0): 1, (7, 0): 8, (5, 1): -9, (1, 4): -2, (0, 8): 1,
                        (0, 4): 4, (0, 0): 3})
-    assert gcd_bivariate(p, q) == constant(2, 1)
+    assert gcd(p, q) == constant(2, 1)
 
 
-def small_polys2(coeffs):
-    """Exact polynomials of degree at most 2 in each variable, the zero
-    polynomial and constants included."""
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return st.dictionaries(exps, coeffs, max_size=4).map(lambda t: exact_poly(2, t))
+def small_polys(nvars, coeffs):
+    """Exact polynomials of degree at most 4 in one variable or 2 in each of
+    two, the zero polynomial and constants included."""
+    exps = st.tuples(*[st.integers(0, 4 // nvars)] * nvars)
+    return st.dictionaries(exps, coeffs, max_size=4).map(lambda t: exact_poly(nvars, t))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from((small_fraction, small_complex)).flatmap(
-    lambda coeffs: st.tuples(*[small_polys2(coeffs)] * 3)))
-def test_gcd_bivariate_is_the_normalized_greatest_divisor(polys):
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.sampled_from((1, 2)), st.sampled_from((small_fraction, small_complex))).flatmap(
+    lambda nc: st.tuples(*[small_polys(*nc)] * 3)))
+def test_gcd_is_the_normalized_greatest_divisor(polys):
     g0, a, b = polys
     assume(not g0.is_zero() and not (a.is_zero() and b.is_zero()))
     p, q = g0 * a, g0 * b
-    g = gcd_bivariate(p, q)
+    g = gcd(p, q)
     assert g.sorted_terms()[-1][1] == EXACT_ONE          # graded-lex lead 1
     pr, qr = divexact(p, g), divexact(q, g)
     assert pr * g == p and qr * g == q
     divexact(g, g0)                                      # g0 divides g
-    assert gcd_bivariate(pr, qr) == constant(2, 1)
+    assert gcd(pr, qr) == constant(p.nvars, 1)
 
 
 def test_resultant_matches_common_zero_structure():

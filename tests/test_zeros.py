@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from polytoep import zeros
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.koszul import MonomialWindow
-from polytoep.poly import coefficient_bounds, exact_poly, gcd_bivariate, symbols
+from polytoep.poly import coefficient_bounds, exact_poly, gcd, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
     common_zeros,
@@ -25,7 +25,9 @@ ROT = ExactComplex(Fraction(3, 5), Fraction(4, 5))      # a unit with i in it
 def reference_quotient_basis(st):
     """Reference for ``quotient_basis``: a fresh elimination over exact
     complex rationals for every window, with columns keyed by position in
-    that window, and a dense commuting check."""
+    that window, and a dense commuting check.  It stops by a heuristic (the
+    normal set repeats across two windows; K rises while it reaches degree
+    K), so it can give up where the border-basis criterion answers."""
     p, q = st.symbols
     K = max(2, p.degree() * q.degree())
     M = K + 2
@@ -58,21 +60,8 @@ def reference_quotient_basis(st):
 
 def reference_unit_in_ideal(st):
     """Whether 1 is a combination of the shift rows z^γ·fᵢ of some cofactor
-    window [0, M]² within the column budget, by the reference elimination:
-    the constant monomial, last in descending graded-lex order, is then a
-    pivot column."""
-    for M in range(2, 64):
-        win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
-        if win.dim > zeros._WINDOW_COL_BUDGET:
-            return False
-        order = [tuple(e) for e in win.exps[::-1].tolist()]
-        assert order[-1] == (0, 0)
-        col_of = {e: i for i, e in enumerate(order)}
-        rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in f.terms.items()}
-                for f in st.symbols for g in MonomialWindow(2, M).exps.tolist()]
-        if len(order) - 1 in _reference_echelon(rows):
-            return True
-    return False
+    window [0, M]² within the column budget, by the reference elimination."""
+    return reference_in_ideal(st, {(0, 0): EXACT_ONE})
 
 
 def _reference_echelon(rows):
@@ -132,6 +121,70 @@ def _dense_mul(a, b):
              for j in range(n)] for i in range(n)]
 
 
+def reference_in_ideal(st, f):
+    """Whether ``f`` (exponent -> coefficient) is a combination of the shift
+    rows z^γ·fᵢ of some cofactor window [0, M]² within the column budget, by
+    the reference elimination: f reduces to zero by its pivots."""
+    for M in range(2, 64):
+        win = MonomialWindow(2, tuple(M + d for d in st.degree_vec()))
+        if win.dim > zeros._WINDOW_COL_BUDGET:
+            return False
+        order = [tuple(e) for e in win.exps[::-1].tolist()]
+        col_of = {e: i for i, e in enumerate(order)}
+        if any(e not in col_of for e in f):
+            continue
+        rows = [{col_of[(g[0] + e[0], g[1] + e[1])]: c for e, c in h.terms.items()}
+                for h in st.symbols for g in MonomialWindow(2, M).exps.tolist()]
+        pivots = _reference_echelon(rows)
+        rest = {col_of[e]: c for e, c in f.items() if c}
+        while rest and min(rest) in pivots:
+            lead = min(rest)
+            c = rest.pop(lead)
+            for k, v in pivots[lead].items():
+                nv = rest.get(k, EXACT_ZERO) - c * v
+                if nv:
+                    rest[k] = nv
+                else:
+                    rest.pop(k, None)
+        if not rest:
+            return True
+    return False
+
+
+def dense_criterion_holds(st, ns, m1, m2):
+    """The border-basis criterion of ``quotient_basis``, checked on dense
+    matrices by the reference elimination: 1 leads ``ns``, which is connected
+    to it; M₁M₂ = M₂M₁; p(M)·e₁ = q(M)·e₁ = 0; and each column of M_v is the
+    reduction of z_v·b modulo the ideal."""
+    n = len(ns)
+    if not ns or ns[0] != (0, 0) or any(
+            (b[0] - 1, b[1]) not in ns and (b[0], b[1] - 1) not in ns for b in ns[1:]):
+        return False
+    if _dense_mul(m1, m2) != _dense_mul(m2, m1):
+        return False
+    for f in st.symbols:
+        value = [EXACT_ZERO] * n
+        for e, c in f.terms.items():
+            v = [EXACT_ONE] + [EXACT_ZERO] * (n - 1)
+            for mat, k in ((m1, e[0]), (m2, e[1])):
+                for _ in range(k):
+                    v = [sum((mat[i][j] * v[j] for j in range(n)), EXACT_ZERO)
+                         for i in range(n)]
+            value = [a + c * b for a, b in zip(value, v)]
+        if any(value):
+            return False
+    for var, mat in enumerate((m1, m2)):
+        for j, b in enumerate(ns):
+            border = (b[0] + 1, b[1]) if var == 0 else (b[0], b[1] + 1)
+            residue = {border: EXACT_ONE}
+            for i, e in enumerate(ns):
+                if mat[i][j]:
+                    residue[e] = residue.get(e, EXACT_ZERO) - mat[i][j]
+            if any(residue.values()) and not reference_in_ideal(st, residue):
+                return False
+    return True
+
+
 def rotated(st):
     return symbols(2, *(f.scale(ROT) for f in st.symbols))
 
@@ -146,6 +199,23 @@ def unit_pair():
     # 1 lies in the ideal of this pair, so it has no common zero at all
     return symbols(2, p2({(2, 0): "-3/4"}),
                    p2({(0, 0): "1/2", (1, 2): "3/4", (2, 0): "-7/4"}))
+
+
+def two_round_pairs():
+    """Coprime pairs whose staircase heuristic gave up but whose normal set
+    passes the border-basis criterion in the second round, with their two
+    common zeros."""
+    root = np.sqrt(129 / 8)
+    return [
+        (symbols(2, p2({(0, 2): "1/2", (0, 3): -2}),
+                 p2({(0, 0): -7, (0, 2): "9/2", (2, 1): "5/3"})),
+         [(-root, 0.25), (root, 0.25)]),
+        (symbols(2, p2({(0, 2): -1, (0, 3): "-1/2"}), p2({(0, 0): "-1/2", (2, 1): "-9/4"})),
+         [(-1 / 3, -2.0), (1 / 3, -2.0)]),
+    ]
+
+
+TWO_ROUND_IDS = ["sqrt_129_8", "one_third"]
 
 
 def reference_pairs(quarter_pair):
@@ -172,8 +242,8 @@ def echelon_calls(monkeypatch):
 
 
 def test_common_zeros_needs_a_coprime_pair(repeated_pair, shared_line_pair, z1):
-    # a common factor keeps normal monomials in every degree: the staircase
-    # never stabilizes, and a budget error says why
+    # a common factor makes the quotient infinite-dimensional: no normal set
+    # passes the border-basis criterion, and a budget error says why
     zero = exact_poly(2, {})
     # (none certifies; the quotient basis raises before r is read)
     for st in (repeated_pair, shared_line_pair, symbols(2, z1, zero)):
@@ -217,10 +287,45 @@ def test_unit_in_the_ideal_agrees_on_index_zero():
     assert body["routes"]["algebraic"]["quotient_dim"] == 0
 
 
+@pytest.mark.parametrize("st, points", two_round_pairs(), ids=TWO_ROUND_IDS)
+def test_criterion_answers_where_the_staircase_heuristic_gave_up(st, points, echelon_calls):
+    with pytest.raises(RuntimeError):
+        reference_quotient_basis(st)
+    basis, m1, m2 = quotient_basis(st)
+    assert len(basis) == 2 and len(echelon_calls) == 2
+    assert dense_criterion_holds(st, basis, m1, m2)
+    zs = common_zeros(st, 0.5)
+    assert zs.quotient_dim == 2 and zs.total_inside == 0
+    got = sorted((z.point[0].real, z.point[1].real) for z in zs.zeros)
+    assert np.allclose(got, points, atol=1e-8)
+    assert all(z.multiplicity == 1 and z.location == "outside" for z in zs.zeros)
+
+
+def test_commuting_matrices_of_another_ideal_fail_the_generator_test():
+    # on the basis (1, z1), border rows z1² − c, z2 and z1·z2 give commuting
+    # actions for every c, but z1² − 1/4 sends e₁ to (c − 1/4)·e₁: only
+    # c = 1/4, the pair's own ideal, passes
+    p, q = {(2, 0): 1, (0, 0): Fraction(-1, 4)}, {(0, 1): 1}
+    key = zeros._key
+
+    def pivots(c):
+        return {key((2, 0)): {key((0, 0)): -c}, key((0, 1)): {}, key((1, 1)): {}}
+
+    ns = [(0, 0), (1, 0)]
+    other = zeros._mult_matrices(ns, pivots(Fraction(1)))
+    assert zeros._commute(*other)
+    assert zeros._at_one(other, p) == {0: Fraction(3, 4)} and zeros._at_one(other, q) == {}
+    assert zeros._border_basis(ns, pivots(Fraction(1)), [p, q]) is None
+    assert zeros._border_basis(ns, pivots(Fraction(1, 4)), [p, q]) == (
+        [[{1: 1}, {0: Fraction(1, 4)}], [{}, {}]])
+    # z1² without z1 is not connected to 1, whatever the echelon holds
+    assert zeros._border_basis([(0, 0), (2, 0)], {}, [p, q]) is None
+
+
 def test_round_budget_is_named(monkeypatch):
     monkeypatch.setattr(zeros, "_MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="budget of 1 rounds"):
-        quotient_basis(symbols(2, p2({(2, 0): 1, (0, 0): "-1/4"}), p2({(0, 1): 1})))
+        quotient_basis(two_round_pairs()[0][0])
 
 
 def test_real_pairs_eliminate_over_fractions(quarter_pair, echelon_calls):
@@ -233,14 +338,14 @@ def test_real_pairs_eliminate_over_fractions(quarter_pair, echelon_calls):
     assert values and all(type(v) is ExactComplex for v in values)
 
 
-@pytest.mark.parametrize("degrees, final_m", [((2, 1), 6), ((4, 4), 20)])
-def test_one_echelon_grows_across_rounds(degrees, final_m, echelon_calls):
-    # each shift row is eliminated once: the rows of all rounds together
-    # are the rows of the final cofactor window [0, M]², once per symbol
-    st = symbols(2, p2({(degrees[0], 0): 1, (0, 0): "-1/4"}), p2({(0, degrees[1]): 1}))
+@pytest.mark.parametrize("st", [st for st, _ in two_round_pairs()], ids=TWO_ROUND_IDS)
+def test_one_echelon_grows_across_rounds(st, echelon_calls):
+    # each shift row is eliminated once: the rows of both rounds together
+    # are the rows of the final cofactor window [0, M]², M = K + 4 with
+    # K = 3·3, once per symbol
     quotient_basis(st)
-    assert len(echelon_calls) >= 2
-    assert sum(len(rows) for rows in echelon_calls) == 2 * (final_m + 1) ** 2
+    assert len(echelon_calls) == 2
+    assert sum(len(rows) for rows in echelon_calls) == 2 * (13 + 1) ** 2
 
 
 def test_sparse_commuting_check():
@@ -265,7 +370,7 @@ exact_pairs = hst.builds(
 @given(exact_pairs)
 def test_quotient_basis_matches_reference_on_random_pairs(st):
     p, q = st.symbols
-    assume(not p.is_zero() and not q.is_zero() and gcd_bivariate(p, q).degree() == 0)
+    assume(not p.is_zero() and not q.is_zero() and gcd(p, q).degree() == 0)
     try:
         ref = reference_quotient_basis(st)
     except (RuntimeError, ValueError) as exc:
@@ -273,8 +378,12 @@ def test_quotient_basis_matches_reference_on_random_pairs(st):
             got = quotient_basis(st)
         except type(exc):
             return
-        # the unit pivot settles pairs the reference gives up on
-        assert got == ([], [], []) and reference_unit_in_ideal(st)
+        # the unit pivot, or the border-basis criterion, settles pairs the
+        # staircase heuristic of the reference gives up on
+        if got == ([], [], []):
+            assert reference_unit_in_ideal(st)
+        else:
+            assert dense_criterion_holds(st, *got)
         return
     assert quotient_basis(st) == ref
 
