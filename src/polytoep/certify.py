@@ -131,6 +131,8 @@ class BoundaryCertificate:
     cells_evaluated: int = 0          # centers evaluated
     budget_hit: bool = False          # stopped by the cell budget
     split_depth: int = 0              # most split rounds any face needed
+    rounds: int = 0                   # cell batches evaluated (work counter)
+    witness_searches: int = 0         # witness searches run (work counter)
 
 
 @dataclass(frozen=True)
@@ -404,6 +406,8 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
     cells = [_initial_cells(face, 4 * target_mesh, used) for face in faces]
     delta_floor = target_mesh / (2 ** MAX_HALVINGS)
     evaluated = 0
+    batches = 0
+    searches = 0
     split_depth = 0
     c_min = math.inf
     mesh_finest = math.inf
@@ -412,6 +416,8 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
     stuck_best: Optional[Tuple[float, np.ndarray]] = None
 
     def witness_result(pt0: np.ndarray) -> Optional[BoundaryCertificate]:
+        nonlocal searches
+        searches += 1
         w, val = _witness_search(st, pk, pt0, faces)
         if val < WITNESS_THRESHOLD:
             return BoundaryCertificate(
@@ -420,7 +426,8 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
                 min_sample=float(min(min_val, val)),
                 min_point=tuple(w.tolist()), witness=tuple(w.tolist()),
                 witness_value=val, cells_evaluated=evaluated,
-                budget_hit=budget_hit, split_depth=split_depth)
+                budget_hit=budget_hit, split_depth=split_depth,
+                rounds=batches, witness_searches=searches)
         return None
 
     budget_hit = False
@@ -435,6 +442,7 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
             absv = np.abs(values_block(pk, centers))
             vals = np.sum(absv * absv, axis=1)
             evaluated += batch.count
+            batches += 1
             i = int(np.argmin(vals))
             if vals[i] < min_val:
                 min_val = float(vals[i])
@@ -475,7 +483,7 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
             r=r, c=float(c_min), mesh=float(mesh_eff), lipschitz=lip,
             verdict="certified", min_sample=float(min_val),
             min_point=_pt(min_pt), cells_evaluated=evaluated,
-            split_depth=split_depth)
+            split_depth=split_depth, rounds=batches, witness_searches=searches)
     # could not prune everything: hunt for a witness from the best center
     if min_pt is not None:
         got = witness_result(min_pt)
@@ -489,7 +497,8 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
         r=r, c=0.0, mesh=float(min(mesh_finest, delta_floor)), lipschitz=lip,
         verdict="inconclusive", min_sample=float(min_val),
         min_point=_pt(min_pt), cells_evaluated=evaluated,
-        budget_hit=budget_hit, split_depth=split_depth)
+        budget_hit=budget_hit, split_depth=split_depth, rounds=batches,
+        witness_searches=searches)
 
 
 def _pt(z) -> tuple:

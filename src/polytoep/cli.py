@@ -22,13 +22,12 @@ from typing import Callable, NamedTuple, Optional
 
 from .certify import boundary_lower_bound
 from .exact import exact
-from .koszul import MatrixBudgetError, build_koszul, dump_matrices
+from .koszul import MatrixBudgetError, build_koszul, default_levels, dump_matrices
 from .report import (JobConfig, _cert_json, _factors_json, _run_koszul,
                      certify_schedule, load_tuple, run_index, run_spectrum)
 from .tensor import tensor_tuple_index, trig_from_json
 
 _EXIT = {"agree": 0, "not_fredholm": 2, "not_certifiable": 3, "disagree": 4}
-DUMP_LEVEL = 4      # the Koszul level --dump-matrices writes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,10 +146,12 @@ def _emit(obj) -> None:
 
 
 def _maybe_dump(args, st) -> None:
+    """With --dump-matrices, write the boundary matrices of the last level
+    the Koszul route sweeps by default for the tuple's variable count."""
     if not args.dump_matrices:
         return
     try:
-        text = dump_matrices(build_koszul(st, DUMP_LEVEL))
+        text = dump_matrices(build_koszul(st, default_levels(st.nvars)[-1]))
     except MatrixBudgetError as exc:
         raise ValueError(f"--dump-matrices: {exc}") from exc
     out = Path(args.input).with_suffix(".matrices.txt")

@@ -667,15 +667,20 @@ class KoszulRouteResult:
         return self.homology.index_estimate
 
 
+def default_levels(nvars: int) -> range:
+    """The levels ``koszul_route`` sweeps unless told otherwise: 2..8, and
+    1..3 in three variables."""
+    return range(2, 9) if nvars <= 2 else range(1, 4)
+
+
 def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
                  rho: float) -> KoszulRouteResult:
-    """Sweep the levels of ``n_range`` (by default 2..8, and 1..3 in three
-    variables) and stop at the first three consecutive ones with the same
-    kernel-side homology vector (``per_n`` ends there, and
-    ``sigma_min_first`` is read on its last level), attach the stabilized
-    ideal codimension at decay bound ``rho`` as the top dimension, and form
-    the Euler index.  Emits "unstable" rather than any integer when
-    stabilization fails.
+    """Sweep the levels of ``n_range`` (by default ``default_levels``) and
+    stop at the first three consecutive ones with the same kernel-side
+    homology vector (``per_n`` ends there, and ``sigma_min_first`` is read
+    on its last level), attach the stabilized ideal codimension at decay
+    bound ``rho`` as the top dimension, and form the Euler index.  Emits
+    "unstable" rather than any integer when stabilization fails.
 
     Precondition: every common zero of the tuple in the closed polydisc has
     max_v|z_v| < 2ρ − 1, as a boundary certificate at r = 2ρ − 1 proves.
@@ -683,7 +688,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
     near the torus it may emit any integer."""
     p = len(st)
     if n_range is None:
-        n_range = range(2, 9) if st.nvars <= 2 else range(1, 4)
+        n_range = default_levels(st.nvars)
     n_values = list(n_range)
     if not n_values:
         raise ValueError("empty truncation range")

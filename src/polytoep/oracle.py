@@ -194,8 +194,9 @@ def perturbed_count_details(st: SymbolTuple, r: float, epsilon: float = EPSILON,
     across TRIALS independent perturbation trials drawn from ``seed``, with
     the evidence: the per-trial counts and the number of attempts spent.
     Precondition: a boundary certificate at r with bound c holds for ``st``,
-    and 4·(2·Σᵢ sup|fᵢ|·ε + p·ε²) ≤ c, so no perturbed tuple vanishes on
-    r ≤ max_v|z_v| ≤ 1 either; otherwise a zero may be counted wrongly."""
+    and 4·p·ε² ≤ c (``report._oracle_need``), so every perturbed tuple keeps
+    Σ|fᵢ + δᵢ|² ≥ c/4 on r ≤ max_v|z_v| ≤ 1 and has as many zeros inside
+    as ``st``; otherwise a zero may be counted wrongly."""
     if len(st) != 2 or st.nvars != 2:
         raise ValueError("perturbed counting handles pairs in two variables")
     partials = pack_partials(st)

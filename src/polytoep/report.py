@@ -13,8 +13,9 @@ from the tensor route.
 
 Reports are deterministic: the ``body`` sub-object is byte-identical across
 runs with the same configuration; timings (wall seconds per stage, process
-CPU seconds per stage under ``"cpu"``, and the routes' deterministic work
-counters under ``"work"``) live outside it.  The
+CPU seconds per stage under ``"cpu"``, and deterministic work counters
+under ``"work"``: the certificate schedule's, the gcd factor's certificate's
+under ``"reduction"``, and the routes') live outside it.  The
 cache stores whole reports keyed by a content hash of the canonicalized
 input, ``body["config"]`` and the package version, written atomically.
 """
@@ -45,7 +46,6 @@ from .oracle import EPSILON, perturbed_count_details
 from .poly import (
     SymbolTuple,
     canonical_tuple_json,
-    coefficient_bounds,
     poly_to_json,
     tuple_from_json,
     tuple_to_json,
@@ -108,6 +108,16 @@ def _cert_json(cert: BoundaryCertificate) -> dict:
         out["witness"] = [_fmt_complex(z) for z in cert.witness]
         out["witness_value"] = cert.witness_value
     return out
+
+
+def _cert_work(certs: Sequence[BoundaryCertificate]) -> dict:
+    """The certificates' work counters summed, for ``timings["work"]``: the
+    attempts, cells evaluated, cell batches evaluated and witness
+    searches."""
+    return {"attempts": len(certs),
+            "cells": sum(c.cells_evaluated for c in certs),
+            "rounds": sum(c.rounds for c in certs),
+            "witness_searches": sum(c.witness_searches for c in certs)}
 
 
 def _config_json(cfg: JobConfig) -> dict:
@@ -189,17 +199,24 @@ def _run_algebraic(st: SymbolTuple, cfg: JobConfig,
 
 
 def _oracle_need(st: SymbolTuple, eps: float = EPSILON) -> float:
-    """4·(2·Σᵢ sup|fᵢ|·ε + p·ε²): four times the worst-case effect on Σ|fᵢ|²
-    of perturbing each symbol by at most ε.  At ε = ``oracle.EPSILON`` it is
-    the smallest certified c at which ``_oracle_epsilon`` keeps that ε."""
-    sups = sum(coefficient_bounds(s)[0] for s in st.symbols)
-    return (2 * sups * eps + len(st) * eps * eps) * 4
+    """4·p·ε², p = len(st): the least certified c at which perturbing each
+    symbol by a constant of modulus at most ε moves no zero into or across
+    the gap r ≤ max_v|z_v| ≤ 1 of the certificate.
+
+    Proof.  Take z in the gap and constants |δᵢ| ≤ ε.  The certificate gives
+    ‖f(z)‖₂ ≥ √c, and ‖δ‖₂ ≤ √p·ε ≤ √c/2, so for every t in [0, 1]
+    ‖f(z) + tδ‖₂ ≥ √c − √p·ε ≥ √c/2 > 0 (so Σ|fᵢ + δᵢ|² ≥ c/4 there).  No
+    member of the homotopy f + tδ vanishes on the gap, which holds the
+    boundary max_v|z_v| = r of the inner polydisc, so the zeros counted
+    with multiplicity inside it stay as many for every t: the perturbed
+    pair counts the unperturbed one's."""
+    return 4 * len(st) * eps * eps
 
 
 def _oracle_epsilon(st: SymbolTuple, cert_c: float) -> float:
-    """Halve ε from ``oracle.EPSILON`` until its worst-case effect on Σ|fᵢ|²
-    is at most a quarter of the certified bound c > 0, so no perturbed zero
-    enters the gap r ≤ max|z_v| ≤ 1 that the oracle's classification reads."""
+    """Halve ε from ``oracle.EPSILON`` until ``_oracle_need`` is at most the
+    certified bound c > 0, so no perturbed zero enters the gap
+    r ≤ max_v|z_v| ≤ 1 that the oracle's classification reads."""
     eps = EPSILON
     while _oracle_need(st, eps) > cert_c:
         eps /= 2
@@ -281,8 +298,9 @@ def certify_schedule(st: SymbolTuple, cfg: JobConfig
     up to the first that certifies, and that one (None when none does).  The
     routes run only after one: it proves the tuple Fredholm, and its r bounds
     every common zero in the polydisc.  Each is refined only as far as the
-    routes read its c: to ``_oracle_need`` for a pair in two variables, the
-    oracle's, and to bare positivity otherwise."""
+    routes read its c: for a pair in two variables to ``_oracle_need``, the
+    4·p·ε² at ε = ``oracle.EPSILON`` that keeps the oracle's perturbed zeros
+    out of the gap, and to bare positivity otherwise."""
     target = _oracle_need(st) if _pair(st) else 0.0
     certs = []
     for r in cfg.r_schedule:
@@ -329,6 +347,7 @@ def run_index(cfg: JobConfig) -> dict:
                     "reduced": tuple_to_json(red.reduced),
                     "certificate": _cert_json(red.certificate),
                 }
+                timer.work["reduction"] = _cert_work([red.certificate])
                 if red.factor_zero_free:
                     working = red.reduced
 
@@ -336,6 +355,7 @@ def run_index(cfg: JobConfig) -> dict:
     with timer.stage("certificate"):
         chosen, certs = certify_schedule(working, cfg)
         body["certificates"] = [_cert_json(c) for c in certs]
+        timer.work["certificate"] = _cert_work(certs)
 
     if chosen is None:
         if all(c.verdict == "failed" for c in certs):
@@ -388,7 +408,7 @@ def run_index(cfg: JobConfig) -> dict:
 
 class _Timer:
     """Wall and process CPU seconds per stage of one report, from its start,
-    and the routes' work counters."""
+    and the certificates' and routes' work counters."""
 
     def __init__(self):
         self.wall, self.cpu, self.work = {}, {}, {}
@@ -405,7 +425,7 @@ class _Timer:
 
     def timings(self) -> dict:
         """Wall seconds per stage and in total, the same CPU seconds under
-        ``"cpu"``, and each route's work counters under ``"work"``."""
+        ``"cpu"``, and the work counters under ``"work"``."""
         self.wall["total"] = time.perf_counter() - self._start[0]
         self.cpu["total"] = time.process_time() - self._start[1]
         return {**self.wall, "cpu": self.cpu, "work": self.work}

@@ -23,7 +23,9 @@ from polytoep.certify import (
 from polytoep.cli import main
 from polytoep.kernels import pack_tuple, sumsq_block, values_block
 from polytoep.poly import exact_poly, symbols, tuple_to_json
-from polytoep.report import _oracle_need
+from polytoep.report import (JobConfig, _cert_json, _oracle_need, cache_key,
+                             certify_schedule, run_index)
+from polytoep.zeros import gcd_reduce
 
 from conftest import p1, p2
 
@@ -340,6 +342,79 @@ def test_targeted_certificates_stay_sound(target, shift_pair, shift_triple):
         assert cert.cells_evaluated <= boundary_lower_bound(st, 0.5).cells_evaluated
         vals = sumsq_block(pack_tuple(st), region_samples(st.nvars, 0.5, 10_000, rng))
         assert float(np.min(vals)) >= cert.c > 0
+
+
+def seed_7_product():
+    """(z1 − 7/20, z1 − 27/100 − 3z2/5 + z2²), the product gen5 of the
+    certify-heavy workload at seed 7: zeros (0.35, 0.2) and (0.35, 0.4)."""
+    return symbols(2, p2({(1, 0): 1, (0, 0): "-7/20"}),
+                   p2({(1, 0): 1, (0, 0): "-27/100", (0, 1): "-3/5", (0, 2): 1}))
+
+
+def test_witness_ends_no_radius_the_oracle_need_certifies():
+    # refined only to 4·p·ε², r = 0.5 certifies before the search meets a
+    # witness of value 5.06·10⁻⁴ at (0.339, 0.4998), which is not a zero
+    body = run_index(JobConfig(input=seed_7_product()))["body"]
+    assert [c["r"] for c in body["certificates"]] == [0.5]
+    assert body["verdict"] == {"kind": "agree", "index": -2,
+                               "routes": ["algebraic", "koszul", "oracle"]}
+    assert body["routes"]["koszul"]["rho"] == 0.75
+    zeros = [[complex(float(c["re"]), float(c["im"])) for c in z["point"]]
+             for z in body["routes"]["algebraic"]["zeros"]]
+    assert np.allclose(sorted(zeros, key=lambda z: z[1].real),
+                       [(0.35, 0.2), (0.35, 0.4)], atol=1e-12)
+
+
+def test_cusp_pair_certifies_at_the_second_radius():
+    # (z1·z2 − z1³/4, z2²), index −6 (only common zero the origin): its
+    # minimum near z2 = z1²/4 is small but positive, so the witness at r =
+    # 0.5 (6.6·10⁻⁵) still fails that radius, but r = 0.75 now certifies
+    # before the search reaches the 5.0·10⁻⁴ witness that failed it too
+    st = symbols(2, p2({(1, 1): 1, (3, 0): "-1/4"}), p2({(0, 2): 1}))
+    body = run_index(JobConfig(input=st, r_schedule=(0.5, 0.75)))["body"]
+    assert [(c["r"], c["verdict"]) for c in body["certificates"]] == [
+        (0.5, "failed"), (0.75, "certified")]
+    assert body["verdict"] == {"kind": "agree", "index": -6,
+                               "routes": ["algebraic", "koszul", "oracle"]}
+
+
+def test_certificate_work_counters_stay_outside_the_body(monkeypatch):
+    # (z1 − 2)·(z1² − ¼, z2): the gcd factor's r = 0 certificate, then the
+    # schedule, where r = 0.5 fails on a witness and r = 0.75 certifies
+    batches, searches = [], []
+    centers, search = certify._CellSet.centers, certify._witness_search
+    monkeypatch.setattr(certify._CellSet, "centers",
+                        lambda self: batches.append(self.count) or centers(self))
+    monkeypatch.setattr(certify, "_witness_search",
+                        lambda *a: searches.append(a) or search(*a))
+
+    def counted(run):
+        batches.clear()
+        searches.clear()
+        out = run()
+        return out, {"cells": sum(batches), "rounds": len(batches),
+                     "witness_searches": len(searches)}
+
+    g = p2({(1, 0): 1, (0, 0): -2})
+    st = symbols(2, g * p2({(2, 0): 1, (0, 0): "-1/4"}), g * p2({(0, 1): 1}))
+    cfg = JobConfig(input=st)
+    red, red_work = counted(lambda: gcd_reduce(st))
+    (_, certs), work = counted(lambda: certify_schedule(red.reduced, cfg))
+    assert [c.verdict for c in certs] == ["failed", "certified"]
+    assert work["witness_searches"] >= 1 and red_work["rounds"] >= 1
+    first, second = run_index(cfg), run_index(cfg)
+    assert first["timings"]["work"]["reduction"] == {"attempts": 1, **red_work}
+    assert first["timings"]["work"]["certificate"] == {"attempts": 2, **work}
+    assert first["timings"]["work"] == second["timings"]["work"]
+    body = first["body"]
+    assert work["cells"] == sum(c["cells_evaluated"] for c in body["certificates"])
+    # the counters reach neither the body nor the cache key
+    assert body == second["body"] and first["cache"]["key"] == cache_key(cfg, st)
+    assert "rounds" not in json.dumps(body) and "witness_searches" not in json.dumps(body)
+    for cert in (red.certificate, *certs):
+        more = replace(cert, rounds=cert.rounds + 1,
+                       witness_searches=cert.witness_searches + 1)
+        assert _cert_json(more) == _cert_json(cert)
 
 
 @pytest.mark.parametrize("root, gap", [("2", 1), ("17/16", 1 / 16), ("65/64", 1 / 64)])

@@ -11,14 +11,14 @@ from hypothesis import strategies as hst
 from polytoep import oracle
 from polytoep.exact import ExactComplex
 from polytoep.oracle import NoMajorityError, perturbed_count_details
-from polytoep.kernels import pack_partials
-from polytoep.poly import (MultiPoly, coefficient_bounds, exact_poly, gcd,
-                           resultant, symbols)
+from polytoep.kernels import pack_partials, pack_tuple, sumsq_block, values_block
+from polytoep.poly import MultiPoly, exact_poly, gcd, resultant, symbols
 from polytoep.certify import boundary_lower_bound
-from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule
+from polytoep.report import JobConfig, _oracle_epsilon, certify_schedule, run_index
 
 from conftest import p1, p2
-from test_certify import monomials, seeded_products
+from test_certify import monomials, region_samples, seed_7_product, seeded_products
+from test_zeros import GAP_PAIRS
 
 
 def test_perturbed_count_fixtures(shift_pair, monomial_pair, quarter_pair):
@@ -60,12 +60,12 @@ def test_epsilon_halving_stability(shift_pair, quarter_pair):
 
 
 def test_oracle_epsilon_meets_its_bound(shift_pair):
-    # a bound far below what twelve halvings of 10⁻³ reach
+    # ε is halved from 10⁻³ until 4·p·ε² ≤ c, and no further
     c = 1e-9
     eps = _oracle_epsilon(shift_pair, c)
-    sups = sum(coefficient_bounds(s)[0] for s in shift_pair.symbols)
-    assert 0 < eps and 4 * (2 * sups * eps + 2 * eps * eps) <= c
+    assert 0 < eps and 4 * 2 * eps * eps <= c < 4 * 2 * (2 * eps) ** 2
     assert _oracle_epsilon(shift_pair, 1.0) == oracle.EPSILON == 1e-3
+    assert _oracle_epsilon(shift_pair, 8e-6) == oracle.EPSILON
 
 
 def test_targeted_certificate_keeps_the_oracle_epsilon(
@@ -78,6 +78,66 @@ def test_targeted_certificate_keeps_the_oracle_epsilon(
         full = boundary_lower_bound(st, chosen.r)
         assert full.verdict == "certified"
         assert _oracle_epsilon(st, chosen.c) == _oracle_epsilon(st, full.c)
+
+
+def row_b():
+    """(3z₂/5, −9/50 − 6i/25 + 3z₂²/5 − (33/100 + 11i/25)z₁²): two simple
+    zeros (±0.7385i, 0), index −2.  Its certificate holds at r = 0.75 with
+    c near 10⁻⁵."""
+    return symbols(2, p2({(0, 1): "3/5"}),
+                   p2({(0, 0): ("-9/50", "-6/25"), (0, 2): "3/5",
+                       (2, 0): ("-33/100", "-11/25")}))
+
+
+def test_perturbed_zeros_stay_out_of_the_gap(
+        monkeypatch, shift_pair, monomial_pair, quarter_pair, non_dyadic_pair,
+        ill_conditioned_pair):
+    # what 4·p·ε² ≤ c is for: at the report's ε, no lifted zero of a usable
+    # trial lies in the gap r ≤ max|z_v| ≤ 1, and Σ|fᵢ + δᵢ|² ≥ c/4 there
+    trials = []
+    solve = oracle._solve_pair
+
+    def spy(p, q, partials):
+        pts = solve(p, q, partials)
+        trials.append((symbols(2, p, q), pts))
+        return pts
+
+    monkeypatch.setattr(oracle, "_solve_pair", spy)
+    rng = np.random.default_rng(7)
+    # seed_7_product's c (2.3·10⁻¹⁰) halves ε to 3.9·10⁻⁶
+    pairs = [st for st, _ in GAP_PAIRS.values()] + seeded_products() + [
+        seed_7_product(), shift_pair, monomial_pair, quarter_pair,
+        non_dyadic_pair, ill_conditioned_pair, row_b()]
+    usable = 0
+    for st in pairs:
+        cert, _ = certify_schedule(st, JobConfig(input=st))
+        eps = _oracle_epsilon(st, cert.c)
+        trials.clear()
+        perturbed_count_details(st, cert.r, eps)
+        samples = region_samples(2, cert.r, 2000, rng)
+        base = values_block(pack_tuple(st), samples)
+        for perturbed, pts in trials:
+            shift = values_block(pack_tuple(perturbed), samples) - base
+            assert np.max(np.abs(shift)) <= eps * (1 + 1e-9)      # |δᵢ| ≤ ε
+            assert float(np.min(sumsq_block(pack_tuple(perturbed), samples))) >= cert.c / 4
+            if pts is None:
+                continue
+            usable += 1
+            radius = np.max(np.abs(pts), axis=1)
+            assert np.all((radius < cert.r) | (radius > 1)), (st, radius)
+    assert usable >= oracle.TRIALS * len(pairs)
+
+
+def test_row_b_counts_each_zero_once():
+    # at ε = 10⁻³ the lift no longer accepts a mirror partner (±b with
+    # b ≈ 10⁻⁷ at ε = 4.9·10⁻⁷, which counted 4): every trial counts 2
+    body = run_index(JobConfig(input=row_b()))["body"]
+    assert body["verdict"] == {"kind": "agree", "index": -2,
+                               "routes": ["algebraic", "koszul", "oracle"]}
+    assert body["certificate"]["r"] == 0.75
+    got = body["routes"]["oracle"]
+    assert got["epsilon"] == oracle.EPSILON
+    assert got["trial_counts"] == [2] * oracle.TRIALS and got["attempts"] == oracle.TRIALS
 
 
 def test_even_split_has_no_majority(monkeypatch, shift_pair):

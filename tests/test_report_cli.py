@@ -16,9 +16,9 @@ import pytest
 import polytoep
 from polytoep.certify import (essential_spectrum_cloud, essential_spectrum_membership,
                               shifted_tuple)
-from polytoep.cli import DUMP_LEVEL, _parse_lambda, main
+from polytoep.cli import _parse_lambda, main
 from polytoep.exact import ExactComplex
-from polytoep.koszul import build_koszul, dump_matrices
+from polytoep.koszul import build_koszul, default_levels, dump_matrices
 from polytoep.poly import exact_poly, symbols, tuple_to_json
 from polytoep.report import (JobConfig, _config_json, cache_key, load_tuple, run_index,
                              run_spectrum)
@@ -524,12 +524,30 @@ def test_cli_koszul_dims_and_dump(inputs):
     # certified at r = 0.5, so the route ran at ρ = 0.75, as in the report
     report = run_index(JobConfig(input=inputs["shifts"]))
     assert payload == report["body"]["routes"]["koszul"] and payload["rho"] == 0.75
+    # the last level of the default sweep, 8 for a pair
     dumped = (inputs["dir"] / "shifts.matrices.txt").read_text()
-    assert dumped == dump_matrices(build_koszul(load_tuple(inputs["shifts"]), DUMP_LEVEL))
+    assert dumped == dump_matrices(build_koszul(load_tuple(inputs["shifts"]), 8))
+
+
+def test_cli_dump_writes_a_level_the_route_sweeps(tmp_path):
+    # in three variables the route sweeps levels 1..3, so the dump is level
+    # 3: the level on which (z1, z2, z3) stabilizes
+    p3 = lambda t: exact_poly(3, t)
+    st = symbols(3, p3({(1, 0, 0): 1}), p3({(0, 1, 0): 1}), p3({(0, 0, 1): 1}))
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(tuple_to_json(st)))
+    code, out, _ = cli("koszul-dims", "--input", str(path), "--dump-matrices")
+    assert code == 0
+    swept = [row["N"] for row in json.loads(out)["per_n"]]
+    assert swept == list(default_levels(3)) == [1, 2, 3]
+    dumped = (tmp_path / "triple.matrices.txt").read_text()
+    assert dumped == dump_matrices(build_koszul(st, 3))
+    assert [line for line in dumped.splitlines() if line.startswith("#")] == [
+        "# d1 shape 375 64", "# d2 shape 648 375", "# d3 shape 343 648"]
 
 
 def test_cli_dump_over_the_matrix_budget_is_an_error(tmp_path):
-    # level 4 of (z1⁸, z2⁸, z3⁸) needs 27,783 columns, over MATRIX_BUDGET
+    # level 3 of (z1⁸, z2⁸, z3⁸) needs 24,000 columns, over MATRIX_BUDGET
     p3 = lambda t: exact_poly(3, t)
     path = tmp_path / "eighth.json"
     path.write_text(json.dumps(tuple_to_json(symbols(
@@ -537,7 +555,7 @@ def test_cli_dump_over_the_matrix_budget_is_an_error(tmp_path):
     code, _, err = cli("koszul-dims", "--input", str(path), "--dump-matrices")
     assert code == 1 and "Traceback" not in err
     assert err.startswith("error: --dump-matrices: window overflow: stage would "
-                          "need 27783 columns (budget 20000)")
+                          "need 24000 columns (budget 20000)")
     assert not (tmp_path / "eighth.matrices.txt").exists()
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from polytoep import zeros
 from polytoep.exact import EXACT_ONE, EXACT_ZERO, ExactComplex
 from polytoep.koszul import MonomialWindow
-from polytoep.poly import coefficient_bounds, exact_poly, gcd, symbols
+from polytoep.poly import exact_poly, gcd, symbols
 from polytoep.report import JobConfig, run_index
 from polytoep.zeros import (
     common_zeros,
@@ -438,28 +438,31 @@ def linear_pair(a, b):
                    p2({(0, 1): 1, (0, 0): -Fraction(b)}))
 
 
-@pytest.mark.parametrize("st, index", [
-    (linear_pair("5/4", "0"), 0),
-    (linear_pair("-5/4", "0"), 0),
-    (linear_pair("9/8", "0"), 0),
-    (linear_pair("65/64", "65/64"), 0),
-    (linear_pair("1001/1000", "0"), 0),          # certifies at r = 0.9 only
-    (symbols(2, p2({(1, 0): 1, (0, 0): "-2/5"}) * p2({(1, 0): 1, (0, 0): "-5/2"}),
-             p2({(0, 1): 1, (0, 0): "-1/3"})), -1),
-], ids=["5/4", "-5/4", "9/8", "65/64 twice", "1001/1000", "2/5 and 5/2"])
+# pairs whose certificate gap separates their zeros, and their indices
+GAP_PAIRS = {
+    "5/4": (linear_pair("5/4", "0"), 0),
+    "-5/4": (linear_pair("-5/4", "0"), 0),
+    "9/8": (linear_pair("9/8", "0"), 0),
+    "65/64 twice": (linear_pair("65/64", "65/64"), 0),
+    "1001/1000": (linear_pair("1001/1000", "0"), 0),          # certifies at r = 0.9 only
+    "2/5 and 5/2": (symbols(2, p2({(1, 0): 1, (0, 0): "-2/5"}) * p2({(1, 0): 1, (0, 0): "-5/2"}),
+                            p2({(0, 1): 1, (0, 0): "-1/3"})), -1),
+}
+
+
+@pytest.mark.parametrize("st, index", list(GAP_PAIRS.values()), ids=list(GAP_PAIRS))
 def test_certificate_gap_places_every_zero(st, index):
     # a certificate at r leaves no zero in r ≤ max|z_v| ≤ 1: each route
     # classifies at (1 + r)/2, and the oracle's ε keeps its zeros out of
-    # the gap
+    # the gap (4·p·ε² ≤ c, ``report._oracle_need``)
     body = run_index(JobConfig(input=st))["body"]
     cert, routes = body["certificate"], body["routes"]
     assert routes["algebraic"]["index"] == routes["oracle"]["index"] == index
     for z in routes["algebraic"]["zeros"]:
         radius = max(abs(complex(float(c["re"]), float(c["im"]))) for c in z["point"])
         assert z["location"] == ("inside" if radius < 1 else "outside")
-    eps, sups = routes["oracle"]["epsilon"], sum(
-        coefficient_bounds(s)[0] for s in st.symbols)
-    assert 4 * (2 * sups * eps + 2 * eps * eps) <= cert["c"]
+    eps = routes["oracle"]["epsilon"]
+    assert 4 * 2 * eps * eps <= cert["c"]
 
 
 def test_determinism_across_calls(quarter_pair):
