@@ -3,7 +3,7 @@ Hardy spaces: certified boundary criteria, three independent index routes
 (operator-theoretic, algebraic zero counting, perturbation/degree oracle),
 product-formula shortcuts, and essential-spectrum sampling."""
 
-__version__ = "0.5.14"
+__version__ = "0.5.15"
 
 from .certify import (
     BoundaryCertificate,

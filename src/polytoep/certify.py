@@ -73,10 +73,7 @@ dividend is positive (the bound is 0 otherwise), and the centered form
 ĝᵢ(b) − ĝᵢ(a) covers ĝᵢ(|c|+δ) − ĝᵢ(|c|) because ĝᵢ has nonnegative
 coefficients, so it and x ↦ ĝᵢ(x+δ) − ĝᵢ(x) only grow with x.
 
-Certified ``c`` is the minimum bound over pruned cells; the reported
-``mesh`` is the effective uniform step, defined by
-min_sample − lipschitz·mesh = c with the global constant, so the classical
-sampled-grid reading of the certificate remains exactly valid.
+Certified ``c`` is the minimum bound over pruned cells.
 
 Failed certificates carry an explicit witness: a region point whose value is
 below the failure threshold, found by a damped Gauss–Newton search on the
@@ -98,8 +95,7 @@ import numpy as np
 
 from .exact import exact
 from .kernels import PackedTuple, majorant, pack_partials, pack_tuple, values_block
-from .poly import (MultiPoly, SymbolTuple, coefficient_bounds, constant,
-                   directional_gradient_bounds)
+from .poly import MultiPoly, SymbolTuple, constant, directional_gradient_bounds
 
 WITNESS_THRESHOLD = 1e-3
 WITNESS_STEPS = 50               # Gauss–Newton steps per witness search
@@ -121,8 +117,6 @@ class BoundaryCertificate:
 
     r: float                      # inner radius; 0 is the closed polydisc
     c: float                      # certified lower bound (0.0 unless certified)
-    mesh: float                   # finest covering radius used
-    lipschitz: float
     verdict: str                  # certified | failed | inconclusive
     min_sample: float             # smallest value sampled (centers, a failed witness)
     min_point: tuple              # where it was seen
@@ -141,15 +135,6 @@ class SpectrumQuery:
     r: float
     verdict: str                  # inside | outside | inconclusive
     distance_estimate: float
-
-
-def lipschitz_sumsq(st: SymbolTuple) -> float:
-    """Gradient bound for Σ|fᵢ|² on the closed polydisc: 2·Σ supᵢ·gradᵢ."""
-    total = 0.0
-    for s in st.symbols:
-        sup, grad = coefficient_bounds(s)
-        total += 2.0 * sup * grad
-    return total
 
 
 # ---- adaptive cell engine -----------------------------------------------------
@@ -398,7 +383,6 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
     pk_abs = majorant(pk)
     terms = int(np.max(np.diff(pk.offs)))
     gamma = _gamma(3 * (pk.nvars * pk.maxdeg + terms + 4))
-    lip = lipschitz_sumsq(st)
     gmat = np.array([directional_gradient_bounds(s) for s in st.symbols])
     factor = _monomial_factor(st)
     weight = gmat.sum(axis=0)
@@ -410,7 +394,6 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
     searches = 0
     split_depth = 0
     c_min = math.inf
-    mesh_finest = math.inf
     min_val = math.inf
     min_pt = None
     stuck_best: Optional[Tuple[float, np.ndarray]] = None
@@ -421,8 +404,7 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
         w, val = _witness_search(st, pk, pt0, faces)
         if val < WITNESS_THRESHOLD:
             return BoundaryCertificate(
-                r=r, c=0.0, mesh=float(min(mesh_finest, target_mesh)),
-                lipschitz=lip, verdict="failed",
+                r=r, c=0.0, verdict="failed",
                 min_sample=float(min(min_val, val)),
                 min_point=tuple(w.tolist()), witness=tuple(w.tolist()),
                 witness_value=val, cells_evaluated=evaluated,
@@ -463,7 +445,6 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
             pruned = (bound > aim) | ((bound > 0) & (rad <= 4 * delta_floor))
             if np.any(pruned):
                 c_min = min(c_min, float(np.min(bound[pruned])))
-                mesh_finest = min(mesh_finest, float(np.min(rad[pruned])))
             stuck = ~pruned & (rad <= delta_floor)
             if np.any(stuck):
                 j = int(np.argmin(np.where(stuck, vals, np.inf)))
@@ -477,11 +458,8 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
                 split_depth = max(split_depth, rounds)
 
     if stuck_best is None and not cells and not budget_hit and c_min < math.inf:
-        # effective uniform step: min_sample - lipschitz * mesh == c exactly
-        mesh_eff = (min_val - c_min) / lip if lip > 0 else float(mesh_finest)
         return BoundaryCertificate(
-            r=r, c=float(c_min), mesh=float(mesh_eff), lipschitz=lip,
-            verdict="certified", min_sample=float(min_val),
+            r=r, c=float(c_min), verdict="certified", min_sample=float(min_val),
             min_point=_pt(min_pt), cells_evaluated=evaluated,
             split_depth=split_depth, rounds=batches, witness_searches=searches)
     # could not prune everything: hunt for a witness from the best center
@@ -494,8 +472,7 @@ def _certify_region(st: SymbolTuple, r: float, target: float) -> BoundaryCertifi
         if got is not None:
             return got
     return BoundaryCertificate(
-        r=r, c=0.0, mesh=float(min(mesh_finest, delta_floor)), lipschitz=lip,
-        verdict="inconclusive", min_sample=float(min_val),
+        r=r, c=0.0, verdict="inconclusive", min_sample=float(min_val),
         min_point=_pt(min_pt), cells_evaluated=evaluated,
         budget_hit=budget_hit, split_depth=split_depth, rounds=batches,
         witness_searches=searches)

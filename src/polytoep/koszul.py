@@ -12,7 +12,12 @@ only tolerance, ``DEFAULT_RANK_TOL`` relative to the largest singular value.
 
 Homology dimensions:
 
-* h₀ is the nullity of the first boundary map.
+* h₀ and the rank of d₁ come from a theorem, not a factorization.  d₁
+  multiplies by the symbols into a window that does not truncate, and ℂ[z]
+  has no zero divisors, so d₁ is injective once some symbol is nonzero
+  (Eisenbud, *Commutative Algebra*, 1995, §17): h₀ = 0 and its rank is its
+  column count.  If every symbol is zero, d₁ = 0 and h₀ is the dimension
+  of stage 0.
 * middle h_k compares the nullity of the next map against the image of the
   previous map *with an enlarged domain window*, intersected back into the
   stage.  The naive rank subtraction overcounts h_k by window-boundary
@@ -43,8 +48,9 @@ below r < ρ = (1+r)/2.
 A route builds each boundary map once and factors each whole map once
 (``TupleGrading.boundary`` and ``TupleGrading.svdvals``): when every
 variable has degree D, the enlarged d_k of level N is the d_k of level
-N + D, a finite section A_N is a row subset of a top map the sweep already
-holds, and σ_min of the last level's d₁ is read from the same record.  What
+N + D, and a finite section A_N is a row subset of a top map the sweep
+already holds.  The one whole d₁ a route factors is the last level's, for
+its σ_min.  What
 does not depend on the symbols, the monomial windows (``monomial_window``)
 and the block pattern of each boundary map (``_stage_blocks``), is made
 once per process as read-only arrays.
@@ -539,8 +545,10 @@ def homology_kernel_dims(kt: KoszulTruncation,
                          grading: Optional[TupleGrading] = None) -> List[int]:
     """[h₀, …, h_{p−1}] of the truncation (everything except the top stage).
 
-    Middle stages subtract dim(im(d_k with domain enlarged to the stage-k cap)
-    ∩ stage k) from the nullity of d_{k+1}.  The stage-k window is a set V of
+    d₁, the enlarged one too, is injective when some symbol is nonzero and 0
+    otherwise (module docstring), so its rank needs no factorization.  Middle
+    stages subtract dim(im(d_k with domain enlarged to the stage-k cap) ∩
+    stage k) from the nullity of d_{k+1}.  The stage-k window is a set V of
     coordinate rows of the enlarged codomain, so the intersection dimension
     is rank(A) − rank(A with the rows of V deleted).
 
@@ -553,10 +561,15 @@ def homology_kernel_dims(kt: KoszulTruncation,
     p, tol = kt.arity, DEFAULT_RANK_TOL
     wins = kt.windows
     grading = TupleGrading(kt.tuple) if grading is None else grading
+    injective = kt.boundary_matrices[0].vals.any()
+
+    def rank(k, win_in, win_out):
+        if k == 1:
+            return win_in.dim if injective else 0
+        return _rank_of(grading.svdvals(k, win_in, win_out), tol)
 
     def nullity(k):
-        return wins[k - 1].dim * math.comb(p, k - 1) - _rank_of(
-            grading.svdvals(k, wins[k - 1], wins[k]), tol)
+        return wins[k - 1].dim * math.comb(p, k - 1) - rank(k, wins[k - 1], wins[k])
 
     dims = [nullity(1)]
     for k in range(1, p):
@@ -567,8 +580,7 @@ def homology_kernel_dims(kt: KoszulTruncation,
         rows_kept = graded_svdvals(grading.boundary(k, wins[k], out).take_rows(outside),
                                    grading.keys(k, out)[outside],
                                    grading.keys(k - 1, wins[k]), grading.work)
-        dim_intersect = (_rank_of(grading.svdvals(k, wins[k], out), tol)
-                         - _rank_of(rows_kept, tol))
+        dim_intersect = rank(k, wins[k], out) - _rank_of(rows_kept, tol)
         dims.append(max(nullity(k + 1) - dim_intersect, 0))
     return dims
 
@@ -696,7 +708,7 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
     history = []
     grading = TupleGrading(st)
     stabilized_at = None
-    sigma_min = 0.0
+    kt = None
     chain_ok = True
     for n in n_values:
         try:
@@ -705,12 +717,13 @@ def koszul_route(st: SymbolTuple, n_range: Sequence[int] = None, *,
             break
         dims = homology_kernel_dims(kt, grading)
         chain_ok = chain_ok and chain_check(kt)
-        sigma_min = float(grading.svdvals(1, kt.windows[0], kt.windows[1])[-1])
         per_n.append({"N": n, "kernel_dims": list(dims)})
         history.append(tuple(dims))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             stabilized_at = tuple(dims)
             break
+    sigma_min = 0.0 if kt is None else float(
+        grading.svdvals(1, kt.windows[0], kt.windows[1])[-1])
     codim = ideal_codim_window(st, rho=rho, grading=grading)
     if stabilized_at is not None and isinstance(codim, int) and chain_ok:
         full = stabilized_at + (codim,)

@@ -199,27 +199,11 @@ def _rounded_up(total: float, nterms: int) -> float:
     return total * (1.0 + 2 * (nterms + 4) * 2.0 ** -53)
 
 
-def coefficient_bounds(p: MultiPoly) -> tuple:
-    """(sup_bound, gradient_bound) on the closed unit polydisc.
-
-    sup_bound = Σ|c| bounds |p|; gradient_bound = Σ_v Σ_terms e_v·|c| bounds
-    the sum over variables of sup|∂p/∂z_v|.  Both are rounded upward, so they
-    stay bounds of the exact sums.
-    """
-    sup = 0.0
-    grad = 0.0
-    for e, c in p.terms.items():
-        a = _abs_coeff(c)
-        sup += a
-        grad += a * sum(e)
-    n = len(p.terms)
-    return _rounded_up(sup, n), _rounded_up(grad, n)
-
-
 def directional_gradient_bounds(p: MultiPoly) -> tuple:
-    """Per-variable bounds sup|∂p/∂z_v| ≤ Σ_terms e_v·|c| on the closed unit
-    polydisc, rounded upward; they sum to the gradient_bound of
-    coefficient_bounds up to rounding."""
+    """Per-variable bounds G_v = Σ_terms e_v·|c| ≥ sup|∂p/∂z_v| on the closed
+    unit polydisc, rounded upward so they bound the exact sums.  Changing one
+    coordinate at a time gives |p(z) − p(w)| ≤ Σ_v G_v·|z_v − w_v| for any z,
+    w in the closed polydisc."""
     out = [0.0] * p.nvars
     for e, c in p.terms.items():
         a = _abs_coeff(c)

@@ -97,8 +97,7 @@ def _fmt_complex(z: complex) -> dict:
 
 def _cert_json(cert: BoundaryCertificate) -> dict:
     out = {
-        "r": cert.r, "c": cert.c, "mesh": cert.mesh,
-        "lipschitz": cert.lipschitz, "verdict": cert.verdict,
+        "r": cert.r, "c": cert.c, "verdict": cert.verdict,
         "min_sample": cert.min_sample,
         "min_point": [_fmt_complex(z) for z in cert.min_point],
         "cells_evaluated": cert.cells_evaluated,

@@ -27,10 +27,14 @@ cluster of a μ-fold zero spreads like ε^(1/μ), so very high multiplicities
 may resolve as that many nearby simple zeros; locations and the inside count
 are unaffected.  Ambiguous clusterings retry once with a fresh combination
 before raising.  Each cluster center z must be a zero of the pair to working
-precision: its relative residual maxᵢ |fᵢ(z)| / Σ|c|·|z^e| above
-RESIDUAL_TOL raises.  An ill-conditioned basis (two zeros that share a
-coordinate to within 1e-9, say) misplaces the eigenvalues, and the residual
-is how that shows.
+precision: its relative residual maxᵢ |fᵢ(z)| / max(P̂ᵢ(|z|), P̂ᵢ(1)) above
+RESIDUAL_TOL raises, P̂ᵢ(x) = Σ|c|·x^e being fᵢ with every coefficient
+replaced by its modulus.  The floor P̂ᵢ(1) = Σ|c| keeps the scale from
+shrinking with z: near a zero coordinate P̂ᵢ(|z|) falls to the size of the
+lowest terms, and so does |fᵢ(z)| at a misplaced point, so without the
+floor the ratio reads about 1 at true and misplaced zeros alike.  An
+ill-conditioned basis (two zeros that share a coordinate to within 1e-9,
+say) misplaces the eigenvalues, and the residual is how that shows.
 """
 from __future__ import annotations
 
@@ -271,11 +275,13 @@ def _cluster(points: np.ndarray, radius: float) -> List[np.ndarray]:
 
 
 def _relative_residuals(st: SymbolTuple, points: np.ndarray) -> np.ndarray:
-    """maxᵢ |fᵢ(z)| / Σ|c|·|z^e| at each point z (0 where every term
-    vanishes)."""
+    """maxᵢ |fᵢ(z)| / max(P̂ᵢ(|z|), P̂ᵢ(1)) at each point z, P̂ᵢ the
+    majorant of fᵢ (module docstring; 0 for a zero symbol)."""
     pk = pack_tuple(st)
+    hat = majorant(pk)
     num = np.abs(values_block(pk, points))
-    den = values_block(majorant(pk), np.abs(points))
+    den = np.maximum(values_block(hat, np.abs(points)),
+                     values_block(hat, np.ones((1, pk.nvars))))
     return np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0), axis=1)
 
 

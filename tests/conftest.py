@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from polytoep.exact import ExactComplex
 from polytoep.poly import exact_poly, symbols
 from polytoep.report import JobConfig, certify_schedule
 
@@ -73,3 +76,13 @@ def ill_conditioned_pair():
     p = p2({(1, 0): 1, (0, 0): "-9/20"}) * p2({(1, 0): 1, (0, 0): "7/20"})
     q = p2({(0, 1): 1, (0, 0): "-7/20", (1, 0): "1/1000000000"}) + p * p2({(0, 0): "2/3"})
     return symbols(2, p, q)
+
+
+@pytest.fixture
+def origin_double_pair():
+    # (−z1⁴/20 − 11 z1 z2³/20 + 17 z1/20 − z2/20, 4 z1⁴/5 + z1³/5 − (9/100 +
+    # 3i/25) z1²): a double zero at the origin and six zeros outside, dimension 8
+    return symbols(2, p2({(4, 0): "-1/20", (1, 3): "-11/20", (1, 0): "17/20",
+                          (0, 1): "-1/20"}),
+                   p2({(4, 0): "4/5", (3, 0): "1/5",
+                       (2, 0): ExactComplex(Fraction(-9, 100), Fraction(-3, 25))}))

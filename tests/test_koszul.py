@@ -72,10 +72,10 @@ def sparse(mat):
 
 
 def graded_maps(kt, grading):
-    """(map, its dense matrix, row keys, column keys) of every
-    factorization ``homology_kernel_dims`` makes: each d_k, each enlarged
-    d_k and the enlarged d_k's rows outside the stage window, the last
-    deleted from the dense matrix."""
+    """(map, its dense matrix, row keys, column keys) of each d_k, each
+    enlarged d_k and the enlarged d_k's rows outside the stage window, the
+    last deleted from the dense matrix: every map the route factors, and
+    the enlarged d₁, whose rank it reads off injectivity."""
     st, p, wins = kt.tuple, kt.arity, kt.windows
     for k in range(1, p + 1):
         d = kt.boundary_matrices[k - 1]
@@ -309,17 +309,59 @@ def test_rank_nullity_accounting(quarter_pair):
         assert r <= min(d.shape)
 
 
+def zero_symbol_tuples():
+    """(0, 0), (0, z1) and (0) in one variable."""
+    zero = p2({})
+    return [symbols(2, zero, zero), symbols(2, zero, p2({(1, 0): 1})), symbols(1, p1({}))]
+
+
 def test_kernel_dims_match_hstack_reference(shift_pair, monomial_pair, quarter_pair,
                                             non_dyadic_pair, repeated_pair,
                                             shared_line_pair):
     for st in (shift_pair, monomial_pair, quarter_pair, non_dyadic_pair,
-               repeated_pair, shared_line_pair):
+               repeated_pair, shared_line_pair, *zero_symbol_tuples()):
         for n in (2, 3, 4):
             kt = build_koszul(st, n)
             assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
     for n in (1, 2, 3):
         kt = build_koszul(shifts3(), n)
         assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
+
+
+@hst.composite
+def small_tuples(draw):
+    """One to three symbols in one to three variables, each of total degree
+    at most 2 with small rational coefficients; one symbol may be zero."""
+    n, p = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    exps = hst.tuples(*[hst.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    coeffs = hst.builds(Fraction, hst.sampled_from([-3, -2, -1, 1, 2, 3]), hst.integers(1, 3))
+    syms = [exact_poly(n, draw(hst.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+            for _ in range(p)]
+    zero = draw(hst.none() | hst.integers(0, p - 1))
+    if zero is not None:
+        syms[zero] = exact_poly(n, {})
+    return symbols(n, *syms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tuples())
+def test_kernel_dims_match_hstack_reference_on_drawn_tuples(st):
+    # h₀ and the rank of the enlarged d₁ come from injectivity; the dense
+    # reference still factors them
+    for n in ((1, 2) if st.nvars < 3 else (1,)):
+        kt = build_koszul(st, n)
+        assert homology_kernel_dims(kt) == hstack_kernel_dims(kt)
+
+
+def test_zero_symbols_keep_their_kernel_dims():
+    # d₁ = 0 exactly when every symbol is zero: then h₀ is the dimension of
+    # stage 0, (N + 1)ⁿ here, and the rank of d₁ is 0
+    want = [lambda n: [(n + 1) ** 2, 2 * (n + 1) ** 2], lambda n: [0, n + 1],
+            lambda n: [n + 1]]
+    for st, dims, sigma in zip(zero_symbol_tuples(), want, (0.0, 1.0, 0.0)):
+        route = koszul_route(st, rho=0.75)
+        assert list(route.per_n) == [{"N": n, "kernel_dims": dims(n)} for n in range(2, 9)]
+        assert route.index == "unstable" and route.sigma_min_first == sigma
 
 
 def test_route_rank_reuse_keeps_per_n(monkeypatch):
@@ -338,10 +380,11 @@ def test_route_rank_reuse_keeps_per_n(monkeypatch):
     fresh = [{"N": n, "kernel_dims": homology_kernel_dims(build_koszul(shifts3(), n))}
              for n in (1, 2, 3)]
     assert list(route.per_n) == fresh
-    # seven factorizations per level, less d₁ and d₂ at N = 2 and 3: those
-    # are the enlarged maps of the level before.  σ_min of the last d₁ comes
-    # from the same record, not from an eighth factorization.
-    assert len(calls) == 7 + 5 + 5
+    # five factorizations per level (d₂, d₃, the enlarged d₂ and the two
+    # row-deleted enlarged maps), less d₂ at N = 2 and 3, the enlarged d₂ of
+    # the level before; d₁ and its enlarged form are injective and go
+    # unfactored, but for the last level's d₁, whose σ_min the route reports
+    assert len(calls) == 5 + 4 + 4 + 1
     assert route.sigma_min_first == pytest.approx(
         stage1_sigma_min(build_koszul(shifts3(), 3)), rel=1e-12)
 
@@ -559,6 +602,18 @@ def test_work_counters_stay_outside_the_body(monkeypatch):
     assert work["norm_blocks"] == thin > 0
     assert 0 < work["lapack_calls"] <= fat
     assert work["maps_built"] > 0
+
+
+def test_koszul_work_counters_are_pinned():
+    # (z1 − 2, z2) and (z1 − z2, z1·z2): stage one is read off injectivity,
+    # so a factorization brought back into the sweep changes these counts
+    want = [(far_pair(), {"maps_built": 9, "lapack_calls": 21, "lapack_blocks": 52,
+                          "norm_blocks": 0}),
+            (graded_tuples()[5], {"maps_built": 9, "lapack_calls": 66, "lapack_blocks": 66,
+                                  "norm_blocks": 21})]
+    for st, work in want:
+        rep = report.run_index(report.JobConfig(input=tuple_to_json(st)))
+        assert rep["timings"]["work"]["koszul"] == work
 
 
 def gauss_jordan_kernel(rows, n):

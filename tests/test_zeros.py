@@ -495,6 +495,44 @@ def test_gcd_reduce_zero_free_factor():
     assert common_zeros(red.reduced, 0.75).total_inside == 1    # (z1, z2 - 1/2)
 
 
+def test_zero_at_the_origin_passes_the_residual_check(origin_double_pair):
+    # the double zero is located about 10⁻¹⁰ off the origin, where |fᵢ(z)|
+    # and P̂ᵢ(|z|) are both of the size of the linear terms: scaled by
+    # P̂ᵢ(|z|) alone, the residual reads about 1 there
+    zs = common_zeros(origin_double_pair, 0.5)
+    assert zs.quotient_dim == 8 and zs.total_inside == 2
+    origin, *rest = zs.zeros
+    assert max(map(abs, origin.point)) < 1e-9
+    assert (origin.multiplicity, origin.location) == (2, "inside")
+    assert len(rest) == 6
+    assert all(z.multiplicity == 1 and z.location == "outside" for z in rest)
+
+
+def off_torus_pair():
+    """(z1² − ¼, z2 − 2): zeros (±½, 2)."""
+    return symbols(2, p2({(2, 0): 1, (0, 0): "-1/4"}), p2({(0, 1): 1, (0, 0): -2}))
+
+
+@pytest.mark.parametrize("pair, zero", [("origin_double_pair", (0, 0)),
+                                        ("quarter_pair", (0.5, 0)),
+                                        (off_torus_pair, (0.5, 2))],
+                         ids=["origin", "half-zero", "half-two"])
+@pytest.mark.parametrize("offset", [(1e-6, 0), (0, 1e-6)], ids=["z1", "z2"])
+def test_center_moved_off_a_zero_raises(pair, zero, offset, request, monkeypatch):
+    # the eigenvalues of one zero moved 10⁻⁶ off it, in one coordinate
+    st = request.getfixturevalue(pair) if isinstance(pair, str) else pair()
+    joint = zeros._joint_points
+
+    def moved(*args):
+        pts = joint(*args)
+        pts[np.max(np.abs(pts - np.array(zero)), axis=1) < 1e-4] += np.array(offset)
+        return pts
+
+    monkeypatch.setattr(zeros, "_joint_points", moved)
+    with pytest.raises(RuntimeError, match="relative residual"):
+        common_zeros(st, 0.5)
+
+
 def test_ill_conditioned_eigensolve_raises(ill_conditioned_pair):
     # the Schur step puts both zeros near z1 = 0.05 ± 2.6i, where the pair
     # does not vanish: the residual check must refuse them, not count 0
